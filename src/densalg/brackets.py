@@ -160,9 +160,10 @@ def delta_op(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
 def restrict_to_base(f: SPoly) -> SPoly:
     """Pullback along the zero section: all fiber variables (and #t) to 0."""
     chart = f.chart
-    zero = chart.zero()
-    images = {v: zero for v in chart.variables if v.kind in ("fiber", "tstar")}
-    return f.substitute(images)
+    return SPoly(chart, {
+        key: c for key, c in f.terms.items()
+        if all(chart.variables[idx].kind not in ("fiber", "tstar") for idx, _ in key)
+    })
 
 
 def project_base(S: SPoly):
@@ -175,12 +176,13 @@ def project_base(S: SPoly):
     chart = S.chart
     if not chart.hatted:
         raise DomainError("project_base needs a hatted chart")
-    stripped = S.substitute({chart.tstar_var: chart.zero()})
     base_chart = chart.unhatted_version()
-    ti = chart.t_var.index
+    ti, tsi = chart.t_var.index, chart.tstar_var.index
     by_weight = {}
-    for key, coeff in stripped.terms.items():
+    for key, coeff in S.terms.items():
         kd = dict(key)
+        if tsi in kd:
+            continue
         lam = kd.pop(ti, Fraction(0))
         by_weight.setdefault(lam, {})[tuple(sorted(kd.items()))] = coeff
     out = []

@@ -4,8 +4,9 @@ Every element above a weighted multivector s differs from the canonical lift
 by Q * w with Q a multivector of one lower fiber degree; the master equation
 for the sum reduces to (s, Q) = 0.  `classify_lifts` slices that kernel at a
 finite coefficient-degree bound and solves the resulting homogeneous linear
-system exactly (fraction-free elimination, deterministic pivoting), so bases
-are reproducible bit for bit.
+system exactly: one sparse Gauss-Jordan elimination (`_rref`) brings it to its
+unique reduced row echelon form, so bases are reproducible bit for bit.  The
+same routine inverts the basis-change matrices of `change_basis`.
 """
 from __future__ import annotations
 
@@ -21,11 +22,7 @@ from .brackets import (
     r_ary_bracket,
 )
 from .lift import DensityElement, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly
-
-
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac
 
 
 @dataclass(frozen=True)
@@ -110,74 +107,62 @@ def master_residual_of_lift(s: DensityElement, Q: SPoly, conv=PINNED) -> SPoly:
 # Exact linear algebra
 # ---------------------------------------------------------------------------
 
+def _rref(rows):
+    """Gauss-Jordan elimination on sparse rows ({column: Fraction} maps).
+
+    Returns {pivot column: reduced row}: every row has a 1 in its pivot
+    column, which is its first nonzero column, and a 0 in every other pivot
+    column.  The reduced row echelon form is unique, so the result does not
+    depend on the order of the rows.  Arithmetic touches only rows that share
+    a column with the pivot row, which keeps block-structured systems cheap.
+    """
+    reduced = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        for p in [c for c in row if c in reduced]:
+            _axpy(row, -row[p], reduced[p])
+        if not row:
+            continue
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {c: x * inv for c, x in row.items()}
+        for other in reduced.values():
+            f = other.get(pivot)
+            if f:
+                _axpy(other, -f, row)
+        reduced[pivot] = row
+    return reduced
+
+
+def _axpy(row, f, pivot_row):
+    """row += f * pivot_row, in place, dropping entries that cancel."""
+    for c, x in pivot_row.items():
+        new = row.get(c, 0) + f * x
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+
+
 def nullspace_fraction_free(rows, n_cols):
     """Kernel basis of a rational matrix, reduced over the column order.
 
-    Rows are scaled to integers, brought to echelon form by fraction-free
-    (Bareiss) elimination with deterministic pivoting (first nonzero column,
-    first available row), then back-substituted.  Basis vectors carry a 1 in
-    their free column and are returned in column order.
+    Dense rows are read as sparse rows and reduced by `_rref`.  Each basis
+    vector carries a 1 in its free column and minus the reduced rows' entries
+    in the pivot columns; vectors are returned in free-column order, so the
+    basis is the unique reduced one, bit for bit.
     """
-    M = []
-    for row in rows:
-        row = [_frac(x) for x in row]
-        if all(x == 0 for x in row):
-            continue
-        denom_lcm = 1
-        for x in row:
-            if x.denominator != 1:
-                g = _gcd(denom_lcm, x.denominator)
-                denom_lcm = denom_lcm // g * x.denominator
-        M.append([int(x * denom_lcm) for x in row])
-    m = len(M)
-    pivots = []  # (row, col)
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pr = None
-        for i in range(r, m):
-            if M[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            M[r], M[pr] = M[pr], M[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n_cols):
-                M[i][j] = (M[i][j] * M[r][c] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    # reduced row echelon form of the row space, exact
-    R = [[Fraction(x) for x in row] for row in M[: len(pivots)]]
-    for k in range(len(pivots) - 1, -1, -1):
-        _, c = pivots[k]
-        pv = R[k][c]
-        R[k] = [x / pv for x in R[k]]
-        for i in range(k):
-            f = R[i][c]
-            if f:
-                R[i] = [a - f * b for a, b in zip(R[i], R[k])]
+    reduced = _rref(dict(enumerate(map(_frac, row))) for row in rows)
     basis = []
-    for fc in free_cols:
+    for fc in range(n_cols):
+        if fc in reduced:
+            continue
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
-        for k, (_, c) in enumerate(pivots):
-            vec[c] = -R[k][fc]
+        for p, row in reduced.items():
+            vec[p] = -row.get(fc, Fraction(0))
         basis.append(tuple(vec))
     return basis
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -259,6 +244,11 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int, conv=PINNED) -> K
     Poisson elements above s (of matching degree, weight, and parity) within
     the coefficient-degree slice.
     """
+    bound = _frac(coeff_degree_bound)
+    if bound.denominator != 1 or bound < 0:
+        raise DomainError(
+            "the coefficient degree bound must be a nonnegative integer, got %s" % bound
+        )
     if master_check(s.body, conv):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
@@ -273,7 +263,7 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int, conv=PINNED) -> K
         raise DomainError("s must be parity homogeneous")
     flagged = sp == ODD
     chart = s.chart
-    ansatz = monomial_ansatz(chart, r - 1, coeff_degree_bound, (sp + 1) % 2)
+    ansatz = monomial_ansatz(chart, r - 1, int(bound), (sp + 1) % 2)
     if not ansatz:
         return KernelBasis(chart, (), (), flagged)
     if flagged:
@@ -464,20 +454,14 @@ def change_basis(g: LieAlgebraData, P):
 
 
 def _invert_matrix(P):
+    """P^-1 as the right half of the reduced [P | I]; raise if P is singular."""
     n = len(P)
-    M = [[_frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(P)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if M[i][c]), None)
-        if pr is None:
-            raise DomainError("basis change matrix is singular")
-        M[c], M[pr] = M[pr], M[c]
-        pv = M[c][c]
-        M[c] = [x / pv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return [row[n:] for row in M]
+    reduced = _rref(
+        {**dict(enumerate(map(_frac, row))), n + i: Fraction(1)} for i, row in enumerate(P)
+    )
+    if sorted(reduced) != list(range(n)):
+        raise DomainError("basis change matrix is singular")
+    return [[reduced[k].get(n + j, Fraction(0)) for j in range(n)] for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

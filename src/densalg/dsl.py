@@ -71,8 +71,6 @@ COMMANDS = (
     "transform",
 )
 
-KEYWORDS = ("chart", "change", "let", "even", "odd", "hatted", "forward", "inverse")
-
 _SYMBOLS = ("->", "{", "}", "(", ")", ",", ";", "=", "+", "-", "*", "/", "^", ":")
 
 
@@ -508,10 +506,6 @@ class Interpreter:
             )
         return value
 
-    def _arg(self, groups, i):
-        flat = [a for g in groups for a in g]
-        return flat[i]
-
     # --- statements ---
 
     def run(self, script: Script):
@@ -598,7 +592,7 @@ class Interpreter:
             if not ok:
                 self.failures += 1
         elif name == "classify":
-            kb = classify_lifts(DensityElement(poly(0), rat(1)), int(rat(2)), self.conv)
+            kb = classify_lifts(DensityElement(poly(0), rat(1)), rat(2), self.conv)
             if self.json_output:
                 self.emit(None, {
                     "label": "classify",

@@ -9,11 +9,11 @@ changes, which `lift_commutes_check` and `transform_hatted` make checkable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .brackets import DomainError, PINNED, antibracket, divergence, project_base
-from .spoly import Chart, ChartMismatchError, SPoly, rational_power
+from .spoly import Chart, ChartMismatchError, SPoly, _frac, rational_power
 
 
 class WeightOneError(DomainError):
@@ -28,10 +28,6 @@ class WeightOneError(DomainError):
             "the canonical lift is singular at weight 1 "
             "(weight-1 elements are half densities on the odd cotangent bundle)"
         )
-
-
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

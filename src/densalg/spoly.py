@@ -74,22 +74,25 @@ def rational_power(base, exponent):
         raise SubstitutionError("t may only be rescaled by a positive rational")
     if exponent.denominator == 1:
         return base ** int(exponent)
-    root = exponent.denominator
-
-    def iroot(n):
-        r = round(n ** (1.0 / root))
-        for cand in (r - 1, r, r + 1):
-            if cand > 0 and cand ** root == n:
-                return cand
-        return None
-
-    p = iroot(base.numerator)
-    q = iroot(base.denominator)
+    p = _exact_root(base.numerator, exponent.denominator)
+    q = _exact_root(base.denominator, exponent.denominator)
     if p is None or q is None:
         raise SubstitutionError(
             "rescaling t by %s with exponent %s leaves the rationals" % (base, exponent)
         )
     return Fraction(p, q) ** exponent.numerator
+
+
+def _exact_root(n, k):
+    """The integer k-th root of a positive integer n, or None if n is no k-th
+    power.  Integer Newton iteration from 2^ceil(bits/k), which is at least
+    the root, so sizes beyond float range stay exact."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == n else None
+        r = s
 
 
 @dataclass(frozen=True)
@@ -289,10 +292,6 @@ class SPoly:
     def __init__(self, chart, terms):
         self.chart = chart
         self.terms = terms
-
-    @staticmethod
-    def zero(chart):
-        return chart.zero()
 
     def is_zero(self):
         return not self.terms

@@ -42,8 +42,8 @@ def random_poly(rng, chart, parity=None, n_terms=3):
 def dense_nullspace(rows, n_cols):
     """Reference kernel basis: plain Gauss-Jordan over Fraction.
 
-    Independent of the fraction-free Bareiss path in the package: no integer
-    scaling, no two-phase echelon/back-substitution split.
+    Independent of the sparse row reduction in the package: dense rows, row
+    swaps, and every row eliminated at each pivot.
     """
     M = [[Fraction(x) for x in row] for row in rows]
     m = len(M)

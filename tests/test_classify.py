@@ -25,6 +25,7 @@ from densalg import (
     supertrace_extension,
 )
 from densalg.classify import (
+    _invert_matrix,
     attach_correction,
     change_basis,
     darboux_form,
@@ -55,17 +56,32 @@ def _kernel_matrix(s, ansatz, conv=None):
 
 class TestLinearAlgebra:
     def test_fraction_free_matches_dense_oracle(self, rng):
-        for _ in range(40):
-            m = rng.randint(1, 6)
-            n = rng.randint(1, 6)
-            rows = [
-                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-                for _ in range(m)
-            ]
-            a = nullspace_fraction_free(rows, n)
-            b = dense_nullspace(rows, n)
-            assert len(a) == len(b)
-            assert row_space_rref(a, n) == row_space_rref(b, n)
+        def entry():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+        def matrix(shape, m, n):
+            if shape == "dense":
+                return [[entry() for _ in range(n)] for _ in range(m)]
+            rows = [[Fraction(0)] * n for _ in range(m)]
+            if shape == "zero":
+                return rows
+            for i in range(m):
+                for j in range(n):
+                    if shape == "sparse" and rng.random() < 0.25:
+                        rows[i][j] = entry()
+                    elif shape == "block" and i // 3 == j // 3 and rng.random() < 0.8:
+                        rows[i][j] = entry()
+            if m > 1:  # a repeated row and a zero row
+                rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+                rows[rng.randrange(m)] = [Fraction(0)] * n
+            return rows
+
+        for shape in ("dense", "sparse", "block", "zero"):
+            sizes = [(12, 3), (3, 12), (12, 12)]  # tall, wide, square
+            sizes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(30)]
+            for m, n in sizes:
+                rows = matrix(shape, m, n)
+                assert nullspace_fraction_free(rows, n) == dense_nullspace(rows, n)
 
     def test_kernel_vectors_annihilate(self, rng):
         for _ in range(20):
@@ -319,6 +335,26 @@ class TestLieAlgebra:
                 sum(Fraction(P[a][i]) * phi[a] for a in range(2)) for i in range(2)
             )
             assert phi2 == expected
+
+    def test_invert_matrix(self, rng):
+        g = LieAlgebraData(3, None, SO3)
+        with pytest.raises(DomainError):
+            change_basis(g, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+        with pytest.raises(DomainError):
+            _invert_matrix([[0, 0], [0, 0]])
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            P = [[Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
+            if dense_nullspace(P, n):
+                with pytest.raises(DomainError):
+                    _invert_matrix(P)
+                continue
+            Pinv = _invert_matrix(P)
+            product = [
+                [sum(Pinv[i][k] * P[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
     def test_json_roundtrip(self, tmp_path):
         import json

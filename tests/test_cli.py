@@ -59,6 +59,17 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert err.strip()
 
+    @pytest.mark.parametrize("bound", ["1/2", "-1"])
+    def test_domain_error_bad_classify_bound(self, tmp_path, capsys, bound):
+        script = write(tmp_path, "bound.dsl", """
+            chart C { even p, q }
+            classify(#p*#q, 0, %s)
+        """ % bound)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_DOMAIN
+        assert "bound" in err and bound in err
+        assert "dimension" not in out
+
     def test_verification_failure_jacobi(self, tmp_path, capsys):
         script = write(tmp_path, "fail.dsl", """
             chart C { even x1, x2, x3 }

@@ -190,7 +190,14 @@ class TestRationalPower:
         assert rational_power(Fraction(4), Fraction(1, 2)) == 2
         assert rational_power(Fraction(8, 27), Fraction(2, 3)) == Fraction(4, 9)
         assert rational_power(Fraction(5), Fraction(-1)) == Fraction(1, 5)
+        # roots beyond float precision and float range stay exact
+        big = 10**30 + 7
+        assert rational_power(Fraction(big**2), Fraction(1, 2)) == big
+        assert rational_power(Fraction(10**400), Fraction(1, 2)) == 10**200
+        assert rational_power(Fraction(1, big**3), Fraction(2, 3)) == Fraction(1, big**2)
 
     def test_irrational_rejected(self):
         with pytest.raises(SubstitutionError):
             rational_power(Fraction(2), Fraction(1, 2))
+        with pytest.raises(SubstitutionError):
+            rational_power(Fraction((10**30 + 7) ** 2 + 1), Fraction(1, 2))
