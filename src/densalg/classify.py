@@ -335,8 +335,12 @@ class LieAlgebraData:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a JSON file; a missing, unreadable or malformed one is a DomainError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise DomainError("bad Lie algebra file %s: %s" % (path, exc)) from None
 
     def chart(self):
         return Chart(list(zip(self.names, self.parities)), name="lie")

@@ -396,10 +396,6 @@ def parse(text: str) -> Script:
 
 # --- evaluation -------------------------------------------------------------
 
-class VerificationFailure(Exception):
-    """A PASS/FAIL command failed; run() maps this to exit code 4."""
-
-
 class Interpreter:
     """Executes a Script statement by statement.
 
@@ -465,11 +461,17 @@ class Interpreter:
             if node.op == "/":
                 if isinstance(rhs, SPoly):
                     raise ParseError("division by a polynomial", node.line, node.column)
+                if not rhs:
+                    raise DomainError("%d:%d: division by zero" % (node.line, node.column))
                 return lhs / rhs
             if node.op == "^":
                 if isinstance(rhs, SPoly):
                     raise ParseError("polynomial exponent", node.line, node.column)
                 if isinstance(lhs, Fraction):
+                    if not lhs and rhs < 0:
+                        raise DomainError(
+                            "%d:%d: zero to a negative power" % (node.line, node.column)
+                        )
                     if rhs.denominator != 1:
                         from .spoly import rational_power
 
@@ -513,7 +515,10 @@ class Interpreter:
             getattr(self, "exec_" + st.kind)(st)
 
     def exec_chart(self, st):
-        chart = Chart(st.data["coords"], hatted=st.data["hatted"], name=st.data["name"])
+        try:
+            chart = Chart(st.data["coords"], hatted=st.data["hatted"], name=st.data["name"])
+        except ValueError as exc:  # repeated or reserved coordinate name
+            raise ParseError(str(exc), st.line, st.column) from None
         self.charts[st.data["name"]] = chart
         self.active_chart = chart
 

@@ -1,6 +1,7 @@
 """The densalg command line tool and the expression DSL."""
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,26 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "bound" in err and bound in err
         assert "dimension" not in out
+
+    @pytest.mark.parametrize("expr", ["x/0", "0^(-1)"])
+    def test_domain_error_zero_division(self, tmp_path, capsys, expr):
+        script = write(tmp_path, "zero.dsl", """
+            chart C { even x }
+            let f = %s
+        """ % expr)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_DOMAIN
+        assert "3:22:" in err  # the operator's line:col
+
+    @pytest.mark.parametrize("content", [None, '{"dimension": 3', '{"dimension": 3}'])
+    def test_domain_error_bad_liealg_file(self, tmp_path, capsys, monkeypatch, content):
+        monkeypatch.chdir(tmp_path)  # the path resolves against the working directory
+        if content is not None:
+            write(tmp_path, "g.json", content)
+        script = write(tmp_path, "g.dsl", 'liealg("g.json")\n')
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_DOMAIN
+        assert "g.json" in err
 
     def test_verification_failure_jacobi(self, tmp_path, capsys):
         script = write(tmp_path, "fail.dsl", """
@@ -247,6 +268,12 @@ class TestLedger:
         # a different exploration seed pins the same convention
         assert out1.splitlines()[:6] == out2.splitlines()[:6]
 
+    def test_ledger_matches_doc(self, capsys):
+        code, out, err = run_cli(capsys, ["--ledger"])
+        assert code == EXIT_OK
+        doc = Path(__file__).resolve().parent.parent / "docs" / "convention_ledger.txt"
+        assert out + "\n(Regenerate with: densalg --ledger)\n" == doc.read_text(encoding="utf-8")
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("src", [
@@ -254,6 +281,8 @@ class TestParseErrors:
         "chart C { even x }\nbracket(x)\nextra(\n",
         "let f = x\n",          # no chart in scope
         "chart C { even x }\nlift(x, y)\n",  # polynomial where a rational is due
+        "chart C { even x, x }\n",  # repeated coordinate
+        "chart C { even t }\n",     # reserved name
     ])
     def test_bad_scripts(self, src):
         with pytest.raises(ParseError):
