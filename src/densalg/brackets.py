@@ -7,7 +7,9 @@ family that passes the whole identity suite (graded symmetry, Leibniz, odd
 Jacobi, the divergence derivation identity, nilpotency, the delta generator
 identity) together with two normalization anchors.  `pin_convention` re-runs
 that selection and `convention_ledger` renders the result; see
-docs/convention_ledger.txt.
+docs/convention_ledger.txt.  Each identity reads only some of the sign
+fields, and one call judges it once per distinct value of those fields, on
+samples drawn once for all candidates.
 """
 from __future__ import annotations
 
@@ -251,76 +253,104 @@ def _grade(f):
 _CHART = Chart([("x", EVEN), ("y", EVEN), ("xi", ODD), ("eta", ODD)])
 _HCHART = _CHART.hatted_version()
 _SAMPLES = 24  # random triples per check
+_X, _XS, _XI, _XIS = (_CHART[n] for n in ("x", "#x", "xi", "#xi"))
+_BRACKET = ("term_q_qstar", "term_qstar_q")
+_DIV = ("div_parity", "div_side")
 
-# (name, [(hatted, holds(f, g, h, conv)), ...]): an identity holds when each
-# of its checks holds on _SAMPLES random homogeneous triples, drawn on the
-# hatted chart when `hatted` is set.
+# (name, fields, [(sample, holds(f, g, h, conv)), ...]): an identity holds when
+# each of its checks holds on every triple of its sample: fixed triples for the
+# anchors, which fix the global signs the identities cannot see, else a chart
+# to draw _SAMPLES random homogeneous triples on.  Its verdict depends on conv
+# only through the named fields.
 _IDENTITIES = (
-    ("graded symmetry (f,g) = (-1)^(fg) (g,f)", [
-        (False, lambda f, g, h, c:
+    ("anchor (x, #x) = +1", _BRACKET,
+     [([(_X, _XS, _CHART.const(1))], lambda f, g, h, c: antibracket(f, g, c) == h)]),
+    ("anchor div(x * #x) = +1", _DIV,
+     [([(_X * _XS, None, _CHART.const(1))], lambda f, g, h, c: divergence(f, c) == h)]),
+    ("anchor (xi, #xi) = -1 (odd base)", _BRACKET,
+     [([(_XI, _XIS, _CHART.const(-1))], lambda f, g, h, c: antibracket(f, g, c) == h)]),
+    ("anchor div(xi * #xi) = -1 (odd base)", _DIV,
+     [([(_XI * _XIS, None, _CHART.const(-1))], lambda f, g, h, c: divergence(f, c) == h)]),
+    ("graded symmetry (f,g) = (-1)^(fg) (g,f)", _BRACKET, [
+        (_CHART, lambda f, g, h, c:
             antibracket(f, g, c) == _sign(_grade(f) * _grade(g)) * antibracket(g, f, c)),
     ]),
-    ("Leibniz (fg,h) = (-1)^f f(g,h) + (-1)^(gh) (f,h)g", [
-        (False, lambda f, g, h, c:
+    ("Leibniz (fg,h) = (-1)^f f(g,h) + (-1)^(gh) (f,h)g", _BRACKET, [
+        (_CHART, lambda f, g, h, c:
             antibracket(f * g, h, c)
             == _sign(_grade(f)) * (f * antibracket(g, h, c))
             + _sign(_grade(g) * _grade(h)) * (antibracket(f, h, c) * g)),
     ]),
-    ("odd Jacobi (f,(g,h)) = (-1)^(f+1) ((f,g),h) + (-1)^((f+1)(g+1)) (g,(f,h))", [
-        (False, lambda f, g, h, c:
+    ("odd Jacobi (f,(g,h)) = (-1)^(f+1) ((f,g),h) + (-1)^((f+1)(g+1)) (g,(f,h))", _BRACKET, [
+        (_CHART, lambda f, g, h, c:
             antibracket(f, antibracket(g, h, c), c)
             == _sign(_grade(f) + 1) * antibracket(antibracket(f, g, c), h, c)
             + _sign((_grade(f) + 1) * (_grade(g) + 1)) * antibracket(g, antibracket(f, h, c), c)),
     ]),
-    ("derivation identity div(f,g) = -(div f, g) - (-1)^f (f, div g)", [
-        (False, lambda f, g, h, c:
+    ("derivation identity div(f,g) = -(div f, g) - (-1)^f (f, div g)", _BRACKET + _DIV, [
+        (_CHART, lambda f, g, h, c:
             divergence(antibracket(f, g, c), c)
             == -antibracket(divergence(f, c), g, c)
             - _sign(_grade(f)) * antibracket(f, divergence(g, c), c)),
     ]),
-    ("nilpotency div^2 = 0 and delta^2 = 0", [
-        (False, lambda f, g, h, c: not divergence(divergence(f, c), c)),
-        (True, lambda f, g, h, c: not delta_op(delta_op(f, c), c)),
+    ("nilpotency div^2 = 0 and delta^2 = 0", _DIV, [
+        (_CHART, lambda f, g, h, c: not divergence(divergence(f, c), c)),
+        (_HCHART, lambda f, g, h, c: not delta_op(delta_op(f, c), c)),
     ]),
-    ("generator identity delta(fg) - delta(f)g - (-1)^f f delta(g) = sigma(f)(f,g)", [
-        (True, lambda f, g, h, c:
+    ("generator identity delta(fg) - delta(f)g - (-1)^f f delta(g) = sigma(f)(f,g)",
+     _BRACKET + _DIV + ("generator_sign",), [
+        (_HCHART, lambda f, g, h, c:
             delta_op(f * g, c) - delta_op(f, c) * g - _sign(_grade(f)) * (f * delta_op(g, c))
             == _sign(c.generator_sign[0] + c.generator_sign[1] * _grade(f)) * antibracket(f, g, c)),
     ]),
 )
 
 
-def _sample_triples(rng, chart):
-    for _ in range(_SAMPLES):
-        yield [_random_homogeneous(rng, chart, rng.choice([EVEN, ODD])) for _ in range(3)]
+def _draw(rng, sample):
+    if not isinstance(sample, Chart):
+        return sample
+    return [[_random_homogeneous(rng, sample, rng.choice([EVEN, ODD])) for _ in range(3)]
+            for _ in range(_SAMPLES)]
+
+
+class _Suite:
+    """The identity suite on one random stream, shared by the candidates of one call.
+
+    A candidate reaches an identity only by passing every earlier one, so its
+    triples are the same for every candidate: drawn, in table order, the first
+    time one gets there.  Verdicts are memoised on the identity and conv's
+    values of its fields.  Past a first failure, later identities draw as for
+    a passing convention; only the tests look there, with PINNED.
+    """
+
+    def __init__(self, rng):
+        self.draws = ([_draw(rng, s) for s, _ in checks] for _, _, checks in _IDENTITIES)
+        self.samples = []
+        self.verdicts = {}
+
+    def holds(self, k, conv):
+        _, names, checks = _IDENTITIES[k]
+        key = (k,) + tuple(getattr(conv, n) for n in names)
+        if key not in self.verdicts:
+            while len(self.samples) <= k:
+                self.samples.append(next(self.draws))
+            self.verdicts[key] = all(
+                all(holds(f, g, h, conv) for f, g, h in triples)
+                for (_, holds), triples in zip(checks, self.samples[k])
+            )
+        return self.verdicts[key]
+
+    def first_failure(self, conv):
+        """Name of the first identity in the table that conv fails, or None."""
+        return next((name for k, (name, _, _) in enumerate(_IDENTITIES)
+                     if not self.holds(k, conv)), None)
 
 
 def _identity_suite(conv, rng):
-    """Yield (name, holds) for the anchors, then for each identity in turn.
-
-    The anchors fix the global signs the identities cannot see.  The checks
-    draw from one stream in table order, and each stops drawing at its
-    first counterexample; the pinned result and the ledger depend on that
-    order.
-    """
-    x, xs, xi, xis = (_CHART[n] for n in ("x", "#x", "xi", "#xi"))
-    yield "anchor (x, #x) = +1", antibracket(x, xs, conv) == _CHART.const(1)
-    yield "anchor div(x * #x) = +1", divergence(x * xs, conv) == _CHART.const(1)
-    yield "anchor (xi, #xi) = -1 (odd base)", antibracket(xi, xis, conv) == _CHART.const(-1)
-    yield "anchor div(xi * #xi) = -1 (odd base)", divergence(xi * xis, conv) == _CHART.const(-1)
-    for name, checks in _IDENTITIES:
-        # a list, not all(): a failed check must not skip the draws of the next
-        verdicts = [
-            all(holds(f, g, h, conv) for f, g, h in _sample_triples(rng, _HCHART if hatted else _CHART))
-            for hatted, holds in checks
-        ]
-        yield name, all(verdicts)
-
-
-def _first_failure(conv, seed):
-    """Name of the first identity in the suite that conv fails, or None."""
-    rng = random.Random(seed)
-    return next((name for name, holds in _identity_suite(conv, rng) if not holds), None)
+    """Yield (name, holds) for each identity in table order, anchors first."""
+    suite = _Suite(rng)
+    for k, (name, _, _) in enumerate(_IDENTITIES):
+        yield name, suite.holds(k, conv)
 
 
 def _candidate_family():
@@ -335,7 +365,8 @@ def _candidate_family():
 
 def pin_convention(seed=2024):
     """Enumerate the candidate family; return the unique surviving convention."""
-    survivors = [conv for conv in _candidate_family() if _first_failure(conv, seed) is None]
+    suite = _Suite(random.Random(seed))
+    survivors = [conv for conv in _candidate_family() if suite.first_failure(conv) is None]
     if len(survivors) != 1:
         raise RuntimeError(
             "expected exactly one surviving sign convention, got %d" % len(survivors)
@@ -367,6 +398,7 @@ def convention_ledger(conv: SignConvention = PINNED, seed=2024) -> str:
     For every single-field perturbation of the pinned convention, report the
     first identity in the suite that rejects it.
     """
+    suite = _Suite(random.Random(seed))
     lines = [
         "Pinned sign convention",
         "======================",
@@ -387,7 +419,7 @@ def convention_ledger(conv: SignConvention = PINNED, seed=2024) -> str:
         "Forcing identities (first failure when one field is perturbed):",
     ]
     for label, perturbed in _perturbations(conv):
-        forced_by = _first_failure(perturbed, seed) or "no identity rejects this perturbation"
+        forced_by = suite.first_failure(perturbed) or "no identity rejects this perturbation"
         lines.append("  %-24s forced by: %s" % (label + ":", forced_by))
     lines.append("")
     return "\n".join(lines)

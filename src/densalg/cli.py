@@ -73,16 +73,13 @@ def main(argv=None):
     )
     for label, text in sources:
         try:
-            script = parse(text)
-            interp.run(script)
-        except ParseError as exc:
-            sys.stderr.write("densalg: %s: %s\n" % (label, exc))
-            return EXIT_PARSE
-        except (DomainError, SubstitutionError, UnknownVariableError, ChartMismatchError) as exc:
-            for line in interp.lines:
+            interp.run(parse(text))
+        except (ParseError, DomainError, SubstitutionError, UnknownVariableError,
+                ChartMismatchError) as exc:
+            for line in interp.lines:  # the output computed before the error
                 out.write(line + "\n")
             sys.stderr.write("densalg: %s: %s\n" % (label, exc))
-            return EXIT_DOMAIN
+            return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_DOMAIN
     for line in interp.lines:
         out.write(line + "\n")
     return EXIT_VERIFY if interp.failures else EXIT_OK

@@ -45,7 +45,7 @@ from .lift import (
     transform_hatted,
 )
 from .printing import poly_to_dict, poly_to_text
-from .spoly import Chart, EVEN, ODD, SPoly
+from .spoly import Chart, EVEN, ODD, SPoly, SubstitutionError, rational_power
 
 
 class ParseError(ValueError):
@@ -223,7 +223,11 @@ class _Parser:
     def parse_script(self):
         script = Script()
         while self.peek().kind != "eof":
-            script.statements.append(self.parse_statement())
+            tok = self.peek()
+            try:
+                script.statements.append(self.parse_statement())
+            except RecursionError:
+                raise ParseError("expression nested too deeply", tok.line, tok.column) from None
         return script
 
     def parse_statement(self):
@@ -450,46 +454,54 @@ class Interpreter:
                     node.column,
                 )
         if isinstance(node, BinOp):
-            lhs = self.eval_expr(node.left, chart)
-            rhs = self.eval_expr(node.right, chart)
-            if node.op == "+":
-                return lhs + rhs
-            if node.op == "-":
-                return lhs - rhs
-            if node.op == "*":
-                return lhs * rhs
-            if node.op == "/":
-                if isinstance(rhs, SPoly):
-                    raise ParseError("division by a polynomial", node.line, node.column)
-                if not rhs:
-                    raise DomainError("%d:%d: division by zero" % (node.line, node.column))
-                return lhs / rhs
-            if node.op == "^":
-                if isinstance(rhs, SPoly):
-                    raise ParseError("polynomial exponent", node.line, node.column)
-                if isinstance(lhs, Fraction):
-                    if not lhs and rhs < 0:
-                        raise DomainError(
-                            "%d:%d: zero to a negative power" % (node.line, node.column)
-                        )
-                    if rhs.denominator != 1:
-                        from .spoly import rational_power
-
-                        return rational_power(lhs, rhs)
-                    return lhs ** int(rhs)
-                if rhs.denominator != 1 or rhs < 0:
-                    # fractional/negative powers only exist for the t coordinate
-                    tkey = None
-                    if lhs.chart.hatted:
-                        tv = lhs.chart.t_var
-                        tkey = ((tv.index, Fraction(1)),)
-                    if tkey is not None and set(lhs.terms) == {tkey} and lhs.terms[tkey] == 1:
-                        return lhs.chart.t_power(rhs)
-                    raise ParseError(
-                        "fractional powers apply to t only", node.line, node.column
-                    )
-                return lhs ** int(rhs)
+            # a left-deep chain such as a flat sum runs as a loop, not a recursion
+            spine = []
+            while isinstance(node, BinOp):
+                spine.append(node)
+                node = node.left
+            value = self.eval_expr(node, chart)
+            for op in reversed(spine):
+                value = self._apply(op, value, self.eval_expr(op.right, chart))
+            return value
         raise ParseError("malformed expression", getattr(node, "line", 0), getattr(node, "column", 0))
+
+    def _apply(self, node, lhs, rhs):
+        if node.op == "+":
+            return lhs + rhs
+        if node.op == "-":
+            return lhs - rhs
+        if node.op == "*":
+            return lhs * rhs
+        if node.op == "/":
+            if isinstance(rhs, SPoly):
+                raise ParseError("division by a polynomial", node.line, node.column)
+            if not rhs:
+                raise DomainError("%d:%d: division by zero" % (node.line, node.column))
+            return lhs / rhs
+        if isinstance(rhs, SPoly):
+            raise ParseError("polynomial exponent", node.line, node.column)
+        if isinstance(lhs, Fraction):
+            if not lhs and rhs < 0:
+                raise DomainError("%d:%d: zero to a negative power" % (node.line, node.column))
+            if rhs.denominator == 1:
+                return lhs ** int(rhs)
+            if not lhs:
+                return lhs
+            try:
+                return rational_power(lhs, rhs)
+            except SubstitutionError:
+                raise DomainError("%d:%d: the constant power (%s)^(%s) is not rational"
+                                  % (node.line, node.column, lhs, rhs)) from None
+        if rhs.denominator != 1 or rhs < 0:
+            # fractional/negative powers only exist for the t coordinate
+            tkey = None
+            if lhs.chart.hatted:
+                tv = lhs.chart.t_var
+                tkey = ((tv.index, Fraction(1)),)
+            if tkey is not None and set(lhs.terms) == {tkey} and lhs.terms[tkey] == 1:
+                return lhs.chart.t_power(rhs)
+            raise ParseError("fractional powers apply to t only", node.line, node.column)
+        return lhs ** int(rhs)
 
     def eval_poly(self, node, chart=None):
         value = self.eval_expr(node, chart)
@@ -512,7 +524,10 @@ class Interpreter:
 
     def run(self, script: Script):
         for st in script.statements:
-            getattr(self, "exec_" + st.kind)(st)
+            try:
+                getattr(self, "exec_" + st.kind)(st)
+            except RecursionError:
+                raise ParseError("expression nested too deeply", st.line, st.column) from None
 
     def exec_chart(self, st):
         try:

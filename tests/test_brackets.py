@@ -1,5 +1,6 @@
 """The odd bracket, divergence operators, delta, and the pinned convention."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from densalg import (
     r_ary_bracket,
     restrict_to_base,
 )
-from densalg.brackets import _identity_suite
+from densalg.brackets import _Suite, _candidate_family, _identity_suite
 from conftest import SEED, random_poly
 
 
@@ -35,6 +36,21 @@ class TestConventionPinning:
 
     def test_unique_survivor_is_pinned(self):
         assert pin_convention(seed=2024) == PINNED
+
+    def test_first_failure_counts(self):
+        # a wrongly declared field tuple in the identity table would move these
+        # counts while still pinning PINNED
+        suite = _Suite(random.Random(2024))
+        counts = Counter(suite.first_failure(conv) for conv in _candidate_family())
+        assert {name and name.split(" =")[0]: n for name, n in counts.items()} == {
+            "anchor (x, #x)": 2048,
+            "anchor (xi, #xi)": 1024,
+            "anchor div(xi * #xi)": 512,
+            "graded symmetry (f,g)": 504,
+            "derivation identity div(f,g)": 4,
+            "generator identity delta(fg) - delta(f)g - (-1)^f f delta(g)": 3,
+            None: 1,  # PINNED
+        }
 
     def test_anchors(self, chart):
         assert antibracket(chart["x"], chart["#x"]) == chart.const(1)

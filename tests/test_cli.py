@@ -81,6 +81,43 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "3:22:" in err  # the operator's line:col
 
+    @pytest.mark.parametrize("expr, position", [("2^(1/2)", "3:22:"), ("(0-1)^(1/2)", "3:26:")])
+    def test_domain_error_irrational_constant_power(self, tmp_path, capsys, expr, position):
+        script = write(tmp_path, "root.dsl", """
+            chart C { even x }
+            let f = %s
+        """ % expr)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_DOMAIN
+        assert position in err  # the operator's line:col
+        assert "not rational" in err and "rescal" not in err
+
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "x" + "^1" * 3000],
+                             ids=["parentheses", "power_chain"])
+    def test_parse_error_too_deep(self, tmp_path, capsys, expr):
+        script = write(tmp_path, "deep.dsl", "chart C { even x }\nlet f = %s\n" % expr)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_PARSE
+        assert "2:1: expression nested too deeply" in err  # the statement's line:col
+
+    def test_flat_sum_evaluates(self, tmp_path, capsys):
+        script = write(tmp_path, "flat.dsl", "chart C { even x }\nlet f = %s\ndiv(f*#x)\n"
+                       % "+".join(["x"] * 5000))
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_OK
+        assert out == "div = 5000\n"  # f = 5000*x
+
+    def test_parse_error_keeps_earlier_output(self, tmp_path, capsys):
+        script = write(tmp_path, "name.dsl", """
+            chart C { even x }
+            lift(x*#x, 0)
+            let g = zz + 1
+        """)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_PARSE
+        assert out.startswith("lift = ")
+        assert "4:21:" in err and "zz" in err
+
     @pytest.mark.parametrize("content", [None, '{"dimension": 3', '{"dimension": 3}'])
     def test_domain_error_bad_liealg_file(self, tmp_path, capsys, monkeypatch, content):
         monkeypatch.chdir(tmp_path)  # the path resolves against the working directory
