@@ -3,7 +3,7 @@ of densities: canonical odd bracket, divergence and delta operators, the
 canonical weighted lift, and exact classification of Poisson lifts."""
 
 from .spoly import ANY, EVEN, MIXED, ODD, Chart, SPoly, Variable
-from .spoly import ChartMismatchError, SubstitutionError, UnknownVariableError
+from .spoly import ChartMismatchError, DensalgError, SubstitutionError, UnknownVariableError
 from .brackets import (
     PINNED,
     DomainError,
@@ -22,6 +22,7 @@ from .brackets import (
 from .lift import (
     CoordinateChange,
     DensityElement,
+    OrientationError,
     WeightOneError,
     base_bracket,
     lift,

@@ -18,11 +18,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .spoly import ANY, EVEN, ODD, ChartMismatchError, Chart, SPoly
-
-
-class DomainError(ValueError):
-    """Input outside an operation's mathematical domain."""
+from .spoly import ANY, EVEN, ODD, ChartMismatchError, Chart, DomainError, SPoly
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,7 @@ class LieAlgebraData:
         )
         if len(self.names) != self.dimension:
             raise DomainError("name list does not match the dimension")
+        self.chart()  # rejects a parity other than 0 or 1 and a bad or repeated name
         table = {}
         for i, j, k, val in constants:
             if not all(0 <= a < self.dimension for a in (i, j, k)):

@@ -6,16 +6,18 @@ Usage::
                        [--seed N] [--ledger]
 
 Reads from stdin when no script is given.  Exit codes: 0 success, 2 parse
-error, 3 domain error (e.g. a weight-1 lift), 4 verification failure.
+error, 3 domain error (e.g. a weight-1 lift), 4 verification failure.  Every
+error in a script prints ``densalg: FILE: LINE:COL: message`` and exits 2 or
+3, never 1; API users catch the same errors as `densalg.DensalgError`.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .brackets import DomainError, convention_ledger
+from .brackets import convention_ledger
 from .dsl import Interpreter, ParseError, parse
-from .spoly import ChartMismatchError, SubstitutionError, UnknownVariableError
+from .spoly import DensalgError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,8 +76,7 @@ def main(argv=None):
     for label, text in sources:
         try:
             interp.run(parse(text))
-        except (ParseError, DomainError, SubstitutionError, UnknownVariableError,
-                ChartMismatchError) as exc:
+        except DensalgError as exc:
             for line in interp.lines:  # the output computed before the error
                 out.write(line + "\n")
             sys.stderr.write("densalg: %s: %s\n" % (label, exc))

@@ -45,31 +45,28 @@ from .lift import (
     transform_hatted,
 )
 from .printing import poly_to_dict, poly_to_text
-from .spoly import Chart, EVEN, ODD, SPoly, SubstitutionError, rational_power
+from .spoly import Chart, DensalgError, EVEN, ODD, SPoly, SubstitutionError, rational_power
+from .spoly import UnknownVariableError
 
 
-class ParseError(ValueError):
-    """Lexical or syntactic problem, with a 1-based line/column position."""
-
-    def __init__(self, message, line, column):
-        super().__init__("%d:%d: %s" % (line, column, message))
-        self.line = line
-        self.column = column
+class ParseError(DensalgError):
+    """Lexical or syntactic problem, or a malformed statement."""
 
 
-COMMANDS = (
-    "bracket",
-    "div",
-    "delta",
-    "lift",
-    "project",
-    "rary",
-    "master",
-    "classify",
-    "liealg",
-    "evolve",
-    "transform",
-)
+# command name -> number of arguments; rary checks its own (S; f1, ..., fr)
+COMMANDS = {
+    "bracket": 2,
+    "div": 1,
+    "delta": 1,
+    "lift": 2,
+    "project": 1,
+    "rary": None,
+    "master": 1,
+    "classify": 3,
+    "liealg": 1,
+    "evolve": 4,
+    "transform": 2,
+}
 
 _SYMBOLS = ("->", "{", "}", "(", ")", ",", ";", "=", "+", "-", "*", "/", "^", ":")
 
@@ -267,7 +264,11 @@ class _Parser:
                 )
             parity = EVEN if group.text == "even" else ODD
             while True:
-                coords.append((self.expect("name", "coordinate name").text, parity))
+                tok = self.expect("name", "coordinate name")
+                if tok.text in Chart.RESERVED or tok.text in dict(coords):
+                    raise ParseError("bad or duplicate coordinate name: %r" % tok.text,
+                                     tok.line, tok.column)
+                coords.append((tok.text, parity))
                 if self.peek().kind == ",":
                     self.next()
                     continue
@@ -334,12 +335,13 @@ class _Parser:
                 groups[-1].append(("string", tok.text))
             else:
                 groups[-1].append(("expr", self.parse_expr()))
-            if self.peek().kind == ",":
-                self.next()
-            elif self.peek().kind == ";":
-                self.next()
+            separator = self.peek().kind
+            if separator == ";":
                 groups.append([])
-        self.expect(")")
+            elif separator != ",":
+                break
+            self.next()
+        self.expect(")", "',' or ')'")
         return Statement(
             "command", {"name": kw.text, "groups": groups}, kw.line, kw.column
         )
@@ -447,7 +449,7 @@ class Interpreter:
                 return chart.w_star()
             try:
                 return chart[node.ident]
-            except KeyError:
+            except UnknownVariableError:
                 raise ParseError(
                     "unknown name %r on chart %s" % (node.ident, chart.name or "<anonymous>"),
                     node.line,
@@ -463,7 +465,7 @@ class Interpreter:
             for op in reversed(spine):
                 value = self._apply(op, value, self.eval_expr(op.right, chart))
             return value
-        raise ParseError("malformed expression", getattr(node, "line", 0), getattr(node, "column", 0))
+        raise ParseError("malformed expression")
 
     def _apply(self, node, lhs, rhs):
         if node.op == "+":
@@ -476,13 +478,13 @@ class Interpreter:
             if isinstance(rhs, SPoly):
                 raise ParseError("division by a polynomial", node.line, node.column)
             if not rhs:
-                raise DomainError("%d:%d: division by zero" % (node.line, node.column))
+                raise DomainError("division by zero", node.line, node.column)
             return lhs / rhs
         if isinstance(rhs, SPoly):
             raise ParseError("polynomial exponent", node.line, node.column)
         if isinstance(lhs, Fraction):
             if not lhs and rhs < 0:
-                raise DomainError("%d:%d: zero to a negative power" % (node.line, node.column))
+                raise DomainError("zero to a negative power", node.line, node.column)
             if rhs.denominator == 1:
                 return lhs ** int(rhs)
             if not lhs:
@@ -490,8 +492,8 @@ class Interpreter:
             try:
                 return rational_power(lhs, rhs)
             except SubstitutionError:
-                raise DomainError("%d:%d: the constant power (%s)^(%s) is not rational"
-                                  % (node.line, node.column, lhs, rhs)) from None
+                raise DomainError("the constant power (%s)^(%s) is not rational" % (lhs, rhs),
+                                  node.line, node.column) from None
         if rhs.denominator != 1 or rhs < 0:
             # fractional/negative powers only exist for the t coordinate
             tkey = None
@@ -508,16 +510,14 @@ class Interpreter:
         if isinstance(value, Fraction):
             chart = chart or self.active_chart
             if chart is None:
-                raise ParseError("no chart declared", getattr(node, "line", 0), getattr(node, "column", 0))
+                raise ParseError("no chart declared", node.line, node.column)
             return chart.const(value)
         return value
 
     def eval_rational(self, node):
         value = self.eval_expr(node)
         if isinstance(value, SPoly):
-            raise ParseError(
-                "expected a rational constant", getattr(node, "line", 0), getattr(node, "column", 0)
-            )
+            raise ParseError("expected a rational constant", node.line, node.column)
         return value
 
     # --- statements ---
@@ -528,12 +528,13 @@ class Interpreter:
                 getattr(self, "exec_" + st.kind)(st)
             except RecursionError:
                 raise ParseError("expression nested too deeply", st.line, st.column) from None
+            except DensalgError as exc:
+                if exc.line is None:  # the statement is the best position known
+                    exc.line, exc.column = st.line, st.column
+                raise
 
     def exec_chart(self, st):
-        try:
-            chart = Chart(st.data["coords"], hatted=st.data["hatted"], name=st.data["name"])
-        except ValueError as exc:  # repeated or reserved coordinate name
-            raise ParseError(str(exc), st.line, st.column) from None
+        chart = Chart(st.data["coords"], hatted=st.data["hatted"], name=st.data["name"])
         self.charts[st.data["name"]] = chart
         self.active_chart = chart
 
@@ -541,7 +542,7 @@ class Interpreter:
         d = st.data
         for which in ("source", "target"):
             if d[which] not in self.charts:
-                raise ParseError("unknown chart %r" % d[which], st.line, st.column)
+                raise ParseError("unknown chart %r" % d[which])
         src, tgt = self.charts[d["source"]], self.charts[d["target"]]
         forward = {n: self.eval_poly(e, tgt) for n, e in d["forward"]}
         inverse = {n: self.eval_poly(e, src) for n, e in d["inverse"]}
@@ -554,17 +555,21 @@ class Interpreter:
         name = st.data["name"]
         groups = st.data["groups"]
         flat = [a for g in groups for a in g]
+        arity = COMMANDS[name]
+        if arity is not None and len(flat) != arity:
+            raise ParseError("%s takes %d argument%s, got %d"
+                             % (name, arity, "" if arity == 1 else "s", len(flat)))
 
-        def poly(i, chart=None):
+        def poly(i):
             kind, payload = flat[i]
             if kind != "expr":
-                raise ParseError("expected an expression argument", st.line, st.column)
-            return self.eval_poly(payload, chart)
+                raise ParseError("expected an expression argument")
+            return self.eval_poly(payload)
 
         def rat(i):
             kind, payload = flat[i]
             if kind != "expr":
-                raise ParseError("expected a rational argument", st.line, st.column)
+                raise ParseError("expected a rational argument")
             return self.eval_rational(payload)
 
         if name == "bracket":
@@ -595,9 +600,9 @@ class Interpreter:
                     self.lines.append("project[weight %s] = %s" % (lam, poly_to_text(body)))
         elif name == "rary":
             if len(groups) != 2 or len(groups[0]) != 1:
-                raise ParseError("rary takes (S; f1, ..., fr)", st.line, st.column)
-            S = self.eval_poly(groups[0][0][1])
-            args = [self.eval_poly(a[1]) for a in groups[1]]
+                raise ParseError("rary takes (S; f1, ..., fr)")
+            S = poly(0)
+            args = [poly(i) for i in range(1, len(flat))]
             self.emit_poly("rary", r_ary_bracket(S, args, self.conv))
         elif name == "master":
             residual = master_check(poly(0), self.conv)
@@ -628,7 +633,7 @@ class Interpreter:
         elif name == "liealg":
             kind, payload = flat[0]
             if kind != "string":
-                raise ParseError('liealg takes a "file.json" path', st.line, st.column)
+                raise ParseError('liealg takes a "file.json" path')
             g = LieAlgebraData.from_json(payload)
             s = lie_poisson(g)
             residual = master_check(s.body, self.conv)
@@ -658,11 +663,11 @@ class Interpreter:
         elif name == "transform":
             kind, payload = flat[1]
             if kind != "expr" or not isinstance(payload, Name):
-                raise ParseError("transform takes (e, CHANGE)", st.line, st.column)
+                raise ParseError("transform takes (e, CHANGE)")
             if payload.ident not in self.changes:
                 raise ParseError("unknown change %r" % payload.ident, payload.line, payload.column)
             change = self.changes[payload.ident]
-            f = poly(0, self.active_chart or change.source)
+            f = poly(0)
             if f.chart.hatted:
                 out = transform_hatted(f, change, self.strict_orientation)
             else:
@@ -670,5 +675,3 @@ class Interpreter:
                     DensityElement(f, Fraction(0)), change, self.strict_orientation
                 ).body
             self.emit_poly("transform", out)
-        else:  # pragma: no cover - parser filters command names
-            raise ParseError("unknown command %r" % name, st.line, st.column)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .spoly import Chart, SPoly
+from .spoly import ODD, Chart, DomainError, SPoly
 
 
 def _term_sort_key(chart, key):
@@ -104,6 +104,7 @@ def poly_to_dict(f: SPoly) -> dict:
 
 
 def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
+    """Read what poly_to_dict writes; raise DomainError for anything else."""
     if chart is None:
         chart = chart_from_dict(d["chart"])
     terms = {}
@@ -111,10 +112,21 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
         key = []
         for name, exp in t["exponents"].items():
             v = chart.var(name)
-            exp = Fraction(exp) if v.kind == "t" or isinstance(exp, str) else int(exp)
-            if v.kind != "t":
-                exp = int(exp)
-            key.append((v.index, exp))
+            exp = Fraction(exp)
+            if v.kind == "t":
+                valid = exp != 0
+            elif v.parity == ODD:
+                valid = exp == 1
+            else:
+                valid = exp.denominator == 1 and exp > 0
+            if not valid:
+                raise DomainError("%s cannot have exponent %s" % (name, exp))
+            key.append((v.index, exp if v.kind == "t" else int(exp)))
         key = tuple(sorted(key))
-        terms[key] = Fraction(t["coeff"])
+        coeff = Fraction(t["coeff"])
+        if not coeff:
+            raise DomainError("a term has coefficient 0")
+        if key in terms:
+            raise DomainError("a monomial appears twice")
+        terms[key] = coeff
     return SPoly(chart, terms)

@@ -20,15 +20,38 @@ EVEN = 0
 ODD = 1
 
 
-class ChartMismatchError(ValueError):
+class DensalgError(ValueError):
+    """Base of every error densalg raises for bad input.
+
+    `line` and `column` (1-based) locate the DSL statement or operator at
+    fault; they stay None until known, e.g. for a direct kernel call.
+    """
+
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message)
+        self.line = line
+        self.column = column
+
+    def __str__(self):
+        message = BaseException.__str__(self)  # not KeyError's quoted repr
+        if self.line is None:
+            return message
+        return "%d:%d: %s" % (self.line, self.column, message)
+
+
+class DomainError(DensalgError):
+    """Input outside an operation's mathematical domain."""
+
+
+class ChartMismatchError(DensalgError):
     pass
 
 
-class UnknownVariableError(KeyError):
+class UnknownVariableError(DensalgError, KeyError):
     pass
 
 
-class SubstitutionError(ValueError):
+class SubstitutionError(DensalgError):
     pass
 
 
@@ -115,14 +138,16 @@ class Chart:
     canonical order of odd factors inside a monomial.
     """
 
+    RESERVED = ("t", "#t", "w")  # names no base coordinate may take
+
     def __init__(self, base_coords, hatted=False, name=""):
         base_coords = [(n, int(p)) for n, p in base_coords]
         seen = set()
         for n, p in base_coords:
             if p not in (EVEN, ODD):
-                raise ValueError("parity must be 0 or 1")
-            if n in seen or n in ("t", "#t", "w"):
-                raise ValueError("bad or duplicate coordinate name: %r" % n)
+                raise DomainError("parity must be 0 or 1")
+            if not isinstance(n, str) or n in seen or n in self.RESERVED:
+                raise DomainError("bad or duplicate coordinate name: %r" % (n,))
             seen.add(n)
         self.name = name
         self.hatted = bool(hatted)
@@ -384,7 +409,7 @@ class SPoly:
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
+            raise DomainError("only nonnegative integer powers")
         result = self.chart.const(1)
         base = self
         while n:

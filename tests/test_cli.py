@@ -1,13 +1,17 @@
 """The densalg command line tool and the expression DSL."""
+import io
 import json
 import random
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from densalg import Chart, EVEN, ODD
+import densalg
+from densalg import Chart, DensalgError, DomainError, EVEN, ODD
 from densalg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
-from densalg.dsl import Interpreter, ParseError, parse
+from densalg.dsl import COMMANDS, Interpreter, ParseError, parse
 from densalg.printing import poly_from_dict, poly_to_dict, poly_to_text
 from conftest import random_poly
 
@@ -118,7 +122,15 @@ class TestExitCodes:
         assert out.startswith("lift = ")
         assert "4:21:" in err and "zz" in err
 
-    @pytest.mark.parametrize("content", [None, '{"dimension": 3', '{"dimension": 3}'])
+    @pytest.mark.parametrize("content", [
+        None,
+        '{"dimension": 3',
+        '{"dimension": 3}',
+        '{"dimension": 1, "parities": [2], "constants": []}',
+        '{"dimension": 1, "names": ["t"], "constants": []}',
+        '{"dimension": 2, "names": ["a", "a"], "constants": []}',
+        '{"dimension": 2, "names": [1, 2], "constants": [[1, 2, 1, "1"], [2, 1, 1, "-1"]]}',
+    ])
     def test_domain_error_bad_liealg_file(self, tmp_path, capsys, monkeypatch, content):
         monkeypatch.chdir(tmp_path)  # the path resolves against the working directory
         if content is not None:
@@ -127,6 +139,32 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_DOMAIN
         assert "g.json" in err
+
+    @pytest.mark.parametrize("command", [
+        "bracket()", "div()", "delta()", "project()", "master()", "lift(x)", "classify(x)",
+        "evolve(x, x)", "liealg()", "transform(x)", "bracket(x, x, x)",
+    ])
+    def test_parse_error_arity(self, tmp_path, capsys, command):
+        script = write(tmp_path, "arity.dsl", "chart C { even x }\n%s\n" % command)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_PARSE
+        assert "2:1:" in err  # the statement's line:col
+
+    @pytest.mark.parametrize("src, flags, position", [
+        ("chart C { even x }\nlift(x^2*#x, 1)\n", [], "2:1:"),
+        ("chart A { even x }\nlet f = x*#x\nchart B { even y }\nbracket(f, y)\n", [], "4:1:"),
+        ("chart A { even x }\nchart B { even u }\n"
+         "change R : A -> B { forward { z = u } inverse { u = x } }\n", [], "3:1:"),
+        ("chart A { even x }\nlet f = x^2\nchart B { even u }\n"
+         "change R : A -> B { forward { x = 0 - u } inverse { u = 0 - x } }\ntransform(f, R)\n",
+         ["--strict-orientation"], "5:1:"),
+    ], ids=["weight_one", "chart_mismatch", "unknown_variable", "orientation"])
+    def test_kernel_error_names_statement(self, tmp_path, capsys, src, flags, position):
+        script = write(tmp_path, "kernel.dsl", src)
+        code, out, err = run_cli(capsys, [script] + flags)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("densalg: %s: %s " % (script, position))
+        assert '"' not in err  # no KeyError quoting around the message
 
     def test_verification_failure_jacobi(self, tmp_path, capsys):
         script = write(tmp_path, "fail.dsl", """
@@ -191,6 +229,19 @@ class TestJsonOutput:
         # div(x^2 #x + xi #xi) = 2x - 1
         div = poly_from_dict(lines[1]["poly"], chart)
         assert div == 2 * chart["x"] - chart.const(1)
+
+    @pytest.mark.parametrize("terms", [
+        [("1", {"x": "1/2"})],
+        [("1", {"xi": 2})],
+        [("0", {"x": 1})],
+        [("1", {"x": -1})],
+        [("1", {"x": 1}), ("2", {"x": 1})],
+    ], ids=["fractional_power", "odd_square", "zero_coefficient", "negative_power", "repeated"])
+    def test_poly_from_dict_rejects(self, terms):
+        chart = Chart([("x", EVEN), ("xi", ODD)], name="C")
+        d = {"terms": [{"coeff": c, "exponents": e} for c, e in terms]}
+        with pytest.raises(DomainError):
+            poly_from_dict(d, chart)
 
     def test_determinism(self, tmp_path, capsys):
         script = write(tmp_path, "d.dsl", """
@@ -334,3 +385,131 @@ class TestParseErrors:
             assert exc.column > 0
         else:  # pragma: no cover
             pytest.fail("expected a ParseError")
+
+
+class TestErrorModel:
+    def test_one_base_class(self):
+        classes = {
+            obj
+            for name, module in sys.modules.items()
+            if name == "densalg" or name.startswith("densalg.")
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__.startswith("densalg")
+        }
+        public = {densalg.DomainError, densalg.ChartMismatchError, densalg.SubstitutionError,
+                  densalg.UnknownVariableError, densalg.WeightOneError,
+                  densalg.OrientationError, ParseError}
+        assert public <= classes
+        assert all(issubclass(cls, DensalgError) for cls in classes)
+        assert issubclass(densalg.UnknownVariableError, KeyError)
+        assert densalg.brackets.DomainError is DomainError
+        # outside a script there is no position, and no KeyError quoting
+        assert str(densalg.UnknownVariableError("no variable 'z'")) == "no variable 'z'"
+        assert str(DomainError("bad", 2, 7)) == "2:7: bad"
+
+
+TOUR = Path(__file__).resolve().parent.parent / "demos" / "tour.dsl"
+SO3 = Path(__file__).resolve().parent.parent / "demos" / "so3.json"
+_TOKEN = re.compile(r'"[^"]*"|->|#?\w+|\S')
+
+
+def _kind(token):
+    if token.isdigit():
+        return "int"
+    if token[0] == "#" or token[0].isalpha():
+        return "name"
+    return "operator" if token in "+-*/^" else token
+
+
+class TestFuzz:
+    # chart header -> arguments that live on its chart
+    HEADERS = {
+        "chart C { even x1, x2, x3 }":
+            ["x1^2", "x2", "#x3", "x3*#x2*#x1 + x1*#x3*#x2 + x2*#x1*#x3"],
+        "chart P { even p, x }": ["p^2/2", "x", "p^2*#p", "#p*#x"],
+        "chart H hatted { even x }": ["x^2*#x*w", "x*t^(1/2)", "w", "#t"],
+        "chart B { even u }\nchart A { even x }\n"
+        "change R : A -> B { forward { x = 2*u } inverse { u = x/2 } }": ["x^2*#x", "x", "R", "u"],
+    }
+    CONSTANTS = ["0", "1", "2", "3", "1/2", "-1"]
+    PATHS = ['"%s"' % SO3, '"missing.json"']
+    EXTRA_TOKENS = ["0", "1", "2", "3", ",", ";", "(", ")", "^", "/", "-", "+", "*",
+                    "t", "w", "#t", "y", "{", "}", "let", "chart", "\n"]
+
+    def tour_cases(self):
+        """Token lists of each demos/tour.dsl statement under its chart."""
+        lines = [line for line in TOUR.read_text().splitlines()
+                 if line.strip() and not line.startswith("--")]
+        cases, header = [], None
+        for line in lines:
+            if line.startswith("chart"):
+                header = line
+            else:
+                cases.append(_TOKEN.findall(header) + ["\n"] + _TOKEN.findall(line))
+        return cases
+
+    def mutate(self, rng, tokens, pool):
+        """Drop, duplicate, swap or replace tokens; a replacement is mostly
+        of the same kind (integer, name, operator), so that the script often
+        still parses and reaches the kernel."""
+        tokens = list(tokens)
+        statement = tokens.index("\n") + 1
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            # mostly in the statement, sometimes in its chart header
+            i = rng.randrange(0 if rng.random() < 0.2 else statement, len(tokens))
+            op = rng.choice(("drop", "duplicate", "swap", "replace", "replace", "replace"))
+            if op == "drop" and len(tokens) > 1:
+                del tokens[i]
+            elif op == "duplicate":
+                tokens.insert(i, tokens[i])
+            elif op == "swap" and i + 1 < len(tokens):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+            else:
+                same = [t for t in pool if _kind(t) == _kind(tokens[i])]
+                tokens[i] = rng.choice(same if same and rng.random() < 0.75 else pool)
+        return " ".join(tokens)
+
+    def command(self, rng, arguments):
+        """A command with, three times in ten, a random argument count."""
+        name = rng.choice(list(COMMANDS))
+        count = COMMANDS[name] or 3  # rary(S; f1, f2)
+        if rng.random() < 0.3:
+            count = rng.randint(0, 5)
+        if name == "liealg" and rng.random() < 0.75:
+            args = [rng.choice(self.PATHS) for _ in range(count)]
+        else:
+            args = [rng.choice(self.CONSTANTS if rng.random() < 0.4 else arguments)
+                    for _ in range(count)]
+        text = ", ".join(args)
+        if name == "rary" and rng.random() < 0.75:
+            text = text.replace(", ", "; ", 1)
+        return "%s(%s)" % (name, text)
+
+    def test_grammar_fuzz(self, monkeypatch, capsys):
+        """About 200 seeded scripts through the CLI: token mutations (drop,
+        duplicate, swap, replace) of the tour's statements under their chart,
+        and commands with random argument counts.  Each exits 0, 2, 3 or 4
+        with no escaping exception, and exits 2 and 3 name a line:col of the
+        script.  Integer literals stay within 0..3; exhausting resources on
+        huge exact work, such as (x+1)^(3^3^3), is out of scope."""
+        rng = random.Random(5)
+        tour = self.tour_cases()
+        pool = sorted({tok for case in tour for tok in case}) + self.EXTRA_TOKENS
+        scripts = [self.mutate(rng, rng.choice(tour), pool) for _ in range(120)]
+        for _ in range(80):
+            header, arguments = rng.choice(sorted(self.HEADERS.items()))
+            scripts.append("%s\n%s\n%s" % (header, self.command(rng, arguments),
+                                             self.command(rng, arguments)))
+        for text in scripts:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            try:
+                code = main([])
+            except Exception as exc:  # pragma: no cover - reported as the failure
+                pytest.fail("%r escaped on script %r" % (exc, text))
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_VERIFY), (text, err)
+            if code in (EXIT_PARSE, EXIT_DOMAIN):
+                position = re.match(r"densalg: <stdin>: (\d+):(\d+): ", err)
+                assert position, (text, err)
+                assert 1 <= int(position.group(1)) <= text.count("\n") + 1, (text, err)

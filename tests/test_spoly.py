@@ -7,6 +7,7 @@ import pytest
 from densalg import (
     ANY,
     Chart,
+    DomainError,
     EVEN,
     MIXED,
     ODD,
@@ -48,6 +49,16 @@ class TestBasics:
         assert x / 2 == Fraction(1, 2) * x
         assert (x - x).is_zero()
         assert x ** 3 == x * x * x
+
+    @pytest.mark.parametrize("coords", [[("x", 2)], [("x", EVEN), ("x", ODD)], [("w", EVEN)],
+                                        [(1, EVEN)]])
+    def test_bad_chart_is_domain_error(self, coords):
+        with pytest.raises(DomainError):
+            Chart(coords)
+
+    def test_negative_power_is_domain_error(self, chart):
+        with pytest.raises(DomainError):
+            chart["x"] ** -1
 
 
 class TestRandomizedLaws:
