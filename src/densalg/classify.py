@@ -4,13 +4,14 @@ Every element above a weighted multivector s differs from the canonical lift
 by Q * w with Q a multivector of one lower fiber degree; the master equation
 for the sum reduces to (s, Q) = 0.  `classify_lifts` slices that kernel at a
 finite coefficient-degree bound and solves the resulting homogeneous linear
-system exactly: one sparse Gauss-Jordan elimination (`_rref`) brings it to its
-unique reduced row echelon form, so bases are reproducible bit for bit.  The
-same routine inverts the basis-change matrices of `change_basis`.
+system exactly.  The system is sparse end to end: the bracket images are
+transposed into one {ansatz column: coefficient} row per monomial, and one
+sparse Gauss-Jordan elimination (`_rref`) brings those rows to their unique
+reduced row echelon form, so bases are reproducible bit for bit.  The same
+routine inverts the basis-change matrices of `change_basis`.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .brackets import (
     antibracket,
     r_ary_bracket,
 )
-from .lift import DensityElement, lift, project_to_density
+from .lift import DensityElement, WeightOneError, lift, project_to_density
 from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac
 
 
@@ -108,7 +109,7 @@ def master_residual_of_lift(s: DensityElement, Q: SPoly, conv=PINNED) -> SPoly:
 # ---------------------------------------------------------------------------
 
 def _rref(rows):
-    """Gauss-Jordan elimination on sparse rows ({column: Fraction} maps).
+    """Gauss-Jordan elimination on sparse rows ({column: int or Fraction} maps).
 
     Returns {pivot column: reduced row}: every row has a 1 in its pivot
     column, which is its first nonzero column, and a 0 in every other pivot
@@ -124,7 +125,7 @@ def _rref(rows):
         if not row:
             continue
         pivot = min(row)
-        inv = 1 / row[pivot]
+        inv = Fraction(1) / row[pivot]
         row = {c: x * inv for c, x in row.items()}
         for other in reduced.values():
             f = other.get(pivot)
@@ -144,15 +145,15 @@ def _axpy(row, f, pivot_row):
             del row[c]
 
 
-def nullspace_fraction_free(rows, n_cols):
-    """Kernel basis of a rational matrix, reduced over the column order.
+def nullspace(rows, n_cols):
+    """Kernel basis of a rational matrix given as sparse {column: value} rows.
 
-    Dense rows are read as sparse rows and reduced by `_rref`.  Each basis
-    vector carries a 1 in its free column and minus the reduced rows' entries
-    in the pivot columns; vectors are returned in free-column order, so the
-    basis is the unique reduced one, bit for bit.
+    Each basis vector carries a 1 in its free column and minus the reduced
+    rows' entries in the pivot columns; vectors come in free-column order, so
+    the basis is the unique reduced one, bit for bit.  No rows give the
+    identity basis, no columns an empty one.
     """
-    reduced = _rref(dict(enumerate(map(_frac, row))) for row in rows)
+    reduced = _rref(rows)
     basis = []
     for fc in range(n_cols):
         if fc in reduced:
@@ -179,20 +180,39 @@ class KernelBasis:
         return len(self.basis)
 
     def element(self, vec) -> SPoly:
-        acc = self.chart.zero()
-        for c, mono in zip(vec, self.ansatz):
-            if c:
-                acc = acc + _frac(c) * mono
-        return acc
+        # every ansatz entry is one monomial with coefficient 1
+        return SPoly(self.chart, {
+            key: _frac(c) for c, mono in zip(vec, self.ansatz) if c for key in mono.terms
+        })
 
     def elements(self):
         return [self.element(v) for v in self.basis]
 
 
+def _exponent_vectors(variables, budget, exact):
+    """Exponent vectors over `variables`, in ascending lexicographic order.
+
+    An odd variable takes 0 or 1, an even one any power.  With `exact` every
+    exponent counts and they sum to exactly `budget` (a fiber degree); without
+    it only the even ones count and they sum to at most `budget` (a
+    coefficient degree).
+    """
+    if not variables:
+        if not exact or budget == 0:
+            yield ()
+        return
+    v, rest = variables[0], variables[1:]
+    counted = exact or v.parity == EVEN
+    top = budget if v.parity == EVEN else 1
+    for e in range(top + 1):
+        for tail in _exponent_vectors(rest, budget - e if counted else budget, exact):
+            yield (e,) + tail
+
+
 def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, parity):
     """All chart monomials of the given fiber degree and parity whose
     coefficient degree (total degree in the even base coordinates) is <= bound,
-    in a fixed deterministic order.
+    ordered by base exponents, then fiber exponents, ascending.
 
     Odd base coordinates act as form generators, not coefficients: they do not
     count toward the bound (each appears at most once, so the ansatz stays
@@ -204,37 +224,16 @@ def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, pa
         raise DomainError("the ansatz lives on an unhatted chart")
     base_vars = [v for v, _ in chart.base_pairs()]
     fiber_vars = [f for _, f in chart.base_pairs()]
-
-    def exponent_vectors(variables, total_cap, count_odd):
-        ranges = []
-        for v in variables:
-            cap = 1 if v.parity == ODD else total_cap
-            ranges.append(range(cap + 1))
-        for exps in itertools.product(*ranges):
-            s = sum(
-                e for v, e in zip(variables, exps) if count_odd or v.parity == EVEN
-            )
-            if s <= total_cap:
-                yield exps
-
+    variables = base_vars + fiber_vars  # ascending index order
+    fiber_exps = list(_exponent_vectors(fiber_vars, fiber_degree, exact=True))
     out = []
-    for fexps in exponent_vectors(fiber_vars, fiber_degree, count_odd=True):
-        if sum(fexps) != fiber_degree:
-            continue
-        for bexps in exponent_vectors(base_vars, coeff_degree_bound, count_odd=False):
-            key = []
-            for v, e in zip(base_vars, bexps):
-                if e:
-                    key.append((v.index, e))
-            for v, e in zip(fiber_vars, fexps):
-                if e:
-                    key.append((v.index, e))
-            key = tuple(sorted(key))
-            if chart.key_parity(key) != parity and key != ():
+    for bexps in _exponent_vectors(base_vars, coeff_degree_bound, exact=False):
+        for fexps in fiber_exps:
+            key = tuple((v.index, e) for v, e in zip(variables, bexps + fexps) if e)
+            if key and chart.key_parity(key) != parity:
                 continue
-            out.append((tuple(bexps), tuple(fexps), key))
-    out.sort()
-    return [SPoly(chart, {key: Fraction(1)}) for _, _, key in out]
+            out.append(SPoly(chart, {key: Fraction(1)}))
+    return out
 
 
 def classify_lifts(s: DensityElement, coeff_degree_bound: int, conv=PINNED) -> KernelBasis:
@@ -252,8 +251,6 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int, conv=PINNED) -> K
     if master_check(s.body, conv):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
-        from .lift import WeightOneError
-
         raise WeightOneError()
     r = s.body.fiber_degree()
     if r is MIXED or not isinstance(r, int):
@@ -262,23 +259,18 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int, conv=PINNED) -> K
     if sp is MIXED:
         raise DomainError("s must be parity homogeneous")
     flagged = sp == ODD
-    chart = s.chart
-    ansatz = monomial_ansatz(chart, r - 1, int(bound), (sp + 1) % 2)
-    if not ansatz:
-        return KernelBasis(chart, (), (), flagged)
-    if flagged:
+    ansatz = monomial_ansatz(s.chart, r - 1, int(bound), (sp + 1) % 2)
+    # the system as sparse rows {ansatz column: coefficient}, one per monomial
+    # of the images (s, Q)
+    rows = {}
+    if not flagged:
         # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
-        # every ansatz element already solves the master equation.
-        n = len(ansatz)
-        eye = tuple(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
-        return KernelBasis(chart, tuple(ansatz), eye, True)
-    images = [antibracket(s.body, q, conv) for q in ansatz]
-    keys = sorted({k for img in images for k in img.terms})
-    rows = [[img.terms.get(k, Fraction(0)) for img in images] for k in keys]
-    basis = nullspace_fraction_free(rows, len(ansatz))
-    return KernelBasis(chart, tuple(ansatz), tuple(basis), flagged)
+        # every ansatz element already solves the master equation: no rows.
+        for col, q in enumerate(ansatz):
+            for mono, c in antibracket(s.body, q, conv).terms.items():
+                rows.setdefault(mono, {})[col] = c
+    basis = nullspace(rows.values(), len(ansatz))
+    return KernelBasis(s.chart, tuple(ansatz), tuple(basis), flagged)
 
 
 # ---------------------------------------------------------------------------

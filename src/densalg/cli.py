@@ -9,6 +9,7 @@ Reads from stdin when no script is given.  Exit codes: 0 success, 2 parse
 error, 3 domain error (e.g. a weight-1 lift), 4 verification failure.  Every
 error in a script prints ``densalg: FILE: LINE:COL: message`` and exits 2 or
 3, never 1; API users catch the same errors as `densalg.DensalgError`.
+Integers of any size are read and printed exactly.
 """
 from __future__ import annotations
 
@@ -51,6 +52,20 @@ def build_parser():
 
 
 def main(argv=None):
+    # integers of any size are read and printed exactly; Python 3.10.7+ caps
+    # int/str conversion at 4,300 digits unless the limit is lifted
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _main(argv)
+    old = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _main(argv):
     args = build_parser().parse_args(argv)
     out = sys.stdout
     if args.ledger:

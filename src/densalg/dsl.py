@@ -27,6 +27,7 @@ from .brackets import (
     antibracket,
     delta_op,
     divergence,
+    project_base,
     r_ary_bracket,
 )
 from .classify import (
@@ -582,8 +583,6 @@ class Interpreter:
             s = DensityElement(poly(0), rat(1))
             self.emit_poly("lift", lift(s, self.conv))
         elif name == "project":
-            from .brackets import project_base
-
             pieces = project_base(poly(0))
             if self.json_output:
                 self.emit(None, {

@@ -189,12 +189,6 @@ class Chart:
         except KeyError:
             raise UnknownVariableError("no variable %r on %r" % (name, self))
 
-    def fiber_of(self, base_var):
-        return self.variables[self._n_base + base_var.index]
-
-    def base_of(self, fiber_var):
-        return self.variables[fiber_var.index - self._n_base]
-
     @property
     def t_var(self):
         if not self.hatted:

@@ -4,12 +4,13 @@ The oracles here are deliberately naive re-implementations (dense
 Gauss-Jordan over Fraction, explicit sign counting for derivatives) so the
 kernel's optimized paths are checked against something independently coded.
 """
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from densalg import Chart, EVEN, ODD
+from densalg import Chart, EVEN, ODD, SPoly, antibracket
 from densalg.brackets import _random_homogeneous
 
 
@@ -100,3 +101,44 @@ def row_space_rref(vectors, n_cols):
                 M[i] = [a - f * b for a, b in zip(M[i], M[r])]
         r += 1
     return tuple(tuple(row) for row in M[:r])
+
+
+def dense_kernel_matrix(s, ansatz):
+    """The linear map Q -> (s, Q) over `ansatz` as a dense rational matrix:
+    one row per monomial of the images, in sorted order, one column per
+    ansatz entry."""
+    images = [antibracket(s.body, q) for q in ansatz]
+    keys = sorted({k for img in images for k in img.terms})
+    return [[img.terms.get(k, Fraction(0)) for img in images] for k in keys]
+
+
+def reference_monomial_ansatz(chart, fiber_degree, coeff_degree_bound, parity):
+    """Reference ansatz: filter the full box of exponent vectors, then sort by
+    (base exponents, fiber exponents).  Odd variables take 0 or 1; the fiber
+    exponents sum to fiber_degree, the even base ones to at most the bound; the
+    constant monomial is admitted whatever its parity."""
+    base_vars = [v for v, _ in chart.base_pairs()]
+    fiber_vars = [f for _, f in chart.base_pairs()]
+
+    def exponent_vectors(variables, total_cap, count_odd):
+        ranges = [range(2 if v.parity == ODD else total_cap + 1) for v in variables]
+        for exps in itertools.product(*ranges):
+            counted = sum(
+                e for v, e in zip(variables, exps) if count_odd or v.parity == EVEN
+            )
+            if counted <= total_cap:
+                yield exps
+
+    out = []
+    for fexps in exponent_vectors(fiber_vars, fiber_degree, count_odd=True):
+        if sum(fexps) != fiber_degree:
+            continue
+        for bexps in exponent_vectors(base_vars, coeff_degree_bound, count_odd=False):
+            key = [(v.index, e) for v, e in zip(base_vars, bexps) if e]
+            key += [(v.index, e) for v, e in zip(fiber_vars, fexps) if e]
+            key = tuple(sorted(key))
+            if chart.key_parity(key) != parity and key != ():
+                continue
+            out.append((tuple(bexps), tuple(fexps), key))
+    out.sort()
+    return [SPoly(chart, {key: Fraction(1)}) for _, _, key in out]

@@ -51,7 +51,7 @@ from densalg.classify import (
 from densalg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main as cli_main
 from densalg.dsl import Interpreter, parse
 from densalg.printing import poly_from_dict, poly_to_dict, poly_to_text
-from conftest import dense_nullspace, random_poly, row_space_rref
+from conftest import dense_kernel_matrix, dense_nullspace, random_poly
 
 SEED = 909
 N = 200
@@ -286,15 +286,8 @@ def test_acceptance_7_classification(capsys):
             master_residual_of_lift(s0, Q)
 
         def check_against_oracle(s, kb):
-            images = [antibracket(s.body, q) for q in kb.ansatz]
-            keys = sorted({k for img in images for k in img.terms})
-            rows = [[img.terms.get(k, Fraction(0)) for img in images] for k in keys]
-            n = len(kb.ansatz)
-            oracle = dense_nullspace(rows, n) if rows else [
-                tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-            ]
-            assert kb.dimension == len(oracle)
-            assert row_space_rref(kb.basis, n) == row_space_rref(oracle, n)
+            rows = dense_kernel_matrix(s, kb.ansatz)
+            assert kb.basis == tuple(dense_nullspace(rows, len(kb.ansatz)))
 
         instances = 0
         # de Rham differential on the line: dimension d + 2 at bound d

@@ -32,10 +32,16 @@ from densalg.classify import (
     de_rham_element,
     exterior_derivative,
     monomial_ansatz,
-    nullspace_fraction_free,
+    nullspace,
     q_manifold_chart,
 )
-from conftest import dense_nullspace, random_poly, row_space_rref
+from conftest import (
+    dense_kernel_matrix,
+    dense_nullspace,
+    random_poly,
+    reference_monomial_ansatz,
+    row_space_rref,
+)
 
 
 SO3 = [
@@ -44,14 +50,6 @@ SO3 = [
     (2, 0, 1, 1), (0, 2, 1, -1),
 ]
 SOLVABLE = [(0, 1, 1, 1), (1, 0, 1, -1)]  # [e1, e2] = e2
-
-
-def _kernel_matrix(s, ansatz, conv=None):
-    """The linear map Q -> (s, Q) as a dense rational matrix (rows = monomial
-    coordinates of the images)."""
-    images = [antibracket(s.body, q) for q in ansatz]
-    keys = sorted({k for img in images for k in img.terms})
-    return [[img.terms.get(k, Fraction(0)) for img in images] for k in keys]
 
 
 class TestLinearAlgebra:
@@ -81,15 +79,25 @@ class TestLinearAlgebra:
             sizes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(30)]
             for m, n in sizes:
                 rows = matrix(shape, m, n)
-                assert nullspace_fraction_free(rows, n) == dense_nullspace(rows, n)
+                sparse = [dict(enumerate(row)) for row in rows]
+                assert nullspace(sparse, n) == dense_nullspace(rows, n)
 
     def test_kernel_vectors_annihilate(self, rng):
         for _ in range(20):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-            for vec in nullspace_fraction_free(rows, n):
+            for vec in nullspace([dict(enumerate(row)) for row in rows], n):
                 for row in rows:
                     assert sum(r * v for r, v in zip(row, vec)) == 0
+
+    def test_empty_system(self):
+        # no rows: every column is free; no columns: nothing to solve for
+        assert nullspace([], 3) == dense_nullspace([], 3) == [
+            (1, 0, 0), (0, 1, 0), (0, 0, 1)
+        ]
+        assert nullspace([{}, {}], 0) == nullspace([], 0) == []
+        # integer entries reduce to the same Fractions
+        assert nullspace([{0: 2, 1: 4}], 2) == [(Fraction(-2), Fraction(1))]
 
 
 class TestDecomposition:
@@ -175,15 +183,10 @@ class TestMasterResidual:
 
 
 def _assert_matches_oracle(s, bound, kb):
-    """classify_lifts output vs the dense Gauss-Jordan oracle: same ansatz
-    slice, same dimension, same span."""
-    rows = _kernel_matrix(s, kb.ansatz)
-    n = len(kb.ansatz)
-    oracle = dense_nullspace(rows, n) if rows else [
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    ]
-    assert kb.dimension == len(oracle)
-    assert row_space_rref(kb.basis, n) == row_space_rref(oracle, n)
+    """classify_lifts output vs the dense Gauss-Jordan oracle: the same
+    reduced basis over the ansatz order, bit for bit."""
+    rows = dense_kernel_matrix(s, kb.ansatz)
+    assert kb.basis == tuple(dense_nullspace(rows, len(kb.ansatz)))
     # every claimed kernel element actually annihilates
     for e in kb.elements():
         assert antibracket(s.body, e).is_zero()
@@ -263,13 +266,30 @@ class TestClassification:
         C = Chart([("x", EVEN), ("y", EVEN)])
         assert monomial_ansatz(C, 1, 0, EVEN) == []
 
+    def test_ansatz_matches_reference(self):
+        rng = random.Random(31)
+        lengths = set()
+        for _ in range(60):
+            coords = [("c%d" % i, rng.choice([EVEN, ODD])) for i in range(rng.randint(0, 4))]
+            C = Chart(coords)
+            for fiber_degree in range(4):
+                for bound in range(4):
+                    for parity in (EVEN, ODD):
+                        got = monomial_ansatz(C, fiber_degree, bound, parity)
+                        assert got == reference_monomial_ansatz(C, fiber_degree, bound, parity)
+                        lengths.add(len(got))
+        assert 0 in lengths and len(lengths) > 10  # empty results occur too
+
     def test_odd_s_flagged_mode(self, small_chart):
         C = small_chart
         s = DensityElement(C["x"] * C["#y"], Fraction(0))
         kb = classify_lifts(s, 1)
         assert kb.flagged_odd_base
         # every ansatz element is a solution: the residual vanishes anyway
-        assert kb.dimension == len(kb.ansatz)
+        n = len(kb.ansatz)
+        assert n and kb.dimension == n
+        assert kb.basis == tuple(dense_nullspace([], n))  # the identity
+        assert kb.elements() == list(kb.ansatz)
 
     def test_preconditions(self, small_chart):
         C = small_chart

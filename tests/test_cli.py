@@ -111,6 +111,28 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert out == "div = 5000\n"  # f = 5000*x
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("expr, value", [
+        ("2^2^2^2^2", 2 ** 65536),  # 19,729 digits
+        ("7" * 5000, (10 ** 5000 - 1) // 9 * 7),
+    ], ids=["power_tower", "literal"])
+    def test_huge_integers_exact(self, tmp_path, capsys, expr, value, flags):
+        # past Python's 4,300-digit int/str conversion limit, in and out
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        script = write(tmp_path, "huge.dsl", "chart C { even x }\nlet f = %s*x\ndiv(f*#x)\n" % expr)
+        code, out, err = run_cli(capsys, [script] + flags)
+        assert code == EXIT_OK, err
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+        digits = ""
+        while value:  # 1,000 digits at a time, each conversion within the limit
+            value, chunk = divmod(value, 10 ** 1000)
+            digits = "%01000d" % chunk + digits
+        digits = digits.lstrip("0")
+        if flags:
+            assert json.loads(out)["poly"]["terms"] == [{"coeff": digits, "exponents": {}}]
+        else:
+            assert out == "div = %s\n" % digits
+
     def test_parse_error_keeps_earlier_output(self, tmp_path, capsys):
         script = write(tmp_path, "name.dsl", """
             chart C { even x }
