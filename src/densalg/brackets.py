@@ -69,18 +69,13 @@ PINNED = SignConvention(
 
 
 def _bracket_homogeneous(f, g, fp, conv):
-    chart = f.chart
-    result = chart.zero()
-    for q, qs in chart.all_pairs():
-        a = q.parity
-        s1, s2 = conv.bracket_signs(a, fp)
+    terms = []
+    for q, qs in f.chart.all_pairs():
+        s1, s2 = conv.bracket_signs(q.parity, fp)
         t1 = f.derive_right(q) * g.derive_left(qs)
-        if t1:
-            result = result + (t1 if s1 > 0 else -t1)
         t2 = f.derive_right(qs) * g.derive_left(q)
-        if t2:
-            result = result + (t2 if s2 > 0 else -t2)
-    return result
+        terms += [t1 if s1 > 0 else -t1, t2 if s2 > 0 else -t2]
+    return f.chart.sum(terms)
 
 
 def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
@@ -88,25 +83,21 @@ def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     if f.chart != g.chart:
         raise ChartMismatchError("bracket operands live on different charts")
     f_even, f_odd = f.parity_components()
-    result = f.chart.zero()
-    if f_even:
-        result = result + _bracket_homogeneous(f_even, g, EVEN, conv)
-    if f_odd:
-        result = result + _bracket_homogeneous(f_odd, g, ODD, conv)
-    return result
+    return f.chart.sum(
+        _bracket_homogeneous(part, g, fp, conv)
+        for part, fp in ((f_even, EVEN), (f_odd, ODD))
+        if part
+    )
 
 
 def _div_pairs(f, pairs, conv):
-    chart = f.chart
-    result = chart.zero()
     left = conv.div_side == "left"
+    terms = []
     for q, qs in pairs:
         inner = f.derive_left(qs) if left else f.derive_right(qs)
         term = inner.derive_left(q) if left else inner.derive_right(q)
-        if term and conv.div_parity and q.parity:
-            term = -term
-        result = result + term
-    return result
+        terms.append(-term if conv.div_parity and q.parity else term)
+    return f.chart.sum(terms)
 
 
 def divergence(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
@@ -114,14 +105,14 @@ def divergence(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
     return _div_pairs(f, f.chart.base_pairs(), conv)
 
 
-def divergence_full(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
+def divergence_full(f: SPoly) -> SPoly:
     """Divergence with respect to |D(x,t)| on a hatted chart."""
     if not f.chart.hatted:
         raise DomainError("divergence_full needs a hatted chart")
-    return _div_pairs(f, f.chart.all_pairs(), conv)
+    return _div_pairs(f, f.chart.all_pairs(), PINNED)
 
 
-def divergence_wrt(f: SPoly, rho_coeff: SPoly, conv: SignConvention = PINNED) -> SPoly:
+def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
     """rho^-1 * divergence_full(f * rho) for a unit density coefficient.
 
     rho_coeff must be a single invertible term c * t^mu on a hatted chart.
@@ -140,7 +131,7 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly, conv: SignConvention = PINNED) ->
         raise DomainError("rho must be a rational multiple of a power of t")
     mu = dict(key).get(chart.t_var.index, Fraction(0))
     rho_inv = (Fraction(1) / c) * chart.t_power(-mu)
-    return rho_inv * divergence_full(f * rho_coeff, conv)
+    return rho_inv * divergence_full(f * rho_coeff)
 
 
 def delta_op(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
@@ -190,7 +181,7 @@ def project_base(S: SPoly):
     return out
 
 
-def r_ary_bracket(S: SPoly, args, conv: SignConvention = PINNED) -> SPoly:
+def r_ary_bracket(S: SPoly, args) -> SPoly:
     """{f_1 ... f_r} = restrict_to_base(((S, f_1), f_2), ..., f_r).
 
     Arguments must be functions on the base (fiber degree 0); brackets are
@@ -204,7 +195,7 @@ def r_ary_bracket(S: SPoly, args, conv: SignConvention = PINNED) -> SPoly:
     acc = S
     for f in args:
         acc_even, acc_odd = acc.parity_components()
-        acc = antibracket(acc_even - acc_odd, f, conv)
+        acc = antibracket(acc_even - acc_odd, f)
     return restrict_to_base(acc)
 
 

@@ -16,14 +16,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brackets import (
-    DomainError,
-    PINNED,
-    antibracket,
-    r_ary_bracket,
-)
+from .brackets import DomainError, antibracket, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _add_into, _frac
 
 
 @dataclass(frozen=True)
@@ -32,16 +27,16 @@ class LiftDecomposition:
     q_part: SPoly  # the Q of S = lift(base) + Q * w
 
 
-def attach_correction(s: DensityElement, Q: SPoly, conv=PINNED) -> SPoly:
+def attach_correction(s: DensityElement, Q: SPoly) -> SPoly:
     """lift(s) + Q * t^(weight+1) * #t; at weight 0 this is lift(s) + Q*w."""
     hchart = s.chart.hatted_version()
     if Q.chart != s.chart:
         raise DomainError("Q must live on the unhatted chart of s")
     tail = Q.transport(hchart) * hchart.t_power(s.weight + 1) * hchart["#t"]
-    return lift(s, conv) + tail
+    return lift(s) + tail
 
 
-def decompose(S: SPoly, s: DensityElement, conv=PINNED) -> LiftDecomposition:
+def decompose(S: SPoly, s: DensityElement) -> LiftDecomposition:
     """Recover Q from S = lift(s) + Q * w.
 
     S must project to exactly s; anything in the difference that is not a
@@ -49,7 +44,7 @@ def decompose(S: SPoly, s: DensityElement, conv=PINNED) -> LiftDecomposition:
     """
     if project_to_density(S) != [s]:
         raise DomainError("S does not project to the given density element")
-    R = S - lift(s, conv)
+    R = S - lift(s)
     hchart = S.chart
     ti = hchart.t_var.index
     tsi = hchart.tstar_var.index
@@ -61,24 +56,24 @@ def decompose(S: SPoly, s: DensityElement, conv=PINNED) -> LiftDecomposition:
             raise DomainError("S - lift(s) is not of the form Q * w")
         stripped[tuple(sorted(kd.items()))] = coeff
     Q = SPoly(hchart, stripped).transport(s.chart)
-    if attach_correction(s, Q, conv) != S:
+    if attach_correction(s, Q) != S:
         raise DomainError("decomposition does not round-trip")
     return LiftDecomposition(base=s, q_part=Q)
 
 
-def master_check(S: SPoly, conv=PINNED) -> SPoly:
+def master_check(S: SPoly) -> SPoly:
     """(S, S); zero exactly when the master equation holds."""
-    return antibracket(S, S, conv)
+    return antibracket(S, S)
 
 
-def master_residual_of_lift(s: DensityElement, Q: SPoly, conv=PINNED) -> SPoly:
+def master_residual_of_lift(s: DensityElement, Q: SPoly) -> SPoly:
     """(S, S) for S = lift(s) + Q*w, asserted equal to (1+(-1)^s)(s,Q)w.
 
     The residual identity is a weight-zero statement: only at weight zero is
     lift(s) + Q*w weight homogeneous, and at other weights the t-derivative
     pairings contribute extra terms proportional to the weight.
     """
-    if master_check(s.body, conv):
+    if master_check(s.body):
         raise DomainError("s does not satisfy the master equation")
     if s.weight:
         raise DomainError(
@@ -87,13 +82,13 @@ def master_residual_of_lift(s: DensityElement, Q: SPoly, conv=PINNED) -> SPoly:
     sp = s.body.parity()
     if sp is MIXED:
         raise DomainError("s must be parity homogeneous")
-    S = attach_correction(s, Q, conv)
-    residual = master_check(S, conv)
+    S = attach_correction(s, Q)
+    residual = master_check(S)
     factor = 0 if sp == ODD else 2
     hchart = S.chart
     expected = hchart.zero()
     if factor:
-        E = antibracket(s.body, Q, conv)
+        E = antibracket(s.body, Q)
         expected = factor * (
             E.transport(hchart) * hchart.t_power(1) * hchart["#t"]
         )
@@ -138,11 +133,7 @@ def _rref(rows):
 def _axpy(row, f, pivot_row):
     """row += f * pivot_row, in place, dropping entries that cancel."""
     for c, x in pivot_row.items():
-        new = row.get(c, 0) + f * x
-        if new:
-            row[c] = new
-        else:
-            del row[c]
+        _add_into(row, c, f * x)
 
 
 def nullspace(rows, n_cols):
@@ -236,7 +227,7 @@ def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, pa
     return out
 
 
-def classify_lifts(s: DensityElement, coeff_degree_bound: int, conv=PINNED) -> KernelBasis:
+def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
     """Exact basis of {Q in the ansatz : (s, Q) = 0}.
 
     By the affine structure of the space of lifts, these Q enumerate all
@@ -248,7 +239,7 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int, conv=PINNED) -> K
         raise DomainError(
             "the coefficient degree bound must be a nonnegative integer, got %s" % bound
         )
-    if master_check(s.body, conv):
+    if master_check(s.body):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
         raise WeightOneError()
@@ -267,7 +258,7 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int, conv=PINNED) -> K
         # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
         # every ansatz element already solves the master equation: no rows.
         for col, q in enumerate(ansatz):
-            for mono, c in antibracket(s.body, q, conv).terms.items():
+            for mono, c in antibracket(s.body, q).terms.items():
                 rows.setdefault(mono, {})[col] = c
     basis = nullspace(rows.values(), len(ansatz))
     return KernelBasis(s.chart, tuple(ansatz), tuple(basis), flagged)
@@ -286,8 +277,10 @@ class LieAlgebraData:
     """
 
     def __init__(self, dimension, parities=None, constants=(), names=None):
-        self.dimension = int(dimension)
-        self.parities = tuple(int(p) for p in (parities or [EVEN] * self.dimension))
+        self.dimension = _integer(dimension, "dimension")
+        self.parities = tuple(
+            _integer(p, "parity") for p in (parities or [EVEN] * self.dimension)
+        )
         if len(self.parities) != self.dimension:
             raise DomainError("parity list does not match the dimension")
         self.names = tuple(names) if names else tuple(
@@ -298,6 +291,7 @@ class LieAlgebraData:
         self.chart()  # rejects a parity other than 0 or 1 and a bad or repeated name
         table = {}
         for i, j, k, val in constants:
+            i, j, k = (_integer(a, "structure constant index") for a in (i, j, k))
             if not all(0 <= a < self.dimension for a in (i, j, k)):
                 raise DomainError("structure constant index out of range")
             table[(i, j, k)] = table.get((i, j, k), Fraction(0)) + _frac(val)
@@ -316,7 +310,7 @@ class LieAlgebraData:
     @classmethod
     def from_dict(cls, d):
         constants = [
-            (int(i) - 1, int(j) - 1, int(k) - 1, Fraction(v))
+            (*(_integer(a, "structure constant index") - 1 for a in (i, j, k)), Fraction(v))
             for i, j, k, v in d["constants"]
         ]
         return cls(
@@ -332,25 +326,37 @@ class LieAlgebraData:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
+                OverflowError) as exc:
             raise DomainError("bad Lie algebra file %s: %s" % (path, exc)) from None
 
     def chart(self):
         return Chart(list(zip(self.names, self.parities)), name="lie")
 
 
+def _integer(x, what):
+    """x as an int when it is exactly integral (3, 3.0, "3"), else a DomainError."""
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        q = None
+    if q is None or q.denominator != 1:
+        raise DomainError("%s must be an integer, got %r" % (what, x))
+    return int(q)
+
+
 def lie_poisson(g: LieAlgebraData) -> DensityElement:
     """The quadratic element pi = 1/2 C^{ij}_k x^k x*_j x*_i, weight 0."""
     chart = g.chart()
-    pi = chart.zero()
     half = Fraction(1, 2)
-    for (i, j, k), v in g.constants.items():
-        term = chart[g.names[k]] * chart["#" + g.names[j]] * chart["#" + g.names[i]]
-        pi = pi + half * v * term
+    pi = chart.sum(
+        half * v * (chart[g.names[k]] * chart["#" + g.names[j]] * chart["#" + g.names[i]])
+        for (i, j, k), v in g.constants.items()
+    )
     return DensityElement(pi, Fraction(0))
 
 
-def induced_structure_constants(g: LieAlgebraData, conv=PINNED):
+def induced_structure_constants(g: LieAlgebraData):
     """Read {x^i, x^j} back off the polynomial bracket of lie_poisson(g).
 
     Returns eps, table where {x^i, x^j} = eps * C^{ij}_k x^k with eps the
@@ -361,7 +367,7 @@ def induced_structure_constants(g: LieAlgebraData, conv=PINNED):
     table = {}
     for i in range(g.dimension):
         for j in range(g.dimension):
-            br = r_ary_bracket(pi, [chart[g.names[i]], chart[g.names[j]]], conv)
+            br = r_ary_bracket(pi, [chart[g.names[i]], chart[g.names[j]]])
             for key, coeff in br.terms.items():
                 (idx, exp), = key
                 if exp != 1:
@@ -370,7 +376,7 @@ def induced_structure_constants(g: LieAlgebraData, conv=PINNED):
     return table
 
 
-def supertrace_extension(g: LieAlgebraData, conv=PINNED):
+def supertrace_extension(g: LieAlgebraData):
     """The extension functional j -> sum_i (-1)^p_i C^{ji}_i.
 
     Cross-checked against the supertrace of the adjoint action read back
@@ -378,7 +384,7 @@ def supertrace_extension(g: LieAlgebraData, conv=PINNED):
     of the canonical lift of the Lie-Poisson element.
     """
     s = lie_poisson(g)
-    if master_check(s.body, conv):
+    if master_check(s.body):
         raise DomainError("structure constants violate the Jacobi identity")
     phi = tuple(
         sum(
@@ -388,7 +394,7 @@ def supertrace_extension(g: LieAlgebraData, conv=PINNED):
         for j in range(g.dimension)
     )
     # independent route 1: supertrace of ad(e_j) through the induced bracket
-    table = induced_structure_constants(g, conv)
+    table = induced_structure_constants(g)
     eps = None
     for (i, j, k), v in g.constants.items():
         got = table.get((i, j, k), Fraction(0))
@@ -411,15 +417,14 @@ def supertrace_extension(g: LieAlgebraData, conv=PINNED):
         raise DomainError("supertrace of the adjoint action disagrees with the formula")
     # independent route 2: the lift correction term
     chart = s.chart
-    expected_q = chart.zero()
-    for j in range(g.dimension):
-        if phi[j]:
-            expected_q = expected_q + phi[j] * chart["#" + g.names[j]]
+    expected_q = chart.sum(
+        phi[j] * chart["#" + g.names[j]] for j in range(g.dimension) if phi[j]
+    )
     if not s.body.is_zero():
-        dec = decompose(lift(s, conv), s, conv)  # Q = 0 for the bare lift
+        dec = decompose(lift(s), s)  # Q = 0 for the bare lift
         assert dec.q_part.is_zero()
         hchart = chart.hatted_version()
-        corr = lift(s, conv) - s.body.transport(hchart)
+        corr = lift(s) - s.body.transport(hchart)
         # the lift stores the correction as w * Delta(s); compare as w-multiples
         if corr != hchart["t"] * (hchart["#t"] * expected_q.transport(hchart)):
             raise DomainError("lift correction disagrees with the supertrace functional")
@@ -471,15 +476,11 @@ def darboux_form(chart: Chart) -> SPoly:
     if chart.hatted or n % 2 or any(p for _, p in chart.base_coords):
         raise DomainError("a Darboux chart has an even number of even coordinates")
     half = n // 2
-    omega = chart.zero()
-    for i in range(half):
-        p_name = chart.base_coords[i][0]
-        x_name = chart.base_coords[half + i][0]
-        omega = omega + chart["#" + p_name] * chart["#" + x_name]
-    return omega
+    names = [name for name, _ in chart.base_coords]
+    return chart.sum(chart["#" + p] * chart["#" + x] for p, x in zip(names[:half], names[half:]))
 
 
-def density_evolution(H: SPoly, f: SPoly, psi: SPoly, lam, conv=PINNED) -> SPoly:
+def density_evolution(H: SPoly, f: SPoly, psi: SPoly, lam) -> SPoly:
     """Evolution of the density psi t^lam under H with lift twist f.
 
     Returns ({H, psi} + lam {H, f} psi) t^lam, and asserts it equals the
@@ -496,19 +497,19 @@ def density_evolution(H: SPoly, f: SPoly, psi: SPoly, lam, conv=PINNED) -> SPoly
     omega = darboux_form(chart)
 
     def pb(a, b):
-        return r_ary_bracket(omega, [a, b], conv)
+        return r_ary_bracket(omega, [a, b])
 
     hchart = chart.hatted_version()
     closed = (pb(H, psi) + lam * (pb(H, f) * psi)).transport(hchart) * hchart.t_power(lam)
     # direct route through the lifted structure; the iterated bracket carries
     # the same accumulator-parity signs as r_ary_bracket, and the Hamiltonian
     # field is oriented to match under the pinned sign convention
-    x_f = -antibracket(omega, f, conv)
-    omega_x = attach_correction(DensityElement(omega, Fraction(0)), x_f, conv)
+    x_f = -antibracket(omega, f)
+    omega_x = attach_correction(DensityElement(omega, Fraction(0)), x_f)
     Psi = psi.transport(hchart) * hchart.t_power(lam)
-    step = antibracket(omega_x, H.transport(hchart), conv)
+    step = antibracket(omega_x, H.transport(hchart))
     step_even, step_odd = step.parity_components()
-    direct = antibracket(step_even - step_odd, Psi, conv)
+    direct = antibracket(step_even - step_odd, Psi)
     if direct != closed:
         raise DomainError("direct and closed-form evolutions disagree")
     return closed
@@ -525,27 +526,21 @@ def q_manifold_chart(n: int) -> Chart:
 def de_rham_element(chart: Chart) -> SPoly:
     """The vector field d = dx^a d/dx^a as a fiber-degree-1 element."""
     n = chart.n_base // 2
-    s = chart.zero()
-    for a in range(n):
-        x_name = chart.base_coords[a][0]
-        dx_name = chart.base_coords[n + a][0]
-        s = s + chart[dx_name] * chart["#" + x_name]
-    return s
+    names = [name for name, _ in chart.base_coords]
+    return chart.sum(chart[dx] * chart["#" + x] for x, dx in zip(names[:n], names[n:]))
 
 
 def exterior_derivative(theta: SPoly) -> SPoly:
     """d theta = sum_a dx^a d_l theta / dx^a on a parity reversed tangent chart."""
     chart = theta.chart
     n = chart.n_base // 2
-    out = chart.zero()
-    for a in range(n):
-        x = chart.var(chart.base_coords[a][0])
-        dx = chart.base_coords[n + a][0]
-        out = out + chart[dx] * theta.derive_left(x)
-    return out
+    names = [name for name, _ in chart.base_coords]
+    return chart.sum(
+        chart[dx] * theta.derive_left(chart.var(x)) for x, dx in zip(names[:n], names[n:])
+    )
 
 
-def q_manifold_lifts(chart: Chart, coeff_degree_bound: int, conv=PINNED) -> KernelBasis:
+def q_manifold_lifts(chart: Chart, coeff_degree_bound: int) -> KernelBasis:
     """Classify lifts of the de Rham vector field on a parity reversed tangent
     chart; every basis element is checked to be a closed form of odd degree."""
     n = chart.n_base
@@ -556,7 +551,7 @@ def q_manifold_lifts(chart: Chart, coeff_degree_bound: int, conv=PINNED) -> Kern
         if chart.base_coords[a][1] != EVEN or chart.base_coords[half + a][1] != ODD:
             raise DomainError("expected x coordinates then dx coordinates")
     s = DensityElement(de_rham_element(chart), Fraction(0))
-    kb = classify_lifts(s, coeff_degree_bound, conv)
+    kb = classify_lifts(s, coeff_degree_bound)
     for theta in kb.elements():
         if theta.parity() != ODD and set(theta.terms) != {()}:
             # even-degree forms are parity-filtered out of the ansatz; the

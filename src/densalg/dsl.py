@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .brackets import (
     DomainError,
-    PINNED,
     antibracket,
     delta_op,
     divergence,
@@ -410,14 +409,13 @@ class Interpreter:
     verdicts from verification commands.
     """
 
-    def __init__(self, json_output=False, strict_orientation=False, conv=PINNED):
+    def __init__(self, json_output=False, strict_orientation=False):
         self.charts = {}
         self.changes = {}
         self.bindings = {}  # name -> SPoly
         self.active_chart = None
         self.json_output = json_output
         self.strict_orientation = strict_orientation
-        self.conv = conv
         self.lines = []
         self.failures = 0
 
@@ -574,14 +572,14 @@ class Interpreter:
             return self.eval_rational(payload)
 
         if name == "bracket":
-            self.emit_poly("bracket", antibracket(poly(0), poly(1), self.conv))
+            self.emit_poly("bracket", antibracket(poly(0), poly(1)))
         elif name == "div":
-            self.emit_poly("div", divergence(poly(0), self.conv))
+            self.emit_poly("div", divergence(poly(0)))
         elif name == "delta":
-            self.emit_poly("delta", delta_op(poly(0), self.conv))
+            self.emit_poly("delta", delta_op(poly(0)))
         elif name == "lift":
             s = DensityElement(poly(0), rat(1))
-            self.emit_poly("lift", lift(s, self.conv))
+            self.emit_poly("lift", lift(s))
         elif name == "project":
             pieces = project_base(poly(0))
             if self.json_output:
@@ -602,9 +600,9 @@ class Interpreter:
                 raise ParseError("rary takes (S; f1, ..., fr)")
             S = poly(0)
             args = [poly(i) for i in range(1, len(flat))]
-            self.emit_poly("rary", r_ary_bracket(S, args, self.conv))
+            self.emit_poly("rary", r_ary_bracket(S, args))
         elif name == "master":
-            residual = master_check(poly(0), self.conv)
+            residual = master_check(poly(0))
             ok = residual.is_zero()
             verdict = "PASS" if ok else "FAIL"
             if self.json_output:
@@ -616,7 +614,7 @@ class Interpreter:
             if not ok:
                 self.failures += 1
         elif name == "classify":
-            kb = classify_lifts(DensityElement(poly(0), rat(1)), rat(2), self.conv)
+            kb = classify_lifts(DensityElement(poly(0), rat(1)), rat(2))
             if self.json_output:
                 self.emit(None, {
                     "label": "classify",
@@ -635,9 +633,9 @@ class Interpreter:
                 raise ParseError('liealg takes a "file.json" path')
             g = LieAlgebraData.from_json(payload)
             s = lie_poisson(g)
-            residual = master_check(s.body, self.conv)
+            residual = master_check(s.body)
             ok = residual.is_zero()
-            phi = supertrace_extension(g, self.conv) if ok else None
+            phi = supertrace_extension(g) if ok else None
             if self.json_output:
                 self.emit(None, {
                     "label": "liealg",
@@ -657,7 +655,7 @@ class Interpreter:
             if not ok:
                 self.failures += 1
         elif name == "evolve":
-            result = density_evolution(poly(0), poly(1), poly(2), rat(3), self.conv)
+            result = density_evolution(poly(0), poly(1), poly(2), rat(3))
             self.emit_poly("evolve", result)
         elif name == "transform":
             kind, payload = flat[1]

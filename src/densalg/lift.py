@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brackets import DomainError, PINNED, antibracket, divergence, project_base
+from .brackets import DomainError, antibracket, divergence, project_base
 from .spoly import Chart, ChartMismatchError, SPoly, _frac, rational_power
 
 
@@ -50,7 +50,7 @@ class DensityElement:
         return "DensityElement(%r, weight=%s)" % (self.body, self.weight)
 
 
-def lift(s: DensityElement, conv=PINNED) -> SPoly:
+def lift(s: DensityElement) -> SPoly:
     """The unique delta-closed element above s, for weight != 1.
 
     Closed form: s(x, #x) t^lambda + 1/(1-lambda) t^(lambda+1) #t div(s).
@@ -61,7 +61,7 @@ def lift(s: DensityElement, conv=PINNED) -> SPoly:
     hchart = s.chart.hatted_version()
     s0 = s.body.transport(hchart)
     head = s0 * hchart.t_power(lam)
-    corr = divergence(s.body, conv).transport(hchart)
+    corr = divergence(s.body).transport(hchart)
     if corr:
         pref = Fraction(1) / (1 - lam)
         head = head + pref * (hchart.t_power(lam + 1) * (hchart["#t"] * corr))
@@ -73,7 +73,7 @@ def project_to_density(S: SPoly):
     return [DensityElement(body, lam) for body, lam in project_base(S)]
 
 
-def base_bracket(s: DensityElement, u: DensityElement, conv=PINNED) -> DensityElement:
+def base_bracket(s: DensityElement, u: DensityElement) -> DensityElement:
     """The odd bracket on weighted multivectors, weights added.
 
     For nonzero weights the bracket the canonical lift intertwines is not the
@@ -93,25 +93,23 @@ def base_bracket(s: DensityElement, u: DensityElement, conv=PINNED) -> DensityEl
     lam, mu = s.weight, u.weight
     if lam == 1 or mu == 1:
         raise WeightOneError()
-    body = antibracket(s.body, u.body, conv)
+    body = antibracket(s.body, u.body)
     if mu:
-        body = body + (mu / (1 - lam)) * (divergence(s.body, conv) * u.body)
+        body = body + (mu / (1 - lam)) * (divergence(s.body) * u.body)
     if lam:
         s_even, s_odd = s.body.parity_components()
-        du = divergence(u.body, conv)
+        du = divergence(u.body)
         pref = lam / (1 - mu)
         body = body + pref * ((s_even - s_odd) * du)
     return DensityElement(body, lam + mu)
 
 
-def lift_commutes_check(s: DensityElement, u: DensityElement, conv=PINNED) -> SPoly:
+def lift_commutes_check(s: DensityElement, u: DensityElement) -> SPoly:
     """(lift s, lift u) - lift (s, u); zero on the whole domain."""
     for w in (s.weight, u.weight, s.weight + u.weight):
         if w == 1:
             raise WeightOneError()
-    return antibracket(lift(s, conv), lift(u, conv), conv) - lift(
-        base_bracket(s, u, conv), conv
-    )
+    return antibracket(lift(s), lift(u)) - lift(base_bracket(s, u))
 
 
 class OrientationError(DomainError):
@@ -182,12 +180,12 @@ class CoordinateChange:
         n = len(rows)
         if n == 0:
             return chart.const(1)
-        det = chart.zero()
+        cofactors = []
         for j in range(n):
             minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
             cof = rows[0][j] * CoordinateChange._poly_det(minor, chart)
-            det = det + (cof if j % 2 == 0 else -cof)
-        return det
+            cofactors.append(cof if j % 2 == 0 else -cof)
+        return chart.sum(cofactors)
 
 
 def _hatted_fiber_images(change: CoordinateChange, strict_orientation=False):
@@ -223,21 +221,22 @@ def _hatted_fiber_images(change: CoordinateChange, strict_orientation=False):
     images[hsrc.tstar_var] = (Fraction(1) / absJ) * htgt["#t"]
     w_new = htgt.w_star()
     for a in range(n):
-        acc = htgt.zero()
+        terms = []
         for b in range(n):
             d1 = in_new(G[tb[b]].derive_left(sb[a]))  # d x_new^b / d x_old^a, in new coords
             if d1:
-                acc = acc + d1.transport(htgt) * htgt["#" + tb[b].name]
-        scalar = tgt.zero()
+                terms.append(d1.transport(htgt) * htgt["#" + tb[b].name])
+        w_parts = []
         for b in range(n):
             d2 = G[tb[b]].derive_left(sb[a])
             for c in range(n):
                 d2c = in_new(d2.derive_left(sb[c]))  # second partial, in new coords
                 if d2c:
-                    scalar = scalar + d2c * change.forward[sb[c]].derive_left(tb[b])
+                    w_parts.append(d2c * change.forward[sb[c]].derive_left(tb[b]))
+        scalar = tgt.sum(w_parts)
         if scalar:
-            acc = acc + scalar.transport(htgt) * w_new
-        images[hsrc.var("#" + sb[a].name)] = acc
+            terms.append(scalar.transport(htgt) * w_new)
+        images[hsrc.var("#" + sb[a].name)] = htgt.sum(terms)
     return images, htgt, flipped
 
 
@@ -271,12 +270,9 @@ def transform_density(s: DensityElement, change: CoordinateChange, strict_orient
         return p.substitute(fwd, target=tgt)
 
     images = dict(fwd)
-    for a, va in enumerate(sb):
-        acc = tgt.zero()
-        for b, vb in enumerate(tb):
-            d1 = in_new(change.inverse[vb].derive_left(va))
-            if d1:
-                acc = acc + d1 * tgt["#" + vb.name]
-        images[src.var("#" + va.name)] = acc
+    for va in sb:
+        images[src.var("#" + va.name)] = tgt.sum(
+            in_new(change.inverse[vb].derive_left(va)) * tgt["#" + vb.name] for vb in tb
+        )
     body = rational_power(absJ, s.weight) * s.body.substitute(images, target=tgt)
     return DensityElement(body, s.weight)

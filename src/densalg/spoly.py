@@ -9,7 +9,10 @@ weight 1, Laurent powers with rational exponents allowed) and its odd partner
 Monomials are stored as exponent maps; odd variables are implicitly kept in
 chart declaration order and every reordering sign is absorbed into the
 coefficient at construction time, so equal polynomials have equal term maps.
-All values are immutable and all operations are pure.
+All values are immutable and all operations are pure.  Every sum, a product's
+included, accumulates into one term map through `_add_into`, and `transport`
+keeps the keys of its source: term maps may be shared because values are
+immutable.
 """
 from __future__ import annotations
 
@@ -229,6 +232,16 @@ class Chart:
     def zero(self):
         return SPoly(self, {})
 
+    def sum(self, polys):
+        """The sum of SPolys over this chart, accumulated in one term map."""
+        terms = {}
+        for p in polys:
+            if p.chart != self:
+                raise ChartMismatchError("a summand lives on a different chart")
+            for k, c in p.terms.items():
+                _add_into(terms, k, c)
+        return SPoly(self, terms)
+
     def const(self, c):
         c = _frac(c)
         return SPoly(self, {(): c} if c else {})
@@ -275,6 +288,15 @@ class Chart:
 
     def key_odd_indices(self, key):
         return [idx for idx, _ in key if self.variables[idx].parity]
+
+
+def _add_into(terms, key, c):
+    """terms[key] += c in place; a coefficient that cancels leaves the map."""
+    new = terms.get(key, 0) + c
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
 
 
 def _mul_keys(chart, k1, k2):
@@ -346,11 +368,7 @@ class SPoly:
             return NotImplemented
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            new = terms.get(k, 0) + c
-            if new:
-                terms[k] = new
-            else:
-                terms.pop(k, None)
+            _add_into(terms, k, c)
         return SPoly(self.chart, terms)
 
     __radd__ = __add__
@@ -381,14 +399,9 @@ class SPoly:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 merged = _mul_keys(chart, k1, k2)
-                if merged is None:
-                    continue
-                key, sign = merged
-                c = result.get(key, 0) + sign * c1 * c2
-                if c:
-                    result[key] = c
-                else:
-                    result.pop(key, None)
+                if merged is not None:
+                    key, sign = merged
+                    _add_into(result, key, sign * c1 * c2)
         return SPoly(chart, result)
 
     def __rmul__(self, other):
@@ -429,6 +442,8 @@ class SPoly:
         chart = self.chart
         if chart.by_name.get(v.name) != v:
             raise UnknownVariableError("%r is not a variable of %r" % (v, chart))
+        # distinct monomials have distinct derivatives and no stored exponent
+        # is 0, so every term is stored as it comes
         result = {}
         for key, coeff in self.terms.items():
             kd = dict(key)
@@ -451,14 +466,7 @@ class SPoly:
                     )
                 if crossings & 1:
                     coeff = -coeff
-            if not coeff:
-                continue
-            nk = tuple(sorted(kd.items()))
-            c = result.get(nk, 0) + coeff
-            if c:
-                result[nk] = c
-            else:
-                result.pop(nk, None)
+            result[tuple(sorted(kd.items()))] = coeff
         return SPoly(chart, result)
 
     # -- grading --
@@ -489,11 +497,13 @@ class SPoly:
         return SPoly(self.chart, even), SPoly(self.chart, odd)
 
     def substitute(self, images, target=None):
-        """Simultaneous substitution; variables absent from `images` are fixed.
+        """Simultaneous substitution.
 
         `images` maps Variables of this chart to SPoly values over `target`
         (default: this chart).  Odd variables must get odd images, even
         variables even images; `t` may only be rescaled by a positive rational.
+        A variable without an image keeps its factor on this chart and is a
+        SubstitutionError on any other.
         """
         chart = self.chart
         if target is None:
@@ -502,7 +512,7 @@ class SPoly:
                 if isinstance(img, SPoly) and img.chart != chart:
                     target = img.chart
                     break
-        t_scale = None
+        t_index = t_scale = None
         prepared = {}
         for v, img in images.items():
             if chart.by_name.get(v.name) != v:
@@ -518,51 +528,48 @@ class SPoly:
                 (key, c), = img.terms.items()
                 if key != ((target.t_var.index, Fraction(1)),) or c <= 0:
                     raise SubstitutionError("t image must be a positive multiple of t")
-                t_scale = c
+                t_index, t_scale = v.index, c
                 continue
             if img.parity() != v.parity:
                 raise SubstitutionError(
                     "image of %s has parity %r, expected %d" % (v.name, img.parity(), v.parity)
                 )
             prepared[v.index] = img
-        fixed_cache = {}
-
-        def fixed_image(v):
-            if v.index not in fixed_cache:
-                try:
-                    tv = target.var(v.name)
-                except UnknownVariableError:
-                    raise SubstitutionError(
-                        "variable %s has no image and no counterpart on the target chart" % v.name
-                    )
-                if tv.parity != v.parity:
-                    raise SubstitutionError("parity clash transporting %s" % v.name)
-                fixed_cache[v.index] = target[v.name]
-            return fixed_cache[v.index]
-
-        result = target.zero()
+        keep = target == chart
+        summands = []
         for key, coeff in self.terms.items():
             acc = target.const(coeff)
             for idx, exp in key:
-                v = chart.variables[idx]
-                if v.kind == "t":
-                    if t_scale is not None:
-                        acc = acc * (rational_power(t_scale, exp) * target.t_power(exp))
-                    else:
-                        acc = acc * target.t_power(exp)
-                    continue
                 img = prepared.get(idx)
-                if img is None:
-                    img = fixed_image(v)
-                acc = acc * (img if exp == 1 else img ** exp)
-                if acc.is_zero():
-                    break
-            result = result + acc
-        return result
+                if img is not None:
+                    acc = acc * (img if exp == 1 else img ** exp)
+                    if acc.is_zero():
+                        break
+                elif idx == t_index:
+                    acc = acc * (rational_power(t_scale, exp) * target.t_power(exp))
+                elif keep:
+                    acc = acc * SPoly(target, {((idx, exp),): Fraction(1)})
+                else:
+                    raise SubstitutionError(
+                        "%s has no image on the target chart" % chart.variables[idx].name
+                    )
+            summands.append(acc)
+        return target.sum(summands)
 
     def transport(self, target):
-        """Rename-preserving move to another chart (e.g. unhatted -> hatted)."""
-        return self.substitute({}, target=target)
+        """The same terms on `target`, the hatted or unhatted version of this chart.
+
+        Both versions number their shared variables alike, so the keys carry
+        over unchanged; only t and #t have no place on an unhatted target.
+        """
+        chart = self.chart
+        if target.base_coords != chart.base_coords:
+            raise ChartMismatchError("transport needs a chart with the same base coordinates")
+        if chart.hatted and not target.hatted:
+            t_index = chart.t_var.index  # keys are sorted, and t, #t come last
+            if any(key and key[-1][0] >= t_index for key in self.terms):
+                raise SubstitutionError("a term with t or #t has no image on an unhatted chart")
+        return SPoly(target, self.terms)
 
     def coefficient(self, key):
         return self.terms.get(key, Fraction(0))

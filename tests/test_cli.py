@@ -152,6 +152,11 @@ class TestExitCodes:
         '{"dimension": 1, "names": ["t"], "constants": []}',
         '{"dimension": 2, "names": ["a", "a"], "constants": []}',
         '{"dimension": 2, "names": [1, 2], "constants": [[1, 2, 1, "1"], [2, 1, 1, "-1"]]}',
+        '{"dimension": 3.9, "constants": []}',
+        '{"dimension": 3, "parities": [0.5, 0, 0], "constants": []}',
+        '{"dimension": 3, "constants": [[1.7, 2, 3, "1"], [2, 1, 3, "-1"]]}',
+        '{"dimension": Infinity, "constants": []}',
+        '{"dimension": 2, "constants": [[1, 2, 1, Infinity], [2, 1, 1, -Infinity]]}',
     ])
     def test_domain_error_bad_liealg_file(self, tmp_path, capsys, monkeypatch, content):
         monkeypatch.chdir(tmp_path)  # the path resolves against the working directory

@@ -7,6 +7,7 @@ import pytest
 from densalg import (
     ANY,
     Chart,
+    ChartMismatchError,
     DomainError,
     EVEN,
     MIXED,
@@ -14,6 +15,7 @@ from densalg import (
     SPoly,
     SubstitutionError,
     UnknownVariableError,
+    antibracket,
 )
 from densalg.spoly import rational_power
 from conftest import random_poly
@@ -103,6 +105,24 @@ class TestRandomizedLaws:
                     expected %= 2
                 assert gp == expected
 
+    def test_no_stored_zero(self, rng, chart):
+        # cancelling sums and odd squares must drop a term, never store a 0
+        hchart = chart.hatted_version()
+        x, xi = hchart.var("x"), hchart.var("xi")
+        for _ in range(100):
+            f = random_poly(rng, hchart)
+            g = random_poly(rng, hchart)
+            h = random_poly(rng, hchart, parity=ODD)
+            v = rng.choice(hchart.variables)
+            results = [
+                f + g, f + (-f), f - g, f - f, f * g, f * f, h * h,
+                f.derive_left(v), f.derive_right(v),
+                f.substitute({x: g.parity_components()[0] + 1, xi: h}),
+                antibracket(f, g), antibracket(f, f),
+            ]
+            for r in results:
+                assert all(r.terms.values())
+
 
 def _reference_derivative(chart, key, coeff, v, left):
     """Sign-counting oracle for the directional derivative of one monomial."""
@@ -188,12 +208,73 @@ class TestSubstitution:
         assert g.chart is other
         assert g == other["x"] * other["xi"]
 
+    def test_transport_round_trip_keeps_terms(self, rng, chart):
+        h = chart.hatted_version()
+        for _ in range(50):
+            f = random_poly(rng, chart, n_terms=5)
+            up = f.transport(h)
+            assert up.chart == h and up.terms == f.terms
+            down = up.transport(chart)
+            assert down.chart == chart and down.terms == f.terms
+
+    @pytest.mark.parametrize("name", ["t", "#t"])
+    def test_transport_drops_no_t(self, chart, name):
+        h = chart.hatted_version()
+        f = h["x"] + h["x"] * h[name]
+        with pytest.raises(SubstitutionError):
+            f.transport(chart)
+
+    def test_transport_other_base_rejected(self, chart, small_chart):
+        for f in (chart["x"], chart.zero()):
+            with pytest.raises(ChartMismatchError):
+                f.transport(small_chart)
+            with pytest.raises(ChartMismatchError):
+                f.transport(small_chart.hatted_version())
+
+    def test_substitute_needs_every_image_off_chart(self, chart):
+        other = Chart([(n + "1", p) for n, p in chart.base_coords])
+        h = chart.hatted_version()
+        f = chart["x"] * chart["y"]
+        # y occurs without an image: kept on the same chart, an error elsewhere,
+        # even where a variable of the same name exists
+        assert f.substitute({chart.var("x"): chart["y"]}) == chart["y"] ** 2
+        with pytest.raises(SubstitutionError):
+            f.substitute({chart.var("x"): other["x1"]}, target=other)
+        with pytest.raises(SubstitutionError):
+            f.substitute({chart.var("x"): h["x"]}, target=h)
+        # a variable that does not occur needs no image
+        assert chart["x"].substitute({chart.var("x"): other["y1"]}) == other["y1"]
+
     def test_odd_substitution_signs(self, chart):
         # swapping xi -> eta must preserve the anticommutation relations
         xi, eta = chart.var("xi"), chart.var("eta")
         f = chart["xi"] * chart["eta"]
         swapped = f.substitute({xi: chart["eta"], eta: chart["xi"]})
         assert swapped == -f
+
+
+class TestChartSum:
+    def test_matches_fold(self, rng, chart):
+        for _ in range(100):
+            polys = [random_poly(rng, chart, n_terms=4) for _ in range(rng.randrange(6))]
+            fold = chart.zero()
+            for p in polys:
+                fold = fold + p
+            total = chart.sum(polys)
+            assert total.chart == chart and total.terms == fold.terms
+
+    def test_cancelling_sum_is_empty(self, rng, chart):
+        f = random_poly(rng, chart, n_terms=4)
+        g = random_poly(rng, chart, n_terms=4)
+        total = chart.sum([f, g, -f, -g])
+        assert total.terms == {}
+        assert chart.sum([]).terms == {}
+
+    def test_foreign_chart_rejected(self, chart, small_chart):
+        with pytest.raises(ChartMismatchError):
+            chart.sum([chart["x"], small_chart["x"]])
+        with pytest.raises(ChartMismatchError):
+            chart.sum([chart.hatted_version()["x"]])
 
 
 class TestRationalPower:
