@@ -68,13 +68,16 @@ PINNED = SignConvention(
 )
 
 
-def _bracket_homogeneous(f, g, fp, conv):
+def _bracket_homogeneous(f, dg, fp, conv):
+    """The bracket of homogeneous f with g, given g's left partials `dg`;
+    a pair of derivatives one of which is zero is skipped."""
+    df = f.partials(left=False)
     terms = []
     for q, qs in f.chart.all_pairs():
-        s1, s2 = conv.bracket_signs(q.parity, fp)
-        t1 = f.derive_right(q) * g.derive_left(qs)
-        t2 = f.derive_right(qs) * g.derive_left(q)
-        terms += [t1 if s1 > 0 else -t1, t2 if s2 > 0 else -t2]
+        for a, b, sign in zip((q, qs), (qs, q), conv.bracket_signs(q.parity, fp)):
+            if a.index in df and b.index in dg:
+                term = df[a.index] * dg[b.index]
+                terms.append(term if sign > 0 else -term)
     return f.chart.sum(terms)
 
 
@@ -83,8 +86,9 @@ def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     if f.chart != g.chart:
         raise ChartMismatchError("bracket operands live on different charts")
     f_even, f_odd = f.parity_components()
+    dg = g.partials(left=True)
     return f.chart.sum(
-        _bracket_homogeneous(part, g, fp, conv)
+        _bracket_homogeneous(part, dg, fp, conv)
         for part, fp in ((f_even, EVEN), (f_odd, ODD))
         if part
     )
@@ -172,12 +176,12 @@ def project_base(S: SPoly):
         kd = dict(key)
         if tsi in kd:
             continue
-        lam = kd.pop(ti, Fraction(0))
+        lam = kd.pop(ti, 0)
         by_weight.setdefault(lam, {})[tuple(sorted(kd.items()))] = coeff
     out = []
     for lam in sorted(by_weight):
         body = SPoly(chart, by_weight[lam]).transport(base_chart)
-        out.append((body, lam))
+        out.append((body, Fraction(lam)))
     return out
 
 
@@ -218,12 +222,12 @@ def _random_homogeneous(rng, chart, parity, n_terms=3):
             else:
                 e = rng.choice([0, 0, 1, 2])
                 if e:
-                    kd[v.index] = Fraction(e) if v.kind == "t" else e
+                    kd[v.index] = e
         key = tuple(sorted(kd.items()))
         if chart.key_parity(key) != parity:
             continue
         c = rng.choice([-3, -2, -1, 1, 2, 3])
-        terms[key] = Fraction(c)
+        terms[key] = c
     return SPoly(chart, terms)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .brackets import DomainError, antibracket, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _add_into, _frac
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _add_into, _frac, _num
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,8 @@ def nullspace(rows, n_cols):
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
         for p, row in reduced.items():
-            vec[p] = -row.get(fc, Fraction(0))
+            if fc in row:
+                vec[p] = -Fraction(row[fc])
         basis.append(tuple(vec))
     return basis
 
@@ -173,7 +174,7 @@ class KernelBasis:
     def element(self, vec) -> SPoly:
         # every ansatz entry is one monomial with coefficient 1
         return SPoly(self.chart, {
-            key: _frac(c) for c, mono in zip(vec, self.ansatz) if c for key in mono.terms
+            key: _num(c) for c, mono in zip(vec, self.ansatz) if c for key in mono.terms
         })
 
     def elements(self):
@@ -223,7 +224,7 @@ def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, pa
             key = tuple((v.index, e) for v, e in zip(variables, bexps + fexps) if e)
             if key and chart.key_parity(key) != parity:
                 continue
-            out.append(SPoly(chart, {key: Fraction(1)}))
+            out.append(SPoly(chart, {key: 1}))
     return out
 
 
@@ -325,7 +326,7 @@ class LieAlgebraData:
         """Read a JSON file; a missing, unreadable or malformed one is a DomainError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
+                return cls.from_dict(json.load(fh, parse_float=Fraction))
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
                 OverflowError) as exc:
             raise DomainError("bad Lie algebra file %s: %s" % (path, exc)) from None

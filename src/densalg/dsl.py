@@ -498,7 +498,7 @@ class Interpreter:
             tkey = None
             if lhs.chart.hatted:
                 tv = lhs.chart.t_var
-                tkey = ((tv.index, Fraction(1)),)
+                tkey = ((tv.index, 1),)
             if tkey is not None and set(lhs.terms) == {tkey} and lhs.terms[tkey] == 1:
                 return lhs.chart.t_power(rhs)
             raise ParseError("fractional powers apply to t only", node.line, node.column)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .spoly import ODD, Chart, DomainError, SPoly
+from .spoly import ODD, Chart, DomainError, SPoly, _num
 
 
 def _term_sort_key(chart, key):
@@ -98,7 +98,7 @@ def poly_to_dict(f: SPoly) -> dict:
         exps = {}
         for idx, exp in key:
             v = chart.variables[idx]
-            exps[v.name] = str(exp) if isinstance(exp, Fraction) else exp
+            exps[v.name] = str(exp) if v.kind == "t" else exp
         terms.append({"coeff": str(f.terms[key]), "exponents": exps})
     return {"chart": chart_to_dict(chart), "terms": terms}
 
@@ -121,9 +121,9 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
                 valid = exp.denominator == 1 and exp > 0
             if not valid:
                 raise DomainError("%s cannot have exponent %s" % (name, exp))
-            key.append((v.index, exp if v.kind == "t" else int(exp)))
+            key.append((v.index, _num(exp)))
         key = tuple(sorted(key))
-        coeff = Fraction(t["coeff"])
+        coeff = _num(Fraction(t["coeff"]))
         if not coeff:
             raise DomainError("a term has coefficient 0")
         if key in terms:

@@ -1,14 +1,17 @@
 """Exact supercommutative polynomial arithmetic on odd cotangent charts.
 
-Values are sparse polynomials with Fraction coefficients over the variables of
-a chart: base coordinates (even or odd), their parity-flipped fiber partners
-(written ``#x``), and, on "hatted" charts, the weight variable ``t`` (even,
-weight 1, Laurent powers with rational exponents allowed) and its odd partner
-``#t`` (weight -1).
+Values are sparse polynomials with exact rational coefficients over the
+variables of a chart: base coordinates (even or odd), their parity-flipped
+fiber partners (written ``#x``), and, on "hatted" charts, the weight variable
+``t`` (even, weight 1, Laurent powers with rational exponents allowed) and its
+odd partner ``#t`` (weight -1).
 
 Monomials are stored as exponent maps; odd variables are implicitly kept in
 chart declaration order and every reordering sign is absorbed into the
 coefficient at construction time, so equal polynomials have equal term maps.
+Coefficients and exponents are int or Fraction, and an integral one is stored
+as an int (`_num`): an int and a Fraction of equal value compare and hash
+alike, so this changes no equality, only the cost of the arithmetic.
 All values are immutable and all operations are pure.  Every sum, a product's
 included, accumulates into one term map through `_add_into`, and `transport`
 keeps the keys of its source: term maps may be shared because values are
@@ -85,6 +88,11 @@ ANY = _AnyGrade("Any")
 
 def _frac(c):
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def _num(c):
+    """An integral Fraction as its int numerator; any other value unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def rational_power(base, exponent):
@@ -165,6 +173,7 @@ class Chart:
             variables.append(Variable("t", "t", EVEN, Fraction(1), 2 * n))
             variables.append(Variable("#t", "tstar", ODD, Fraction(-1), 2 * n + 1))
         self.variables = tuple(variables)
+        self.parities = tuple(v.parity for v in variables)  # by variable index
         self.by_name = {v.name: v for v in variables}
         self._n_base = n
         self._key = (self.base_coords, self.hatted)
@@ -243,13 +252,11 @@ class Chart:
         return SPoly(self, terms)
 
     def const(self, c):
-        c = _frac(c)
+        c = _num(_frac(c))
         return SPoly(self, {(): c} if c else {})
 
     def __getitem__(self, name):
-        v = self.var(name)
-        exp = Fraction(1) if v.kind == "t" else 1
-        return SPoly(self, {((v.index, exp),): Fraction(1)})
+        return SPoly(self, {((self.var(name).index, 1),): 1})
 
     def t_power(self, lam):
         lam = _frac(lam)
@@ -257,7 +264,7 @@ class Chart:
             raise UnknownVariableError("chart is not hatted")
         if lam == 0:
             return self.const(1)
-        return SPoly(self, {((self.t_var.index, lam),): Fraction(1)})
+        return SPoly(self, {((self.t_var.index, _num(lam)),): 1})
 
     def w_star(self):
         """The weight-0 odd coordinate w = t * #t."""
@@ -286,43 +293,50 @@ class Chart:
                 d += int(exp)
         return d
 
-    def key_odd_indices(self, key):
-        return [idx for idx, _ in key if self.variables[idx].parity]
-
 
 def _add_into(terms, key, c):
     """terms[key] += c in place; a coefficient that cancels leaves the map."""
     new = terms.get(key, 0) + c
     if new:
-        terms[key] = new
+        terms[key] = _num(new)
     else:
         terms.pop(key, None)
 
 
-def _mul_keys(chart, k1, k2):
-    """Merge two monomial keys; returns (key, sign) or None if an odd square."""
-    odd1 = chart.key_odd_indices(k1)
-    odd2 = chart.key_odd_indices(k2)
-    sign = 1
-    if odd1 and odd2:
-        s1 = set(odd1)
-        if s1.intersection(odd2):
-            return None
-        inversions = 0
-        for j in odd2:
-            for i in odd1:
-                if i > j:
-                    inversions += 1
-        if inversions & 1:
-            sign = -1
-    merged = dict(k1)
-    for idx, exp in k2:
-        new = merged.get(idx, 0) + exp
-        if new:
-            merged[idx] = new
-        else:
-            del merged[idx]
-    return tuple(sorted(merged.items())), sign
+def _odd_masks(parities, terms):
+    """(key, coeff, bitmask of the key's odd variables) for every term."""
+    return [
+        (key, c, sum(1 << idx for idx, _ in key if parities[idx]))
+        for key, c in terms.items()
+    ]
+
+
+def _reorder_is_odd(m1, m2):
+    """Whether sorting the odd factors m1 followed by m2 (disjoint bitmasks)
+    takes an odd number of swaps: one per factor of m1 above one of m2."""
+    swaps = 0
+    while m2:
+        low = m2 & -m2
+        swaps += (m1 & -low).bit_count()
+        m2 ^= low
+    return swaps & 1
+
+
+def _strip(key, p, coeff, parities, left):
+    """The derivative of coeff * key by its p-th factor, as (key, coeff).
+
+    Removing or lowering one factor keeps the key sorted.  An odd factor is
+    first moved to the left or right end, one sign per odd factor it crosses.
+    """
+    idx, exp = key[p]
+    if parities[idx]:
+        crossed = key[:p] if left else key[p + 1:]
+        if sum(parities[i] for i, _ in crossed) & 1:
+            coeff = -coeff
+        return key[:p] + key[p + 1:], coeff
+    if exp == 1:
+        return key[:p] + key[p + 1:], coeff
+    return key[:p] + ((idx, _num(exp - 1)),) + key[p + 1:], _num(coeff * exp)
 
 
 class SPoly:
@@ -387,21 +401,32 @@ class SPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
+            if not other:
                 return self.chart.zero()
-            return SPoly(self.chart, {k: v * c for k, v in self.terms.items()})
+            return SPoly(self.chart, {k: _num(v * other) for k, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         chart = self.chart
+        right = _odd_masks(chart.parities, other.terms)
+        odd_sign = {}  # (mask 1, mask 2) -> whether the merged factors flip the sign
         result = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merged = _mul_keys(chart, k1, k2)
-                if merged is not None:
-                    key, sign = merged
-                    _add_into(result, key, sign * c1 * c2)
+        for k1, c1, m1 in _odd_masks(chart.parities, self.terms):
+            for k2, c2, m2 in right:
+                if m1 & m2:
+                    continue  # an odd variable squared
+                flip = odd_sign.get((m1, m2))
+                if flip is None:
+                    flip = odd_sign[m1, m2] = _reorder_is_odd(m1, m2)
+                merged = dict(k1)
+                for idx, exp in k2:
+                    new = merged.get(idx, 0) + exp
+                    if new:
+                        merged[idx] = _num(new)
+                    else:
+                        del merged[idx]
+                c = c1 * c2
+                _add_into(result, tuple(sorted(merged.items())), -c if flip else c)
         return SPoly(chart, result)
 
     def __rmul__(self, other):
@@ -438,36 +463,31 @@ class SPoly:
     def derive_right(self, v):
         return self._derive(v, left=False)
 
+    # distinct monomials have distinct derivatives by one variable and no
+    # stored exponent is 0, so each derivative term is stored as it comes
     def _derive(self, v, left):
         chart = self.chart
         if chart.by_name.get(v.name) != v:
             raise UnknownVariableError("%r is not a variable of %r" % (v, chart))
-        # distinct monomials have distinct derivatives and no stored exponent
-        # is 0, so every term is stored as it comes
         result = {}
         for key, coeff in self.terms.items():
-            kd = dict(key)
-            if v.index not in kd:
-                continue
-            exp = kd.pop(v.index)
-            if v.parity == EVEN:
-                coeff = coeff * exp
-                if exp != 1:
-                    kd[v.index] = exp - 1
-            else:
-                # move v to the boundary, one sign per odd transposition
-                if left:
-                    crossings = sum(
-                        1 for idx in chart.key_odd_indices(key) if idx < v.index
-                    )
-                else:
-                    crossings = sum(
-                        1 for idx in chart.key_odd_indices(key) if idx > v.index
-                    )
-                if crossings & 1:
-                    coeff = -coeff
-            result[tuple(sorted(kd.items()))] = coeff
+            for p, (idx, _) in enumerate(key):
+                if idx == v.index:
+                    k, c = _strip(key, p, coeff, chart.parities, left)
+                    result[k] = c
+                    break
         return SPoly(chart, result)
+
+    def partials(self, left):
+        """Every partial derivative from one pass over the terms, as
+        {variable index: derivative}; a variable no term holds has no entry."""
+        chart = self.chart
+        tables = {}
+        for key, coeff in self.terms.items():
+            for p, (idx, _) in enumerate(key):
+                k, c = _strip(key, p, coeff, chart.parities, left)
+                tables.setdefault(idx, {})[k] = c
+        return {idx: SPoly(chart, terms) for idx, terms in tables.items()}
 
     # -- grading --
     def parity(self):
@@ -526,7 +546,7 @@ class SPoly:
                 if len(img.terms) != 1:
                     raise SubstitutionError("t image must be a positive multiple of t")
                 (key, c), = img.terms.items()
-                if key != ((target.t_var.index, Fraction(1)),) or c <= 0:
+                if key != ((target.t_var.index, 1),) or c <= 0:
                     raise SubstitutionError("t image must be a positive multiple of t")
                 t_index, t_scale = v.index, c
                 continue
@@ -548,7 +568,7 @@ class SPoly:
                 elif idx == t_index:
                     acc = acc * (rational_power(t_scale, exp) * target.t_power(exp))
                 elif keep:
-                    acc = acc * SPoly(target, {((idx, exp),): Fraction(1)})
+                    acc = acc * SPoly(target, {((idx, exp),): 1})
                 else:
                     raise SubstitutionError(
                         "%s has no image on the target chart" % chart.variables[idx].name
@@ -572,7 +592,7 @@ class SPoly:
         return SPoly(target, self.terms)
 
     def coefficient(self, key):
-        return self.terms.get(key, Fraction(0))
+        return Fraction(self.terms.get(key, 0))
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))

@@ -1,8 +1,9 @@
 """Shared fixtures and independent reference implementations for the suite.
 
 The oracles here are deliberately naive re-implementations (dense
-Gauss-Jordan over Fraction, explicit sign counting for derivatives) so the
-kernel's optimized paths are checked against something independently coded.
+Gauss-Jordan over Fraction, explicit sign counting for derivatives, swap
+counting for products) so the kernel's optimized paths are checked against
+something independently coded.
 """
 import itertools
 import random
@@ -38,6 +39,31 @@ def random_poly(rng, chart, parity=None, n_terms=3):
     if parity is None:
         parity = rng.choice([EVEN, ODD])
     return _random_homogeneous(rng, chart, parity, n_terms=n_terms)
+
+
+def reference_product(chart, f, g):
+    """Product oracle: for each pair of monomials, write the odd factors of
+    the first and then of the second out in order, bubble-sort them into
+    chart order and count the swaps; a repeated odd factor kills the pair."""
+    out = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            odd = [idx for idx, _ in k1 + k2 if chart.variables[idx].parity == ODD]
+            if len(set(odd)) < len(odd):
+                continue
+            swaps = 0
+            for end in range(len(odd) - 1, 0, -1):
+                for i in range(end):
+                    if odd[i] > odd[i + 1]:
+                        odd[i], odd[i + 1] = odd[i + 1], odd[i]
+                        swaps += 1
+            exps = {}
+            for idx, e in k1 + k2:
+                exps[idx] = exps.get(idx, 0) + Fraction(e)
+            key = tuple(sorted((idx, e) for idx, e in exps.items() if e))
+            c = Fraction(c1) * Fraction(c2) * (-1) ** swaps
+            out[key] = out.get(key, 0) + c
+    return SPoly(chart, {k: c for k, c in out.items() if c})
 
 
 def dense_nullspace(rows, n_cols):

@@ -16,6 +16,7 @@ from densalg import (
     classify_lifts,
     decompose,
     density_evolution,
+    divergence,
     lie_poisson,
     lift,
     master_check,
@@ -355,6 +356,27 @@ class TestLieAlgebra:
                 sum(Fraction(P[a][i]) * phi[a] for a in range(2)) for i in range(2)
             )
             assert phi2 == expected
+
+    @pytest.mark.parametrize("dimension, constants", [(3, SO3), (2, SOLVABLE)])
+    def test_modular_class_route(self, rng, dimension, constants):
+        # the divergence of the Lie-Poisson element is the supertrace
+        # functional read as the fiber-linear element sum_j phi_j #x_j,
+        # in the given basis and after unimodular changes of basis
+        g = LieAlgebraData(dimension, None, constants)
+        algebras = [g]
+        for _ in range(3):
+            P = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
+            for _ in range(4):  # row additions keep the determinant 1
+                i, j = rng.sample(range(dimension), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+            algebras.append(change_basis(g, P))
+        for h in algebras:
+            s = lie_poisson(h)
+            phi = supertrace_extension(h)
+            C = s.chart
+            expected = C.sum(phi[j] * C["#" + name] for j, name in enumerate(h.names))
+            assert divergence(s.body) == expected
 
     def test_invert_matrix(self, rng):
         g = LieAlgebraData(3, None, SO3)

@@ -333,6 +333,16 @@ class TestCommands:
         assert "jacobi PASS" in out
         assert "supertrace functional (0, 0, 0)" in out
 
+    def test_liealg_json_decimals_exact(self, tmp_path, capsys, monkeypatch):
+        # a JSON decimal reads as written, the same as the string "1/10"
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "g.json", '{"dimension": 2, "constants": [[1, 2, 1, 0.1], [2, 1, 1, -0.1]]}')
+        script = write(tmp_path, "g.dsl", 'liealg("g.json")\n')
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_OK
+        assert "pi = -1/10*x1*#x1*#x2" in out
+        assert "supertrace functional (0, -1/10)" in out
+
     def test_classify_darboux(self, tmp_path, capsys):
         script = write(tmp_path, "c.dsl", """
             chart P { even p, x }

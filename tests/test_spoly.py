@@ -8,6 +8,7 @@ from densalg import (
     ANY,
     Chart,
     ChartMismatchError,
+    DensityElement,
     DomainError,
     EVEN,
     MIXED,
@@ -16,9 +17,40 @@ from densalg import (
     SubstitutionError,
     UnknownVariableError,
     antibracket,
+    classify_lifts,
+    poly_from_dict,
 )
+from densalg.classify import darboux_form
 from densalg.spoly import rational_power
-from conftest import random_poly
+from conftest import random_poly, reference_product
+
+
+def hatted_poly(rng, chart, n_terms=4):
+    """A random polynomial on a hatted chart with the values random_poly does
+    not draw: t^(1/2), t^(-1) and fractional coefficients, #t included."""
+    t_exps = (0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2))
+    coeffs = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3))
+    terms = []
+    for _ in range(n_terms):
+        exps = {}
+        for v in chart.variables:
+            if v.kind == "t":
+                e = rng.choice(t_exps)
+            elif v.parity == ODD:
+                e = rng.choice((0, 1))
+            else:
+                e = rng.choice((0, 0, 1, 2))
+            if e:
+                exps[v.name] = str(e)
+        term = {"coeff": str(rng.choice(coeffs)), "exponents": exps}
+        terms.append(poly_from_dict({"terms": [term]}, chart))
+    return chart.sum(terms)
+
+
+def stored_fractions(f):
+    """Every stored coefficient and exponent that is an integral Fraction."""
+    values = list(f.terms.values()) + [e for key in f.terms for _, e in key]
+    return [x for x in values if isinstance(x, Fraction) and x.denominator == 1]
 
 
 class TestBasics:
@@ -123,6 +155,44 @@ class TestRandomizedLaws:
             for r in results:
                 assert all(r.terms.values())
 
+    def test_integral_values_are_ints(self, rng, chart):
+        # 1/2 * 2 and t^(1/2) * t^(1/2) must come out as int 1, not Fraction(1)
+        hchart = chart.hatted_version()
+        x, xi = hchart.var("x"), hchart.var("xi")
+        for _ in range(60):
+            f = hatted_poly(rng, hchart)
+            g = hatted_poly(rng, hchart)
+            h = random_poly(rng, hchart, parity=ODD)
+            v = rng.choice(hchart.variables)
+            results = [
+                f + g, f - g, f * g, g * f, f * Fraction(2, 3), f * 2, f / Fraction(1, 2),
+                f.derive_left(v), f.derive_right(v),
+                f.substitute({x: g.parity_components()[0] + 1, xi: h}),
+                f.substitute({hchart.t_var: 4 * hchart["t"]}),
+                antibracket(f, g), hchart.t_power(Fraction(2)), hchart.const(Fraction(4, 2)),
+            ]
+            for left in (True, False):
+                results += f.partials(left).values()
+            for r in results:
+                assert stored_fractions(r) == []
+
+    def test_public_values_are_fractions(self, rng, chart):
+        f = random_poly(rng, chart) * chart["x"] + 3
+        assert type(f.constant_term()) is Fraction and f.constant_term() == 3
+        assert type(f.coefficient(next(iter(f.terms)))) is Fraction
+        assert type(f.coefficient(((0, 7),))) is Fraction
+        s = DensityElement(darboux_form(Chart([("x", EVEN), ("y", EVEN)])), 0)
+        kb = classify_lifts(s, 1)
+        assert kb.dimension
+        assert all(type(c) is Fraction for vec in kb.basis for c in vec)
+
+    def test_product_against_oracle(self, rng, chart):
+        hchart = chart.hatted_version()
+        for _ in range(150):
+            f = hatted_poly(rng, hchart)
+            g = hatted_poly(rng, hchart)
+            assert f * g == reference_product(hchart, f, g)
+
 
 def _reference_derivative(chart, key, coeff, v, left):
     """Sign-counting oracle for the directional derivative of one monomial."""
@@ -158,6 +228,7 @@ class TestDerivatives:
                 expected = {k: c for k, c in expected.items() if c}
                 got = f.derive_left(v) if left else f.derive_right(v)
                 assert got == SPoly(chart, expected)
+                assert f.partials(left).get(v.index, chart.zero()) == SPoly(chart, expected)
 
     def test_left_product_rule(self, rng, chart):
         for _ in range(200):
