@@ -9,7 +9,9 @@ identity) together with two normalization anchors.  `pin_convention` re-runs
 that selection and `convention_ledger` renders the result; see
 docs/convention_ledger.txt.  Each identity reads only some of the sign
 fields, and one call judges it once per distinct value of those fields, on
-samples drawn once for all candidates.
+samples drawn once for all candidates.  A bracket sums the products of its
+derivative pairs into one term map (`spoly._mul_into`) from a table of f's
+right partials, which `classify_lifts` builds once for every column.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .spoly import ANY, EVEN, ODD, ChartMismatchError, Chart, DomainError, SPoly
+from .spoly import ANY, EVEN, ODD, ChartMismatchError, Chart, DomainError, SPoly, _mul_into
 
 
 @dataclass(frozen=True)
@@ -68,30 +70,32 @@ PINNED = SignConvention(
 )
 
 
-def _bracket_homogeneous(f, dg, fp, conv):
-    """The bracket of homogeneous f with g, given g's left partials `dg`;
-    a pair of derivatives one of which is zero is skipped."""
-    df = f.partials(left=False)
-    terms = []
-    for q, qs in f.chart.all_pairs():
-        for a, b, sign in zip((q, qs), (qs, q), conv.bracket_signs(q.parity, fp)):
-            if a.index in df and b.index in dg:
-                term = df[a.index] * dg[b.index]
-                terms.append(term if sign > 0 else -term)
-    return f.chart.sum(terms)
+def _right_tables(f):
+    """[(right partials of the part, its parity)] for each nonzero parity part of f."""
+    parts = zip(f.parity_components(), (EVEN, ODD))
+    return [(part.partials(left=False), fp) for part, fp in parts if part]
+
+
+def _bracket_from(tables, g, conv):
+    """The bracket (f, g) from f's `_right_tables`, accumulated in one term
+    map; a pair of derivatives one of which is zero is skipped."""
+    chart = g.chart
+    dg = g.partials(left=True)
+    terms = {}
+    for df, fp in tables:
+        for q, qs in chart.all_pairs():
+            for a, b, sign in zip((q, qs), (qs, q), conv.bracket_signs(q.parity, fp)):
+                if a.index in df and b.index in dg:
+                    left, right = df[a.index].terms, dg[b.index].terms
+                    _mul_into(terms, chart.parities, left, right, sign < 0)
+    return SPoly(chart, terms)
 
 
 def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     """The canonical odd bracket on the chart, (t, #t) pair included."""
     if f.chart != g.chart:
         raise ChartMismatchError("bracket operands live on different charts")
-    f_even, f_odd = f.parity_components()
-    dg = g.partials(left=True)
-    return f.chart.sum(
-        _bracket_homogeneous(part, dg, fp, conv)
-        for part, fp in ((f_even, EVEN), (f_odd, ODD))
-        if part
-    )
+    return _bracket_from(_right_tables(f), g, conv)
 
 
 def _div_pairs(f, pairs, conv):

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brackets import DomainError, antibracket, r_ary_bracket
+from .brackets import PINNED, DomainError, _bracket_from, _right_tables, antibracket, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
 from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _add_into, _frac, _num
 
@@ -240,7 +240,8 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         raise DomainError(
             "the coefficient degree bound must be a nonnegative integer, got %s" % bound
         )
-    if master_check(s.body):
+    tables = _right_tables(s.body)  # one table of s serves every column
+    if _bracket_from(tables, s.body, PINNED):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
         raise WeightOneError()
@@ -259,7 +260,7 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
         # every ansatz element already solves the master equation: no rows.
         for col, q in enumerate(ansatz):
-            for mono, c in antibracket(s.body, q).terms.items():
+            for mono, c in _bracket_from(tables, q, PINNED).terms.items():
                 rows.setdefault(mono, {})[col] = c
     basis = nullspace(rows.values(), len(ansatz))
     return KernelBasis(s.chart, tuple(ansatz), tuple(basis), flagged)

@@ -12,10 +12,10 @@ coefficient at construction time, so equal polynomials have equal term maps.
 Coefficients and exponents are int or Fraction, and an integral one is stored
 as an int (`_num`): an int and a Fraction of equal value compare and hash
 alike, so this changes no equality, only the cost of the arithmetic.
-All values are immutable and all operations are pure.  Every sum, a product's
-included, accumulates into one term map through `_add_into`, and `transport`
-keeps the keys of its source: term maps may be shared because values are
-immutable.
+All values are immutable and all operations are pure.  Products and brackets
+accumulate into one term map through `_mul_into`, sums through `_add_into`,
+and `transport` keeps the keys of its source: term maps may be shared because
+values are immutable.
 """
 from __future__ import annotations
 
@@ -295,12 +295,40 @@ class Chart:
 
 
 def _add_into(terms, key, c):
-    """terms[key] += c in place; a coefficient that cancels leaves the map."""
-    new = terms.get(key, 0) + c
-    if new:
-        terms[key] = _num(new)
-    else:
-        terms.pop(key, None)
+    """terms[key] += c in place for a nonzero c; a coefficient that cancels
+    leaves the map.  An absent key is stored as it comes, hashed once."""
+    size = len(terms)
+    old = terms.setdefault(key, _num(c))
+    if len(terms) == size:
+        new = old + c
+        if new:
+            terms[key] = _num(new)
+        else:
+            del terms[key]
+
+
+def _mul_into(result, parities, left, right, negate):
+    """result += (-1 if negate else 1) * left * right in place, for term maps
+    `left` and `right` and the chart's variable parities."""
+    right = _odd_masks(parities, right)
+    odd_sign = {}  # (mask 1, mask 2) -> whether the merged factors flip the sign
+    for k1, c1, m1 in _odd_masks(parities, left):
+        for k2, c2, m2 in right:
+            if m1 & m2:
+                continue  # an odd variable squared
+            flip = odd_sign.get((m1, m2))
+            if flip is None:
+                flip = odd_sign[m1, m2] = _reorder_is_odd(m1, m2)
+            merged = dict(k1)
+            for idx, exp in k2:
+                old = merged.get(idx)
+                new = exp if old is None else _num(old + exp)
+                if new:
+                    merged[idx] = new
+                else:
+                    del merged[idx]
+            c = c1 * c2
+            _add_into(result, tuple(sorted(merged.items())), -c if flip != negate else c)
 
 
 def _odd_masks(parities, terms):
@@ -407,27 +435,9 @@ class SPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        chart = self.chart
-        right = _odd_masks(chart.parities, other.terms)
-        odd_sign = {}  # (mask 1, mask 2) -> whether the merged factors flip the sign
         result = {}
-        for k1, c1, m1 in _odd_masks(chart.parities, self.terms):
-            for k2, c2, m2 in right:
-                if m1 & m2:
-                    continue  # an odd variable squared
-                flip = odd_sign.get((m1, m2))
-                if flip is None:
-                    flip = odd_sign[m1, m2] = _reorder_is_odd(m1, m2)
-                merged = dict(k1)
-                for idx, exp in k2:
-                    new = merged.get(idx, 0) + exp
-                    if new:
-                        merged[idx] = _num(new)
-                    else:
-                        del merged[idx]
-                c = c1 * c2
-                _add_into(result, tuple(sorted(merged.items())), -c if flip else c)
-        return SPoly(chart, result)
+        _mul_into(result, self.chart.parities, self.terms, other.terms, False)
+        return SPoly(self.chart, result)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

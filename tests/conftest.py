@@ -2,8 +2,8 @@
 
 The oracles here are deliberately naive re-implementations (dense
 Gauss-Jordan over Fraction, explicit sign counting for derivatives, swap
-counting for products) so the kernel's optimized paths are checked against
-something independently coded.
+counting for products, the bracket formula summed term by term) so the
+kernel's optimized paths are checked against something independently coded.
 """
 import itertools
 import random
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from densalg import Chart, EVEN, ODD, SPoly, antibracket
+from densalg import Chart, EVEN, ODD, SPoly, antibracket, poly_from_dict
 from densalg.brackets import _random_homogeneous
 
 
@@ -64,6 +64,82 @@ def reference_product(chart, f, g):
             c = Fraction(c1) * Fraction(c2) * (-1) ** swaps
             out[key] = out.get(key, 0) + c
     return SPoly(chart, {k: c for k, c in out.items() if c})
+
+
+def hatted_poly(rng, chart, n_terms=4):
+    """A random polynomial on a hatted chart with the values random_poly does
+    not draw: t^(1/2), t^(-1) and fractional coefficients, #t included."""
+    t_exps = (0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2))
+    coeffs = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3))
+    terms = []
+    for _ in range(n_terms):
+        exps = {}
+        for v in chart.variables:
+            if v.kind == "t":
+                e = rng.choice(t_exps)
+            elif v.parity == ODD:
+                e = rng.choice((0, 1))
+            else:
+                e = rng.choice((0, 0, 1, 2))
+            if e:
+                exps[v.name] = str(e)
+        term = {"coeff": str(rng.choice(coeffs)), "exponents": exps}
+        terms.append(poly_from_dict({"terms": [term]}, chart))
+    return chart.sum(terms)
+
+
+def reference_derivative(chart, key, coeff, v, left):
+    """Sign-counting oracle for the directional derivative of one monomial."""
+    kd = dict(key)
+    if v.index not in kd:
+        return {}
+    exp = kd[v.index]
+    if v.parity == EVEN:
+        kd[v.index] = exp - 1
+        if not kd[v.index]:
+            del kd[v.index]
+        return {tuple(sorted(kd.items())): coeff * exp}
+    # odd: count odd factors strictly before (left) / after (right) v in the
+    # canonical factor order
+    odd_positions = [idx for idx, _ in sorted(kd.items()) if chart.variables[idx].parity == ODD]
+    pos = odd_positions.index(v.index)
+    flips = pos if left else len(odd_positions) - 1 - pos
+    del kd[v.index]
+    sign = -1 if flips % 2 else 1
+    return {tuple(sorted(kd.items())): coeff * sign}
+
+
+def reference_bracket(chart, f, g, conv):
+    """Bracket oracle: the SignConvention formula written out term by term.
+
+    f is split by counting the odd factors of each term; every derivative is
+    summed from `reference_derivative` and every product is `reference_product`.
+    """
+    def derive(p, v, left):
+        out = {}
+        for key, coeff in p.terms.items():
+            for k, c in reference_derivative(chart, key, coeff, v, left).items():
+                out[k] = out.get(k, 0) + c
+        return SPoly(chart, {k: c for k, c in out.items() if c})
+
+    parts = ({}, {})
+    for key, coeff in f.terms.items():
+        odd = sum(e for idx, e in key if chart.variables[idx].parity == ODD)
+        parts[int(odd) % 2][key] = coeff
+    names = [name for name, _ in chart.base_coords] + (["t"] if chart.hatted else [])
+    total = {}
+    for fp, part in enumerate(parts):
+        part = SPoly(chart, part)
+        for name in names:
+            q, qs = chart.var(name), chart.var("#" + name)
+            a = q.parity
+            for e, x, y in ((conv.term_q_qstar, q, qs), (conv.term_qstar_q, qs, q)):
+                sign = (-1) ** (e[0] + e[1] * a + e[2] * fp + e[3] * a * fp)
+                df = derive(part, x, left=False)
+                dg = derive(g, y, left=True)
+                for k, c in reference_product(chart, df, dg).terms.items():
+                    total[k] = total.get(k, 0) + sign * c
+    return SPoly(chart, {k: c for k, c in total.items() if c})
 
 
 def dense_nullspace(rows, n_cols):

@@ -1,6 +1,7 @@
 """The odd bracket, divergence operators, delta, and the pinned convention."""
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from densalg import (
     restrict_to_base,
 )
 from densalg.brackets import _Suite, _candidate_family, _identity_suite
-from conftest import SEED, random_poly
+from conftest import SEED, hatted_poly, random_poly, reference_bracket
 
 
 class TestConventionPinning:
@@ -115,6 +116,28 @@ class TestBracketIdentities:
             fp = 0 if f.parity() is ANY else f.parity()
             gp = 0 if g.parity() is ANY else g.parity()
             assert b.parity() == (fp + gp + 1) % 2
+
+    @pytest.mark.parametrize("conv", [
+        PINNED,
+        replace(PINNED, term_q_qstar=(1, 0, 1, 0), term_qstar_q=(0, 0, 1, 0)),
+        replace(PINNED, term_q_qstar=(0, 1, 0, 1), term_qstar_q=(1, 1, 0, 0)),
+        replace(PINNED, term_q_qstar=(1, 1, 1, 1), term_qstar_q=(0, 1, 1, 1)),
+    ])
+    def test_against_reference_bracket(self, rng, chart, conv):
+        # t^(1/2) keys, #t and fractional coefficients, f of mixed parity
+        hchart = chart.hatted_version()
+        t, ts = hchart.t_var.index, hchart.tstar_var.index
+        mixed = half = tstar = fraction = False
+        for _ in range(40):
+            f = hatted_poly(rng, hchart)
+            g = hatted_poly(rng, hchart)
+            assert antibracket(f, g, conv) == reference_bracket(hchart, f, g, conv)
+            mixed |= f.parity() is MIXED
+            for key, c in f.terms.items():
+                half |= Fraction(dict(key).get(t, 0)).denominator == 2
+                tstar |= any(idx == ts for idx, _ in key)
+                fraction |= Fraction(c).denominator > 1
+        assert mixed and half and tstar and fraction
 
 
 class TestDivergenceAndDelta:

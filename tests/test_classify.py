@@ -12,6 +12,7 @@ from densalg import (
     KernelBasis,
     LieAlgebraData,
     ODD,
+    SPoly,
     antibracket,
     classify_lifts,
     decompose,
@@ -254,6 +255,25 @@ class TestClassification:
         for s, bound in instances:
             kb = classify_lifts(s, bound)
             _assert_matches_oracle(s, bound, kb)
+
+    def test_one_table_of_s_per_classification(self, monkeypatch):
+        # s's right partials are built once per call, not once per column
+        C = Chart([(name, EVEN) for name in ("p1", "p2", "x1", "x2")])
+        s = DensityElement(darboux_form(C), Fraction(0))
+        partials = SPoly.partials
+        tables = []
+
+        def counted(self, left):
+            tables[-1] += not left
+            return partials(self, left)
+
+        monkeypatch.setattr(SPoly, "partials", counted)
+        columns = []
+        for bound in (1, 3):
+            tables.append(0)
+            columns.append(len(classify_lifts(s, bound).ansatz))
+        assert columns[0] < columns[1]
+        assert tables[0] == tables[1] == 1
 
     def test_so3_bound0_kernel_trivial(self):
         # constants #x_j are not in Ker(pi, .) for so(3): empty basis
