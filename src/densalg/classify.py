@@ -6,19 +6,24 @@ for the sum reduces to (s, Q) = 0.  `classify_lifts` slices that kernel at a
 finite coefficient-degree bound and solves the resulting homogeneous linear
 system exactly.  The system is sparse end to end: the bracket images are
 transposed into one {ansatz column: coefficient} row per monomial, and one
-sparse Gauss-Jordan elimination (`_rref`) brings those rows to their unique
-reduced row echelon form, so bases are reproducible bit for bit.  The same
-routine inverts the basis-change matrices of `change_basis`.
+sparse Gauss-Jordan elimination (`_rref`) reduces them as primitive integer
+rows: denominators are cleared once on entry, every elimination step is
+integer-preserving and each row's content is divided out.  Only at the edge,
+in the kernel basis and the inverse, is each row divided by its pivot entry,
+which gives the unique reduced row echelon form, so bases are reproducible
+bit for bit.  The same routine inverts the basis-change matrices of
+`change_basis`.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .brackets import PINNED, DomainError, _bracket_from, _right_tables, antibracket, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _add_into, _frac, _num
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac, _num
 
 
 @dataclass(frozen=True)
@@ -104,36 +109,56 @@ def master_residual_of_lift(s: DensityElement, Q: SPoly) -> SPoly:
 # ---------------------------------------------------------------------------
 
 def _rref(rows):
-    """Gauss-Jordan elimination on sparse rows ({column: int or Fraction} maps).
+    """Sparse Gauss-Jordan elimination on primitive integer rows.
 
-    Returns {pivot column: reduced row}: every row has a 1 in its pivot
-    column, which is its first nonzero column, and a 0 in every other pivot
-    column.  The reduced row echelon form is unique, so the result does not
-    depend on the order of the rows.  Arithmetic touches only rows that share
-    a column with the pivot row, which keeps block-structured systems cheap.
+    Takes {column: int or Fraction} maps and returns {pivot column: row}:
+    every row holds only ints with content (gcd of the entries) 1, a positive
+    entry in its pivot column, which is its first nonzero column, and a 0 in
+    every other pivot column.  Dividing each row by its pivot entry gives the
+    unique reduced row echelon form, so the result does not depend on the
+    order of the rows; callers make that division once, at the edge.
+    Arithmetic touches only rows that share a column with the pivot row,
+    which keeps block-structured systems cheap.
     """
     reduced = {}
     for row in rows:
         row = {c: x for c, x in row.items() if x}
+        scale = lcm(*(x.denominator for x in row.values()))
+        row = _primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
         for p in [c for c in row if c in reduced]:
-            _axpy(row, -row[p], reduced[p])
+            row = _eliminate(row, p, reduced[p])
         if not row:
             continue
         pivot = min(row)
-        inv = Fraction(1) / row[pivot]
-        row = {c: x * inv for c, x in row.items()}
-        for other in reduced.values():
-            f = other.get(pivot)
-            if f:
-                _axpy(other, -f, row)
+        if row[pivot] < 0:
+            row = {c: -x for c, x in row.items()}
+        for p, other in reduced.items():
+            if pivot in other:
+                reduced[p] = _eliminate(other, pivot, row)
         reduced[pivot] = row
     return reduced
 
 
-def _axpy(row, f, pivot_row):
-    """row += f * pivot_row, in place, dropping entries that cancel."""
+def _eliminate(row, col, pivot_row):
+    """The primitive part of (d/g)*row - (b/g)*pivot_row, which is 0 in `col`;
+    d is pivot_row[col] > 0, b is row[col] and g = gcd(d, b)."""
+    d, b = pivot_row[col], row[col]
+    g = gcd(d, b)
+    d, b = d // g, b // g
+    out = {c: d * x for c, x in row.items()} if d != 1 else dict(row)
     for c, x in pivot_row.items():
-        _add_into(row, c, f * x)
+        v = out.get(c, 0) - b * x
+        if v:
+            out[c] = v
+        else:
+            del out[c]
+    return _primitive(out)
+
+
+def _primitive(row):
+    """An integer row divided by its content; the empty row as it is."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
 def nullspace(rows, n_cols):
@@ -145,17 +170,18 @@ def nullspace(rows, n_cols):
     identity basis, no columns an empty one.
     """
     reduced = _rref(rows)
-    basis = []
+    basis = {}
     for fc in range(n_cols):
-        if fc in reduced:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for p, row in reduced.items():
-            if fc in row:
-                vec[p] = -Fraction(row[fc])
-        basis.append(tuple(vec))
-    return basis
+        if fc not in reduced:
+            basis[fc] = vec = [Fraction(0)] * n_cols
+            vec[fc] = Fraction(1)
+    # a reduced row's non-pivot columns are all free: one walk fills the basis
+    for p, row in reduced.items():
+        d = row[p]
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = Fraction(-x, d)
+    return [tuple(vec) for vec in basis.values()]
 
 
 @dataclass(frozen=True)
@@ -245,8 +271,10 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
         raise WeightOneError()
+    if s.body.is_zero():
+        raise DomainError("s = 0 has no fiber degree to fix the ansatz of Q")
     r = s.body.fiber_degree()
-    if r is MIXED or not isinstance(r, int):
+    if r is MIXED:
         raise DomainError("s must be fiber-degree homogeneous")
     sp = s.body.parity()
     if sp is MIXED:
@@ -460,12 +488,10 @@ def change_basis(g: LieAlgebraData, P):
 def _invert_matrix(P):
     """P^-1 as the right half of the reduced [P | I]; raise if P is singular."""
     n = len(P)
-    reduced = _rref(
-        {**dict(enumerate(map(_frac, row))), n + i: Fraction(1)} for i, row in enumerate(P)
-    )
+    reduced = _rref({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(P))
     if sorted(reduced) != list(range(n)):
         raise DomainError("basis change matrix is singular")
-    return [[reduced[k].get(n + j, Fraction(0)) for j in range(n)] for k in range(n)]
+    return [[Fraction(reduced[k].get(n + j, 0), reduced[k][k]) for j in range(n)] for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

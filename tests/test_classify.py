@@ -1,4 +1,5 @@
 """Classification of Poisson lifts, Lie algebra examples, and worked cases."""
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from densalg import (
 )
 from densalg.classify import (
     _invert_matrix,
+    _rref,
     attach_correction,
     change_basis,
     darboux_form,
@@ -100,6 +102,78 @@ class TestLinearAlgebra:
         assert nullspace([{}, {}], 0) == nullspace([], 0) == []
         # integer entries reduce to the same Fractions
         assert nullspace([{0: 2, 1: 4}], 2) == [(Fraction(-2), Fraction(1))]
+
+    @staticmethod
+    def awkward_matrix(rng, kind, m, n, degenerate=True):
+        """Rows the other tests never draw: 30-40-digit numerators and
+        denominators, a common integer factor per row, integral Fraction and
+        int entries, big combinations of a few rows (`low_rank`) and, when
+        `degenerate`, a repeated row and a zero row."""
+        def big():
+            return rng.choice((-1, 1)) * rng.randint(10 ** 29, 10 ** 40)
+
+        def entry():
+            if kind == "huge":
+                return Fraction(big(), rng.randint(10 ** 29, 10 ** 40))
+            if kind == "common":
+                return rng.randint(-9, 9)
+            return rng.choice((Fraction(rng.randint(-9, 9)), rng.randint(-9, 9),
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+
+        if kind == "low_rank":  # big combinations of a few rows
+            base = [[entry() for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            rows = []
+            for _ in range(m):
+                coeffs = [Fraction(big(), rng.randint(1, 10 ** 35)) for _ in base]
+                rows.append([sum(f * b[j] for f, b in zip(coeffs, base)) for j in range(n)])
+        else:
+            rows = [[entry() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)]
+        if kind == "common":
+            rows = [[rng.choice((2, 6, 10 ** 30, -35)) * x for x in row] for row in rows]
+        if degenerate and m > 1:
+            rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+            rows[rng.randrange(m)] = [0] * n
+        return rows
+
+    KINDS = ("huge", "common", "mixed", "low_rank")
+
+    def test_rref_rows_are_primitive_integer_rows(self):
+        rng = random.Random(12)
+        for kind in self.KINDS:
+            for _ in range(25):
+                m, n = rng.randint(1, 8), rng.randint(1, 8)
+                rows = self.awkward_matrix(rng, kind, m, n)
+                reduced = _rref(dict(enumerate(row)) for row in rows)
+                for p, row in reduced.items():
+                    assert all(type(x) is int and x for x in row.values())
+                    assert p == min(row) and row[p] > 0
+                    assert math.gcd(*row.values()) == 1
+                expected = row_space_rref(rows, n)
+                assert tuple(
+                    tuple(Fraction(reduced[p].get(c, 0), reduced[p][p]) for c in range(n))
+                    for p in sorted(reduced)
+                ) == expected
+
+    def test_awkward_entries_match_dense_oracle(self):
+        rng = random.Random(13)
+        for kind in self.KINDS:
+            for _ in range(25):
+                m, n = rng.randint(1, 8), rng.randint(1, 8)
+                rows = self.awkward_matrix(rng, kind, m, n)
+                basis = nullspace([dict(enumerate(row)) for row in rows], n)
+                assert basis == dense_nullspace(rows, n)
+                assert all(type(x) is Fraction for vec in basis for x in vec)
+                P = self.awkward_matrix(rng, kind, n, n, degenerate=False)
+                if dense_nullspace(P, n):
+                    with pytest.raises(DomainError):
+                        _invert_matrix(P)
+                    continue
+                Pinv = _invert_matrix(P)
+                product = [
+                    [sum(Pinv[i][k] * P[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)
+                ]
+                assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 class TestDecomposition:
@@ -322,6 +396,12 @@ class TestClassification:
                 classify_lifts(s_bad, 1)
         with pytest.raises(Exception):
             classify_lifts(DensityElement(C["x"] * C["#x"], Fraction(1)), 1)
+
+    def test_zero_s_rejected(self, small_chart):
+        # 0 is homogeneous of every degree, so it fixes no ansatz for Q
+        with pytest.raises(DomainError, match="fiber degree") as err:
+            classify_lifts(DensityElement(small_chart.zero(), 0), 1)
+        assert "homogeneous" not in str(err.value)
 
 
 class TestLieAlgebra:

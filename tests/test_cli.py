@@ -75,6 +75,16 @@ class TestExitCodes:
         assert "bound" in err and bound in err
         assert "dimension" not in out
 
+    def test_domain_error_zero_classify(self, tmp_path, capsys):
+        script = write(tmp_path, "zero_s.dsl", """
+            chart C { even p, q }
+            classify(0, 0, 1)
+        """)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_DOMAIN
+        assert "3:13:" in err and "fiber degree" in err and "homogeneous" not in err
+        assert "dimension" not in out
+
     @pytest.mark.parametrize("expr", ["x/0", "0^(-1)"])
     def test_domain_error_zero_division(self, tmp_path, capsys, expr):
         script = write(tmp_path, "zero.dsl", """
