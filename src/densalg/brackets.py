@@ -87,7 +87,7 @@ def _bracket_from(tables, g, conv):
             for a, b, sign in zip((q, qs), (qs, q), conv.bracket_signs(q.parity, fp)):
                 if a.index in df and b.index in dg:
                     left, right = df[a.index].terms, dg[b.index].terms
-                    _mul_into(terms, chart.parities, left, right, sign < 0)
+                    _mul_into(terms, chart, left, right, sign < 0)
     return SPoly(chart, terms)
 
 
@@ -98,12 +98,15 @@ def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     return _bracket_from(_right_tables(f), g, conv)
 
 
+def _div_derive(f, v, conv):
+    """The derivative of f by v from the side the convention's divergence takes."""
+    return f.derive_left(v) if conv.div_side == "left" else f.derive_right(v)
+
+
 def _div_pairs(f, pairs, conv):
-    left = conv.div_side == "left"
     terms = []
     for q, qs in pairs:
-        inner = f.derive_left(qs) if left else f.derive_right(qs)
-        term = inner.derive_left(q) if left else inner.derive_right(q)
+        term = _div_derive(_div_derive(f, qs, conv), q, conv)
         terms.append(-term if conv.div_parity and q.parity else term)
     return f.chart.sum(terms)
 
@@ -135,31 +138,29 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
     if len(rho_coeff.terms) != 1:
         raise DomainError("rho must be a single invertible term")
     (key, c), = rho_coeff.terms.items()
-    if any(chart.variables[idx].kind != "t" for idx, _ in key):
+    ti = chart.t_var.index
+    mu = key[ti]
+    if key != chart.power_key(ti, mu):
         raise DomainError("rho must be a rational multiple of a power of t")
-    mu = dict(key).get(chart.t_var.index, Fraction(0))
     rho_inv = (Fraction(1) / c) * chart.t_power(-mu)
     return rho_inv * divergence_full(f * rho_coeff)
 
 
 def delta_op(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
-    """The canonical odd operator: base divergence plus (d_t - 2/t) d_#t."""
+    """The canonical odd operator: the divergence over every pair, (t, #t)
+    included, minus 2/t d_#t."""
     chart = f.chart
     if not chart.hatted:
         raise DomainError("delta_op needs a hatted chart")
-    left = conv.div_side == "left"
-    inner = f.derive_left(chart.tstar_var) if left else f.derive_right(chart.tstar_var)
-    t_part = inner.derive_left(chart.t_var) if left else inner.derive_right(chart.t_var)
-    t_part = t_part - 2 * (chart.t_power(-1) * inner)
-    return divergence(f, conv) + t_part
+    d_tstar = _div_derive(f, chart.tstar_var, conv)
+    return _div_pairs(f, chart.all_pairs(), conv) - 2 * (chart.t_power(-1) * d_tstar)
 
 
 def restrict_to_base(f: SPoly) -> SPoly:
     """Pullback along the zero section: all fiber variables (and #t) to 0."""
     chart = f.chart
     return SPoly(chart, {
-        key: c for key, c in f.terms.items()
-        if all(chart.variables[idx].kind not in ("fiber", "tstar") for idx, _ in key)
+        key: c for key, c in f.terms.items() if not chart.key_fiber_degree(key)
     })
 
 
@@ -174,19 +175,12 @@ def project_base(S: SPoly):
     if not chart.hatted:
         raise DomainError("project_base needs a hatted chart")
     base_chart = chart.unhatted_version()
-    ti, tsi = chart.t_var.index, chart.tstar_var.index
+    ti = chart.t_var.index  # the t and #t slots come last
     by_weight = {}
     for key, coeff in S.terms.items():
-        kd = dict(key)
-        if tsi in kd:
-            continue
-        lam = kd.pop(ti, 0)
-        by_weight.setdefault(lam, {})[tuple(sorted(kd.items()))] = coeff
-    out = []
-    for lam in sorted(by_weight):
-        body = SPoly(chart, by_weight[lam]).transport(base_chart)
-        out.append((body, Fraction(lam)))
-    return out
+        if not key[ti + 1]:
+            by_weight.setdefault(key[ti], {})[key[:ti]] = coeff
+    return [(SPoly(base_chart, by_weight[lam]), Fraction(lam)) for lam in sorted(by_weight)]
 
 
 def r_ary_bracket(S: SPoly, args) -> SPoly:
@@ -213,21 +207,14 @@ def r_ary_bracket(S: SPoly, args) -> SPoly:
 
 def _random_homogeneous(rng, chart, parity, n_terms=3):
     """Random parity-homogeneous polynomial with small integer coefficients."""
-    variables = chart.variables
     terms = {}
     attempts = 0
     while len(terms) < n_terms and attempts < 50 * n_terms:
         attempts += 1
-        kd = {}
-        for v in variables:
-            if v.parity == ODD:
-                if rng.random() < 0.4:
-                    kd[v.index] = 1
-            else:
-                e = rng.choice([0, 0, 1, 2])
-                if e:
-                    kd[v.index] = e
-        key = tuple(sorted(kd.items()))
+        key = tuple(
+            int(rng.random() < 0.4) if v.parity == ODD else rng.choice([0, 0, 1, 2])
+            for v in chart.variables
+        )
         if chart.key_parity(key) != parity:
             continue
         c = rng.choice([-3, -2, -1, 1, 2, 3])

@@ -50,17 +50,13 @@ def decompose(S: SPoly, s: DensityElement) -> LiftDecomposition:
     if project_to_density(S) != [s]:
         raise DomainError("S does not project to the given density element")
     R = S - lift(s)
-    hchart = S.chart
-    ti = hchart.t_var.index
-    tsi = hchart.tstar_var.index
-    lam = s.weight
+    ti = S.chart.t_var.index  # the t and #t slots come last
     stripped = {}
     for key, coeff in R.terms.items():
-        kd = dict(key)
-        if kd.pop(tsi, 0) != 1 or kd.pop(ti, Fraction(0)) != lam + 1:
+        if key[ti + 1] != 1 or key[ti] != s.weight + 1:
             raise DomainError("S - lift(s) is not of the form Q * w")
-        stripped[tuple(sorted(kd.items()))] = coeff
-    Q = SPoly(hchart, stripped).transport(s.chart)
+        stripped[key[:ti]] = coeff
+    Q = SPoly(s.chart, stripped)
     if attach_correction(s, Q) != S:
         raise DomainError("decomposition does not round-trip")
     return LiftDecomposition(base=s, q_part=Q)
@@ -242,13 +238,12 @@ def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, pa
         raise DomainError("the ansatz lives on an unhatted chart")
     base_vars = [v for v, _ in chart.base_pairs()]
     fiber_vars = [f for _, f in chart.base_pairs()]
-    variables = base_vars + fiber_vars  # ascending index order
     fiber_exps = list(_exponent_vectors(fiber_vars, fiber_degree, exact=True))
     out = []
     for bexps in _exponent_vectors(base_vars, coeff_degree_bound, exact=False):
         for fexps in fiber_exps:
-            key = tuple((v.index, e) for v, e in zip(variables, bexps + fexps) if e)
-            if key and chart.key_parity(key) != parity:
+            key = bexps + fexps  # base then fiber slots: every slot of the chart
+            if any(key) and chart.key_parity(key) != parity:
                 continue
             out.append(SPoly(chart, {key: 1}))
     return out
@@ -389,20 +384,20 @@ def lie_poisson(g: LieAlgebraData) -> DensityElement:
 def induced_structure_constants(g: LieAlgebraData):
     """Read {x^i, x^j} back off the polynomial bracket of lie_poisson(g).
 
-    Returns eps, table where {x^i, x^j} = eps * C^{ij}_k x^k with eps the
-    convention's overall sign; the table is the raw bracket coefficients.
+    Returns the table {(i, j, k): coefficient of x^k in {x^i, x^j}}, the raw
+    bracket coefficients; they are eps * C^{ij}_k with eps the convention's
+    overall sign.
     """
-    chart = lie_poisson(g).chart
-    pi = lie_poisson(g).body
+    s = lie_poisson(g)
+    chart = s.chart
     table = {}
     for i in range(g.dimension):
         for j in range(g.dimension):
-            br = r_ary_bracket(pi, [chart[g.names[i]], chart[g.names[j]]])
+            br = r_ary_bracket(s.body, [chart[g.names[i]], chart[g.names[j]]])
             for key, coeff in br.terms.items():
-                (idx, exp), = key
-                if exp != 1:
+                if sum(key) != 1:
                     raise DomainError("induced bracket is not linear")
-                table[(i, j, idx)] = coeff
+                table[(i, j, key.index(1))] = coeff
     return table
 
 
@@ -581,7 +576,7 @@ def q_manifold_lifts(chart: Chart, coeff_degree_bound: int) -> KernelBasis:
     s = DensityElement(de_rham_element(chart), Fraction(0))
     kb = classify_lifts(s, coeff_degree_bound)
     for theta in kb.elements():
-        if theta.parity() != ODD and set(theta.terms) != {()}:
+        if theta.parity() != ODD and theta != theta.constant_term():
             # even-degree forms are parity-filtered out of the ansatz; the
             # only even survivors are the constants
             raise DomainError("non-constant kernel element of even form degree")

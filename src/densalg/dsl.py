@@ -495,11 +495,7 @@ class Interpreter:
                                   node.line, node.column) from None
         if rhs.denominator != 1 or rhs < 0:
             # fractional/negative powers only exist for the t coordinate
-            tkey = None
-            if lhs.chart.hatted:
-                tv = lhs.chart.t_var
-                tkey = ((tv.index, 1),)
-            if tkey is not None and set(lhs.terms) == {tkey} and lhs.terms[tkey] == 1:
+            if lhs.chart.hatted and lhs == lhs.chart["t"]:
                 return lhs.chart.t_power(rhs)
             raise ParseError("fractional powers apply to t only", node.line, node.column)
         return lhs ** int(rhs)

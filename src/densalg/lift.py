@@ -171,9 +171,10 @@ class CoordinateChange:
             [self.forward[sb[i]].derive_left(tb[j]) for j in range(n)] for i in range(n)
         ]
         det = self._poly_det(rows, self.target)
-        if det.terms and set(det.terms) != {()}:
+        constant = det.constant_term()
+        if det != constant:
             raise DomainError("Jacobian determinant is not constant")
-        return det.constant_term()
+        return constant
 
     @staticmethod
     def _poly_det(rows, chart):

@@ -9,19 +9,13 @@ exponents desc), so printing is deterministic and parse(print(f)) == f.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 
 from .spoly import ODD, Chart, DomainError, SPoly, _num
 
 
 def _term_sort_key(chart, key):
-    exps = [0] * len(chart.variables)
-    for idx, exp in key:
-        exps[idx] = exp
-    return (
-        -chart.key_fiber_degree(key),
-        -chart.key_weight(key),
-        tuple(-e for e in exps),
-    )
+    return (-chart.key_fiber_degree(key), -chart.key_weight(key), tuple(map(neg, key)))
 
 
 def _exp_text(exp):
@@ -33,22 +27,18 @@ def _exp_text(exp):
 
 
 def _monomial_factors(chart, key):
-    kd = dict(key)
+    exps = list(key)
     use_w = False
     if chart.hatted:
-        ts = chart.tstar_var.index
-        ti = chart.t_var.index
-        if kd.get(ts) == 1 and kd.get(ti, Fraction(0)) >= 1:
+        ti = chart.t_var.index  # the t and #t slots come last
+        if exps[ti + 1] == 1 and exps[ti] >= 1:
             use_w = True
-            del kd[ts]
-            kd[ti] = kd[ti] - 1
-            if not kd[ti]:
-                del kd[ti]
-    factors = []
-    for idx in sorted(kd):
-        exp = kd[idx]
-        name = chart.variables[idx].name
-        factors.append(name if exp == 1 else "%s^%s" % (name, _exp_text(exp)))
+            exps[ti] -= 1
+            exps[ti + 1] = 0
+    factors = [
+        v.name if exp == 1 else "%s^%s" % (v.name, _exp_text(exp))
+        for v, exp in zip(chart.variables, exps) if exp
+    ]
     if use_w:
         factors.append("w")
     return factors
@@ -95,10 +85,10 @@ def poly_to_dict(f: SPoly) -> dict:
     keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k))
     terms = []
     for key in keys:
-        exps = {}
-        for idx, exp in key:
-            v = chart.variables[idx]
-            exps[v.name] = str(exp) if v.kind == "t" else exp
+        exps = {
+            v.name: str(exp) if v.kind == "t" else exp
+            for v, exp in zip(chart.variables, key) if exp
+        }
         terms.append({"coeff": str(f.terms[key]), "exponents": exps})
     return {"chart": chart_to_dict(chart), "terms": terms}
 
@@ -109,7 +99,7 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
         chart = chart_from_dict(d["chart"])
     terms = {}
     for t in d["terms"]:
-        key = []
+        key = list(chart.zero_key)
         for name, exp in t["exponents"].items():
             v = chart.var(name)
             exp = Fraction(exp)
@@ -121,8 +111,8 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
                 valid = exp.denominator == 1 and exp > 0
             if not valid:
                 raise DomainError("%s cannot have exponent %s" % (name, exp))
-            key.append((v.index, _num(exp)))
-        key = tuple(sorted(key))
+            key[v.index] = _num(exp)
+        key = tuple(key)
         coeff = _num(Fraction(t["coeff"]))
         if not coeff:
             raise DomainError("a term has coefficient 0")

@@ -6,21 +6,24 @@ fiber partners (written ``#x``), and, on "hatted" charts, the weight variable
 ``t`` (even, weight 1, Laurent powers with rational exponents allowed) and its
 odd partner ``#t`` (weight -1).
 
-Monomials are stored as exponent maps; odd variables are implicitly kept in
-chart declaration order and every reordering sign is absorbed into the
-coefficient at construction time, so equal polynomials have equal term maps.
-Coefficients and exponents are int or Fraction, and an integral one is stored
-as an int (`_num`): an int and a Fraction of equal value compare and hash
-alike, so this changes no equality, only the cost of the arithmetic.
+A monomial key is a tuple with one exponent slot per chart variable, indexed
+by `Variable.index`, with 0 for an absent variable: a product adds the keys
+slot by slot and a derivative updates one slot.  Odd variables are
+implicitly kept in chart declaration order and every reordering sign is
+absorbed into the coefficient at construction time, so equal polynomials have
+equal term maps.  Coefficients and the exponent of t are int or Fraction, and
+an integral one is stored as an int (`_num`): an int and a Fraction of equal
+value compare and hash alike, so this changes no equality, only the cost of
+the arithmetic.  Every other slot holds an int, 0 or 1 for an odd variable.
 All values are immutable and all operations are pure.  Products and brackets
-accumulate into one term map through `_mul_into`, sums through `_add_into`,
-and `transport` keeps the keys of its source: term maps may be shared because
-values are immutable.
+accumulate into one term map through `_mul_into`, sums through `_add_into`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add
 
 EVEN = 0
 ODD = 1
@@ -146,7 +149,9 @@ class Chart:
 
     The variable order is: base coordinates in declaration order, then their
     fiber partners, then t and #t on hatted charts.  This order is the
-    canonical order of odd factors inside a monomial.
+    canonical order of odd factors inside a monomial and the slot order of a
+    monomial key, so the hatted and unhatted versions of a chart share the
+    slots of every variable but t and #t.
     """
 
     RESERVED = ("t", "#t", "w")  # names no base coordinate may take
@@ -173,7 +178,8 @@ class Chart:
             variables.append(Variable("t", "t", EVEN, Fraction(1), 2 * n))
             variables.append(Variable("#t", "tstar", ODD, Fraction(-1), 2 * n + 1))
         self.variables = tuple(variables)
-        self.parities = tuple(v.parity for v in variables)  # by variable index
+        self.odd_slots = tuple(v.index for v in variables if v.parity)
+        self.zero_key = (0,) * len(variables)  # the key of the monomial 1
         self.by_name = {v.name: v for v in variables}
         self._n_base = n
         self._key = (self.base_coords, self.hatted)
@@ -253,45 +259,36 @@ class Chart:
 
     def const(self, c):
         c = _num(_frac(c))
-        return SPoly(self, {(): c} if c else {})
+        return SPoly(self, {self.zero_key: c} if c else {})
 
     def __getitem__(self, name):
-        return SPoly(self, {((self.var(name).index, 1),): 1})
+        return SPoly(self, {self.power_key(self.var(name).index, 1): 1})
 
     def t_power(self, lam):
         lam = _frac(lam)
         if not self.hatted:
             raise UnknownVariableError("chart is not hatted")
-        if lam == 0:
-            return self.const(1)
-        return SPoly(self, {((self.t_var.index, _num(lam)),): 1})
+        return SPoly(self, {self.power_key(self.t_var.index, _num(lam)): 1})
 
     def w_star(self):
         """The weight-0 odd coordinate w = t * #t."""
         return self["t"] * self["#t"]
 
     # -- monomial-key helpers --
+    def power_key(self, index, exp):
+        """The key of the monomial (variable `index`)^exp."""
+        return self.zero_key[:index] + (exp,) + self.zero_key[index + 1:]
+
     def key_parity(self, key):
-        p = 0
-        for idx, exp in key:
-            if self.variables[idx].parity:
-                p ^= int(exp) & 1
-        return p
+        return sum([key[i] for i in self.odd_slots]) & 1
 
     def key_weight(self, key):
-        w = Fraction(0)
-        for idx, exp in key:
-            wt = self.variables[idx].weight
-            if wt:
-                w += wt * exp
-        return w
+        t = 2 * self._n_base
+        return key[t] - key[t + 1] if self.hatted else 0
 
     def key_fiber_degree(self, key):
-        d = 0
-        for idx, exp in key:
-            if self.variables[idx].kind in ("fiber", "tstar"):
-                d += int(exp)
-        return d
+        n = self._n_base
+        return sum(key[n:2 * n]) + sum(key[2 * n + 1:])
 
 
 def _add_into(terms, key, c):
@@ -307,36 +304,38 @@ def _add_into(terms, key, c):
             del terms[key]
 
 
-def _mul_into(result, parities, left, right, negate):
+def _mul_into(result, chart, left, right, negate):
     """result += (-1 if negate else 1) * left * right in place, for term maps
-    `left` and `right` and the chart's variable parities."""
-    right = _odd_masks(parities, right)
+    `left` and `right` over `chart`."""
+    right = _odd_masks(chart, right)
     odd_sign = {}  # (mask 1, mask 2) -> whether the merged factors flip the sign
-    for k1, c1, m1 in _odd_masks(parities, left):
-        for k2, c2, m2 in right:
+    for k1, c1, m1, f1 in _odd_masks(chart, left):
+        for k2, c2, m2, f2 in right:
             if m1 & m2:
                 continue  # an odd variable squared
             flip = odd_sign.get((m1, m2))
             if flip is None:
                 flip = odd_sign[m1, m2] = _reorder_is_odd(m1, m2)
-            merged = dict(k1)
-            for idx, exp in k2:
-                old = merged.get(idx)
-                new = exp if old is None else _num(old + exp)
-                if new:
-                    merged[idx] = new
-                else:
-                    del merged[idx]
+            key = tuple(map(add, k1, k2))
+            if f1 and f2:  # two fractional powers of t may sum to an integer
+                key = tuple(map(_num, key))
             c = c1 * c2
-            _add_into(result, tuple(sorted(merged.items())), -c if flip != negate else c)
+            _add_into(result, key, -c if flip != negate else c)
 
 
-def _odd_masks(parities, terms):
-    """(key, coeff, bitmask of the key's odd variables) for every term."""
+def _odd_masks(chart, terms):
+    """(key, coeff, bitmask of the key's odd variables, whether its power of t,
+    in the last slot but one, is a Fraction) for every term."""
+    odd, hatted = chart.odd_slots, chart.hatted
     return [
-        (key, c, sum(1 << idx for idx, _ in key if parities[idx]))
+        (key, c, _odd_mask(odd, key), hatted and type(key[-2]) is Fraction)
         for key, c in terms.items()
     ]
+
+
+def _odd_mask(odd, key):
+    """The bitmask of the odd variables of a key, for the chart's `odd_slots`."""
+    return sum([key[i] << i for i in odd])
 
 
 def _reorder_is_odd(m1, m2):
@@ -350,21 +349,19 @@ def _reorder_is_odd(m1, m2):
     return swaps & 1
 
 
-def _strip(key, p, coeff, parities, left):
-    """The derivative of coeff * key by its p-th factor, as (key, coeff).
+def _strip(key, i, coeff, mask, left):
+    """The derivative of coeff * key by its variable i, which it holds, as
+    (key, coeff), for the key's `_odd_mask`.
 
-    Removing or lowering one factor keeps the key sorted.  An odd factor is
-    first moved to the left or right end, one sign per odd factor it crosses.
+    An odd factor is first moved to the left or right end, one sign per odd
+    factor it crosses, the parity of the mask on that side of slot i.
     """
-    idx, exp = key[p]
-    if parities[idx]:
-        crossed = key[:p] if left else key[p + 1:]
-        if sum(parities[i] for i, _ in crossed) & 1:
+    exp = key[i]
+    if mask >> i & 1:
+        crossed = mask & ((1 << i) - 1) if left else mask >> (i + 1)
+        if crossed.bit_count() & 1:
             coeff = -coeff
-        return key[:p] + key[p + 1:], coeff
-    if exp == 1:
-        return key[:p] + key[p + 1:], coeff
-    return key[:p] + ((idx, _num(exp - 1)),) + key[p + 1:], _num(coeff * exp)
+    return key[:i] + (exp - 1,) + key[i + 1:], _num(coeff * exp)
 
 
 class SPoly:
@@ -436,7 +433,7 @@ class SPoly:
         if other is None:
             return NotImplemented
         result = {}
-        _mul_into(result, self.chart.parities, self.terms, other.terms, False)
+        _mul_into(result, self.chart, self.terms, other.terms, False)
         return SPoly(self.chart, result)
 
     def __rmul__(self, other):
@@ -473,31 +470,33 @@ class SPoly:
     def derive_right(self, v):
         return self._derive(v, left=False)
 
-    # distinct monomials have distinct derivatives by one variable and no
-    # stored exponent is 0, so each derivative term is stored as it comes
+    # distinct monomials have distinct derivatives by one variable, so each
+    # derivative term is stored as it comes
     def _derive(self, v, left):
         chart = self.chart
         if chart.by_name.get(v.name) != v:
             raise UnknownVariableError("%r is not a variable of %r" % (v, chart))
+        i = v.index
+        odd = chart.odd_slots if v.parity else ()  # an even variable takes no sign
         result = {}
         for key, coeff in self.terms.items():
-            for p, (idx, _) in enumerate(key):
-                if idx == v.index:
-                    k, c = _strip(key, p, coeff, chart.parities, left)
-                    result[k] = c
-                    break
+            if key[i]:
+                k, c = _strip(key, i, coeff, _odd_mask(odd, key), left)
+                result[k] = c
         return SPoly(chart, result)
 
     def partials(self, left):
         """Every partial derivative from one pass over the terms, as
         {variable index: derivative}; a variable no term holds has no entry."""
         chart = self.chart
+        slots = range(len(chart.zero_key))
         tables = {}
         for key, coeff in self.terms.items():
-            for p, (idx, _) in enumerate(key):
-                k, c = _strip(key, p, coeff, chart.parities, left)
-                tables.setdefault(idx, {})[k] = c
-        return {idx: SPoly(chart, terms) for idx, terms in tables.items()}
+            mask = _odd_mask(chart.odd_slots, key)
+            for i in compress(slots, key):  # the slots of the variables key holds
+                k, c = _strip(key, i, coeff, mask, left)
+                tables.setdefault(i, {})[k] = c
+        return {i: SPoly(chart, terms) for i, terms in tables.items()}
 
     # -- grading --
     def parity(self):
@@ -556,7 +555,7 @@ class SPoly:
                 if len(img.terms) != 1:
                     raise SubstitutionError("t image must be a positive multiple of t")
                 (key, c), = img.terms.items()
-                if key != ((target.t_var.index, 1),) or c <= 0:
+                if key != target.power_key(target.t_var.index, 1) or c <= 0:
                     raise SubstitutionError("t image must be a positive multiple of t")
                 t_index, t_scale = v.index, c
                 continue
@@ -569,7 +568,9 @@ class SPoly:
         summands = []
         for key, coeff in self.terms.items():
             acc = target.const(coeff)
-            for idx, exp in key:
+            for idx, exp in enumerate(key):
+                if not exp:
+                    continue
                 img = prepared.get(idx)
                 if img is not None:
                     acc = acc * (img if exp == 1 else img ** exp)
@@ -578,7 +579,7 @@ class SPoly:
                 elif idx == t_index:
                     acc = acc * (rational_power(t_scale, exp) * target.t_power(exp))
                 elif keep:
-                    acc = acc * SPoly(target, {((idx, exp),): 1})
+                    acc = acc * SPoly(target, {target.power_key(idx, exp): 1})
                 else:
                     raise SubstitutionError(
                         "%s has no image on the target chart" % chart.variables[idx].name
@@ -589,20 +590,21 @@ class SPoly:
     def transport(self, target):
         """The same terms on `target`, the hatted or unhatted version of this chart.
 
-        Both versions number their shared variables alike, so the keys carry
-        over unchanged; only t and #t have no place on an unhatted target.
+        Both versions give their shared variables the same slots, and the t
+        and #t slots come last: keys are padded with two zero slots or cut
+        short by two, and a term with t or #t has no place on an unhatted target.
         """
         chart = self.chart
         if target.base_coords != chart.base_coords:
             raise ChartMismatchError("transport needs a chart with the same base coordinates")
-        if chart.hatted and not target.hatted:
-            t_index = chart.t_var.index  # keys are sorted, and t, #t come last
-            if any(key and key[-1][0] >= t_index for key in self.terms):
-                raise SubstitutionError("a term with t or #t has no image on an unhatted chart")
-        return SPoly(target, self.terms)
+        width = len(target.zero_key)
+        if any(any(key[width:]) for key in self.terms):
+            raise SubstitutionError("a term with t or #t has no image on an unhatted chart")
+        pad = target.zero_key[len(chart.zero_key):]
+        return SPoly(target, {key[:width] + pad: c for key, c in self.terms.items()})
 
     def coefficient(self, key):
         return Fraction(self.terms.get(key, 0))
 
     def constant_term(self):
-        return Fraction(self.terms.get((), 0))
+        return Fraction(self.terms.get(self.chart.zero_key, 0))

@@ -34,6 +34,20 @@ def small_chart():
     return Chart([("x", EVEN), ("y", EVEN), ("xi", ODD)])
 
 
+def sparse(key):
+    """The sparse view of a monomial key: its (variable index, exponent) pairs
+    with a nonzero exponent, in index order."""
+    return tuple((idx, e) for idx, e in enumerate(key) if e)
+
+
+def dense(chart, pairs):
+    """The monomial key of a sparse view: one exponent slot per chart variable."""
+    key = [0] * len(chart.variables)
+    for idx, e in pairs:
+        key[idx] = e
+    return tuple(key)
+
+
 def random_poly(rng, chart, parity=None, n_terms=3):
     """Parity-homogeneous random polynomial (random parity when None)."""
     if parity is None:
@@ -48,7 +62,8 @@ def reference_product(chart, f, g):
     out = {}
     for k1, c1 in f.terms.items():
         for k2, c2 in g.terms.items():
-            odd = [idx for idx, _ in k1 + k2 if chart.variables[idx].parity == ODD]
+            odd = [idx for idx, _ in sparse(k1) + sparse(k2)
+                   if chart.variables[idx].parity == ODD]
             if len(set(odd)) < len(odd):
                 continue
             swaps = 0
@@ -58,9 +73,9 @@ def reference_product(chart, f, g):
                         odd[i], odd[i + 1] = odd[i + 1], odd[i]
                         swaps += 1
             exps = {}
-            for idx, e in k1 + k2:
+            for idx, e in sparse(k1) + sparse(k2):
                 exps[idx] = exps.get(idx, 0) + Fraction(e)
-            key = tuple(sorted((idx, e) for idx, e in exps.items() if e))
+            key = dense(chart, sorted((idx, e) for idx, e in exps.items() if e))
             c = Fraction(c1) * Fraction(c2) * (-1) ** swaps
             out[key] = out.get(key, 0) + c
     return SPoly(chart, {k: c for k, c in out.items() if c})
@@ -90,7 +105,7 @@ def hatted_poly(rng, chart, n_terms=4):
 
 def reference_derivative(chart, key, coeff, v, left):
     """Sign-counting oracle for the directional derivative of one monomial."""
-    kd = dict(key)
+    kd = dict(sparse(key))
     if v.index not in kd:
         return {}
     exp = kd[v.index]
@@ -98,7 +113,7 @@ def reference_derivative(chart, key, coeff, v, left):
         kd[v.index] = exp - 1
         if not kd[v.index]:
             del kd[v.index]
-        return {tuple(sorted(kd.items())): coeff * exp}
+        return {dense(chart, sorted(kd.items())): coeff * exp}
     # odd: count odd factors strictly before (left) / after (right) v in the
     # canonical factor order
     odd_positions = [idx for idx, _ in sorted(kd.items()) if chart.variables[idx].parity == ODD]
@@ -106,7 +121,7 @@ def reference_derivative(chart, key, coeff, v, left):
     flips = pos if left else len(odd_positions) - 1 - pos
     del kd[v.index]
     sign = -1 if flips % 2 else 1
-    return {tuple(sorted(kd.items())): coeff * sign}
+    return {dense(chart, sorted(kd.items())): coeff * sign}
 
 
 def reference_bracket(chart, f, g, conv):
@@ -124,7 +139,7 @@ def reference_bracket(chart, f, g, conv):
 
     parts = ({}, {})
     for key, coeff in f.terms.items():
-        odd = sum(e for idx, e in key if chart.variables[idx].parity == ODD)
+        odd = sum(e for idx, e in sparse(key) if chart.variables[idx].parity == ODD)
         parts[int(odd) % 2][key] = coeff
     names = [name for name, _ in chart.base_coords] + (["t"] if chart.hatted else [])
     total = {}
@@ -239,8 +254,8 @@ def reference_monomial_ansatz(chart, fiber_degree, coeff_degree_bound, parity):
             key = [(v.index, e) for v, e in zip(base_vars, bexps) if e]
             key += [(v.index, e) for v, e in zip(fiber_vars, fexps) if e]
             key = tuple(sorted(key))
-            if chart.key_parity(key) != parity and key != ():
+            if chart.key_parity(dense(chart, key)) != parity and key != ():
                 continue
             out.append((tuple(bexps), tuple(fexps), key))
     out.sort()
-    return [SPoly(chart, {key: Fraction(1)}) for _, _, key in out]
+    return [SPoly(chart, {dense(chart, key): Fraction(1)}) for _, _, key in out]

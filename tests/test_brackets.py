@@ -27,7 +27,7 @@ from densalg import (
     restrict_to_base,
 )
 from densalg.brackets import _Suite, _candidate_family, _identity_suite
-from conftest import SEED, hatted_poly, random_poly, reference_bracket
+from conftest import SEED, hatted_poly, random_poly, reference_bracket, sparse
 
 
 class TestConventionPinning:
@@ -134,8 +134,8 @@ class TestBracketIdentities:
             assert antibracket(f, g, conv) == reference_bracket(hchart, f, g, conv)
             mixed |= f.parity() is MIXED
             for key, c in f.terms.items():
-                half |= Fraction(dict(key).get(t, 0)).denominator == 2
-                tstar |= any(idx == ts for idx, _ in key)
+                half |= Fraction(dict(sparse(key)).get(t, 0)).denominator == 2
+                tstar |= any(idx == ts for idx, _ in sparse(key))
                 fraction |= Fraction(c).denominator > 1
         assert mixed and half and tstar and fraction
 

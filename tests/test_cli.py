@@ -410,6 +410,17 @@ class TestLedger:
         assert out + "\n(Regenerate with: densalg --ledger)\n" == doc.read_text(encoding="utf-8")
 
 
+class TestTourGolden:
+    @pytest.mark.parametrize("flags, golden", [([], "tour.txt"), (["--json"], "tour.jsonl")])
+    def test_tour_output_is_unchanged(self, capsys, flags, golden):
+        """`densalg demos/tour.dsl` prints exactly the recorded output; regenerate
+        tests/data/ with that command only for an intended change of an answer."""
+        code, out, err = run_cli(capsys, [str(TOUR)] + flags)
+        assert code == EXIT_OK and err == ""
+        recorded = Path(__file__).resolve().parent / "data" / golden
+        assert out.encode("utf-8") == recorded.read_bytes()
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("src", [
         "chart C { even x }\nlet f = x +\n",

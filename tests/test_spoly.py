@@ -21,12 +21,15 @@ from densalg import (
 )
 from densalg.classify import darboux_form
 from densalg.spoly import rational_power
-from conftest import hatted_poly, random_poly, reference_derivative, reference_product
+from conftest import (
+    dense, hatted_poly, random_poly, reference_derivative, reference_product, sparse,
+)
 
 
 def stored_fractions(f):
-    """Every stored coefficient and exponent that is an integral Fraction."""
-    values = list(f.terms.values()) + [e for key in f.terms for _, e in key]
+    """Every stored coefficient and exponent that is an integral Fraction; the
+    exponents are read from every slot, so a Fraction(0) is one too."""
+    values = list(f.terms.values()) + [e for key in f.terms for e in key]
     return [x for x in values if isinstance(x, Fraction) and x.denominator == 1]
 
 
@@ -166,12 +169,15 @@ class TestRandomizedLaws:
                 results += f.partials(left).values()
             for r in results:
                 assert stored_fractions(r) == []
+                for key in r.terms:
+                    assert len(key) == len(hchart.variables)
+                    assert all(key[i] in (0, 1) for i in hchart.odd_slots)
 
     def test_public_values_are_fractions(self, rng, chart):
         f = random_poly(rng, chart) * chart["x"] + 3
         assert type(f.constant_term()) is Fraction and f.constant_term() == 3
         assert type(f.coefficient(next(iter(f.terms)))) is Fraction
-        assert type(f.coefficient(((0, 7),))) is Fraction
+        assert type(f.coefficient(dense(chart, ((0, 7),)))) is Fraction
         s = DensityElement(darboux_form(Chart([("x", EVEN), ("y", EVEN)])), 0)
         kb = classify_lifts(s, 1)
         assert kb.dimension
@@ -253,8 +259,9 @@ class TestSubstitution:
         h = chart.hatted_version()
         for _ in range(50):
             f = random_poly(rng, chart, n_terms=5)
+            view = {sparse(k): c for k, c in f.terms.items()}
             up = f.transport(h)
-            assert up.chart == h and up.terms == f.terms
+            assert up.chart == h and {sparse(k): c for k, c in up.terms.items()} == view
             down = up.transport(chart)
             assert down.chart == chart and down.terms == f.terms
 
