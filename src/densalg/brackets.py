@@ -9,9 +9,12 @@ identity) together with two normalization anchors.  `pin_convention` re-runs
 that selection and `convention_ledger` renders the result; see
 docs/convention_ledger.txt.  Each identity reads only some of the sign
 fields, and one call judges it once per distinct value of those fields, on
-samples drawn once for all candidates.  A bracket sums the products of its
-derivative pairs into one term map (`spoly._mul_into`) from a table of f's
-right partials, which `classify_lifts` builds once for every column.
+samples drawn once for all candidates; the pin fixes the fields one at a time
+and drops a partial candidate once an identity whose fields are all fixed
+rejects it.  A bracket sums the products of its derivative pairs into one term
+map (`spoly._mul_into`) from f's right `_partial_rows`, which `classify_lifts`
+builds once for every column.  A divergence strips both variables of each
+pair from each term in one pass, delta's t^-1 d_#t term included.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .spoly import ANY, EVEN, ODD, ChartMismatchError, Chart, DomainError, SPoly, _mul_into
+from .spoly import ANY, EVEN, ODD, ChartMismatchError, Chart, DomainError, SPoly
+from .spoly import _add_into, _mul_into, _odd_mask, _partial_rows, _strip
 
 
 @dataclass(frozen=True)
@@ -71,23 +75,25 @@ PINNED = SignConvention(
 
 
 def _right_tables(f):
-    """[(right partials of the part, its parity)] for each nonzero parity part of f."""
+    """[(right `_partial_rows` of the part, its parity)] per nonzero parity part of f."""
     parts = zip(f.parity_components(), (EVEN, ODD))
-    return [(part.partials(left=False), fp) for part, fp in parts if part]
+    return [(_partial_rows(f.chart, part.terms, False), fp) for part, fp in parts if part]
 
 
 def _bracket_from(tables, g, conv):
     """The bracket (f, g) from f's `_right_tables`, accumulated in one term
     map; a pair of derivatives one of which is zero is skipped."""
     chart = g.chart
-    dg = g.partials(left=True)
+    dg = _partial_rows(chart, g.terms, True)
     terms = {}
     for df, fp in tables:
-        for q, qs in chart.all_pairs():
-            for a, b, sign in zip((q, qs), (qs, q), conv.bracket_signs(q.parity, fp)):
-                if a.index in df and b.index in dg:
-                    left, right = df[a.index].terms, dg[b.index].terms
-                    _mul_into(terms, chart, left, right, sign < 0)
+        signs = (conv.bracket_signs(EVEN, fp), conv.bracket_signs(ODD, fp))
+        for q, qs, a in chart.pair_slots:
+            s1, s2 = signs[a]
+            if q in df and qs in dg:
+                _mul_into(terms, df[q], dg[qs], s1 < 0)
+            if qs in df and q in dg:
+                _mul_into(terms, df[qs], dg[q], s2 < 0)
     return SPoly(chart, terms)
 
 
@@ -98,29 +104,36 @@ def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     return _bracket_from(_right_tables(f), g, conv)
 
 
-def _div_derive(f, v, conv):
-    """The derivative of f by v from the side the convention's divergence takes."""
-    return f.derive_left(v) if conv.div_side == "left" else f.derive_right(v)
-
-
-def _div_pairs(f, pairs, conv):
-    terms = []
-    for q, qs in pairs:
-        term = _div_derive(_div_derive(f, qs, conv), q, conv)
-        terms.append(-term if conv.div_parity and q.parity else term)
-    return f.chart.sum(terms)
+def _div_pairs(f, pairs, conv, delta=False):
+    """sum over `pairs` (`Chart.pair_slots`) of (-1)^(div_parity*a) d_q d_q* f,
+    both derivatives from conv.div_side, in one pass: each term is stripped of
+    q* and then of q for each pair it holds.  With `delta`, -2 t^-1 d_#t f
+    joins the same pass, its t slot decremented."""
+    left = conv.div_side == "left"
+    terms = {}
+    for key, coeff in f.terms.items():
+        mask = _odd_mask(f.chart.odd_bits, key)
+        for q, qs, a in pairs:
+            if key[q] and key[qs]:
+                k, c = _strip(key, qs, coeff, mask, left)
+                k, c = _strip(k, q, c, mask, left)  # q* was even if q reads the mask
+                _add_into(terms, k, -c if conv.div_parity and a else c)
+        if delta and key[-1]:  # #t holds the last slot and t the one before
+            k, c = _strip(key, len(key) - 1, coeff, mask, left)
+            _add_into(terms, k[:-2] + (k[-2] - 1, 0), -2 * c)
+    return SPoly(f.chart, terms)
 
 
 def divergence(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
     """Divergence with respect to |Dx|: base coordinate pairs only."""
-    return _div_pairs(f, f.chart.base_pairs(), conv)
+    return _div_pairs(f, f.chart.pair_slots[:f.chart.n_base], conv)
 
 
 def divergence_full(f: SPoly) -> SPoly:
     """Divergence with respect to |D(x,t)| on a hatted chart."""
     if not f.chart.hatted:
         raise DomainError("divergence_full needs a hatted chart")
-    return _div_pairs(f, f.chart.all_pairs(), PINNED)
+    return _div_pairs(f, f.chart.pair_slots, PINNED)
 
 
 def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
@@ -149,11 +162,9 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
 def delta_op(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
     """The canonical odd operator: the divergence over every pair, (t, #t)
     included, minus 2/t d_#t."""
-    chart = f.chart
-    if not chart.hatted:
+    if not f.chart.hatted:
         raise DomainError("delta_op needs a hatted chart")
-    d_tstar = _div_derive(f, chart.tstar_var, conv)
-    return _div_pairs(f, chart.all_pairs(), conv) - 2 * (chart.t_power(-1) * d_tstar)
+    return _div_pairs(f, f.chart.pair_slots, conv, delta=True)
 
 
 def restrict_to_base(f: SPoly) -> SPoly:
@@ -207,17 +218,15 @@ def r_ary_bracket(S: SPoly, args) -> SPoly:
 
 def _random_homogeneous(rng, chart, parity, n_terms=3):
     """Random parity-homogeneous polynomial with small integer coefficients."""
+    odd = [v.parity == ODD for v in chart.variables]
     terms = {}
     attempts = 0
     while len(terms) < n_terms and attempts < 50 * n_terms:
         attempts += 1
-        key = tuple(
-            int(rng.random() < 0.4) if v.parity == ODD else rng.choice([0, 0, 1, 2])
-            for v in chart.variables
-        )
+        key = tuple([int(rng.random() < 0.4) if o else rng.choice((0, 0, 1, 2)) for o in odd])
         if chart.key_parity(key) != parity:
             continue
-        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
         terms[key] = c
     return SPoly(chart, terms)
 
@@ -298,11 +307,11 @@ def _draw(rng, sample):
 class _Suite:
     """The identity suite on one random stream, shared by the candidates of one call.
 
-    A candidate reaches an identity only by passing every earlier one, so its
-    triples are the same for every candidate: drawn, in table order, the first
-    time one gets there.  Verdicts are memoised on the identity and conv's
-    values of its fields.  Past a first failure, later identities draw as for
-    a passing convention; only the tests look there, with PINNED.
+    Triples are drawn in table order, an identity's together with every
+    earlier one's the first time it is judged, so they are the same whichever
+    identity or candidate asks first.  Verdicts are memoised on the identity
+    and conv's values of its fields.  Past a first failure, later identities
+    draw as for a passing convention; only the tests look there, with PINNED.
     """
 
     def __init__(self, rng):
@@ -335,25 +344,46 @@ def _identity_suite(conv, rng):
         yield name, suite.holds(k, conv)
 
 
+_BITS = (0, 1)
+_FIELD_VALUES = (  # each field of SignConvention with its candidate values, in search order
+    ("term_q_qstar", tuple(itertools.product(_BITS, repeat=4))),
+    ("term_qstar_q", tuple(itertools.product(_BITS, repeat=4))),
+    ("div_parity", _BITS),
+    ("div_side", ("left", "right")),
+    ("generator_sign", tuple(itertools.product(_BITS, repeat=2))),
+)
+
+
 def _candidate_family():
-    bits = [0, 1]
-    for c in itertools.product(bits, repeat=4):
-        for b in itertools.product(bits, repeat=4):
-            for dp in bits:
-                for side in ("left", "right"):
-                    for s in itertools.product(bits, repeat=2):
-                        yield SignConvention(c, b, dp, side, s)
+    """All 4,096 conventions, the last field of `_FIELD_VALUES` varying fastest."""
+    names = [name for name, _ in _FIELD_VALUES]
+    for values in itertools.product(*(values for _, values in _FIELD_VALUES)):
+        yield SignConvention(**dict(zip(names, values)))
 
 
 def pin_convention(seed=2024):
-    """Enumerate the candidate family; return the unique surviving convention."""
+    """Search the candidate family; return the unique surviving convention.
+
+    Fields are fixed one at a time in `_FIELD_VALUES` order; each identity
+    judges a partial candidate once all its fields are fixed, the others
+    holding their first value, which it does not read."""
     suite = _Suite(random.Random(seed))
-    survivors = [conv for conv in _candidate_family() if suite.first_failure(conv) is None]
-    if len(survivors) != 1:
+    candidates = [SignConvention(**{name: values[0] for name, values in _FIELD_VALUES})]
+    fixed = set()
+    for name, values in _FIELD_VALUES:
+        fixed.add(name)
+        ready = [k for k, (_, names, _) in enumerate(_IDENTITIES)
+                 if name in names and fixed.issuperset(names)]
+        candidates = [
+            conv for partial in candidates for conv in
+            (replace(partial, **{name: value}) for value in values)
+            if all(suite.holds(k, conv) for k in ready)
+        ]
+    if len(candidates) != 1:
         raise RuntimeError(
-            "expected exactly one surviving sign convention, got %d" % len(survivors)
+            "expected exactly one surviving sign convention, got %d" % len(candidates)
         )
-    return survivors[0]
+    return candidates[0]
 
 
 def _perturbations(conv):

@@ -17,6 +17,8 @@ value compare and hash alike, so this changes no equality, only the cost of
 the arithmetic.  Every other slot holds an int, 0 or 1 for an odd variable.
 All values are immutable and all operations are pure.  Products and brackets
 accumulate into one term map through `_mul_into`, sums through `_add_into`.
+`_mul_into` takes `_rows` (key, coefficient, odd-variable bitmask, fractional-t
+flag), and `_partial_rows` gives every partial of a term map as rows in one pass.
 """
 from __future__ import annotations
 
@@ -178,9 +180,12 @@ class Chart:
             variables.append(Variable("t", "t", EVEN, Fraction(1), 2 * n))
             variables.append(Variable("#t", "tstar", ODD, Fraction(-1), 2 * n + 1))
         self.variables = tuple(variables)
-        self.odd_slots = tuple(v.index for v in variables if v.parity)
+        self.odd_bits = tuple(v.parity << v.index for v in variables)  # see `_odd_mask`
         self.zero_key = (0,) * len(variables)  # the key of the monomial 1
         self.by_name = {v.name: v for v in variables}
+        # (q slot, q* slot, parity of q) for each pair, (t, #t) last
+        self.pair_slots = tuple((i, n + i, p) for i, (_, p) in enumerate(base_coords)) + (
+            ((2 * n, 2 * n + 1, EVEN),) if self.hatted else ())
         self._n_base = n
         self._key = (self.base_coords, self.hatted)
 
@@ -221,17 +226,8 @@ class Chart:
 
     def base_pairs(self):
         """(x^a, x*_a) pairs, base coordinates only."""
-        return [
-            (self.variables[i], self.variables[self._n_base + i])
-            for i in range(self._n_base)
-        ]
-
-    def all_pairs(self):
-        """Base pairs plus (t, #t) on hatted charts."""
-        pairs = self.base_pairs()
-        if self.hatted:
-            pairs.append((self.t_var, self.tstar_var))
-        return pairs
+        v = self.variables
+        return [(v[q], v[qs]) for q, qs, _ in self.pair_slots[:self._n_base]]
 
     def hatted_version(self):
         if self.hatted:
@@ -280,7 +276,7 @@ class Chart:
         return self.zero_key[:index] + (exp,) + self.zero_key[index + 1:]
 
     def key_parity(self, key):
-        return sum([key[i] for i in self.odd_slots]) & 1
+        return _odd_mask(self.odd_bits, key).bit_count() & 1
 
     def key_weight(self, key):
         t = 2 * self._n_base
@@ -304,18 +300,14 @@ def _add_into(terms, key, c):
             del terms[key]
 
 
-def _mul_into(result, chart, left, right, negate):
-    """result += (-1 if negate else 1) * left * right in place, for term maps
-    `left` and `right` over `chart`."""
-    right = _odd_masks(chart, right)
-    odd_sign = {}  # (mask 1, mask 2) -> whether the merged factors flip the sign
-    for k1, c1, m1, f1 in _odd_masks(chart, left):
+def _mul_into(result, left, right, negate):
+    """result += (-1 if negate else 1) * left * right in place, for `_rows`
+    of two term maps over one chart."""
+    for k1, c1, m1, f1 in left:
         for k2, c2, m2, f2 in right:
             if m1 & m2:
                 continue  # an odd variable squared
-            flip = odd_sign.get((m1, m2))
-            if flip is None:
-                flip = odd_sign[m1, m2] = _reorder_is_odd(m1, m2)
+            flip = m1 and m2 and _reorder_is_odd(m1, m2)
             key = tuple(map(add, k1, k2))
             if f1 and f2:  # two fractional powers of t may sum to an integer
                 key = tuple(map(_num, key))
@@ -323,19 +315,34 @@ def _mul_into(result, chart, left, right, negate):
             _add_into(result, key, -c if flip != negate else c)
 
 
-def _odd_masks(chart, terms):
-    """(key, coeff, bitmask of the key's odd variables, whether its power of t,
-    in the last slot but one, is a Fraction) for every term."""
-    odd, hatted = chart.odd_slots, chart.hatted
+def _rows(chart, terms):
+    """The operands of `_mul_into`: (key, coeff, `_odd_mask` of the key, whether
+    its power of t, in the last slot but one, is a Fraction) for every term."""
+    odd, hatted = chart.odd_bits, chart.hatted
     return [
         (key, c, _odd_mask(odd, key), hatted and type(key[-2]) is Fraction)
         for key, c in terms.items()
     ]
 
 
-def _odd_mask(odd, key):
-    """The bitmask of the odd variables of a key, for the chart's `odd_slots`."""
-    return sum([key[i] << i for i in odd])
+def _partial_rows(chart, terms, left):
+    """Every partial derivative of a term map from one pass over its terms, as
+    {variable index: `_rows` of the derivative}; a variable no term holds has
+    no entry.  A derivative's mask is its term's with the variable's bit
+    cleared, and its power of t stays a Fraction or an int."""
+    slots = range(len(chart.zero_key))
+    tables = {}
+    for key, coeff, mask, frac in _rows(chart, terms):
+        for i in compress(slots, key):  # the slots of the variables key holds
+            k, c = _strip(key, i, coeff, mask, left)
+            tables.setdefault(i, []).append((k, c, mask & ~(1 << i), frac))
+    return tables
+
+
+def _odd_mask(bits, key):
+    """The bitmask of the odd variables of a key: the sum of the chart's
+    `odd_bits` over the slots the key holds."""
+    return sum(compress(bits, key))
 
 
 def _reorder_is_odd(m1, m2):
@@ -359,9 +366,8 @@ def _strip(key, i, coeff, mask, left):
     exp = key[i]
     if mask >> i & 1:
         crossed = mask & ((1 << i) - 1) if left else mask >> (i + 1)
-        if crossed.bit_count() & 1:
-            coeff = -coeff
-    return key[:i] + (exp - 1,) + key[i + 1:], _num(coeff * exp)
+        return key[:i] + (0,) + key[i + 1:], -coeff if crossed.bit_count() & 1 else coeff
+    return key[:i] + (exp - 1,) + key[i + 1:], coeff if exp == 1 else _num(coeff * exp)
 
 
 class SPoly:
@@ -433,7 +439,7 @@ class SPoly:
         if other is None:
             return NotImplemented
         result = {}
-        _mul_into(result, self.chart, self.terms, other.terms, False)
+        _mul_into(result, _rows(self.chart, self.terms), _rows(self.chart, other.terms), False)
         return SPoly(self.chart, result)
 
     def __rmul__(self, other):
@@ -477,7 +483,7 @@ class SPoly:
         if chart.by_name.get(v.name) != v:
             raise UnknownVariableError("%r is not a variable of %r" % (v, chart))
         i = v.index
-        odd = chart.odd_slots if v.parity else ()  # an even variable takes no sign
+        odd = chart.odd_bits if v.parity else ()  # an even variable takes no sign
         result = {}
         for key, coeff in self.terms.items():
             if key[i]:
@@ -488,15 +494,8 @@ class SPoly:
     def partials(self, left):
         """Every partial derivative from one pass over the terms, as
         {variable index: derivative}; a variable no term holds has no entry."""
-        chart = self.chart
-        slots = range(len(chart.zero_key))
-        tables = {}
-        for key, coeff in self.terms.items():
-            mask = _odd_mask(chart.odd_slots, key)
-            for i in compress(slots, key):  # the slots of the variables key holds
-                k, c = _strip(key, i, coeff, mask, left)
-                tables.setdefault(i, {})[k] = c
-        return {i: SPoly(chart, terms) for i, terms in tables.items()}
+        tables = _partial_rows(self.chart, self.terms, left)
+        return {i: SPoly(self.chart, {k: c for k, c, _, _ in rows}) for i, rows in tables.items()}
 
     # -- grading --
     def parity(self):

@@ -2,8 +2,9 @@
 
 The oracles here are deliberately naive re-implementations (dense
 Gauss-Jordan over Fraction, explicit sign counting for derivatives, swap
-counting for products, the bracket formula summed term by term) so the
-kernel's optimized paths are checked against something independently coded.
+counting for products, the bracket and divergence formulas summed term by
+term) so the kernel's optimized paths are checked against something
+independently coded.
 """
 import itertools
 import random
@@ -154,6 +155,23 @@ def reference_bracket(chart, f, g, conv):
                 dg = derive(g, y, left=True)
                 for k, c in reference_product(chart, df, dg).terms.items():
                     total[k] = total.get(k, 0) + sign * c
+    return SPoly(chart, {k: c for k, c in total.items() if c})
+
+
+def reference_divergence(chart, f, conv, full=False):
+    """Divergence oracle: sum over the base pairs, and (t, #t) when `full`, of
+    (-1)^(div_parity * parity(q)) d_q d_q* f, both derivatives summed term by
+    term from `reference_derivative` on the convention's side."""
+    left = conv.div_side == "left"
+    names = [name for name, _ in chart.base_coords] + (["t"] if full else [])
+    total = {}
+    for name in names:
+        q, qs = chart.var(name), chart.var("#" + name)
+        sign = (-1) ** (conv.div_parity * q.parity)
+        for key, coeff in f.terms.items():
+            for k1, c1 in reference_derivative(chart, key, coeff, qs, left).items():
+                for k2, c2 in reference_derivative(chart, k1, c1, q, left).items():
+                    total[k2] = total.get(k2, 0) + sign * c2
     return SPoly(chart, {k: c for k, c in total.items() if c})
 
 

@@ -1,4 +1,5 @@
 """The odd bracket, divergence operators, delta, and the pinned convention."""
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -14,6 +15,7 @@ from densalg import (
     MIXED,
     ODD,
     PINNED,
+    SPoly,
     SignConvention,
     antibracket,
     convention_ledger,
@@ -26,8 +28,18 @@ from densalg import (
     r_ary_bracket,
     restrict_to_base,
 )
-from densalg.brackets import _Suite, _candidate_family, _identity_suite
-from conftest import SEED, hatted_poly, random_poly, reference_bracket, sparse
+from densalg import brackets
+from densalg.brackets import _Suite, _candidate_family, _div_pairs, _identity_suite
+from conftest import (
+    SEED,
+    hatted_poly,
+    random_poly,
+    reference_bracket,
+    reference_derivative,
+    reference_divergence,
+    reference_product,
+    sparse,
+)
 
 
 class TestConventionPinning:
@@ -52,6 +64,24 @@ class TestConventionPinning:
             "generator identity delta(fg) - delta(f)g - (-1)^f f delta(g)": 3,
             None: 1,  # PINNED
         }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_field_search_matches_brute_force(self, seed, monkeypatch):
+        # the brute force runs on the pin's own suite: a verdict depends only
+        # on the seed's samples and the fields its identity names
+        suites = []
+
+        def recorded(rng):
+            assert rng.getstate() == random.Random(seed).getstate()
+            suites.append(_Suite(rng))
+            return suites[-1]
+
+        monkeypatch.setattr(brackets, "_Suite", recorded)
+        pinned = pin_convention(seed)
+        suite, = suites
+        survivors = [conv for conv in _candidate_family() if suite.first_failure(conv) is None]
+        assert len(survivors) == 1
+        assert pinned == survivors[0]
 
     def test_anchors(self, chart):
         assert antibracket(chart["x"], chart["#x"]) == chart.const(1)
@@ -139,6 +169,30 @@ class TestBracketIdentities:
                 fraction |= Fraction(c).denominator > 1
         assert mixed and half and tstar and fraction
 
+    def test_every_bracket_field_against_reference(self, chart):
+        # all 256 values of the two bracket fields on seeded pairs, f of mixed
+        # parity on a chart with even and odd pairs
+        rng = random.Random(SEED)
+        pairs = [
+            (random_poly(rng, chart, EVEN, 2) + random_poly(rng, chart, ODD, 2),
+             random_poly(rng, chart, n_terms=2))
+            for _ in range(2)
+        ]
+        bits = list(itertools.product((0, 1), repeat=4))
+        for c, b in itertools.product(bits, bits):
+            conv = replace(PINNED, term_q_qstar=c, term_qstar_q=b)
+            for f, g in pairs:
+                assert antibracket(f, g, conv) == reference_bracket(chart, f, g, conv)
+        # every (field, parity(q), parity(f)) sign cell shows: flipping it
+        # alone changes a bracket
+        cells = {(0, 0): (1, 1, 1, 1), (1, 0): (0, 1, 0, 1), (0, 1): (0, 0, 1, 1),
+                 (1, 1): (0, 0, 0, 1)}  # the bits of e(a, f) = 1 at that cell only
+        for field in ("term_q_qstar", "term_qstar_q"):
+            for flip in cells.values():
+                flipped = tuple(x ^ y for x, y in zip(getattr(PINNED, field), flip))
+                conv = replace(PINNED, **{field: flipped})
+                assert any(antibracket(f, g, conv) != antibracket(f, g) for f, g in pairs)
+
 
 class TestDivergenceAndDelta:
     def test_divergence_nilpotent(self, rng, chart):
@@ -187,6 +241,40 @@ class TestDivergenceAndDelta:
     def test_delta_needs_hatted_chart(self, chart):
         with pytest.raises(DomainError):
             delta_op(chart["x"])
+
+    @pytest.mark.parametrize("div_parity, div_side", [
+        (0, "left"), (0, "right"), (1, "left"), (1, "right"),
+    ])
+    def test_against_reference_divergence(self, rng, chart, div_parity, div_side):
+        # t^(1/2), t^-1 and #t terms, fractional coefficients
+        h = chart.hatted_version()
+        conv = replace(PINNED, div_parity=div_parity, div_side=div_side)
+        t, ts = h.t_var.index, h.tstar_var.index
+        half = inverse = tstar = False
+        for _ in range(40):
+            f = hatted_poly(rng, h)
+            full = reference_divergence(h, f, conv, full=True)
+            assert divergence(f, conv) == reference_divergence(h, f, conv)
+            assert _div_pairs(f, h.pair_slots, conv) == full
+            if conv == PINNED:
+                assert divergence_full(f) == full
+            # delta = the full divergence - 2 t^-1 d_#t f
+            d_tstar = {}
+            for key, coeff in f.terms.items():
+                for k, c in reference_derivative(h, key, coeff, h.tstar_var,
+                                                 div_side == "left").items():
+                    d_tstar[k] = d_tstar.get(k, 0) + c
+            shifted = reference_product(h, h.t_power(-1), SPoly(h, d_tstar))
+            expected = dict(full.terms)
+            for k, c in shifted.terms.items():
+                expected[k] = expected.get(k, 0) - 2 * c
+            assert delta_op(f, conv) == SPoly(h, {k: c for k, c in expected.items() if c})
+            for key in f.terms:
+                exps = dict(sparse(key))
+                half |= Fraction(exps.get(t, 0)).denominator == 2
+                inverse |= exps.get(t, 0) == -1
+                tstar |= ts in exps
+        assert half and inverse and tstar
 
     def test_divergence_full_vs_base(self, rng, chart):
         h = chart.hatted_version()

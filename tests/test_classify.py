@@ -13,7 +13,6 @@ from densalg import (
     KernelBasis,
     LieAlgebraData,
     ODD,
-    SPoly,
     antibracket,
     classify_lifts,
     decompose,
@@ -27,6 +26,7 @@ from densalg import (
     r_ary_bracket,
     supertrace_extension,
 )
+from densalg import brackets
 from densalg.classify import (
     _invert_matrix,
     _rref,
@@ -331,17 +331,17 @@ class TestClassification:
             _assert_matches_oracle(s, bound, kb)
 
     def test_one_table_of_s_per_classification(self, monkeypatch):
-        # s's right partials are built once per call, not once per column
+        # s's right partial rows are built once per call, not once per column
         C = Chart([(name, EVEN) for name in ("p1", "p2", "x1", "x2")])
         s = DensityElement(darboux_form(C), Fraction(0))
-        partials = SPoly.partials
+        partial_rows = brackets._partial_rows
         tables = []
 
-        def counted(self, left):
+        def counted(chart, terms, left):
             tables[-1] += not left
-            return partials(self, left)
+            return partial_rows(chart, terms, left)
 
-        monkeypatch.setattr(SPoly, "partials", counted)
+        monkeypatch.setattr(brackets, "_partial_rows", counted)
         columns = []
         for bound in (1, 3):
             tables.append(0)
