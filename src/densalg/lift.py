@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brackets import DomainError, antibracket, divergence, project_base
-from .spoly import Chart, ChartMismatchError, SPoly, _frac, rational_power
+from .spoly import Chart, ChartMismatchError, SPoly, _frac, _Substitution, rational_power
 
 
 class WeightOneError(DomainError):
@@ -147,17 +147,13 @@ class CoordinateChange:
                 if img.chart != chart or img.fiber_degree() != 0:
                     raise DomainError("image of %s is not a base function" % v.name)
         # round-trip identity, exactly
+        back = _Substitution(target, {w: self.inverse[w] for w in tb}, source)
         for v in sb:
-            back = self.forward[v].substitute(
-                {w: self.inverse[w] for w in tb}, target=source
-            )
-            if back != source[v.name]:
+            if back(self.forward[v]) != source[v.name]:
                 raise DomainError("inverse is not exact for %s" % v.name)
+        forth = _Substitution(source, {w: self.forward[w] for w in sb}, target)
         for v in tb:
-            forth = self.inverse[v].substitute(
-                {w: self.forward[w] for w in sb}, target=target
-            )
-            if forth != target[v.name]:
+            if forth(self.inverse[v]) != target[v.name]:
                 raise DomainError("forward is not exact for %s" % v.name)
         self.jac_det = self._constant_jacobian()
         if self.jac_det == 0:
@@ -178,15 +174,19 @@ class CoordinateChange:
 
     @staticmethod
     def _poly_det(rows, chart):
+        """The determinant by cofactor expansion down the rows, each minor (the
+        last rows over a set of columns) computed once: 2^n minors, not e*n!."""
         n = len(rows)
-        if n == 0:
-            return chart.const(1)
-        cofactors = []
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            cof = rows[0][j] * CoordinateChange._poly_det(minor, chart)
-            cofactors.append(cof if j % 2 == 0 else -cof)
-        return chart.sum(cofactors)
+        minors = {(): chart.const(1)}
+
+        def det(cols):
+            if cols not in minors:
+                row = rows[n - len(cols)]
+                minors[cols] = chart.sum((-1) ** k * row[j] * det(cols[:k] + cols[k + 1:])
+                                         for k, j in enumerate(cols))
+            return minors[cols]
+
+        return det(tuple(range(n)))
 
 
 def _hatted_fiber_images(change: CoordinateChange, strict_orientation=False):
@@ -207,37 +207,28 @@ def _hatted_fiber_images(change: CoordinateChange, strict_orientation=False):
 
     sb = [v for v, _ in src.base_pairs()]
     tb = [v for v, _ in tgt.base_pairs()]
-    n = len(sb)
-    # new coordinates as functions of the old, and their partials in old coords
-    G = {v: change.inverse[v] for v in tb}
-    fwd_old_to_new = {src.var(v.name): change.forward[src.var(v.name)] for v in sb}
+    in_new = _Substitution(src, {v: change.forward[v] for v in sb}, tgt)
+    dfwd = [[change.forward[c].derive_left(b) for b in tb] for c in sb]  # d old^c / d new^b
 
-    def in_new(p):
-        return p.substitute(fwd_old_to_new, target=tgt)
-
-    images = {}
-    for v in sb:
-        images[hsrc.var(v.name)] = change.forward[v].transport(htgt)
+    images = {hsrc.var(v.name): change.forward[v].transport(htgt) for v in sb}
     images[hsrc.t_var] = absJ * htgt["t"]
     images[hsrc.tstar_var] = (Fraction(1) / absJ) * htgt["#t"]
     w_new = htgt.w_star()
-    for a in range(n):
-        terms = []
-        for b in range(n):
-            d1 = in_new(G[tb[b]].derive_left(sb[a]))  # d x_new^b / d x_old^a, in new coords
-            if d1:
-                terms.append(d1.transport(htgt) * htgt["#" + tb[b].name])
-        w_parts = []
-        for b in range(n):
-            d2 = G[tb[b]].derive_left(sb[a])
-            for c in range(n):
-                d2c = in_new(d2.derive_left(sb[c]))  # second partial, in new coords
+    for a in sb:
+        terms, w_parts = [], []
+        for b, vb in enumerate(tb):
+            d = change.inverse[vb].derive_left(a)  # d x_new^b / d x_old^a
+            if not d:
+                continue
+            terms.append(in_new(d).transport(htgt) * htgt["#" + vb.name])
+            for c, vc in enumerate(sb):
+                d2c = in_new(d.derive_left(vc))  # second partial, in new coords
                 if d2c:
-                    w_parts.append(d2c * change.forward[sb[c]].derive_left(tb[b]))
+                    w_parts.append(d2c * dfwd[c][b])
         scalar = tgt.sum(w_parts)
         if scalar:
             terms.append(scalar.transport(htgt) * w_new)
-        images[hsrc.var("#" + sb[a].name)] = htgt.sum(terms)
+        images[hsrc.var("#" + a.name)] = htgt.sum(terms)
     return images, htgt, flipped
 
 
@@ -266,10 +257,7 @@ def transform_density(s: DensityElement, change: CoordinateChange, strict_orient
     sb = [v for v, _ in src.base_pairs()]
     tb = [v for v, _ in tgt.base_pairs()]
     fwd = {v: change.forward[v] for v in sb}
-
-    def in_new(p):
-        return p.substitute(fwd, target=tgt)
-
+    in_new = _Substitution(src, fwd, tgt)
     images = dict(fwd)
     for va in sb:
         images[src.var("#" + va.name)] = tgt.sum(

@@ -19,6 +19,8 @@ All values are immutable and all operations are pure.  Products and brackets
 accumulate into one term map through `_mul_into`, sums through `_add_into`.
 `_mul_into` takes `_rows` (key, coefficient, odd-variable bitmask, fractional-t
 flag), and `_partial_rows` gives every partial of a term map as rows in one pass.
+A `_Substitution` checks its images once and keeps the rows of their powers
+for many polynomials; `SPoly.substitute` prepares one and applies it once.
 """
 from __future__ import annotations
 
@@ -188,6 +190,7 @@ class Chart:
             ((2 * n, 2 * n + 1, EVEN),) if self.hatted else ())
         self._n_base = n
         self._key = (self.base_coords, self.hatted)
+        self._other = None  # see `_counterpart`
 
     # -- identity is structural; the name is display only --
     def __eq__(self, other):
@@ -230,14 +233,18 @@ class Chart:
         return [(v[q], v[qs]) for q, qs, _ in self.pair_slots[:self._n_base]]
 
     def hatted_version(self):
-        if self.hatted:
-            return self
-        return Chart(self.base_coords, hatted=True, name=self.name)
+        return self if self.hatted else self._counterpart()
 
     def unhatted_version(self):
-        if not self.hatted:
-            return self
-        return Chart(self.base_coords, hatted=False, name=self.name)
+        return self._counterpart() if self.hatted else self
+
+    def _counterpart(self):
+        """The chart with this one's base coordinates and name and the other
+        hattedness, built on first use; the two keep each other."""
+        if self._other is None:
+            self._other = Chart(self.base_coords, hatted=not self.hatted, name=self.name)
+            self._other._other = self
+        return self._other
 
     # -- polynomial constructors --
     def zero(self):
@@ -531,60 +538,11 @@ class SPoly:
         (default: this chart).  Odd variables must get odd images, even
         variables even images; `t` may only be rescaled by a positive rational.
         A variable without an image keeps its factor on this chart and is a
-        SubstitutionError on any other.
+        SubstitutionError on any other.  This prepares a `_Substitution` and
+        applies it once; to substitute the same images into many polynomials,
+        prepare one and call it on each.
         """
-        chart = self.chart
-        if target is None:
-            target = chart
-            for img in images.values():
-                if isinstance(img, SPoly) and img.chart != chart:
-                    target = img.chart
-                    break
-        t_index = t_scale = None
-        prepared = {}
-        for v, img in images.items():
-            if chart.by_name.get(v.name) != v:
-                raise UnknownVariableError("%r is not a variable of the chart" % (v,))
-            if not isinstance(img, SPoly):
-                img = target.const(img)
-            if img.chart != target:
-                raise ChartMismatchError("image of %s lives on the wrong chart" % v.name)
-            if v.kind == "t":
-                # only c*t with c > 0 keeps rational Laurent powers exact
-                if len(img.terms) != 1:
-                    raise SubstitutionError("t image must be a positive multiple of t")
-                (key, c), = img.terms.items()
-                if key != target.power_key(target.t_var.index, 1) or c <= 0:
-                    raise SubstitutionError("t image must be a positive multiple of t")
-                t_index, t_scale = v.index, c
-                continue
-            if img.parity() != v.parity:
-                raise SubstitutionError(
-                    "image of %s has parity %r, expected %d" % (v.name, img.parity(), v.parity)
-                )
-            prepared[v.index] = img
-        keep = target == chart
-        summands = []
-        for key, coeff in self.terms.items():
-            acc = target.const(coeff)
-            for idx, exp in enumerate(key):
-                if not exp:
-                    continue
-                img = prepared.get(idx)
-                if img is not None:
-                    acc = acc * (img if exp == 1 else img ** exp)
-                    if acc.is_zero():
-                        break
-                elif idx == t_index:
-                    acc = acc * (rational_power(t_scale, exp) * target.t_power(exp))
-                elif keep:
-                    acc = acc * SPoly(target, {target.power_key(idx, exp): 1})
-                else:
-                    raise SubstitutionError(
-                        "%s has no image on the target chart" % chart.variables[idx].name
-                    )
-            summands.append(acc)
-        return target.sum(summands)
+        return _Substitution(self.chart, images, target)(self)
 
     def transport(self, target):
         """The same terms on `target`, the hatted or unhatted version of this chart.
@@ -607,3 +565,82 @@ class SPoly:
 
     def constant_term(self):
         return Fraction(self.terms.get(self.chart.zero_key, 0))
+
+
+class _Substitution:
+    """A simultaneous substitution into polynomials on `chart`: the images are
+    checked once, and the `_rows` of each (slot, exponent) factor, a power of
+    an image, c^e t^e for t -> c*t or a kept variable, are built on first use
+    and kept.  Calling it multiplies each term's factors onto its coefficient in
+    slot order, so the odd factors meet in chart order, and stops at a zero.
+    """
+
+    def __init__(self, chart, images, target=None):
+        if target is None:
+            target = chart
+            for img in images.values():
+                if isinstance(img, SPoly) and img.chart != chart:
+                    target = img.chart
+                    break
+        self.chart, self.target, self._keep = chart, target, target == chart
+        self._images, self._powers, self._t_index, self._t_scale = {}, {}, None, None
+        for v, img in images.items():
+            if chart.by_name.get(v.name) != v:
+                raise UnknownVariableError("%r is not a variable of the chart" % (v,))
+            if not isinstance(img, SPoly):
+                img = target.const(img)
+            if img.chart != target:
+                raise ChartMismatchError("image of %s lives on the wrong chart" % v.name)
+            if v.kind == "t":
+                # only c*t with c > 0 keeps rational Laurent powers exact
+                if len(img.terms) != 1:
+                    raise SubstitutionError("t image must be a positive multiple of t")
+                (key, c), = img.terms.items()
+                if key != target.power_key(target.t_var.index, 1) or c <= 0:
+                    raise SubstitutionError("t image must be a positive multiple of t")
+                self._t_index, self._t_scale = v.index, c
+                continue
+            if img.parity() != v.parity:
+                raise SubstitutionError(
+                    "image of %s has parity %r, expected %d" % (v.name, img.parity(), v.parity)
+                )
+            self._images[v.index] = img
+
+    def _power(self, idx, exp):
+        """The `_rows` that (variable idx)^exp becomes, built on first use."""
+        rows = self._powers.get((idx, exp))
+        if rows is not None:
+            return rows
+        target, img = self.target, self._images.get(idx)
+        if img is not None:
+            terms = (img if exp == 1 else img ** exp).terms
+        elif idx == self._t_index:
+            terms = {target.power_key(target.t_var.index, exp):
+                     _num(rational_power(self._t_scale, exp))}
+        elif self._keep:
+            terms = {target.power_key(idx, exp): 1}
+        else:
+            raise SubstitutionError(
+                "%s has no image on the target chart" % self.chart.variables[idx].name
+            )
+        rows = self._powers[idx, exp] = _rows(target, terms)
+        return rows
+
+    def __call__(self, poly):
+        if poly.chart != self.chart:
+            raise ChartMismatchError("the polynomial lives on another chart than the substitution")
+        target, power, images = self.target, self._power, self._images
+        slots = range(len(self.chart.zero_key))
+        result = {}
+        for key, coeff in poly.terms.items():
+            acc = [(target.zero_key, coeff, 0, False)]
+            for idx in compress(slots, key):
+                part = {}
+                _mul_into(part, acc, power(idx, key[idx]), False)
+                if not part and idx in images:  # a zero from a kept factor goes on to check t
+                    break
+                acc = _rows(target, part)
+            else:
+                for k, c, _, _ in acc:
+                    _add_into(result, k, c)
+        return SPoly(target, result)

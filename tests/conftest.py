@@ -82,6 +82,35 @@ def reference_product(chart, f, g):
     return SPoly(chart, {k: c for k, c in out.items() if c})
 
 
+def reference_substitute(f, images, target):
+    """Substitution oracle: each term of f is rebuilt on `target` as its
+    coefficient times one image factor per unit of exponent, in slot order, by
+    `reference_product`; a variable without an image keeps its factor, and t
+    with the image c*t gives c^e t^e, the root of c found by a float guess
+    checked exactly."""
+    chart = f.chart
+    total = {}
+    for key, coeff in f.terms.items():
+        acc = SPoly(target, {target.zero_key: Fraction(coeff)})
+        for idx, e in sparse(key):
+            v = chart.variables[idx]
+            image, times = images.get(v), e
+            if image is None:
+                image, times = SPoly(target, {dense(target, ((idx, e),)): 1}), 1
+            elif v.kind == "t":
+                (_, c), = image.terms.items()
+                e = Fraction(e)
+                root = Fraction(float(c) ** (1 / e.denominator)).limit_denominator(10 ** 6)
+                assert root ** e.denominator == c
+                t_e = dense(target, ((target.t_var.index, e),))
+                image, times = SPoly(target, {t_e: root ** e.numerator}), 1
+            for _ in range(times):
+                acc = reference_product(target, acc, image)
+        for k, c in acc.terms.items():
+            total[k] = total.get(k, 0) + c
+    return SPoly(target, {k: c for k, c in total.items() if c})
+
+
 def hatted_poly(rng, chart, n_terms=4):
     """A random polynomial on a hatted chart with the values random_poly does
     not draw: t^(1/2), t^(-1) and fractional coefficients, #t included."""

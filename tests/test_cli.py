@@ -411,14 +411,24 @@ class TestLedger:
 
 
 class TestTourGolden:
-    @pytest.mark.parametrize("flags, golden", [([], "tour.txt"), (["--json"], "tour.jsonl")])
-    def test_tour_output_is_unchanged(self, capsys, flags, golden):
-        """`densalg demos/tour.dsl` prints exactly the recorded output; regenerate
-        tests/data/ with that command only for an intended change of an answer."""
-        code, out, err = run_cli(capsys, [str(TOUR)] + flags)
+    """`densalg demos/tour.dsl` and `densalg demos/transport.dsl` print exactly
+    the recorded output; regenerate tests/data/ with those commands only for an
+    intended change of an answer."""
+
+    def check(self, capsys, script, flags, golden):
+        code, out, err = run_cli(capsys, [str(script)] + flags)
         assert code == EXIT_OK and err == ""
         recorded = Path(__file__).resolve().parent / "data" / golden
         assert out.encode("utf-8") == recorded.read_bytes()
+
+    @pytest.mark.parametrize("flags, golden", [([], "tour.txt"), (["--json"], "tour.jsonl")])
+    def test_tour_output_is_unchanged(self, capsys, flags, golden):
+        self.check(capsys, TOUR, flags, golden)
+
+    @pytest.mark.parametrize("flags, golden",
+                             [([], "transport.txt"), (["--json"], "transport.jsonl")])
+    def test_transport_output_is_unchanged(self, capsys, flags, golden):
+        self.check(capsys, TRANSPORT, flags, golden)
 
 
 class TestParseErrors:
@@ -468,6 +478,7 @@ class TestErrorModel:
 
 
 TOUR = Path(__file__).resolve().parent.parent / "demos" / "tour.dsl"
+TRANSPORT = TOUR.with_name("transport.dsl")
 SO3 = Path(__file__).resolve().parent.parent / "demos" / "so3.json"
 _TOKEN = re.compile(r'"[^"]*"|->|#?\w+|\S')
 

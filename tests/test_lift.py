@@ -56,6 +56,22 @@ class TestLiftProperties:
                     assert L.weight() == lam
                     assert L.fiber_degree() == s.body.fiber_degree()
 
+    def test_lift_builds_no_charts(self, rng, small_chart, monkeypatch):
+        elements = [DensityElement(random_poly(rng, small_chart), lam) for lam in WEIGHTS]
+        hatted = lift(elements[0]).chart  # the hatted chart is built here, once
+        built = []
+        init = Chart.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Chart, "__init__", counting_init)
+        for _ in range(5):
+            for s in elements:
+                assert lift(s).chart is hatted
+        assert built == []
+
     def test_weight_one_raises(self, small_chart):
         s = DensityElement(small_chart["x"], Fraction(1))
         with pytest.raises(WeightOneError):
@@ -305,3 +321,60 @@ class TestCoordinateChanges:
             CoordinateChange(
                 src, tgt, {"x": tgt["u"] * tgt["u"]}, {"u": src["x"]}
             )
+
+
+class TestJacobianDeterminant:
+    def test_seven_coordinate_unipotent_change(self, monkeypatch):
+        n = 7
+        src = Chart([("x%d" % i, EVEN) for i in range(n)], name="old")
+        tgt = Chart([("u%d" % i, EVEN) for i in range(n)], name="new")
+        x = [src["x%d" % i] for i in range(n)]
+        u = [tgt["u%d" % i] for i in range(n)]
+        # x_i = u_i + u_(i+1), and x_0 also gets u_6^2: a unit upper triangular Jacobian
+        forward = [u[i] + u[i + 1] for i in range(n - 1)] + [u[n - 1]]
+        forward[0] = forward[0] + u[n - 1] ** 2
+        inverse = [x[n - 1]]
+        for i in range(n - 2, -1, -1):
+            inverse.insert(0, x[i] - inverse[0])
+        inverse[0] = inverse[0] - x[n - 1] ** 2
+        ch = CoordinateChange(src, tgt, {"x%d" % i: f for i, f in enumerate(forward)},
+                              {"u%d" % i: g for i, g in enumerate(inverse)})
+        assert ch.jac_det == 1
+        # one cofactor sum per nonempty set of columns: 2^n - 1 minors, not e*n!
+        rows = [[f.derive_left(v) for v in tgt.variables[:n]] for f in forward]
+        sums = []
+        chart_sum = Chart.sum
+
+        def counting_sum(self, polys):
+            sums.append(1)
+            return chart_sum(self, polys)
+
+        monkeypatch.setattr(Chart, "sum", counting_sum)
+        assert CoordinateChange._poly_det(rows, tgt) == tgt.const(1)
+        assert len(sums) == 2 ** n - 1
+
+    def test_scaled_linear_change(self):
+        scales = [Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5), Fraction(-1, 7)]
+        n = len(scales)
+        src = Chart([("x%d" % i, EVEN) for i in range(n)], name="old")
+        tgt = Chart([("u%d" % i, EVEN) for i in range(n)], name="new")
+        ch = CoordinateChange(
+            src, tgt,
+            {"x%d" % i: c * tgt["u%d" % i] for i, c in enumerate(scales)},
+            {"u%d" % i: src["x%d" % i] / c for i, c in enumerate(scales)},
+        )
+        assert ch.jac_det == Fraction(15, 7)
+
+    def test_matches_permutation_expansion(self, rng):
+        chart = Chart([("x", EVEN), ("y", EVEN), ("xi", ODD)])
+        for n in range(5):
+            rows = [[random_poly(rng, chart, EVEN, n_terms=2) for _ in range(n)]
+                    for _ in range(n)]
+            expected = chart.zero()
+            for perm in itertools.permutations(range(n)):  # n = 0: one empty product
+                inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+                term = chart.const(-1 if inversions % 2 else 1)
+                for i, j in enumerate(perm):
+                    term = term * rows[i][j]
+                expected = expected + term
+            assert CoordinateChange._poly_det(rows, chart) == expected

@@ -20,9 +20,10 @@ from densalg import (
     classify_lifts,
 )
 from densalg.classify import darboux_form
-from densalg.spoly import rational_power
+from densalg.spoly import _Substitution, rational_power
 from conftest import (
-    dense, hatted_poly, random_poly, reference_derivative, reference_product, sparse,
+    dense, hatted_poly, random_poly, reference_derivative, reference_product,
+    reference_substitute, sparse,
 )
 
 
@@ -56,6 +57,16 @@ class TestBasics:
         assert h.t_var.parity == EVEN and h.t_var.weight == 1
         assert h.tstar_var.parity == ODD and h.tstar_var.weight == -1
         assert h.w_star() == h["t"] * h["#t"]
+
+    def test_counterparts_are_built_once(self, chart):
+        named = Chart(chart.base_coords, name="N")
+        h = named.hatted_version()
+        assert h is named.hatted_version() and h.hatted and h.name == "N"
+        assert h.unhatted_version() is named and named.unhatted_version() is named
+        assert h.hatted_version() is h
+        other = Chart(chart.base_coords, hatted=True)
+        assert other.unhatted_version() is other.unhatted_version()
+        assert other.unhatted_version().hatted_version() is other
 
     def test_scalar_ops(self, chart):
         x = chart["x"]
@@ -299,6 +310,79 @@ class TestSubstitution:
         f = chart["xi"] * chart["eta"]
         swapped = f.substitute({xi: chart["eta"], eta: chart["xi"]})
         assert swapped == -f
+
+    def test_t_factor_lands_in_target_t_slot(self):
+        # the two charts put t in different slots: 2 on the source, 4 on the target
+        src = Chart([("x", EVEN)], hatted=True)
+        tgt = Chart([("u", EVEN), ("v", EVEN)], hatted=True)
+        f = src["x"] * src.t_power(Fraction(1, 2)) + src["t"] ** 2
+        images = {src.var("x"): tgt["u"] + tgt["v"], src.t_var: 4 * tgt["t"]}
+        g = f.substitute(images, target=tgt)
+        assert repr(g) == "16*t^2 + 2*u*t^(1/2) + 2*v*t^(1/2)"
+        assert g == 16 * tgt["t"] ** 2 + 2 * (tgt["u"] + tgt["v"]) * tgt.t_power(Fraction(1, 2))
+
+    def test_against_oracle(self, rng, chart):
+        """Random substitutions against the term-by-term oracle: odd and even
+        images, kept variables, t rescaled under t^(1/2) and t^-1 terms,
+        targets of other dimensions and images that make terms vanish."""
+        h = chart.hatted_version()
+        smaller = Chart([("u", EVEN), ("zeta", ODD)], hatted=True)
+        larger = Chart([("u", EVEN), ("v", ODD), ("w1", EVEN), ("zeta", ODD)], hatted=True)
+        scales = (1, 4, Fraction(1, 4), Fraction(9, 4))
+        for case in range(60):
+            target = (h, smaller, larger)[case % 3]
+            f = hatted_poly(rng, h, n_terms=5)
+            images = {}
+            for v in h.variables:
+                if v.kind == "t":
+                    images[v] = rng.choice(scales) * target["t"]
+                elif target is h and rng.random() < 0.3:
+                    continue  # kept
+                elif rng.random() < 0.15:
+                    images[v] = target.zero()  # every term holding v vanishes
+                else:
+                    images[v] = random_poly(rng, target, v.parity, n_terms=rng.randrange(1, 4))
+            if target is h and rng.random() < 0.5:
+                # two odd variables onto one odd image: their product vanishes
+                images[h.var("xi")] = images[h.var("eta")] = h["#y"]
+            assert f.substitute(images, target) == reference_substitute(f, images, target)
+
+    def test_prepared_substitution_matches_per_call(self, rng, chart):
+        h = chart.hatted_version()
+        target = Chart([("u", EVEN), ("v", EVEN), ("zeta", ODD)], hatted=True)
+        images = {v: random_poly(rng, target, v.parity, n_terms=2)
+                  for v in h.variables if v.kind != "t"}
+        images[h.t_var] = 4 * target["t"]
+        prepared = _Substitution(h, images, target)
+        polys = [hatted_poly(rng, h, n_terms=6) for _ in range(30)]
+        for f in polys:
+            expected = f.substitute(images, target)
+            assert prepared(f) == expected == reference_substitute(f, images, target)
+        assert prepared(h.zero()) == target.zero()
+        with pytest.raises(ChartMismatchError):
+            prepared(chart["x"])
+
+    def test_prepared_errors_match_substitute(self, chart):
+        h = chart.hatted_version()
+        for source, images, target, error in (
+            (chart, {chart.var("x"): chart["xi"]}, chart, SubstitutionError),
+            (h, {h.t_var: h["t"] + h.const(1)}, h, SubstitutionError),
+            (h, {h.t_var: -2 * h["t"]}, h, SubstitutionError),
+            (h, {h.var("x"): chart["y"]}, h, ChartMismatchError),
+            (chart, {h.t_var: chart["x"]}, chart, UnknownVariableError),
+        ):
+            with pytest.raises(error):
+                _Substitution(source, images, target)
+            with pytest.raises(error):
+                source.zero().substitute(images, target)
+        # a missing image or an irrational t power surfaces on the term that needs it
+        other = Chart([("u", EVEN)], hatted=True)
+        prepared = _Substitution(h, {h.var("x"): other["u"], h.t_var: 2 * other["t"]}, other)
+        assert prepared(h["x"] * h["t"]) == 2 * other["u"] * other["t"]
+        with pytest.raises(SubstitutionError, match="y has no image"):
+            prepared(h["y"])
+        with pytest.raises(SubstitutionError, match="leaves the rationals"):
+            prepared(h.t_power(Fraction(1, 2)))
 
 
 class TestChartSum:
