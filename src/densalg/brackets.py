@@ -307,24 +307,19 @@ def _draw(rng, sample):
 class _Suite:
     """The identity suite on one random stream, shared by the candidates of one call.
 
-    Triples are drawn in table order, an identity's together with every
-    earlier one's the first time it is judged, so they are the same whichever
-    identity or candidate asks first.  Verdicts are memoised on the identity
-    and conv's values of its fields.  Past a first failure, later identities
-    draw as for a passing convention; only the tests look there, with PINNED.
+    Every identity's triples are drawn up front, in table order, so they are
+    the same whichever identity or candidate asks first.  Verdicts are
+    memoised on the identity and conv's values of its fields.
     """
 
     def __init__(self, rng):
-        self.draws = ([_draw(rng, s) for s, _ in checks] for _, _, checks in _IDENTITIES)
-        self.samples = []
+        self.samples = [[_draw(rng, s) for s, _ in checks] for _, _, checks in _IDENTITIES]
         self.verdicts = {}
 
     def holds(self, k, conv):
         _, names, checks = _IDENTITIES[k]
         key = (k,) + tuple(getattr(conv, n) for n in names)
         if key not in self.verdicts:
-            while len(self.samples) <= k:
-                self.samples.append(next(self.draws))
             self.verdicts[key] = all(
                 all(holds(f, g, h, conv) for f, g, h in triples)
                 for (_, holds), triples in zip(checks, self.samples[k])

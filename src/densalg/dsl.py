@@ -97,7 +97,7 @@ def _tokenize(text):
         if ch == "#":
             # '#name' is a fiber variable; '# ' etc. is an error
             j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalnum() or text[j] in "_."):
                 j += 1
             if j == i + 1:
                 raise ParseError("'#' must be followed by a variable name", line, col)
@@ -113,9 +113,9 @@ def _tokenize(text):
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # not isdigit: int() rejects '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -301,9 +301,12 @@ class _Parser:
             self.expect("{")
             entries = []
             while self.peek().kind != "}":
-                var = self.expect("name", "coordinate name").text
+                var = self.expect("name", "coordinate name")
+                if any(var.text == given for given, _ in entries):
+                    raise ParseError("%s gives %r twice" % (which, var.text),
+                                     var.line, var.column)
                 self.expect("=")
-                entries.append((var, self.parse_expr()))
+                entries.append((var.text, self.parse_expr()))
                 if self.peek().kind == ";":
                     self.next()
             self.expect("}")

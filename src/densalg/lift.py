@@ -123,7 +123,10 @@ class CoordinateChange:
     chart's base coordinates; `inverse` is the exact inverse map.  The
     Jacobian determinant of `forward` must be a nonzero rational constant
     (affine and unipotent-triangular maps qualify); it is computed and
-    validated on construction.
+    validated on construction.  `images` maps every old unhatted variable
+    to the new chart: base coordinates through `forward`, fiber coordinates
+    as parity reversed momenta, #x_old^a -> sum_b (d x_new^b/d x_old^a) #x_new^b
+    with the derivative expressed in the new coordinates.
     """
 
     def __init__(self, source: Chart, target: Chart, forward: dict, inverse: dict):
@@ -147,30 +150,30 @@ class CoordinateChange:
                 if img.chart != chart or img.fiber_degree() != 0:
                     raise DomainError("image of %s is not a base function" % v.name)
         # round-trip identity, exactly
-        back = _Substitution(target, {w: self.inverse[w] for w in tb}, source)
+        back = _Substitution(target, self.inverse, source)
         for v in sb:
             if back(self.forward[v]) != source[v.name]:
                 raise DomainError("inverse is not exact for %s" % v.name)
-        forth = _Substitution(source, {w: self.forward[w] for w in sb}, target)
+        forth = _Substitution(source, self.forward, target)
         for v in tb:
             if forth(self.inverse[v]) != target[v.name]:
                 raise DomainError("forward is not exact for %s" % v.name)
-        self.jac_det = self._constant_jacobian()
+        det = self._poly_det([[self.forward[v].derive_left(w) for w in tb] for v in sb], target)
+        self.jac_det = det.constant_term()
+        if det != self.jac_det:
+            raise DomainError("Jacobian determinant is not constant")
         if self.jac_det == 0:
             raise DomainError("Jacobian determinant vanishes")
+        self.images = dict(self.forward)
+        for a in sb:
+            self.images[source.var("#" + a.name)] = target.sum(
+                forth(self.inverse[b].derive_left(a)) * target["#" + b.name] for b in tb)
 
-    def _constant_jacobian(self):
-        sb = [v for v, _ in self.source.base_pairs()]
-        tb = [v for v, _ in self.target.base_pairs()]
-        n = len(sb)
-        rows = [
-            [self.forward[sb[i]].derive_left(tb[j]) for j in range(n)] for i in range(n)
-        ]
-        det = self._poly_det(rows, self.target)
-        constant = det.constant_term()
-        if det != constant:
-            raise DomainError("Jacobian determinant is not constant")
-        return constant
+    def abs_det(self, strict_orientation=False):
+        """|det J|; an orientation-reversing change raises in strict mode."""
+        if self.jac_det < 0 and strict_orientation:
+            raise OrientationError("orientation-reversing change in strict mode")
+        return abs(self.jac_det)
 
     @staticmethod
     def _poly_det(rows, chart):
@@ -192,44 +195,18 @@ class CoordinateChange:
 def _hatted_fiber_images(change: CoordinateChange, strict_orientation=False):
     """Images of the old hatted variables on the new hatted chart.
 
-    Old base coordinates map through `forward`; t picks up |det J|, #t its
-    inverse; old fiber coordinates transform as parity reversed momenta with
-    the second-derivative w-term.  Returns (images dict keyed by old hatted
-    variables, target hatted chart, orientation_flipped flag).
+    The unhatted variables map by `change.images`; t picks up |det J|, #t its
+    inverse.  The fiber images carry no w-term: its coefficient on #x_old^a
+    is d/dx_old^a log|det J|, zero for the constant det J a change has.
+    Returns (images dict keyed by old hatted variables, target hatted chart,
+    orientation_flipped flag).
     """
-    src, tgt = change.source, change.target
-    hsrc, htgt = src.hatted_version(), tgt.hatted_version()
-    J = change.jac_det
-    flipped = J < 0
-    if flipped and strict_orientation:
-        raise OrientationError("orientation-reversing change in strict mode")
-    absJ = abs(J)
-
-    sb = [v for v, _ in src.base_pairs()]
-    tb = [v for v, _ in tgt.base_pairs()]
-    in_new = _Substitution(src, {v: change.forward[v] for v in sb}, tgt)
-    dfwd = [[change.forward[c].derive_left(b) for b in tb] for c in sb]  # d old^c / d new^b
-
-    images = {hsrc.var(v.name): change.forward[v].transport(htgt) for v in sb}
+    absJ = change.abs_det(strict_orientation)
+    hsrc, htgt = change.source.hatted_version(), change.target.hatted_version()
+    images = {hsrc.var(v.name): img.transport(htgt) for v, img in change.images.items()}
     images[hsrc.t_var] = absJ * htgt["t"]
     images[hsrc.tstar_var] = (Fraction(1) / absJ) * htgt["#t"]
-    w_new = htgt.w_star()
-    for a in sb:
-        terms, w_parts = [], []
-        for b, vb in enumerate(tb):
-            d = change.inverse[vb].derive_left(a)  # d x_new^b / d x_old^a
-            if not d:
-                continue
-            terms.append(in_new(d).transport(htgt) * htgt["#" + vb.name])
-            for c, vc in enumerate(sb):
-                d2c = in_new(d.derive_left(vc))  # second partial, in new coords
-                if d2c:
-                    w_parts.append(d2c * dfwd[c][b])
-        scalar = tgt.sum(w_parts)
-        if scalar:
-            terms.append(scalar.transport(htgt) * w_new)
-        images[hsrc.var("#" + a.name)] = htgt.sum(terms)
-    return images, htgt, flipped
+    return images, htgt, change.jac_det < 0
 
 
 def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=False) -> SPoly:
@@ -244,24 +221,11 @@ def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=Fals
 def transform_density(s: DensityElement, change: CoordinateChange, strict_orientation=False) -> DensityElement:
     """Pull a weighted multivector through a coordinate change.
 
-    The body picks up |det J|^weight and the fiber coordinates transform
-    linearly (no w-term on the unhatted bundle).
+    The body picks up |det J|^weight and its variables map by `change.images`
+    (no w-term on the unhatted bundle).
     """
-    src, tgt = change.source, change.target
-    if s.chart != src:
+    if s.chart != change.source:
         raise ChartMismatchError("density lives on the wrong chart")
-    J = change.jac_det
-    if J < 0 and strict_orientation:
-        raise OrientationError("orientation-reversing change in strict mode")
-    absJ = abs(J)
-    sb = [v for v, _ in src.base_pairs()]
-    tb = [v for v, _ in tgt.base_pairs()]
-    fwd = {v: change.forward[v] for v in sb}
-    in_new = _Substitution(src, fwd, tgt)
-    images = dict(fwd)
-    for va in sb:
-        images[src.var("#" + va.name)] = tgt.sum(
-            in_new(change.inverse[vb].derive_left(va)) * tgt["#" + vb.name] for vb in tb
-        )
-    body = rational_power(absJ, s.weight) * s.body.substitute(images, target=tgt)
-    return DensityElement(body, s.weight)
+    absJ = change.abs_det(strict_orientation)
+    body = s.body.substitute(change.images, target=change.target)
+    return DensityElement(rational_power(absJ, s.weight) * body, s.weight)

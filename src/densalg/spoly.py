@@ -136,6 +136,13 @@ def _exact_root(n, k):
         r = s
 
 
+def _is_name(text):
+    """Whether text is one name token of the DSL: a letter or '_', then
+    letters, digits, '_' or '.', so that printed polynomials parse back."""
+    return (isinstance(text, str) and (text[:1].isalpha() or text[:1] == "_")
+            and all(c.isalnum() or c in "_." for c in text))
+
+
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -166,7 +173,7 @@ class Chart:
         for n, p in base_coords:
             if p not in (EVEN, ODD):
                 raise DomainError("parity must be 0 or 1")
-            if not isinstance(n, str) or n in seen or n in self.RESERVED:
+            if not _is_name(n) or n in seen or n in self.RESERVED:
                 raise DomainError("bad or duplicate coordinate name: %r" % (n,))
             seen.add(n)
         self.name = name

@@ -162,6 +162,8 @@ class TestExitCodes:
         '{"dimension": 1, "names": ["t"], "constants": []}',
         '{"dimension": 2, "names": ["a", "a"], "constants": []}',
         '{"dimension": 2, "names": [1, 2], "constants": [[1, 2, 1, "1"], [2, 1, 1, "-1"]]}',
+        '{"dimension": 2, "names": ["b", "#b"], "constants": []}',
+        '{"dimension": 2, "names": ["a b", "2c"], "constants": [[1, 2, 1, "1"], [2, 1, 1, "-1"]]}',
         '{"dimension": 3.9, "constants": []}',
         '{"dimension": 3, "parities": [0.5, 0, 0], "constants": []}',
         '{"dimension": 3, "constants": [[1.7, 2, 3, "1"], [2, 1, 3, "-1"]]}',
@@ -176,6 +178,18 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_DOMAIN
         assert "g.json" in err
+        if content and '"names": ["' in content:
+            assert "bad or duplicate coordinate name" in err
+
+    def test_unicode_digits(self, tmp_path, capsys):
+        # '²' is a digit to str.isdigit but no decimal digit; Arabic-Indic '٣' is 3
+        script = write(tmp_path, "sup.dsl", "chart C { even x }\nlet a = ²*x\n")
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_PARSE
+        assert "2:9: unexpected character '²'" in err
+        script = write(tmp_path, "arabic.dsl", "chart C { even x }\nlet a = ٣*x\ndiv(a*#x)\n")
+        code, out, err = run_cli(capsys, [script])
+        assert (code, out) == (EXIT_OK, "div = 3\n")
 
     @pytest.mark.parametrize("command", [
         "bracket()", "div()", "delta()", "project()", "master()", "lift(x)", "classify(x)",
@@ -444,6 +458,26 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             interp = Interpreter()
             interp.run(parse(src))
+
+    @pytest.mark.parametrize("maps, position", [
+        ("forward { x = u; y = v; x = 2*u }\n  inverse { u = x; v = y }", (4, 27)),
+        ("forward { x = u; y = v }\n  inverse { u = x; v = y; v = y }", (5, 27)),
+    ])
+    def test_change_gives_a_coordinate_twice(self, maps, position):
+        src = "chart A { even x, y }\nchart B { even u, v }\nchange R : A -> B {\n  %s\n}\n"
+        with pytest.raises(ParseError, match="twice") as exc:
+            parse(src % maps)
+        assert (exc.value.line, exc.value.column) == position
+
+    def test_dsl_names_print_and_parse_back(self):
+        for names in (["x.y", "b"], ["_a", "b1"], ["x²", "b"]):
+            chart = Chart([(n, EVEN) for n in names])
+            a, b = (chart[n] for n in names)
+            f = a * chart["#" + names[1]] - 2 * chart["#" + names[0]] * chart["#" + names[1]] + b
+            interp = Interpreter()
+            interp.run(parse("chart A { even %s }\nlet f = %s\n"
+                             % (", ".join(names), poly_to_text(f))))
+            assert interp.bindings["f"] == f
 
     def test_error_carries_position(self):
         try:

@@ -1,5 +1,6 @@
 """The canonical lift: defining properties and coordinate naturality."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -238,31 +239,21 @@ class TestCoordinateChanges:
                 s = DensityElement(random_poly(rng, ch.source), lam)
                 assert transform_hatted(lift(s), ch) == lift(transform_density(s, ch))
 
-    def test_fiber_transform_second_derivative_term(self):
-        # hatted momenta pick up a w-term proportional to the second
-        # derivatives of the change; checked against an independently coded
-        # version of the transformation law on a map where it is nonzero
+    @staticmethod
+    def _check_fiber_law(ch, rng):
+        # transformation law of the hatted momenta, coded independently:
+        # #a -> (d new^b / d a) #b + c_a w with c_a = sum_(b,c) (d^2 new^b / da dc)
+        # (d c / d new^b) = tr(J^-1 dJ/da) = d/da log|det J|, identically zero
+        # on the constant-Jacobian domain this package supports
         from densalg.lift import _hatted_fiber_images
 
-        src = Chart([("x", EVEN), ("y", EVEN)], name="old")
-        tgt = Chart([("u", EVEN), ("v", EVEN)], name="new")
-        u, v = tgt["u"], tgt["v"]
-        x, y = src["x"], src["y"]
-        # composite of two unipotent shears; constant Jacobian 1 but the
-        # second-derivative pairing no longer vanishes
-        forward = {"x": u + v * v, "y": v + (u + v * v) ** 2}
-        inverse = {"v": y - x * x, "u": x - (y - x * x) ** 2}
-        ch = CoordinateChange(src, tgt, forward, inverse)
-        assert ch.jac_det == 1
+        src, tgt = ch.source, ch.target
         images, htgt, flipped = _hatted_fiber_images(ch)
-        assert not flipped
+        assert flipped == (ch.jac_det < 0)
         hsrc = src.hatted_version()
         sb = [w for w, _ in src.base_pairs()]
         tb = [w for w, _ in tgt.base_pairs()]
         for a in sb:
-            # transformation law: #a -> (d new^b / d a) #b + w-term, where the
-            # w coefficient is tr(J^-1 dJ/da) = d/da log det J -- identically
-            # zero on the constant-Jacobian domain this package supports
             expected = htgt.zero()
             scalar = tgt.zero()
             for b in tb:
@@ -278,12 +269,52 @@ class TestCoordinateChanges:
                     if d2:
                         scalar = scalar + d2 * ch.forward[c].derive_left(b)
             assert scalar.is_zero()
-            assert images[hsrc.var("#" + a.name)] == expected
-        # and naturality still holds on this harder change
-        rng = random.Random(7)
-        for lam in WEIGHTS:
+            w_term = scalar.transport(htgt) * htgt.w_star()
+            assert images[hsrc.var("#" + a.name)] == expected + w_term
+        # and naturality holds on the change
+        lams = WEIGHTS if abs(ch.jac_det) in (1, 4) else [Fraction(0), Fraction(-1), Fraction(2)]
+        for lam in lams:
             s = DensityElement(random_poly(rng, src), lam)
             assert transform_hatted(lift(s), ch) == lift(transform_density(s, ch))
+
+    def test_fiber_transform_second_derivative_term(self):
+        src = Chart([("x", EVEN), ("y", EVEN)], name="old")
+        tgt = Chart([("u", EVEN), ("v", EVEN)], name="new")
+        u, v = tgt["u"], tgt["v"]
+        x, y = src["x"], src["y"]
+        # composite of two unipotent shears; constant Jacobian 1 but the
+        # second derivatives in the w coefficient do not vanish one by one
+        forward = {"x": u + v * v, "y": v + (u + v * v) ** 2}
+        inverse = {"v": y - x * x, "u": x - (y - x * x) ** 2}
+        ch = CoordinateChange(src, tgt, forward, inverse)
+        assert ch.jac_det == 1
+        self._check_fiber_law(ch, random.Random(7))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fiber_transform_random_triangular(self, seed):
+        # x_i = c_i u_i + a_i u_(i+1)^2 + b_i u_k with k > i: triangular with
+        # constant det prod c_i; the last seed flips one sign for det < 0
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        src = Chart([("x%d" % i, EVEN) for i in range(n)], name="old")
+        tgt = Chart([("u%d" % i, EVEN) for i in range(n)], name="new")
+        scales = [rng.choice((1, 1, 2, Fraction(1, 2))) for _ in range(n)]
+        if seed == 5:
+            scales[rng.randrange(n)] *= -1
+        forward, inverse = {}, {}
+        for i in reversed(range(n)):
+            later = range(i + 1, n)
+            a, b = (rng.choice((-2, -1, 1, Fraction(1, 3))) for _ in range(2))
+            img, pre = scales[i] * tgt["u%d" % i], src["x%d" % i]
+            if later:
+                j, k = i + 1, rng.choice(later)
+                img = img + a * tgt["u%d" % j] ** 2 + b * tgt["u%d" % k]
+                pre = pre - a * inverse["u%d" % j] ** 2 - b * inverse["u%d" % k]
+            forward["x%d" % i], inverse["u%d" % i] = img, pre / scales[i]
+        ch = CoordinateChange(src, tgt, forward, inverse)
+        assert ch.jac_det == math.prod(scales)
+        assert (ch.jac_det < 0) == (seed == 5)
+        self._check_fiber_law(ch, rng)
 
     def test_weight_scaling(self, rng):
         # scaling chart by 2 in one coordinate: |J| = 1/2 going forward

@@ -75,8 +75,10 @@ class TestBasics:
         assert (x - x).is_zero()
         assert x ** 3 == x * x * x
 
+    # past the fourth: a fiber name as a base name, and names that print as no DSL name token
     @pytest.mark.parametrize("coords", [[("x", 2)], [("x", EVEN), ("x", ODD)], [("w", EVEN)],
-                                        [(1, EVEN)]])
+                                        [(1, EVEN)], [("b", EVEN), ("#b", EVEN)], [("a b", EVEN)],
+                                        [("2c", EVEN)], [("", EVEN)], [("x-y", ODD)]])
     def test_bad_chart_is_domain_error(self, coords):
         with pytest.raises(DomainError):
             Chart(coords)
