@@ -182,16 +182,9 @@ def project_base(S: SPoly):
     weight; fiber variables of the hatted chart are re-read as plain fiber
     variables.
     """
-    chart = S.chart
-    if not chart.hatted:
+    if not S.chart.hatted:
         raise DomainError("project_base needs a hatted chart")
-    base_chart = chart.unhatted_version()
-    ti = chart.t_var.index  # the t and #t slots come last
-    by_weight = {}
-    for key, coeff in S.terms.items():
-        if not key[ti + 1]:
-            by_weight.setdefault(key[ti], {})[key[:ti]] = coeff
-    return [(SPoly(base_chart, by_weight[lam]), Fraction(lam)) for lam in sorted(by_weight)]
+    return [(body, Fraction(t)) for (t, tstar), body in sorted(S.tails().items()) if not tstar]
 
 
 def r_ary_bracket(S: SPoly, args) -> SPoly:

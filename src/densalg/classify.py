@@ -34,11 +34,9 @@ class LiftDecomposition:
 
 def attach_correction(s: DensityElement, Q: SPoly) -> SPoly:
     """lift(s) + Q * t^(weight+1) * #t; at weight 0 this is lift(s) + Q*w."""
-    hchart = s.chart.hatted_version()
     if Q.chart != s.chart:
         raise DomainError("Q must live on the unhatted chart of s")
-    tail = Q.transport(hchart) * hchart.t_power(s.weight + 1) * hchart["#t"]
-    return lift(s) + tail
+    return lift(s) + Q.transport(s.chart.hatted_version(), s.weight + 1, 1)
 
 
 def decompose(S: SPoly, s: DensityElement) -> LiftDecomposition:
@@ -49,14 +47,10 @@ def decompose(S: SPoly, s: DensityElement) -> LiftDecomposition:
     """
     if project_to_density(S) != [s]:
         raise DomainError("S does not project to the given density element")
-    R = S - lift(s)
-    ti = S.chart.t_var.index  # the t and #t slots come last
-    stripped = {}
-    for key, coeff in R.terms.items():
-        if key[ti + 1] != 1 or key[ti] != s.weight + 1:
-            raise DomainError("S - lift(s) is not of the form Q * w")
-        stripped[key[:ti]] = coeff
-    Q = SPoly(s.chart, stripped)
+    tails = (S - lift(s)).tails()
+    Q = tails.pop((s.weight + 1, 1), s.chart.zero())
+    if tails:
+        raise DomainError("S - lift(s) is not of the form Q * w")
     if attach_correction(s, Q) != S:
         raise DomainError("decomposition does not round-trip")
     return LiftDecomposition(base=s, q_part=Q)
@@ -85,14 +79,9 @@ def master_residual_of_lift(s: DensityElement, Q: SPoly) -> SPoly:
         raise DomainError("s must be parity homogeneous")
     S = attach_correction(s, Q)
     residual = master_check(S)
-    factor = 0 if sp == ODD else 2
-    hchart = S.chart
-    expected = hchart.zero()
-    if factor:
-        E = antibracket(s.body, Q)
-        expected = factor * (
-            E.transport(hchart) * hchart.t_power(1) * hchart["#t"]
-        )
+    expected = S.chart.zero()
+    if sp != ODD:  # 1 + (-1)^s = 2
+        expected = (2 * antibracket(s.body, Q)).transport(S.chart, 1, 1)
     if residual != expected:
         raise DomainError(
             "master residual does not match (1 + (-1)^s)(s, Q) w; got %r" % residual
@@ -296,9 +285,10 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
 class LieAlgebraData:
     """Structure constants C^{ij}_k of a (super) Lie algebra basis {e_i}.
 
-    Constants are stored 0-based as a dense map; graded antisymmetry is
-    enforced on construction, the Jacobi identity is checked downstream
-    through the master equation of the induced quadratic Poisson element.
+    Constants are stored 0-based as a dense map; parity (p_k = p_i + p_j) and
+    graded antisymmetry are enforced on construction, the Jacobi identity is
+    checked downstream through the master equation of the induced quadratic
+    Poisson element.
     """
 
     def __init__(self, dimension, parities=None, constants=(), names=None):
@@ -321,8 +311,12 @@ class LieAlgebraData:
                 raise DomainError("structure constant index out of range")
             table[(i, j, k)] = table.get((i, j, k), Fraction(0)) + _frac(val)
         self.constants = {k: v for k, v in table.items() if v}
+        p = self.parities
         for (i, j, k), v in self.constants.items():
-            sign = -1 if (self.parities[i] * self.parities[j]) % 2 == 0 else 1
+            if p[k] != (p[i] + p[j]) % 2:
+                raise DomainError("structure constant at (%d,%d,%d) breaks parity: "
+                                  "p_k = %d, p_i + p_j = %d" % (i, j, k, p[k], p[i] + p[j]))
+            sign = -1 if (p[i] * p[j]) % 2 == 0 else 1
             mirrored = self.constants.get((j, i, k), Fraction(0))
             if mirrored != sign * v:
                 raise DomainError(
@@ -446,12 +440,11 @@ def supertrace_extension(g: LieAlgebraData):
         phi[j] * chart["#" + g.names[j]] for j in range(g.dimension) if phi[j]
     )
     if not s.body.is_zero():
-        dec = decompose(lift(s), s)  # Q = 0 for the bare lift
-        assert dec.q_part.is_zero()
-        hchart = chart.hatted_version()
-        corr = lift(s) - s.body.transport(hchart)
-        # the lift stores the correction as w * Delta(s); compare as w-multiples
-        if corr != hchart["t"] * (hchart["#t"] * expected_q.transport(hchart)):
+        S = lift(s)
+        assert decompose(S, s).q_part.is_zero()  # Q = 0 for the bare lift
+        # the lift stores the correction as t #t Delta(s): a sign per odd term
+        even, odd = expected_q.parity_components()
+        if S - s.body.transport(S.chart) != (even - odd).transport(S.chart, 1, 1):
             raise DomainError("lift correction disagrees with the supertrace functional")
     elif any(phi):
         raise DomainError("supertrace functional must vanish for an abelian algebra")
@@ -523,13 +516,13 @@ def density_evolution(H: SPoly, f: SPoly, psi: SPoly, lam) -> SPoly:
         return r_ary_bracket(omega, [a, b])
 
     hchart = chart.hatted_version()
-    closed = (pb(H, psi) + lam * (pb(H, f) * psi)).transport(hchart) * hchart.t_power(lam)
+    closed = (pb(H, psi) + lam * (pb(H, f) * psi)).transport(hchart, lam)
     # direct route through the lifted structure; the iterated bracket carries
     # the same accumulator-parity signs as r_ary_bracket, and the Hamiltonian
     # field is oriented to match under the pinned sign convention
     x_f = -antibracket(omega, f)
     omega_x = attach_correction(DensityElement(omega, Fraction(0)), x_f)
-    Psi = psi.transport(hchart) * hchart.t_power(lam)
+    Psi = psi.transport(hchart, lam)
     step = antibracket(omega_x, H.transport(hchart))
     step_even, step_odd = step.parity_components()
     direct = antibracket(step_even - step_odd, Psi)

@@ -500,6 +500,8 @@ class Interpreter:
             # fractional/negative powers only exist for the t coordinate
             if lhs.chart.hatted and lhs == lhs.chart["t"]:
                 return lhs.chart.t_power(rhs)
+            if rhs.denominator == 1:
+                raise DomainError("negative powers apply to t only", node.line, node.column)
             raise ParseError("fractional powers apply to t only", node.line, node.column)
         return lhs ** int(rhs)
 

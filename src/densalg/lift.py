@@ -6,6 +6,8 @@ a unique extension to the hatted chart that projects back to s and is killed
 by the canonical delta operator; `lift` builds it in closed form.  The lift
 commutes with the odd bracket and with (constant-Jacobian) coordinate
 changes, which `lift_commutes_check` and `transform_hatted` make checkable.
+A change has one law, `transform_density`: each (t, #t) tail t^a #t^b of a
+hatted element has weight a - b, and its body transforms at that weight.
 """
 from __future__ import annotations
 
@@ -59,13 +61,9 @@ def lift(s: DensityElement) -> SPoly:
     if lam == 1:
         raise WeightOneError()
     hchart = s.chart.hatted_version()
-    s0 = s.body.transport(hchart)
-    head = s0 * hchart.t_power(lam)
-    corr = divergence(s.body).transport(hchart)
-    if corr:
-        pref = Fraction(1) / (1 - lam)
-        head = head + pref * (hchart.t_power(lam + 1) * (hchart["#t"] * corr))
-    return head
+    # #t div(s) = (div(s)_even - div(s)_odd) #t: a sign per term, (-1)^parity
+    even, odd = divergence(s.body).parity_components()
+    return s.body.transport(hchart, lam) + (even - odd).transport(hchart, lam + 1, 1) / (1 - lam)
 
 
 def project_to_density(S: SPoly):
@@ -192,30 +190,22 @@ class CoordinateChange:
         return det(tuple(range(n)))
 
 
-def _hatted_fiber_images(change: CoordinateChange, strict_orientation=False):
-    """Images of the old hatted variables on the new hatted chart.
-
-    The unhatted variables map by `change.images`; t picks up |det J|, #t its
-    inverse.  The fiber images carry no w-term: its coefficient on #x_old^a
-    is d/dx_old^a log|det J|, zero for the constant det J a change has.
-    Returns (images dict keyed by old hatted variables, target hatted chart,
-    orientation_flipped flag).
-    """
-    absJ = change.abs_det(strict_orientation)
-    hsrc, htgt = change.source.hatted_version(), change.target.hatted_version()
-    images = {hsrc.var(v.name): img.transport(htgt) for v, img in change.images.items()}
-    images[hsrc.t_var] = absJ * htgt["t"]
-    images[hsrc.tstar_var] = (Fraction(1) / absJ) * htgt["#t"]
-    return images, htgt, change.jac_det < 0
-
-
 def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=False) -> SPoly:
-    """Express S, living on the source hatted chart, in the target hatted chart."""
-    hsrc = change.source.hatted_version()
-    if S.chart != hsrc:
+    """Express S, living on the source hatted chart, in the target hatted chart.
+
+    Each body of S.tails() transforms by `transform_density` at its tail's
+    weight a - b and keeps its tail t^a #t^b: t -> |det J| t, #t -> #t/|det J|.
+    There is no w-term: its coefficient on #x_old^a is d/dx_old^a log|det J|,
+    zero for the constant det J a change has.
+    """
+    if S.chart != change.source.hatted_version():
         raise ChartMismatchError("S must live on the hatted source chart")
-    images, htgt, _ = _hatted_fiber_images(change, strict_orientation)
-    return S.substitute(images, target=htgt)
+    change.abs_det(strict_orientation)  # a zero S is judged too
+    htgt = change.target.hatted_version()
+    return htgt.sum(
+        transform_density(DensityElement(body, a - b), change).body.transport(htgt, a, b)
+        for (a, b), body in S.tails().items()
+    )
 
 
 def transform_density(s: DensityElement, change: CoordinateChange, strict_orientation=False) -> DensityElement:

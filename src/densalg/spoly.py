@@ -21,6 +21,9 @@ accumulate into one term map through `_mul_into`, sums through `_add_into`.
 flag), and `_partial_rows` gives every partial of a term map as rows in one pass.
 A `_Substitution` checks its images once and keeps the rows of their powers
 for many polynomials; `SPoly.substitute` prepares one and applies it once.
+A hatted polynomial is a sum of unhatted bodies times (t, #t) tails t^a #t^b,
+of weight a - b, on their right: `SPoly.transport` attaches a tail to a body
+and `SPoly.tails` splits a polynomial into its tails.
 """
 from __future__ import annotations
 
@@ -551,12 +554,15 @@ class SPoly:
         """
         return _Substitution(self.chart, images, target)(self)
 
-    def transport(self, target):
+    def transport(self, target, t=0, tstar=0):
         """The same terms on `target`, the hatted or unhatted version of this chart.
 
         Both versions give their shared variables the same slots, and the t
-        and #t slots come last: keys are padded with two zero slots or cut
-        short by two, and a term with t or #t has no place on an unhatted target.
+        and #t slots come last.  Onto an unhatted target keys are cut short by
+        two, and a term with t or #t has no place there.  Onto a hatted one
+        they are padded with `t` and `tstar` (0 or 1), the exponents of t and
+        #t: the right product by t^t #t^tstar, with no sign as #t is the last
+        odd variable.  `tails` inverts it.
         """
         chart = self.chart
         if target.base_coords != chart.base_coords:
@@ -565,7 +571,21 @@ class SPoly:
         if any(any(key[width:]) for key in self.terms):
             raise SubstitutionError("a term with t or #t has no image on an unhatted chart")
         pad = target.zero_key[len(chart.zero_key):]
+        if (t or tstar) and (not pad or tstar not in (0, 1)):
+            raise DomainError("a tail t^%s #t^%s does not pad onto %r" % (t, tstar, target))
+        pad = (_num(_frac(t)), tstar) if pad else ()
         return SPoly(target, {key[:width] + pad: c for key, c in self.terms.items()})
+
+    def tails(self):
+        """This hatted polynomial as {(t exponent, #t exponent): body on the
+        unhatted chart}: the sum of body.transport(chart, t, tstar)."""
+        if not self.chart.hatted:
+            raise DomainError("only a hatted polynomial has (t, #t) tails")
+        parts = {}
+        for key, c in self.terms.items():
+            parts.setdefault(key[-2:], {})[key[:-2]] = c
+        base = self.chart.unhatted_version()
+        return {tail: SPoly(base, terms) for tail, terms in parts.items()}
 
     def coefficient(self, key):
         return Fraction(self.terms.get(key, 0))

@@ -441,6 +441,19 @@ class TestLieAlgebra:
         with pytest.raises(DomainError):
             LieAlgebraData(2, None, [(0, 1, 1, 1)])  # missing mirror entry
 
+    def test_parity_enforced(self):
+        # C^{ij}_k != 0 needs p_k = p_i + p_j mod 2
+        with pytest.raises(DomainError, match=r"\(0,1,0\) breaks parity"):
+            LieAlgebraData(2, [0, 1], [(0, 1, 0, 1), (1, 0, 0, -1)])
+        with pytest.raises(DomainError, match=r"\(1,1,1\) breaks parity"):
+            LieAlgebraData(2, [0, 1], [(1, 1, 1, 1)])
+        g = LieAlgebraData(2, [0, 1], [(0, 1, 1, 1), (1, 0, 1, -1), (1, 1, 0, 2)])
+        assert g.c(1, 1, 0) == 2
+        # a basis change mixing an even and an odd element has no homogeneous result
+        with pytest.raises(DomainError, match="breaks parity"):
+            change_basis(LieAlgebraData(2, [0, 1], [(0, 1, 1, 1), (1, 0, 1, -1)]),
+                         [[1, 1], [0, 1]])
+
     def test_basis_change_covector_law(self, rng):
         g = LieAlgebraData(2, None, SOLVABLE)
         phi = supertrace_extension(g)

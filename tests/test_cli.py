@@ -85,7 +85,7 @@ class TestExitCodes:
         assert "3:13:" in err and "fiber degree" in err and "homogeneous" not in err
         assert "dimension" not in out
 
-    @pytest.mark.parametrize("expr", ["x/0", "0^(-1)"])
+    @pytest.mark.parametrize("expr", ["x/0", "0^(-1)", "(x)^(-1)", "x^(-2)"])
     def test_domain_error_zero_division(self, tmp_path, capsys, expr):
         script = write(tmp_path, "zero.dsl", """
             chart C { even x }
@@ -93,7 +93,8 @@ class TestExitCodes:
         """ % expr)
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_DOMAIN
-        assert "3:22:" in err  # the operator's line:col
+        column = 21 + expr.index("/" if "/" in expr else "^")
+        assert "3:%d:" % column in err  # the operator's line:col
 
     @pytest.mark.parametrize("expr, position", [("2^(1/2)", "3:22:"), ("(0-1)^(1/2)", "3:26:")])
     def test_domain_error_irrational_constant_power(self, tmp_path, capsys, expr, position):
@@ -169,6 +170,7 @@ class TestExitCodes:
         '{"dimension": 3, "constants": [[1.7, 2, 3, "1"], [2, 1, 3, "-1"]]}',
         '{"dimension": Infinity, "constants": []}',
         '{"dimension": 2, "constants": [[1, 2, 1, Infinity], [2, 1, 1, -Infinity]]}',
+        '{"dimension": 2, "parities": [0, 1], "constants": [[1, 2, 1, "1"], [2, 1, 1, "-1"]]}',
     ])
     def test_domain_error_bad_liealg_file(self, tmp_path, capsys, monkeypatch, content):
         monkeypatch.chdir(tmp_path)  # the path resolves against the working directory
@@ -180,6 +182,8 @@ class TestExitCodes:
         assert "g.json" in err
         if content and '"names": ["' in content:
             assert "bad or duplicate coordinate name" in err
+        if content and '"parities": [0, 1]' in content:
+            assert "(0,1,0) breaks parity" in err
 
     def test_unicode_digits(self, tmp_path, capsys):
         # '²' is a digit to str.isdigit but no decimal digit; Arabic-Indic '٣' is 3

@@ -25,7 +25,7 @@ from densalg import (
 )
 from densalg.lift import OrientationError
 from densalg.printing import poly_to_text
-from conftest import random_poly
+from conftest import hatted_poly, random_poly, reference_substitute
 
 WEIGHTS = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(2)]
 
@@ -245,12 +245,8 @@ class TestCoordinateChanges:
         # #a -> (d new^b / d a) #b + c_a w with c_a = sum_(b,c) (d^2 new^b / da dc)
         # (d c / d new^b) = tr(J^-1 dJ/da) = d/da log|det J|, identically zero
         # on the constant-Jacobian domain this package supports
-        from densalg.lift import _hatted_fiber_images
-
         src, tgt = ch.source, ch.target
-        images, htgt, flipped = _hatted_fiber_images(ch)
-        assert flipped == (ch.jac_det < 0)
-        hsrc = src.hatted_version()
+        hsrc, htgt = src.hatted_version(), tgt.hatted_version()
         sb = [w for w, _ in src.base_pairs()]
         tb = [w for w, _ in tgt.base_pairs()]
         for a in sb:
@@ -270,7 +266,7 @@ class TestCoordinateChanges:
                         scalar = scalar + d2 * ch.forward[c].derive_left(b)
             assert scalar.is_zero()
             w_term = scalar.transport(htgt) * htgt.w_star()
-            assert images[hsrc.var("#" + a.name)] == expected + w_term
+            assert transform_hatted(hsrc["#" + a.name], ch) == expected + w_term
         # and naturality holds on the change
         lams = WEIGHTS if abs(ch.jac_det) in (1, 4) else [Fraction(0), Fraction(-1), Fraction(2)]
         for lam in lams:
@@ -338,6 +334,28 @@ class TestCoordinateChanges:
             transform_density(s, ch, strict_orientation=True)
         with pytest.raises(OrientationError):
             transform_hatted(lift(s), ch, strict_orientation=True)
+        zero = src.hatted_version().zero()  # a zero S has no tails, but is judged too
+        assert transform_hatted(zero, ch) == tgt.hatted_version().zero()
+        with pytest.raises(OrientationError):
+            transform_hatted(zero, ch, strict_orientation=True)
+
+    def test_transform_hatted_matches_substitution(self, rng):
+        # tail by tail equals one substitution of the whole element with
+        # t -> |J| t and #t -> #t/|J|, as the substitution oracle computes it
+        src = Chart([("x", EVEN), ("y", EVEN)], name="old")
+        tgt = Chart([("u", EVEN), ("v", EVEN)], name="new")
+        u, v, x, y = tgt["u"], tgt["v"], src["x"], src["y"]
+        for sign in (1, -1):  # |J| = 4 keeps t^(1/2) rational
+            ch = CoordinateChange(src, tgt, {"x": sign * 2 * u + v * v, "y": 2 * v},
+                                  {"u": sign * (x - y * y / 4) / 2, "v": y / 2})
+            assert ch.jac_det == 4 * sign
+            hsrc, htgt = src.hatted_version(), tgt.hatted_version()
+            images = {hsrc.var(w.name): img.transport(htgt) for w, img in ch.images.items()}
+            images[hsrc.t_var] = 4 * htgt["t"]
+            images[hsrc.tstar_var] = htgt["#t"] / 4
+            for _ in range(10):
+                S = hatted_poly(rng, hsrc, n_terms=5)
+                assert transform_hatted(S, ch) == reference_substitute(S, images, htgt)
 
     def test_inexact_inverse_rejected(self):
         src = Chart([("x", EVEN)], name="s")

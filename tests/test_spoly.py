@@ -292,6 +292,34 @@ class TestSubstitution:
             with pytest.raises(ChartMismatchError):
                 f.transport(small_chart.hatted_version())
 
+    def test_transport_tail_is_right_product(self, rng, chart):
+        # padding onto the hatted chart multiplies by t^a #t^b on the right
+        h = chart.hatted_version()
+        ti = h.t_var.index
+        for _ in range(30):
+            S = hatted_poly(rng, h, n_terms=5)
+            tails = S.tails()
+            assert h.sum(body.transport(h, a, b) for (a, b), body in tails.items()) == S
+            for (a, b), body in tails.items():
+                assert body.chart == chart and not body.is_zero()
+                tail = SPoly(h, {dense(h, [(i, e) for i, e in ((ti, a), (ti + 1, b)) if e]): 1})
+                expected = reference_product(h, body.transport(h), tail)
+                assert body.transport(h, a, b) == expected
+                assert not stored_fractions(body.transport(h, Fraction(a), b))
+            f = random_poly(rng, chart, n_terms=4)
+            a, b = rng.choice((0, 2, -1, Fraction(1, 2))), rng.choice((0, 1))
+            assert f.transport(h, a, b).tails() == ({(a, b): f} if f else {})
+
+    def test_transport_tail_rejected(self, chart):
+        h = chart.hatted_version()
+        for args in ((chart, 1, 0), (h, 0, 2)):
+            with pytest.raises(DomainError):
+                chart["x"].transport(*args)
+        with pytest.raises(DomainError):
+            h["x"].transport(h, 0, 1)  # a hatted polynomial has its tails already
+        with pytest.raises(DomainError):
+            chart["x"].tails()
+
     def test_substitute_needs_every_image_off_chart(self, chart):
         other = Chart([(n + "1", p) for n, p in chart.base_coords])
         h = chart.hatted_version()
