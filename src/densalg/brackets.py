@@ -200,8 +200,7 @@ def r_ary_bracket(S: SPoly, args) -> SPoly:
             raise DomainError("r-ary bracket arguments must have fiber degree 0")
     acc = S
     for f in args:
-        acc_even, acc_odd = acc.parity_components()
-        acc = antibracket(acc_even - acc_odd, f)
+        acc = antibracket(acc.parity_twist(), f)
     return restrict_to_base(acc)
 
 

@@ -6,8 +6,9 @@ a unique extension to the hatted chart that projects back to s and is killed
 by the canonical delta operator; `lift` builds it in closed form.  The lift
 commutes with the odd bracket and with (constant-Jacobian) coordinate
 changes, which `lift_commutes_check` and `transform_hatted` make checkable.
-A change has one law, `transform_density`: each (t, #t) tail t^a #t^b of a
-hatted element has weight a - b, and its body transforms at that weight.
+A change prepares one substitution and has one law, `transform_density`, for
+every density and tail: a tail t^a #t^b of a hatted element has weight a - b,
+and its body transforms at that weight.
 """
 from __future__ import annotations
 
@@ -61,9 +62,9 @@ def lift(s: DensityElement) -> SPoly:
     if lam == 1:
         raise WeightOneError()
     hchart = s.chart.hatted_version()
-    # #t div(s) = (div(s)_even - div(s)_odd) #t: a sign per term, (-1)^parity
-    even, odd = divergence(s.body).parity_components()
-    return s.body.transport(hchart, lam) + (even - odd).transport(hchart, lam + 1, 1) / (1 - lam)
+    # #t div(s) = div(s).parity_twist() #t: a sign per term, (-1)^parity
+    twisted = divergence(s.body).parity_twist()
+    return s.body.transport(hchart, lam) + twisted.transport(hchart, lam + 1, 1) / (1 - lam)
 
 
 def project_to_density(S: SPoly):
@@ -81,8 +82,8 @@ def base_bracket(s: DensityElement, u: DensityElement) -> DensityElement:
 
         mu/(1-lam) div(s) u  +  (-1)^|s| lam/(1-mu) s div(u),
 
-    where |s| is the parity of s (the second term is applied separately to
-    the even and odd parts of s).  Both corrections vanish at weight 0 (and
+    where |s| is the parity of s (the second term takes s.parity_twist(), a
+    sign per term of s).  Both corrections vanish at weight 0 (and
     whenever the divergences do), where this reduces to the bare bracket of
     the bodies.
     """
@@ -95,10 +96,7 @@ def base_bracket(s: DensityElement, u: DensityElement) -> DensityElement:
     if mu:
         body = body + (mu / (1 - lam)) * (divergence(s.body) * u.body)
     if lam:
-        s_even, s_odd = s.body.parity_components()
-        du = divergence(u.body)
-        pref = lam / (1 - mu)
-        body = body + pref * ((s_even - s_odd) * du)
+        body = body + (lam / (1 - mu)) * (s.body.parity_twist() * divergence(u.body))
     return DensityElement(body, lam + mu)
 
 
@@ -124,7 +122,8 @@ class CoordinateChange:
     validated on construction.  `images` maps every old unhatted variable
     to the new chart: base coordinates through `forward`, fiber coordinates
     as parity reversed momenta, #x_old^a -> sum_b (d x_new^b/d x_old^a) #x_new^b
-    with the derivative expressed in the new coordinates.
+    with the derivative expressed in the new coordinates.  `substitution`
+    is `images` prepared once, for every density and tail the change transforms.
     """
 
     def __init__(self, source: Chart, target: Chart, forward: dict, inverse: dict):
@@ -166,6 +165,7 @@ class CoordinateChange:
         for a in sb:
             self.images[source.var("#" + a.name)] = target.sum(
                 forth(self.inverse[b].derive_left(a)) * target["#" + b.name] for b in tb)
+        self.substitution = _Substitution(source, self.images, target)
 
     def abs_det(self, strict_orientation=False):
         """|det J|; an orientation-reversing change raises in strict mode."""
@@ -211,11 +211,10 @@ def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=Fals
 def transform_density(s: DensityElement, change: CoordinateChange, strict_orientation=False) -> DensityElement:
     """Pull a weighted multivector through a coordinate change.
 
-    The body picks up |det J|^weight and its variables map by `change.images`
-    (no w-term on the unhatted bundle).
+    The body picks up |det J|^weight and its variables map by the change's
+    prepared `substitution` of `images` (no w-term on the unhatted bundle).
     """
     if s.chart != change.source:
         raise ChartMismatchError("density lives on the wrong chart")
     absJ = change.abs_det(strict_orientation)
-    body = s.body.substitute(change.images, target=change.target)
-    return DensityElement(rational_power(absJ, s.weight) * body, s.weight)
+    return DensityElement(rational_power(absJ, s.weight) * change.substitution(s.body), s.weight)

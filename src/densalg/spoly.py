@@ -20,7 +20,8 @@ accumulate into one term map through `_mul_into`, sums through `_add_into`.
 `_mul_into` takes `_rows` (key, coefficient, odd-variable bitmask, fractional-t
 flag), and `_partial_rows` gives every partial of a term map as rows in one pass.
 A `_Substitution` checks its images once and keeps the rows of their powers
-for many polynomials; `SPoly.substitute` prepares one and applies it once.
+for many polynomials; `SPoly.substitute` prepares one and applies it once,
+and each coordinate change keeps one for every density and tail it transforms.
 A hatted polynomial is a sum of unhatted bodies times (t, #t) tails t^a #t^b,
 of weight a - b, on their right: `SPoly.transport` attaches a tail to a body
 and `SPoly.tails` splits a polynomial into its tails.
@@ -130,7 +131,9 @@ def rational_power(base, exponent):
 def _exact_root(n, k):
     """The integer k-th root of a positive integer n, or None if n is no k-th
     power.  Integer Newton iteration from 2^ceil(bits/k), which is at least
-    the root, so sizes beyond float range stay exact."""
+    the root, so sizes beyond float range stay exact; if k >= bits, only n = 1 has one."""
+    if k >= n.bit_length():
+        return 1 if n == 1 else None
     r = 1 << -(-n.bit_length() // k)
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k
@@ -540,6 +543,11 @@ class SPoly:
         for k, c in self.terms.items():
             (odd if self.chart.key_parity(k) else even)[k] = c
         return SPoly(self.chart, even), SPoly(self.chart, odd)
+
+    def parity_twist(self):
+        """Each term times (-1)^parity, in one pass: the even part minus the odd."""
+        parity = self.chart.key_parity
+        return SPoly(self.chart, {k: -c if parity(k) else c for k, c in self.terms.items()})
 
     def substitute(self, images, target=None):
         """Simultaneous substitution.

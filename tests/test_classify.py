@@ -186,6 +186,16 @@ class TestDecomposition:
             dec = decompose(S, s)
             assert dec.q_part == Q
             assert dec.base == s
+        # seeded draws: s of both parities, a random Q, integral and fractional weights
+        for lam in (0, 2, -1, Fraction(1, 2), Fraction(-1, 3)):
+            for parity in (EVEN, ODD):
+                for _ in range(10):
+                    s = DensityElement(random_poly(rng, C, parity), lam)
+                    Q = random_poly(rng, C)
+                    S = attach_correction(s, Q)
+                    dec = decompose(S, s)
+                    assert dec.q_part == Q
+                    assert attach_correction(s, dec.q_part) == S
 
     def test_bare_lift_gives_zero_q(self, small_chart):
         C = small_chart

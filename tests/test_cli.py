@@ -96,7 +96,9 @@ class TestExitCodes:
         column = 21 + expr.index("/" if "/" in expr else "^")
         assert "3:%d:" % column in err  # the operator's line:col
 
-    @pytest.mark.parametrize("expr, position", [("2^(1/2)", "3:22:"), ("(0-1)^(1/2)", "3:26:")])
+    @pytest.mark.parametrize("expr, position", [
+        ("2^(1/2)", "3:22:"), ("(0-1)^(1/2)", "3:26:"), ("2^(1/1000000000)", "3:22:"),
+    ])
     def test_domain_error_irrational_constant_power(self, tmp_path, capsys, expr, position):
         script = write(tmp_path, "root.dsl", """
             chart C { even x }

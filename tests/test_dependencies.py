@@ -1,4 +1,5 @@
-"""The core needs nothing beyond the standard library."""
+"""Static checks of the core's source: stdlib-only imports, no declared
+dependency and no assert statement."""
 import ast
 import re
 import sys
@@ -28,3 +29,11 @@ def test_pyproject_declares_no_dependency():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = re.search(r"^\[project\]$(.*?)(?=^\[)", text, re.M | re.S).group(1)
     assert re.findall(r"^dependencies\s*=.*$", project, re.M) == ["dependencies = []"]
+
+
+def test_no_assert_statements():
+    # an AssertionError gets past the CLI's DensalgError handler as a
+    # traceback, and python -O strips the check
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, ast.Assert), "%s:%d" % (path.name, node.lineno)

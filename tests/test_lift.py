@@ -12,6 +12,7 @@ from densalg import (
     DensityElement,
     EVEN,
     ODD,
+    SubstitutionError,
     WeightOneError,
     antibracket,
     base_bracket,
@@ -25,6 +26,7 @@ from densalg import (
 )
 from densalg.lift import OrientationError
 from densalg.printing import poly_to_text
+from densalg.spoly import _Substitution
 from conftest import hatted_poly, random_poly, reference_substitute
 
 WEIGHTS = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(2)]
@@ -321,6 +323,32 @@ class TestCoordinateChanges:
         s = DensityElement(src["x"], Fraction(3))
         out = transform_density(s, ch)
         assert out.body == 8 * (2 * tgt["u"])  # 2^3 * (2u)
+        # a tail t^(1/10^9) would pick up 2^(1/10^9), which is not rational
+        h = src.hatted_version()
+        with pytest.raises(SubstitutionError):
+            transform_hatted(h["x"] * h.t_power(Fraction(1, 10**9)), ch)
+
+    def test_one_prepared_substitution_per_change(self, rng, monkeypatch):
+        # every tail and density of a change goes through the substitution it prepared
+        src = Chart([("x", EVEN), ("y", EVEN)], name="old")
+        tgt = Chart([("u", EVEN), ("v", EVEN)], name="new")
+        ch = CoordinateChange(src, tgt, {"x": tgt["u"] + tgt["v"] ** 2, "y": tgt["v"]},
+                              {"u": src["x"] - src["y"] ** 2, "v": src["y"]})
+        prepared = []
+        init = _Substitution.__init__
+
+        def counting_init(self, *args, **kwargs):
+            prepared.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Substitution, "__init__", counting_init)
+        hsrc = src.hatted_version()
+        for _ in range(5):
+            S = hatted_poly(rng, hsrc, n_terms=6)
+            assert len(S.tails()) > 1
+            transform_hatted(S, ch)
+            transform_density(DensityElement(random_poly(rng, src), Fraction(1, 2)), ch)
+        assert prepared == []
 
     def test_orientation_strict_mode(self):
         src = Chart([("x", EVEN)], name="s")

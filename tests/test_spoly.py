@@ -20,7 +20,7 @@ from densalg import (
     classify_lifts,
 )
 from densalg.classify import darboux_form
-from densalg.spoly import _Substitution, rational_power
+from densalg.spoly import _exact_root, _Substitution, rational_power
 from conftest import (
     dense, hatted_poly, random_poly, reference_derivative, reference_product,
     reference_substitute, sparse,
@@ -195,6 +195,20 @@ class TestRandomizedLaws:
         kb = classify_lifts(s, 1)
         assert kb.dimension
         assert all(type(c) is Fraction for vec in kb.basis for c in vec)
+
+    def test_parity_twist(self, rng, chart):
+        # (-1)^parity per term: even - odd, an involution, multiplicative, and
+        # anticommuting with the odd bracket
+        hchart = chart.hatted_version()
+        for _ in range(100):
+            for draw in (random_poly, hatted_poly):
+                f, g = draw(rng, hchart), draw(rng, hchart)
+                even, odd = f.parity_components()
+                assert f.parity_twist() == even - odd
+                assert f.parity_twist().parity_twist() == f
+                assert (f * g).parity_twist() == f.parity_twist() * g.parity_twist()
+                assert (antibracket(f, g).parity_twist()
+                        == -antibracket(f.parity_twist(), g.parity_twist()))
 
     def test_product_against_oracle(self, rng, chart):
         hchart = chart.hatted_version()
@@ -449,6 +463,14 @@ class TestRationalPower:
         assert rational_power(Fraction(big**2), Fraction(1, 2)) == big
         assert rational_power(Fraction(10**400), Fraction(1, 2)) == 10**200
         assert rational_power(Fraction(1, big**3), Fraction(2, 3)) == Fraction(1, big**2)
+        # a root index past the bit length: only 1 has a root, found at once
+        tiny = Fraction(1, 10**9)
+        assert rational_power(Fraction(1), tiny) == 1
+        for base in (Fraction(2), Fraction(1, 4)):
+            with pytest.raises(SubstitutionError):
+                rational_power(base, tiny)
+        assert _exact_root(1024, 10) == 2  # k = bits - 1 still iterates
+        assert _exact_root(1024, 11) is None and _exact_root(1023, 10) is None
 
     def test_irrational_rejected(self):
         with pytest.raises(SubstitutionError):
