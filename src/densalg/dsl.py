@@ -8,9 +8,11 @@ declarations, ``let`` bindings, and command invocations.  Example::
     lift(s, 1/2)
     master(s)
 
-``#a`` is the fiber partner of a base coordinate ``a``; hatted charts add
-``t`` and ``#t``, and ``w`` is accepted (and printed) as sugar for ``t*#t``.
-Rational literals are written ``p/q``, exponents with ``^``.
+A name is a letter or ``_``, then letters, digits, ``_`` or ``.``; ``#a`` is
+the fiber partner of a base coordinate ``a``.  Hatted charts add ``t`` and
+``#t``, and ``w`` is accepted (and printed) as sugar for ``t*#t``.  Integers
+are runs of Unicode decimal digits, rationals ``p/q``, exponents ``^``.  A
+string is one line in double quotes; ``--`` and ``//`` comment to line end.
 
 `parse` turns text into a Script with source positions; `Interpreter.run`
 executes one, collecting printable output and a verification verdict.
@@ -18,8 +20,10 @@ executes one, collecting printable output and a verification verdict.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .brackets import (
     DomainError,
@@ -46,7 +50,7 @@ from .lift import (
 )
 from .printing import poly_to_dict, poly_to_text
 from .spoly import Chart, DensalgError, EVEN, ODD, SPoly, SubstitutionError, rational_power
-from .spoly import UnknownVariableError
+from .spoly import UnknownVariableError, check_power_size
 
 
 class ParseError(DensalgError):
@@ -68,85 +72,33 @@ COMMANDS = {
     "transform": 2,
 }
 
-_SYMBOLS = ("->", "{", "}", "(", ")", ",", ";", "=", "+", "-", "*", "/", "^", ":")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'name', 'fiber', 'int', 'string', or the symbol itself
+class Token(NamedTuple):
+    kind: str  # 'name', 'fiber', 'int', 'string', 'eof', or the symbol itself
     text: str
     line: int
     column: int
 
 
+# tried in order; blanks and comments capture no group, `bad` what starts no token
+_TOKEN = re.compile(r'[ \t\r]+|(?:--|//)[^\n]*|(?P<newline>\n)|(?P<fiber>#[\w.]+)'
+                    r'|"(?P<string>[^"\n]*)"|(?P<int>\d+)|(?P<name>[\w.]+)'
+                    r'|(?P<symbol>->|[{}(),;=+\-*/^:])|(?P<bad>.)')
+_BAD_START = {"#": "'#' must be followed by a variable name", '"': "unterminated string"}
+
+
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            # '#name' is a fiber variable; '# ' etc. is an error
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            if j == i + 1:
-                raise ParseError("'#' must be followed by a variable name", line, col)
-            tokens.append(Token("fiber", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, col)
-            tokens.append(Token("string", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdecimal():  # not isdigit: int() rejects '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two == "--" or two == "//":
-            # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if two in _SYMBOLS:
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("eof", "", line, col))
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, column = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad" or kind == "name" and not (m[0][0].isalpha() or m[0][0] == "_"):
+            ch = m[0][0]  # a name may not start with a digit such as '²', or with '.'
+            raise ParseError(_BAD_START.get(ch, "unexpected character %r" % ch), line, column)
+        elif kind:
+            tokens.append(Token(m[0] if kind == "symbol" else kind, m[kind], line, column))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -426,17 +378,12 @@ class Interpreter:
 
     def emit_poly(self, label, poly):
         if self.json_output:
-            self.lines.append(json.dumps({"label": label, "poly": poly_to_dict(poly)},
-                                         sort_keys=True))
+            self.emit_json({"label": label, "poly": poly_to_dict(poly)})
         else:
             self.lines.append("%s = %s" % (label, poly_to_text(poly)))
 
-    def emit(self, text, payload=None):
-        if self.json_output:
-            self.lines.append(json.dumps(payload if payload is not None else {"label": text},
-                                         sort_keys=True))
-        else:
-            self.lines.append(text)
+    def emit_json(self, payload):
+        self.lines.append(json.dumps(payload, sort_keys=True))
 
     def eval_expr(self, node, chart=None):
         chart = chart or self.active_chart
@@ -487,6 +434,7 @@ class Interpreter:
         if isinstance(lhs, Fraction):
             if not lhs and rhs < 0:
                 raise DomainError("zero to a negative power", node.line, node.column)
+            check_power_size(lhs, rhs, node.line, node.column)
             if rhs.denominator == 1:
                 return lhs ** int(rhs)
             if not lhs:
@@ -584,7 +532,7 @@ class Interpreter:
         elif name == "project":
             pieces = project_base(poly(0))
             if self.json_output:
-                self.emit(None, {
+                self.emit_json({
                     "label": "project",
                     "components": [
                         {"weight": str(lam), "poly": poly_to_dict(body)}
@@ -607,8 +555,8 @@ class Interpreter:
             ok = residual.is_zero()
             verdict = "PASS" if ok else "FAIL"
             if self.json_output:
-                self.emit(None, {"label": "master", "verdict": verdict,
-                                 "residual": poly_to_dict(residual)})
+                self.emit_json({"label": "master", "verdict": verdict,
+                                "residual": poly_to_dict(residual)})
             else:
                 extra = "" if ok else " (residual = %s)" % poly_to_text(residual)
                 self.lines.append("master: %s%s" % (verdict, extra))
@@ -617,7 +565,7 @@ class Interpreter:
         elif name == "classify":
             kb = classify_lifts(DensityElement(poly(0), rat(1)), rat(2))
             if self.json_output:
-                self.emit(None, {
+                self.emit_json({
                     "label": "classify",
                     "dimension": kb.dimension,
                     "flagged_odd_base": kb.flagged_odd_base,
@@ -638,7 +586,7 @@ class Interpreter:
             ok = residual.is_zero()
             phi = supertrace_extension(g) if ok else None
             if self.json_output:
-                self.emit(None, {
+                self.emit_json({
                     "label": "liealg",
                     "poisson": poly_to_dict(s.body),
                     "jacobi": "PASS" if ok else "FAIL",

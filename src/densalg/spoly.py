@@ -106,6 +106,19 @@ def _num(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+# the most bits a constant power may take; 3^(2^22) is computed in about a second
+MAX_POWER_BITS = 1 << 22
+
+
+def check_power_size(base, exponent, line=None, column=None):
+    """Raise DomainError when base**exponent, for Fractions, would take more
+    than MAX_POWER_BITS bits, estimated as |exponent| times one less than the
+    bit length of the base's larger part: 0 for bases 0 and -1 and 1."""
+    bits = max(abs(base.numerator), base.denominator).bit_length() - 1
+    if abs(exponent) * bits > MAX_POWER_BITS:
+        raise DomainError("the constant power exceeds %d bits" % MAX_POWER_BITS, line, column)
+
+
 def rational_power(base, exponent):
     """base**exponent for Fractions, exact or raise.
 
@@ -117,6 +130,7 @@ def rational_power(base, exponent):
     exponent = _frac(exponent)
     if base <= 0:
         raise SubstitutionError("t may only be rescaled by a positive rational")
+    check_power_size(base, exponent)
     if exponent.denominator == 1:
         return base ** int(exponent)
     p = _exact_root(base.numerator, exponent.denominator)

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import densalg
 from densalg import Chart, DensalgError, DomainError, EVEN, ODD
 from densalg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
-from densalg.dsl import COMMANDS, Interpreter, ParseError, parse
+from densalg.dsl import COMMANDS, Interpreter, ParseError, _tokenize, parse
 from densalg.printing import poly_from_dict, poly_to_dict, poly_to_text
 from conftest import random_poly
 
@@ -222,6 +223,34 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert err.startswith("densalg: %s: %s " % (script, position))
         assert '"' not in err  # no KeyError quoting around the message
+
+    @pytest.mark.parametrize("src, position, message", [
+        ("chart C { even x }\nlet a =", "2:8:", "end of input"),
+        ("chart C { even x }\nlet a = -- no value", "2:20:", "end of input"),
+        ('chart C { even x }\nbracket("a\nb", x)\nlet g = )\n', "2:9:", "unterminated string"),
+    ], ids=["final_symbol", "trailing_comment", "string_across_lines"])
+    def test_scanner_error_position(self, tmp_path, capsys, src, position, message):
+        script = write(tmp_path, "scan.dsl", src)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_PARSE
+        assert err.startswith("densalg: %s: %s " % (script, position)) and message in err
+
+    @pytest.mark.parametrize("expr, position", [
+        ("2^10000000000", "2:10:"), ("8^(30000000001/3)", "2:10:"),
+    ])
+    def test_domain_error_huge_constant_power(self, tmp_path, capsys, expr, position):
+        script = write(tmp_path, "power.dsl", "chart C { even x }\nlet a = %s\n" % expr)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [script])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DOMAIN
+        assert position + " the constant power exceeds" in err  # the operator's line:col
+
+    @pytest.mark.parametrize("expr", ["(-1)^1000000000000", "1^1000000000000"])
+    def test_constant_power_of_unit_evaluates(self, tmp_path, capsys, expr):
+        script = write(tmp_path, "unit.dsl", "chart C { even x }\nlet a = %s*x\ndiv(a*#x)\n" % expr)
+        code, out, err = run_cli(capsys, [script])
+        assert (code, out) == (EXIT_OK, "div = 1\n")
 
     def test_verification_failure_jacobi(self, tmp_path, capsys):
         script = write(tmp_path, "fail.dsl", """
@@ -484,6 +513,33 @@ class TestParseErrors:
             interp.run(parse("chart A { even %s }\nlet f = %s\n"
                              % (", ".join(names), poly_to_text(f))))
             assert interp.bindings["f"] == f
+
+    def test_scanner_positions(self):
+        """Random texts: the scanner either names the offending '#', '"' or
+        character, or gives tokens in source order, each at its text, with
+        end of input one column past the last character."""
+        rng = random.Random(17)
+        parts = ["x", "ab", "x.y", "_a", "#x", "#a.b", "#", "1", "42", "٣", "²", '"ab"', '"',
+                 "-- note", "// note", "->", "{", "}", "(", ")", ",", ";", "=", "+", "-", "*",
+                 "/", "^", ":", " ", "  ", "\t", "\r", "\n", "\n"]
+        for _ in range(3000):
+            text = "".join(rng.choice(parts) for _ in range(rng.randint(0, 12)))
+            lines = text.split("\n")
+            try:
+                tokens = _tokenize(text)
+            except ParseError as exc:
+                char = lines[exc.line - 1][exc.column - 1]
+                expected = {"#": "'#' must be followed by a variable name",
+                            '"': "unterminated string"}.get(char, "unexpected character %r" % char)
+                assert exc.args[0] == expected, text
+                continue
+            *tokens, eof = tokens
+            for tok in tokens:
+                shown = '"%s"' % tok.text if tok.kind == "string" else tok.text
+                assert lines[tok.line - 1][tok.column - 1:].startswith(shown), (text, tok)
+            order = [(tok.line, tok.column) for tok in tokens]
+            assert order == sorted(set(order)), text
+            assert (eof.kind, eof.line, eof.column) == ("eof", len(lines), len(lines[-1]) + 1), text
 
     def test_error_carries_position(self):
         try:

@@ -10,6 +10,7 @@ from densalg import (
     Chart,
     CoordinateChange,
     DensityElement,
+    DomainError,
     EVEN,
     ODD,
     SubstitutionError,
@@ -327,6 +328,9 @@ class TestCoordinateChanges:
         h = src.hatted_version()
         with pytest.raises(SubstitutionError):
             transform_hatted(h["x"] * h.t_power(Fraction(1, 10**9)), ch)
+        # a tail t^(10^9) would pick up 2^(10^9), past the constant power limit
+        with pytest.raises(DomainError, match="exceeds"):
+            transform_hatted(h["x"] * h.t_power(10**9), ch)
 
     def test_one_prepared_substitution_per_change(self, rng, monkeypatch):
         # every tail and density of a change goes through the substitution it prepared
