@@ -15,7 +15,8 @@ are runs of Unicode decimal digits, rationals ``p/q``, exponents ``^``.  A
 string is one line in double quotes; ``--`` and ``//`` comment to line end.
 
 `parse` turns text into a Script with source positions; `Interpreter.run`
-executes one, collecting printable output and a verification verdict.
+executes one, collecting printable output and a verification verdict.  The
+commands, with the kinds of their arguments, are the `COMMANDS` table.
 """
 from __future__ import annotations
 
@@ -55,22 +56,6 @@ from .spoly import UnknownVariableError, check_power_size
 
 class ParseError(DensalgError):
     """Lexical or syntactic problem, or a malformed statement."""
-
-
-# command name -> number of arguments; rary checks its own (S; f1, ..., fr)
-COMMANDS = {
-    "bracket": 2,
-    "div": 1,
-    "delta": 1,
-    "lift": 2,
-    "project": 1,
-    "rary": None,
-    "master": 1,
-    "classify": 3,
-    "liealg": 1,
-    "evolve": 4,
-    "transform": 2,
-}
 
 
 class Token(NamedTuple):
@@ -200,10 +185,9 @@ class _Parser:
     def parse_chart(self):
         kw = self.next()
         name = self.expect("name", "chart name").text
-        hatted = False
-        if self.at_name("hatted"):
+        hatted = self.at_name("hatted")
+        if hatted:
             self.next()
-            hatted = True
         self.expect("{")
         coords = []
         while not self.peek().kind == "}":
@@ -228,9 +212,6 @@ class _Parser:
             if self.peek().kind == ";":
                 self.next()
         self.expect("}")
-        if self.at_name("hatted"):
-            self.next()
-            hatted = True
         return Statement(
             "chart", {"name": name, "coords": coords, "hatted": hatted}, kw.line, kw.column
         )
@@ -281,15 +262,10 @@ class _Parser:
     def parse_command(self):
         kw = self.next()
         self.expect("(")
-        args = []
-        groups = [args]
+        groups = [[]]
         while self.peek().kind != ")":
-            tok = self.peek()
-            if tok.kind == "string":
-                self.next()
-                groups[-1].append(("string", tok.text))
-            else:
-                groups[-1].append(("expr", self.parse_expr()))
+            # a string argument stays its Token, anything else is an expression
+            groups[-1].append(self.next() if self.peek().kind == "string" else self.parse_expr())
             separator = self.peek().kind
             if separator == ";":
                 groups.append([])
@@ -451,7 +427,11 @@ class Interpreter:
             if rhs.denominator == 1:
                 raise DomainError("negative powers apply to t only", node.line, node.column)
             raise ParseError("fractional powers apply to t only", node.line, node.column)
-        return lhs ** int(rhs)
+        try:
+            return lhs ** int(rhs)
+        except DomainError as exc:  # the power's size limit
+            exc.line, exc.column = node.line, node.column
+            raise
 
     def eval_poly(self, node, chart=None):
         value = self.eval_expr(node, chart)
@@ -460,12 +440,6 @@ class Interpreter:
             if chart is None:
                 raise ParseError("no chart declared", node.line, node.column)
             return chart.const(value)
-        return value
-
-    def eval_rational(self, node):
-        value = self.eval_expr(node)
-        if isinstance(value, SPoly):
-            raise ParseError("expected a rational constant", node.line, node.column)
         return value
 
     # --- statements ---
@@ -501,123 +475,135 @@ class Interpreter:
 
     def exec_command(self, st):
         name = st.data["name"]
-        groups = st.data["groups"]
-        flat = [a for g in groups for a in g]
-        arity = COMMANDS[name]
-        if arity is not None and len(flat) != arity:
-            raise ParseError("%s takes %d argument%s, got %d"
-                             % (name, arity, "" if arity == 1 else "s", len(flat)))
+        signature, run = COMMANDS[name]
+        result = run(self, *self.read_arguments(name, signature, st.data["groups"]))
+        if result is not None:  # one polynomial, printed under the command's name
+            self.emit_poly(name, result)
 
-        def poly(i):
-            kind, payload = flat[i]
-            if kind != "expr":
-                raise ParseError("expected an expression argument")
-            return self.eval_poly(payload)
+    def read_arguments(self, name, signature, groups):
+        """Check a command's argument count, ';' groups and kinds against its
+        signature in COMMANDS, then evaluate the arguments left to right."""
+        kinds, fits = [], len(groups) == signature.count(";") + 1
+        for group, spec in zip(groups, signature.split("; ")):
+            spec = spec.split(", ")
+            if spec[-1].endswith("..."):  # the last kind, zero or more times
+                spec = spec[:-1] + [spec[-1][:-3]] * (len(group) - len(spec) + 1)
+            fits = fits and len(group) == len(spec)
+            kinds += spec
+        if not fits:
+            raise ParseError("%s takes (%s)" % (name, signature))
+        args = [arg for group in groups for arg in group]
+        return [self.read_argument(kind, arg) for kind, arg in zip(kinds, args)]
 
-        def rat(i):
-            kind, payload = flat[i]
-            if kind != "expr":
-                raise ParseError("expected a rational argument")
-            return self.eval_rational(payload)
+    def read_argument(self, kind, arg):
+        """One argument of a kind: poly, rational, string or change (a name)."""
+        if kind == "string" and isinstance(arg, Token):
+            return arg.text
+        if kind == "change" and isinstance(arg, Name):
+            if arg.ident not in self.changes:
+                raise ParseError("unknown change %r" % arg.ident, arg.line, arg.column)
+            return self.changes[arg.ident]
+        if kind == "poly" and not isinstance(arg, Token):
+            return self.eval_poly(arg)
+        if kind == "rational" and not isinstance(arg, Token):
+            value = self.eval_expr(arg)
+            if not isinstance(value, SPoly):
+                return value
+        raise ParseError("expected a %s argument" % kind, arg.line, arg.column)
 
-        if name == "bracket":
-            self.emit_poly("bracket", antibracket(poly(0), poly(1)))
-        elif name == "div":
-            self.emit_poly("div", divergence(poly(0)))
-        elif name == "delta":
-            self.emit_poly("delta", delta_op(poly(0)))
-        elif name == "lift":
-            s = DensityElement(poly(0), rat(1))
-            self.emit_poly("lift", lift(s))
-        elif name == "project":
-            pieces = project_base(poly(0))
-            if self.json_output:
-                self.emit_json({
-                    "label": "project",
-                    "components": [
-                        {"weight": str(lam), "poly": poly_to_dict(body)}
-                        for body, lam in pieces
-                    ],
-                })
-            else:
-                if not pieces:
-                    self.lines.append("project = 0")
-                for body, lam in pieces:
-                    self.lines.append("project[weight %s] = %s" % (lam, poly_to_text(body)))
-        elif name == "rary":
-            if len(groups) != 2 or len(groups[0]) != 1:
-                raise ParseError("rary takes (S; f1, ..., fr)")
-            S = poly(0)
-            args = [poly(i) for i in range(1, len(flat))]
-            self.emit_poly("rary", r_ary_bracket(S, args))
-        elif name == "master":
-            residual = master_check(poly(0))
-            ok = residual.is_zero()
-            verdict = "PASS" if ok else "FAIL"
-            if self.json_output:
-                self.emit_json({"label": "master", "verdict": verdict,
-                                "residual": poly_to_dict(residual)})
-            else:
-                extra = "" if ok else " (residual = %s)" % poly_to_text(residual)
-                self.lines.append("master: %s%s" % (verdict, extra))
-            if not ok:
-                self.failures += 1
-        elif name == "classify":
-            kb = classify_lifts(DensityElement(poly(0), rat(1)), rat(2))
-            if self.json_output:
-                self.emit_json({
-                    "label": "classify",
-                    "dimension": kb.dimension,
-                    "flagged_odd_base": kb.flagged_odd_base,
-                    "basis": [poly_to_dict(e) for e in kb.elements()],
-                })
-            else:
-                flag = " [odd base: ansatz unconstrained]" if kb.flagged_odd_base else ""
-                self.lines.append("classify: dimension %d%s" % (kb.dimension, flag))
-                for e in kb.elements():
-                    self.lines.append("  %s" % poly_to_text(e))
-        elif name == "liealg":
-            kind, payload = flat[0]
-            if kind != "string":
-                raise ParseError('liealg takes a "file.json" path')
-            g = LieAlgebraData.from_json(payload)
-            s = lie_poisson(g)
-            residual = master_check(s.body)
-            ok = residual.is_zero()
-            phi = supertrace_extension(g) if ok else None
-            if self.json_output:
-                self.emit_json({
-                    "label": "liealg",
-                    "poisson": poly_to_dict(s.body),
-                    "jacobi": "PASS" if ok else "FAIL",
-                    "supertrace": [str(x) for x in phi] if ok else None,
-                })
-            else:
-                self.lines.append("liealg: pi = %s" % poly_to_text(s.body))
-                self.lines.append("liealg: jacobi %s" % ("PASS" if ok else "FAIL"))
-                if ok:
-                    self.lines.append(
-                        "liealg: supertrace functional (%s)" % ", ".join(str(x) for x in phi)
-                    )
-            self.charts[s.chart.name or "lie"] = s.chart
-            self.active_chart = s.chart
-            if not ok:
-                self.failures += 1
-        elif name == "evolve":
-            result = density_evolution(poly(0), poly(1), poly(2), rat(3))
-            self.emit_poly("evolve", result)
-        elif name == "transform":
-            kind, payload = flat[1]
-            if kind != "expr" or not isinstance(payload, Name):
-                raise ParseError("transform takes (e, CHANGE)")
-            if payload.ident not in self.changes:
-                raise ParseError("unknown change %r" % payload.ident, payload.line, payload.column)
-            change = self.changes[payload.ident]
-            f = poly(0)
-            if f.chart.hatted:
-                out = transform_hatted(f, change, self.strict_orientation)
-            else:
-                out = transform_density(
-                    DensityElement(f, Fraction(0)), change, self.strict_orientation
-                ).body
-            self.emit_poly("transform", out)
+    # --- commands with their own output ---
+
+    def project(self, f):
+        pieces = project_base(f)
+        if self.json_output:
+            self.emit_json({
+                "label": "project",
+                "components": [
+                    {"weight": str(lam), "poly": poly_to_dict(body)}
+                    for body, lam in pieces
+                ],
+            })
+        else:
+            if not pieces:
+                self.lines.append("project = 0")
+            for body, lam in pieces:
+                self.lines.append("project[weight %s] = %s" % (lam, poly_to_text(body)))
+
+    def master(self, s):
+        residual = master_check(s)
+        ok = residual.is_zero()
+        verdict = "PASS" if ok else "FAIL"
+        if self.json_output:
+            self.emit_json({"label": "master", "verdict": verdict,
+                            "residual": poly_to_dict(residual)})
+        else:
+            extra = "" if ok else " (residual = %s)" % poly_to_text(residual)
+            self.lines.append("master: %s%s" % (verdict, extra))
+        if not ok:
+            self.failures += 1
+
+    def classify(self, s, weight, bound):
+        kb = classify_lifts(DensityElement(s, weight), bound)
+        if self.json_output:
+            self.emit_json({
+                "label": "classify",
+                "dimension": kb.dimension,
+                "flagged_odd_base": kb.flagged_odd_base,
+                "basis": [poly_to_dict(e) for e in kb.elements()],
+            })
+        else:
+            flag = " [odd base: ansatz unconstrained]" if kb.flagged_odd_base else ""
+            self.lines.append("classify: dimension %d%s" % (kb.dimension, flag))
+            for e in kb.elements():
+                self.lines.append("  %s" % poly_to_text(e))
+
+    def liealg(self, path):
+        g = LieAlgebraData.from_json(path)
+        s = lie_poisson(g)
+        residual = master_check(s.body)
+        ok = residual.is_zero()
+        phi = supertrace_extension(g) if ok else None
+        if self.json_output:
+            self.emit_json({
+                "label": "liealg",
+                "poisson": poly_to_dict(s.body),
+                "jacobi": "PASS" if ok else "FAIL",
+                "supertrace": [str(x) for x in phi] if ok else None,
+            })
+        else:
+            self.lines.append("liealg: pi = %s" % poly_to_text(s.body))
+            self.lines.append("liealg: jacobi %s" % ("PASS" if ok else "FAIL"))
+            if ok:
+                self.lines.append(
+                    "liealg: supertrace functional (%s)" % ", ".join(str(x) for x in phi)
+                )
+        self.charts[s.chart.name or "lie"] = s.chart
+        self.active_chart = s.chart
+        if not ok:
+            self.failures += 1
+
+    def transform(self, f, change):
+        if f.chart.hatted:
+            return transform_hatted(f, change, self.strict_orientation)
+        return transform_density(
+            DensityElement(f, Fraction(0)), change, self.strict_orientation
+        ).body
+
+
+# command -> (signature, run(interpreter, *arguments)); a run that returns a
+# polynomial has it printed as `command = ...`.  A signature lists argument
+# kinds (poly, rational, string, change) separated by ',', with ';' between
+# groups and '...' after a kind that repeats zero or more times.
+COMMANDS = {
+    "bracket": ("poly, poly", lambda _, f, g: antibracket(f, g)),
+    "div": ("poly", lambda _, f: divergence(f)),
+    "delta": ("poly", lambda _, f: delta_op(f)),
+    "lift": ("poly, rational", lambda _, f, weight: lift(DensityElement(f, weight))),
+    "project": ("poly", Interpreter.project),
+    "rary": ("poly; poly...", lambda _, s, *fs: r_ary_bracket(s, fs)),
+    "master": ("poly", Interpreter.master),
+    "classify": ("poly, rational, rational", Interpreter.classify),
+    "liealg": ("string", Interpreter.liealg),
+    "evolve": ("poly, poly, poly, rational", lambda _, *args: density_evolution(*args)),
+    "transform": ("poly, change", Interpreter.transform),
+}

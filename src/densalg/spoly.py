@@ -119,6 +119,17 @@ def check_power_size(base, exponent, line=None, column=None):
         raise DomainError("the constant power exceeds %d bits" % MAX_POWER_BITS, line, column)
 
 
+def _checked_product(a, b):
+    """a*b for a power, or DomainError when the product may take more than
+    MAX_POWER_BITS bits, estimated as its term pairs times the sum of the
+    factors' largest coefficient bits (at least 1), as in check_power_size."""
+    bits = sum(max((max(abs(c.numerator), c.denominator).bit_length() - 1
+                    for c in p.terms.values()), default=0) for p in (a, b))
+    if len(a.terms) * len(b.terms) * max(bits, 1) > MAX_POWER_BITS:
+        raise DomainError("the polynomial power exceeds %d bits" % MAX_POWER_BITS)
+    return a * b
+
+
 def rational_power(base, exponent):
     """base**exponent for Fractions, exact or raise.
 
@@ -489,14 +500,14 @@ class SPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise DomainError("only nonnegative integer powers")
-        result = self.chart.const(1)
+        result = None  # the constant 1, left out of the products
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else _checked_product(result, base)
+            base = _checked_product(base, base) if n > 1 else base
             n >>= 1
-        return result
+        return self.chart.const(1) if result is None else result
 
     def __repr__(self):
         from .printing import poly_to_text

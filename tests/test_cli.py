@@ -201,12 +201,32 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         "bracket()", "div()", "delta()", "project()", "master()", "lift(x)", "classify(x)",
         "evolve(x, x)", "liealg()", "transform(x)", "bracket(x, x, x)",
+        # ';' separates argument groups of rary only
+        "bracket(x; #x)", "div(x*#x;)", "delta(x; x)", "lift(x*#x; 0)", "project(x;)",
+        "master(x;)", "classify(x*#x; 0, 1)", 'liealg("g.json";)', "evolve(x, x; x, 1)",
+        "transform(x; R)", "rary(x*#x)", "rary(x*#x, x)",
     ])
     def test_parse_error_arity(self, tmp_path, capsys, command):
         script = write(tmp_path, "arity.dsl", "chart C { even x }\n%s\n" % command)
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_PARSE
         assert "2:1:" in err  # the statement's line:col
+
+    @pytest.mark.parametrize("command", [
+        'bracket("a", x)', 'lift(x, "a")', "lift(x, x)", "liealg(x)", "transform(x, 3)",
+        "transform(x, Q)", "rary(x, x)", "rary(x; x; x)", 'classify(x*#x, 0, "b")',
+    ])
+    def test_parse_error_argument_kind(self, tmp_path, capsys, command):
+        script = write(tmp_path, "kind.dsl", "chart C { even x }\n%s\n" % command)
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_PARSE
+        assert re.match(r"densalg: %s: 2:\d+: " % re.escape(script), err), err
+
+    def test_arguments_read_left_to_right(self, tmp_path, capsys):
+        script = write(tmp_path, "order.dsl", "chart C { even x }\ntransform(zz, Q)\n")
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_PARSE
+        assert err.startswith("densalg: %s: 2:11: unknown name 'zz'" % script)
 
     @pytest.mark.parametrize("src, flags, position", [
         ("chart C { even x }\nlift(x^2*#x, 1)\n", [], "2:1:"),
@@ -245,6 +265,26 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert code == EXIT_DOMAIN
         assert position + " the constant power exceeds" in err  # the operator's line:col
+
+    @pytest.mark.parametrize("expr, position", [
+        ("(2*x)^10000000000", "2:14:"), ("(x + y)^100000", "2:16:"),
+    ])
+    def test_domain_error_huge_polynomial_power(self, tmp_path, capsys, expr, position):
+        script = write(tmp_path, "power.dsl", "chart C { even x, y }\nlet a = %s\n" % expr)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [script])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DOMAIN
+        assert err.startswith("densalg: %s: %s " % (script, position))  # the operator's line:col
+
+    @pytest.mark.parametrize("expr, value", [
+        ("x^10000000000", "x^10000000000"), ("(#x + 1)^10000000000", "10000000000*#x + 1"),
+        ("(x*#y)^10000000000", "0"),
+    ])
+    def test_small_polynomial_power_evaluates(self, expr, value):
+        interp = Interpreter()
+        interp.run(parse("chart C { even x, y }\nlet a = %s\n" % expr))
+        assert poly_to_text(interp.bindings["a"]) == value
 
     @pytest.mark.parametrize("expr", ["(-1)^1000000000000", "1^1000000000000"])
     def test_constant_power_of_unit_evaluates(self, tmp_path, capsys, expr):
@@ -384,6 +424,15 @@ class TestCommands:
         assert lines[1].startswith("evolve = ")
         assert "t^(1/2)" in lines[1]
 
+    def test_readme_lists_every_command(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        for name in COMMANDS:
+            assert "| `%s(" % name in readme, name
+
+    def test_rary_without_functions(self, tmp_path, capsys):
+        script = write(tmp_path, "r.dsl", "chart C { even x }\nrary(x*#x;)\n")
+        assert run_cli(capsys, [script]) == (EXIT_OK, "rary = 0\n", "")
+
     def test_liealg_from_json(self, tmp_path, capsys):
         path = write(tmp_path, "so3.json", json.dumps(SO3_JSON))
         script = write(tmp_path, "g.dsl", 'liealg("%s")\n' % path)
@@ -488,6 +537,7 @@ class TestParseErrors:
         "chart C { even x }\nlift(x, y)\n",  # polynomial where a rational is due
         "chart C { even x, x }\n",  # repeated coordinate
         "chart C { even t }\n",     # reserved name
+        "chart C { even x } hatted\n",  # 'hatted' goes before the braces
     ])
     def test_bad_scripts(self, src):
         with pytest.raises(ParseError):
@@ -638,7 +688,8 @@ class TestFuzz:
     def command(self, rng, arguments):
         """A command with, three times in ten, a random argument count."""
         name = rng.choice(list(COMMANDS))
-        count = COMMANDS[name] or 3  # rary(S; f1, f2)
+        signature = COMMANDS[name][0]
+        count = 3 if ";" in signature else signature.count(",") + 1  # rary(S; f1, f2)
         if rng.random() < 0.3:
             count = rng.randint(0, 5)
         if name == "liealg" and rng.random() < 0.75:
