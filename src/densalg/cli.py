@@ -9,9 +9,9 @@ Reads from stdin when no script is given.  Exit codes: 0 success, 2 parse
 error, 3 domain error (e.g. a weight-1 lift), 4 verification failure.  Every
 error in a script prints ``densalg: FILE: LINE:COL: message`` and exits 2 or
 3, never 1; API users catch the same errors as `densalg.DensalgError`.
-Integers of any size are read and printed exactly; a constant power, and
-each product inside a polynomial power, may take at most
-`spoly.MAX_POWER_BITS` bits.
+Integers of any size are read and printed exactly; a constant power, and a
+polynomial power's result or, where no bound on that fits, each product
+inside it, may take at most `spoly.MAX_POWER_BITS` bits.
 """
 from __future__ import annotations
 

@@ -264,8 +264,10 @@ class _Parser:
         self.expect("(")
         groups = [[]]
         while self.peek().kind != ")":
-            # a string argument stays its Token, anything else is an expression
-            groups[-1].append(self.next() if self.peek().kind == "string" else self.parse_expr())
+            # a string argument stays its Token, anything else is an expression;
+            # each goes with its first token, where a kind error points
+            start = self.peek()
+            groups[-1].append((start, self.next() if start.kind == "string" else self.parse_expr()))
             separator = self.peek().kind
             if separator == ";":
                 groups.append([])
@@ -407,29 +409,26 @@ class Interpreter:
             return lhs / rhs
         if isinstance(rhs, SPoly):
             raise ParseError("polynomial exponent", node.line, node.column)
-        if isinstance(lhs, Fraction):
-            if not lhs and rhs < 0:
-                raise DomainError("zero to a negative power", node.line, node.column)
-            check_power_size(lhs, rhs, node.line, node.column)
-            if rhs.denominator == 1:
-                return lhs ** int(rhs)
-            if not lhs:
-                return lhs
-            try:
-                return rational_power(lhs, rhs)
-            except SubstitutionError:
-                raise DomainError("the constant power (%s)^(%s) is not rational" % (lhs, rhs),
-                                  node.line, node.column) from None
-        if rhs.denominator != 1 or rhs < 0:
-            # fractional/negative powers only exist for the t coordinate
-            if lhs.chart.hatted and lhs == lhs.chart["t"]:
-                return lhs.chart.t_power(rhs)
-            if rhs.denominator == 1:
-                raise DomainError("negative powers apply to t only", node.line, node.column)
-            raise ParseError("fractional powers apply to t only", node.line, node.column)
-        try:
+        try:  # every error of a power, its size limit included, is at the operator
+            if isinstance(lhs, Fraction):
+                if not lhs and rhs < 0:
+                    raise DomainError("zero to a negative power")
+                if rhs.denominator == 1:
+                    check_power_size(lhs, rhs)
+                    return lhs ** int(rhs)
+                return rational_power(lhs, rhs) if lhs else lhs
+            if rhs.denominator != 1 or rhs < 0:
+                # fractional/negative powers only exist for the t coordinate
+                if lhs.chart.hatted and lhs == lhs.chart["t"]:
+                    return lhs.chart.t_power(rhs)
+                if rhs.denominator == 1:
+                    raise DomainError("negative powers apply to t only")
+                raise ParseError("fractional powers apply to t only")
             return lhs ** int(rhs)
-        except DomainError as exc:  # the power's size limit
+        except SubstitutionError:  # from rational_power only
+            raise DomainError("the constant power (%s)^(%s) is not rational" % (lhs, rhs),
+                              node.line, node.column) from None
+        except DensalgError as exc:
             exc.line, exc.column = node.line, node.column
             raise
 
@@ -493,10 +492,11 @@ class Interpreter:
         if not fits:
             raise ParseError("%s takes (%s)" % (name, signature))
         args = [arg for group in groups for arg in group]
-        return [self.read_argument(kind, arg) for kind, arg in zip(kinds, args)]
+        return [self.read_argument(kind, *arg) for kind, arg in zip(kinds, args)]
 
-    def read_argument(self, kind, arg):
-        """One argument of a kind: poly, rational, string or change (a name)."""
+    def read_argument(self, kind, start, arg):
+        """One argument of a kind: poly, rational, string or change (a name),
+        with `start` its first token."""
         if kind == "string" and isinstance(arg, Token):
             return arg.text
         if kind == "change" and isinstance(arg, Name):
@@ -509,7 +509,7 @@ class Interpreter:
             value = self.eval_expr(arg)
             if not isinstance(value, SPoly):
                 return value
-        raise ParseError("expected a %s argument" % kind, arg.line, arg.column)
+        raise ParseError("expected a %s argument" % kind, start.line, start.column)
 
     # --- commands with their own output ---
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import add
+from math import comb, lcm
+from operator import add, mul
 
 EVEN = 0
 ODD = 1
@@ -120,9 +121,9 @@ def check_power_size(base, exponent, line=None, column=None):
 
 
 def _checked_product(a, b):
-    """a*b for a power, or DomainError when the product may take more than
-    MAX_POWER_BITS bits, estimated as its term pairs times the sum of the
-    factors' largest coefficient bits (at least 1), as in check_power_size."""
+    """a*b for a power not known to fit, or DomainError when the product may
+    take more than MAX_POWER_BITS bits, estimated as its term pairs times the
+    sum of the factors' largest coefficient bits (at least 1)."""
     bits = sum(max((max(abs(c.numerator), c.denominator).bit_length() - 1
                     for c in p.terms.values()), default=0) for p in (a, b))
     if len(a.terms) * len(b.terms) * max(bits, 1) > MAX_POWER_BITS:
@@ -500,14 +501,23 @@ class SPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise DomainError("only nonnegative integer powers")
-        result = None  # the constant 1, left out of the products
-        base = self
+        if not n:
+            return self.chart.const(1)
+        # self^n has at most comb(n + t - 1, n) terms, the multisets of n of its t
+        # terms, each D^-n times an integer of at most S^n, with D the common
+        # denominator and S = D * sum |c|: when that fits, no product is checked
+        coeffs = self.terms.values()
+        D = lcm(*(c.denominator for c in coeffs))
+        bits = (int(max(sum(abs(c) for c in coeffs) * D, D)) - 1).bit_length()
+        fits = comb(n + len(coeffs) - 1, n) * n * bits <= MAX_POWER_BITS
+        times = mul if fits else _checked_product
+        result, base = None, self
         while n:
             if n & 1:
-                result = base if result is None else _checked_product(result, base)
-            base = _checked_product(base, base) if n > 1 else base
+                result = base if result is None else times(result, base)
+            base = times(base, base) if n > 1 else base
             n >>= 1
-        return self.chart.const(1) if result is None else result
+        return result
 
     def __repr__(self):
         from .printing import poly_to_text

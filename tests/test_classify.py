@@ -27,6 +27,7 @@ from densalg import (
     supertrace_extension,
 )
 from densalg import brackets
+from densalg.cli import EXIT_DOMAIN, main
 from densalg.classify import (
     _invert_matrix,
     _rref,
@@ -54,6 +55,21 @@ SO3 = [
     (2, 0, 1, 1), (0, 2, 1, -1),
 ]
 SOLVABLE = [(0, 1, 1, 1), (1, 0, 1, -1)]  # [e1, e2] = e2
+
+
+def gl_constants(n):
+    """gl(n) on the elementary matrices, E_ij the basis element i*n + j:
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj (LieAlgebraData sums the repeats)."""
+    constants = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    if j == k:
+                        constants.append((i * n + j, k * n + l, i * n + l, 1))
+                    if l == i:
+                        constants.append((i * n + j, k * n + l, k * n + j, -1))
+    return constants
 
 
 class TestLinearAlgebra:
@@ -500,6 +516,55 @@ class TestLieAlgebra:
             C = s.chart
             expected = C.sum(phi[j] * C["#" + name] for j, name in enumerate(h.names))
             assert divergence(s.body) == expected
+
+    @staticmethod
+    def _assert_basis_change(g, P):
+        # sum_k C'^{ij}_k P[c][k] = sum_{a,b} P[a][i] P[b][j] C^{ab}_c, both sides dense
+        h, n = change_basis(g, P), g.dimension
+        for i in range(n):
+            for j in range(n):
+                for c in range(n):
+                    assert sum(h.c(i, j, k) * P[c][k] for k in range(n)) == sum(
+                        P[a][i] * P[b][j] * g.c(a, b, c) for a in range(n) for b in range(n)
+                    )
+        return h
+
+    @pytest.mark.parametrize("dimension, constants, bases", [
+        (3, SO3, 20), (2, SOLVABLE, 20), (4, gl_constants(2), 10), (9, gl_constants(3), 1),
+    ], ids=["so3", "solvable", "gl2", "gl3"])
+    def test_change_basis_defining_identity(self, rng, dimension, constants, bases):
+        g = LieAlgebraData(dimension, None, constants)
+        while bases:
+            P = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dimension)]
+                 for _ in range(dimension)]
+            if not dense_nullspace(P, dimension):  # invertible
+                self._assert_basis_change(g, P)
+                bases -= 1
+
+    def test_odd_square(self, rng):
+        # [Q, Q] = 2H: route 1 reads the odd-odd constant back, and phi = 0
+        g = LieAlgebraData(2, [0, 1], [(1, 1, 0, 2)])
+        assert supertrace_extension(g) == (0, 0)
+        for _ in range(10):  # a diagonal basis change keeps the parities
+            p, q = (Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in "pq")
+            h = self._assert_basis_change(g, [[p, 0], [0, q]])
+            assert h.constants == {(1, 1, 0): 2 * q * q / p}
+            assert supertrace_extension(h) == (0, 0)
+
+    def test_even_odd_bracket_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        # [H, Q] = Q: its Lie-Poisson element is 0 in today's sign convention, so
+        # route 1 reads no bracket back. Once the parity sign of ROADMAP item 1
+        # lands, this algebra passes with phi = (-1, 0).
+        g = LieAlgebraData(2, [0, 1], [(0, 1, 1, 1), (1, 0, 1, -1)])
+        with pytest.raises(DomainError, match="does not reproduce the structure constants"):
+            supertrace_extension(g)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(
+            '{"dimension": 2, "parities": [0, 1], "constants": [[1, 2, 2, "1"], [2, 1, 2, "-1"]]}')
+        (tmp_path / "g.dsl").write_text('liealg("g.json")\n')
+        assert main(["g.dsl"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith(
+            "densalg: g.dsl: 1:1: induced bracket does not reproduce")
 
     def test_invert_matrix(self, rng):
         g = LieAlgebraData(3, None, SO3)

@@ -1,6 +1,7 @@
 """The densalg command line tool and the expression DSL."""
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -215,12 +216,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         'bracket("a", x)', 'lift(x, "a")', "lift(x, x)", "liealg(x)", "transform(x, 3)",
         "transform(x, Q)", "rary(x, x)", "rary(x; x; x)", 'classify(x*#x, 0, "b")',
+        "lift(x*#x, x+1)", "lift(x*#x, (x)+1)", "lift(x*#x, -x)",
     ])
     def test_parse_error_argument_kind(self, tmp_path, capsys, command):
         script = write(tmp_path, "kind.dsl", "chart C { even x }\n%s\n" % command)
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_PARSE
-        assert re.match(r"densalg: %s: 2:\d+: " % re.escape(script), err), err
+        position = re.match(r"densalg: %s: 2:(\d+): " % re.escape(script), err)
+        assert position, err
+        # a kind error points at the argument's first character, not at an operator
+        # inside it; an error in the grouping of the arguments points at the statement
+        column = int(position.group(1))
+        assert column == 1 if " takes (" in err else command[column - 2] in "(,; ", err
 
     def test_arguments_read_left_to_right(self, tmp_path, capsys):
         script = write(tmp_path, "order.dsl", "chart C { even x }\ntransform(zz, Q)\n")
@@ -280,6 +287,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("expr, value", [
         ("x^10000000000", "x^10000000000"), ("(#x + 1)^10000000000", "10000000000*#x + 1"),
         ("(x*#y)^10000000000", "0"),
+        # a dense power whose result is small: 513 terms of at most 512 bits
+        pytest.param("(x + y)^512", " + ".join(
+            "*".join(f for f in ("%d" % math.comb(512, k) if 0 < k < 512 else "",
+                                 "x^%d" % (512 - k) if k < 511 else "x" if k == 511 else "",
+                                 "y^%d" % k if k > 1 else "y" if k == 1 else "") if f)
+            for k in range(513)), id="(x + y)^512"),
+        ("(x/2 - 2*y/3)^3", "1/8*x^3 - 1/2*x^2*y + 2/3*x*y^2 - 8/27*y^3"),
     ])
     def test_small_polynomial_power_evaluates(self, expr, value):
         interp = Interpreter()

@@ -1,4 +1,5 @@
 """Core supercommutative polynomial algebra."""
+import math
 import random
 from fractions import Fraction
 
@@ -89,6 +90,27 @@ class TestBasics:
 
 
 class TestRandomizedLaws:
+    def test_power_within_its_result_bound(self, rng, chart):
+        # a power whose bound fits is computed without checking its products, so
+        # every power stays within it: at most comb(n + t - 1, n) terms, each
+        # coefficient D^-n times an integer of at most S^n, S = D * sum |c|
+        hchart = chart.hatted_version()
+        for _ in range(150):
+            f = random_poly(rng, chart, EVEN, rng.randint(1, 4)) if rng.random() < 0.5 \
+                else hatted_poly(rng, hchart, rng.randint(1, 3))
+            n = rng.randint(1, 5)
+            power = f ** n
+            product = f
+            for _ in range(n - 1):
+                product = product * f
+            assert power == product
+            coeffs = f.terms.values()
+            D = math.lcm(*(Fraction(c).denominator for c in coeffs))
+            S = sum(abs(c) for c in coeffs) * D
+            assert len(power.terms) <= math.comb(n + len(coeffs) - 1, n)
+            assert all(max(abs(Fraction(c).numerator), Fraction(c).denominator) <= max(S, D) ** n
+                       for c in power.terms.values())
+
     def test_supercommutativity(self, rng, chart):
         for _ in range(200):
             f = random_poly(rng, chart)
