@@ -353,6 +353,8 @@ class LieAlgebraData:
 
 def _integer(x, what):
     """x as an int when it is exactly integral (3, 3.0, "3"), else a DomainError."""
+    if type(x) is int:  # a bool takes the Fraction path
+        return x
     try:
         q = Fraction(x)
     except (TypeError, ValueError, OverflowError):

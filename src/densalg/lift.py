@@ -4,16 +4,18 @@ A DensityElement is a polynomial multivector s on an unhatted chart together
 with a weight lambda, standing for s * |Dx|^lambda.  For lambda != 1 there is
 a unique extension to the hatted chart that projects back to s and is killed
 by the canonical delta operator; `lift` builds it in closed form.  The lift
-commutes with the odd bracket and with (constant-Jacobian) coordinate
-changes, which `lift_commutes_check` and `transform_hatted` make checkable.
-A change prepares one substitution and has one law, `transform_density`, for
-every density and tail: a tail t^a #t^b of a hatted element has weight a - b,
-and its body transforms at that weight.
+commutes with the odd bracket and with coordinate changes, which
+`lift_commutes_check` and `transform_hatted` make checkable.  A change
+prepares one substitution, which also yields det J as the image of the odd
+fiber coordinates' product, and has one law, `transform_density`, for every
+density and tail: a tail t^a #t^b of a hatted element has weight a - b, and
+its body transforms at that weight.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .brackets import DomainError, antibracket, divergence, project_base
 from .spoly import Chart, ChartMismatchError, SPoly, _frac, _Substitution, rational_power
@@ -116,14 +118,14 @@ class CoordinateChange:
     """Invertible polynomial map between two all-even unhatted charts.
 
     `forward` expresses each old base coordinate as a polynomial in the new
-    chart's base coordinates; `inverse` is the exact inverse map.  The
-    Jacobian determinant of `forward` must be a nonzero rational constant
-    (affine and unipotent-triangular maps qualify); it is computed and
-    validated on construction.  `images` maps every old unhatted variable
-    to the new chart: base coordinates through `forward`, fiber coordinates
-    as parity reversed momenta, #x_old^a -> sum_b (d x_new^b/d x_old^a) #x_new^b
-    with the derivative expressed in the new coordinates.  `substitution`
-    is `images` prepared once, for every density and tail the change transforms.
+    chart's base coordinates; `inverse` is the exact inverse map.  Such a map
+    has a nonzero rational constant Jacobian determinant `jac_det`, read off
+    the fiber images: #x_old^1...#x_old^n maps to (1/det J) #x_new^1...#x_new^n.
+    `images` maps every old unhatted variable to the new chart: base
+    coordinates through `forward`, fiber coordinates as parity reversed
+    momenta, #x_old^a -> sum_b (d x_new^b/d x_old^a) #x_new^b with the
+    derivative expressed in the new coordinates.  `substitution` is `images`
+    prepared once, for every density and tail the change transforms.
     """
 
     def __init__(self, source: Chart, target: Chart, forward: dict, inverse: dict):
@@ -155,39 +157,22 @@ class CoordinateChange:
         for v in tb:
             if forth(self.inverse[v]) != target[v.name]:
                 raise DomainError("forward is not exact for %s" % v.name)
-        det = self._poly_det([[self.forward[v].derive_left(w) for w in tb] for v in sb], target)
-        self.jac_det = det.constant_term()
-        if det != self.jac_det:
-            raise DomainError("Jacobian determinant is not constant")
-        if self.jac_det == 0:
-            raise DomainError("Jacobian determinant vanishes")
         self.images = dict(self.forward)
         for a in sb:
             self.images[source.var("#" + a.name)] = target.sum(
                 forth(self.inverse[b].derive_left(a)) * target["#" + b.name] for b in tb)
         self.substitution = _Substitution(source, self.images, target)
+        # the round trips give J_F(G(x)) J_G(x) = I, so det J_F(G(x)) and det J_G are
+        # units of Q[x], nonzero constants: the image of #x^1...#x^n has one term
+        top = self.substitution(prod((source["#" + a.name] for a in sb), start=source.const(1)))
+        c, = top.terms.values()
+        self.jac_det = 1 / _frac(c)
 
     def abs_det(self, strict_orientation=False):
         """|det J|; an orientation-reversing change raises in strict mode."""
         if self.jac_det < 0 and strict_orientation:
             raise OrientationError("orientation-reversing change in strict mode")
         return abs(self.jac_det)
-
-    @staticmethod
-    def _poly_det(rows, chart):
-        """The determinant by cofactor expansion down the rows, each minor (the
-        last rows over a set of columns) computed once: 2^n minors, not e*n!."""
-        n = len(rows)
-        minors = {(): chart.const(1)}
-
-        def det(cols):
-            if cols not in minors:
-                row = rows[n - len(cols)]
-                minors[cols] = chart.sum((-1) ** k * row[j] * det(cols[:k] + cols[k + 1:])
-                                         for k, j in enumerate(cols))
-            return minors[cols]
-
-        return det(tuple(range(n)))
 
 
 def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=False) -> SPoly:

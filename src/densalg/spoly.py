@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import add, mul
 
 EVEN = 0
@@ -111,13 +111,13 @@ def _num(c):
 MAX_POWER_BITS = 1 << 22
 
 
-def check_power_size(base, exponent, line=None, column=None):
+def check_power_size(base, exponent):
     """Raise DomainError when base**exponent, for Fractions, would take more
     than MAX_POWER_BITS bits, estimated as |exponent| times one less than the
     bit length of the base's larger part: 0 for bases 0 and -1 and 1."""
     bits = max(abs(base.numerator), base.denominator).bit_length() - 1
     if abs(exponent) * bits > MAX_POWER_BITS:
-        raise DomainError("the constant power exceeds %d bits" % MAX_POWER_BITS, line, column)
+        raise DomainError("the constant power exceeds %d bits" % MAX_POWER_BITS)
 
 
 def _checked_product(a, b):
@@ -504,12 +504,18 @@ class SPoly:
         if not n:
             return self.chart.const(1)
         # self^n has at most comb(n + t - 1, n) terms, the multisets of n of its t
-        # terms, each D^-n times an integer of at most S^n, with D the common
-        # denominator and S = D * sum |c|: when that fits, no product is checked
+        # terms, and for integral exponents at most the product over variables of
+        # n * (max - min) + 1, the exponent sums; each term is D^-n times an integer
+        # of at most S^n, with D the common denominator and S = D * sum |c|: when
+        # that fits, no product is checked
         coeffs = self.terms.values()
         D = lcm(*(c.denominator for c in coeffs))
         bits = (int(max(sum(abs(c) for c in coeffs) * D, D)) - 1).bit_length()
-        fits = comb(n + len(coeffs) - 1, n) * n * bits <= MAX_POWER_BITS
+        count = comb(n + len(coeffs) - 1, n)
+        slots = list(zip(*self.terms))
+        if all(e.denominator == 1 for exps in slots for e in exps):
+            count = min(count, prod(n * (max(exps) - min(exps)) + 1 for exps in slots))
+        fits = count * n * bits <= MAX_POWER_BITS
         times = mul if fits else _checked_product
         result, base = None, self
         while n:

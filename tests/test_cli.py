@@ -41,6 +41,16 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def _trinomial_power_text(n):
+    """(1 + x + x^2)^n as printed, its coefficients from repeated convolution."""
+    c = [1]
+    for _ in range(n):
+        c = [sum(c[k - j] for j in range(3) if 0 <= k - j < len(c)) for k in range(len(c) + 2)]
+    return " + ".join("*".join(f for f in ("%d" % c[k] if c[k] > 1 or not k else "",
+                                            "x^%d" % k if k > 1 else "x" if k else "") if f)
+                      for k in reversed(range(len(c))))
+
+
 class TestExitCodes:
     def test_success(self, tmp_path, capsys):
         script = write(tmp_path, "ok.dsl", """
@@ -294,6 +304,8 @@ class TestExitCodes:
                                  "y^%d" % k if k > 1 else "y" if k == 1 else "") if f)
             for k in range(513)), id="(x + y)^512"),
         ("(x/2 - 2*y/3)^3", "1/8*x^3 - 1/2*x^2*y + 2/3*x*y^2 - 8/27*y^3"),
+        # 401 terms of at most about 317 bits: the exponent sums of x bound it
+        pytest.param("(1 + x + x^2)^200", _trinomial_power_text(200), id="(1 + x + x^2)^200"),
     ])
     def test_small_polynomial_power_evaluates(self, expr, value):
         interp = Interpreter()

@@ -92,8 +92,10 @@ class TestBasics:
 class TestRandomizedLaws:
     def test_power_within_its_result_bound(self, rng, chart):
         # a power whose bound fits is computed without checking its products, so
-        # every power stays within it: at most comb(n + t - 1, n) terms, each
-        # coefficient D^-n times an integer of at most S^n, S = D * sum |c|
+        # every power stays within it: at most comb(n + t - 1, n) terms, and for
+        # integral exponents at most the product over variables of their numbers
+        # of exponent sums, each coefficient D^-n times an integer of at most S^n,
+        # S = D * sum |c|
         hchart = chart.hatted_version()
         for _ in range(150):
             f = random_poly(rng, chart, EVEN, rng.randint(1, 4)) if rng.random() < 0.5 \
@@ -108,6 +110,10 @@ class TestRandomizedLaws:
             D = math.lcm(*(Fraction(c).denominator for c in coeffs))
             S = sum(abs(c) for c in coeffs) * D
             assert len(power.terms) <= math.comb(n + len(coeffs) - 1, n)
+            if all(Fraction(e).denominator == 1 for key in f.terms for e in key):
+                # n * (max - min) + 1 exponent sums per variable
+                assert len(power.terms) <= math.prod(n * (max(exps) - min(exps)) + 1
+                                                     for exps in zip(*f.terms))
             assert all(max(abs(Fraction(c).numerator), Fraction(c).denominator) <= max(S, D) ** n
                        for c in power.terms.values())
 
