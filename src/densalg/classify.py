@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .brackets import PINNED, DomainError, _bracket_from, _right_tables, antibracket, r_ary_bracket
+from .brackets import PINNED, DomainError, _bracket_from, _right_tables
+from .brackets import antibracket, divergence, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
 from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac, _num
 
@@ -240,8 +241,10 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
     """Exact basis of {Q in the ansatz : (s, Q) = 0}.
 
     By the affine structure of the space of lifts, these Q enumerate all
-    Poisson elements above s (of matching degree, weight, and parity) within
-    the coefficient-degree slice.
+    Poisson elements lift(s) + Q w above s of matching degree and parity
+    within the coefficient-degree slice.  For even s that needs weight 0, where
+    the master residual is 2 (s, Q) w; another weight is a DomainError.  Odd s
+    has residual 0: the whole ansatz, flagged, at every weight but 1.
     """
     bound = _frac(coeff_degree_bound)
     if bound.denominator != 1 or bound < 0:
@@ -262,6 +265,9 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
     if sp is MIXED:
         raise DomainError("s must be parity homogeneous")
     flagged = sp == ODD
+    if s.weight and not flagged:
+        raise DomainError("(s, Q) = 0 is the master equation of an even s only at "
+                          "weight 0, got weight %s" % s.weight)
     ansatz = monomial_ansatz(s.chart, r - 1, int(bound), (sp + 1) % 2)
     # the system as sparse rows {ansatz column: coefficient}, one per monomial
     # of the images (s, Q)
@@ -301,7 +307,8 @@ class LieAlgebraData:
         )
         if len(self.names) != self.dimension:
             raise DomainError("name list does not match the dimension")
-        self.chart()  # rejects a parity other than 0 or 1 and a bad or repeated name
+        # rejects a parity other than 0 or 1 and a bad or repeated name
+        self._chart = Chart(list(zip(self.names, self.parities)), name="lie")
         table = {}
         for i, j, k, val in constants:
             i, j, k = (_integer(a, "structure constant index") for a in (i, j, k))
@@ -348,7 +355,7 @@ class LieAlgebraData:
             raise DomainError("bad Lie algebra file %s: %s" % (path, exc)) from None
 
     def chart(self):
-        return Chart(list(zip(self.names, self.parities)), name="lie")
+        return self._chart
 
 
 def _integer(x, what):
@@ -365,21 +372,22 @@ def _integer(x, what):
 
 
 def lie_poisson(g: LieAlgebraData) -> DensityElement:
-    """The quadratic element pi = 1/2 C^{ij}_k x^k x*_j x*_i, weight 0."""
+    """pi = 1/2 (-1)^p_i C^{ij}_k x^k x*_j x*_i at weight 0; the sign, +1 on an
+    even algebra, makes (pi, pi) = 0 the super Jacobi identity of the constants."""
     chart = g.chart()
-    half = Fraction(1, 2)
     pi = chart.sum(
-        half * v * (chart[g.names[k]] * chart["#" + g.names[j]] * chart["#" + g.names[i]])
+        Fraction((-1) ** g.parities[i], 2) * v
+        * (chart[g.names[k]] * chart["#" + g.names[j]] * chart["#" + g.names[i]])
         for (i, j, k), v in g.constants.items()
     )
     return DensityElement(pi, Fraction(0))
 
 
 def induced_structure_constants(g: LieAlgebraData, s: DensityElement):
-    """Read {x^i, x^j} back off the polynomial bracket of s = lie_poisson(g).
-
-    Returns the table {(i, j, k): coefficient of x^k in {x^i, x^j}} of the
-    nonzero bracket coefficients, to be compared with g.constants.
+    """The table {(i, j, k): (-1)^p_i times the coefficient of x^k in the
+    derived bracket r_ary_bracket(s, [x^i, x^j])} of s = lie_poisson(g), to be
+    compared with g.constants: that bracket carries the orientation
+    (-1)^{(f+1)(g+1)} of `r_ary_bracket`, so it reads (-1)^p_i C^{ij}_k x^k.
     """
     chart = s.chart
     table = {}
@@ -389,7 +397,7 @@ def induced_structure_constants(g: LieAlgebraData, s: DensityElement):
             for key, coeff in br.terms.items():
                 if sum(key) != 1:
                     raise DomainError("induced bracket is not linear")
-                table[(i, j, key.index(1))] = coeff
+                table[(i, j, key.index(1))] = (-1) ** g.parities[i] * coeff
     return table
 
 
@@ -398,8 +406,8 @@ def supertrace_extension(g: LieAlgebraData):
 
     Cross-checked two ways: route 1 reads the structure constants back
     through the polynomial bracket, which must reproduce them exactly, so the
-    supertrace of the adjoint action read there is phi; route 2 compares phi
-    with the correction term of the canonical lift of the Lie-Poisson element.
+    supertrace of the adjoint action read there is phi; route 2 compares
+    sum_j phi_j #x_j with the modular vector field div(s), the t #t term of lift(s).
     """
     s = lie_poisson(g)
     if master_check(s.body):
@@ -414,17 +422,10 @@ def supertrace_extension(g: LieAlgebraData):
     # independent route 1: the polynomial bracket reads the constants back
     if induced_structure_constants(g, s) != g.constants:
         raise DomainError("induced bracket does not reproduce the structure constants")
-    # independent route 2: the lift correction term; a zero s passed route 1
-    # only for an abelian algebra, where phi = 0 and there is nothing to lift
-    if not s.body.is_zero():
-        chart = s.chart
-        expected_q = chart.sum(
-            phi[j] * chart["#" + g.names[j]] for j in range(g.dimension) if phi[j]
-        )
-        S = lift(s)
-        # the lift stores the correction as t #t Delta(s): a sign per odd term
-        if S - s.body.transport(S.chart) != expected_q.parity_twist().transport(S.chart, 1, 1):
-            raise DomainError("lift correction disagrees with the supertrace functional")
+    # independent route 2: the modular vector field
+    chart = s.chart
+    if divergence(s.body) != chart.sum(phi[j] * chart["#" + x] for j, x in enumerate(g.names)):
+        raise DomainError("the modular vector field disagrees with the supertrace functional")
     return phi
 
 
@@ -528,7 +529,8 @@ def exterior_derivative(theta: SPoly) -> SPoly:
 
 def q_manifold_lifts(chart: Chart, coeff_degree_bound: int) -> KernelBasis:
     """Classify lifts of the de Rham vector field on a parity reversed tangent
-    chart; every basis element is checked to be a closed form of odd degree."""
+    chart: (d, theta) = +-d theta, so the basis spans the closed forms in the
+    ansatz."""
     n = chart.n_base
     if chart.hatted or n % 2:
         raise DomainError("expected a parity reversed tangent chart")
@@ -536,13 +538,4 @@ def q_manifold_lifts(chart: Chart, coeff_degree_bound: int) -> KernelBasis:
     for a in range(half):
         if chart.base_coords[a][1] != EVEN or chart.base_coords[half + a][1] != ODD:
             raise DomainError("expected x coordinates then dx coordinates")
-    s = DensityElement(de_rham_element(chart), Fraction(0))
-    kb = classify_lifts(s, coeff_degree_bound)
-    for theta in kb.elements():
-        if theta.parity() != ODD and theta != theta.constant_term():
-            # even-degree forms are parity-filtered out of the ansatz; the
-            # only even survivors are the constants
-            raise DomainError("non-constant kernel element of even form degree")
-        if exterior_derivative(theta):
-            raise DomainError("kernel element is not a closed form")
-    return kb
+    return classify_lifts(DensityElement(de_rham_element(chart), Fraction(0)), coeff_degree_bound)

@@ -577,7 +577,7 @@ class Interpreter:
                 self.lines.append(
                     "liealg: supertrace functional (%s)" % ", ".join(str(x) for x in phi)
                 )
-        self.charts[s.chart.name or "lie"] = s.chart
+        self.charts["lie"] = s.chart
         self.active_chart = s.chart
         if not ok:
             self.failures += 1

@@ -306,3 +306,63 @@ def reference_monomial_ansatz(chart, fiber_degree, coeff_degree_bound, parity):
             out.append((tuple(bexps), tuple(fexps), key))
     out.sort()
     return [SPoly(chart, {dense(chart, key): Fraction(1)}) for _, _, key in out]
+
+
+def gl_super_constants(m, n):
+    """gl(m|n) on the elementary matrices: E_ab is basis element a*(m+n) + b,
+    of parity p_a + p_b with p = 0 on the first m indices and 1 on the rest.
+    [A, B] = AB - (-1)^{|A||B|} BA is multiplied out as dense matrices and
+    read back in the basis.  Returns (parities, [(i, j, k, C^{ij}_k)])."""
+    size = m + n
+    units = [(a, b) for a in range(size) for b in range(size)]
+    parities = [(int(a >= m) + int(b >= m)) % 2 for a, b in units]
+    mats = [[[int((r, c) == unit) for c in range(size)] for r in range(size)] for unit in units]
+
+    def product(A, B):
+        return [[sum(A[r][x] * B[x][c] for x in range(size)) for c in range(size)]
+                for r in range(size)]
+
+    constants = []
+    for i, A in enumerate(mats):
+        for j, B in enumerate(mats):
+            sign = (-1) ** (parities[i] * parities[j])
+            AB, BA = product(A, B), product(B, A)
+            for k, (r, c) in enumerate(units):
+                if AB[r][c] - sign * BA[r][c]:
+                    constants.append((i, j, k, AB[r][c] - sign * BA[r][c]))
+    return parities, constants
+
+
+def super_jacobi_holds(g):
+    """The super Jacobi identity [a, [b, c]] = [[a, b], c] + (-1)^{p_a p_b} [b, [a, c]]
+    on every triple of basis elements, with brackets of {index: coefficient}
+    vectors expanded bilinearly over the constants."""
+    n, p = g.dimension, g.parities
+
+    def br(u, v):
+        out = {}
+        for i, x in u.items():
+            for j, y in v.items():
+                for k in range(n):
+                    out[k] = out.get(k, 0) + x * y * g.c(i, j, k)
+        return {k: x for k, x in out.items() if x}
+
+    e = [{i: 1} for i in range(n)]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        rhs = br(br(e[a], e[b]), e[c])
+        for k, x in br(e[b], br(e[a], e[c])).items():
+            rhs[k] = rhs.get(k, 0) + (-1) ** (p[a] * p[b]) * x
+        if br(e[a], br(e[b], e[c])) != {k: x for k, x in rhs.items() if x}:
+            return False
+    return True
+
+
+def supertrace_of_ad(g):
+    """(str ad e_1, ..., str ad e_n): ad e_j is the matrix with (k, i) entry
+    C^{ji}_k, and str M = sum_i (-1)^{p_i} M_ii."""
+    n = g.dimension
+    out = []
+    for j in range(n):
+        ad = [[g.c(j, i, k) for i in range(n)] for k in range(n)]
+        out.append(sum((-1) ** g.parities[i] * ad[i][i] for i in range(n)))
+    return tuple(out)

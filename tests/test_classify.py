@@ -13,6 +13,7 @@ from densalg import (
     KernelBasis,
     LieAlgebraData,
     ODD,
+    WeightOneError,
     antibracket,
     classify_lifts,
     decompose,
@@ -27,7 +28,8 @@ from densalg import (
     supertrace_extension,
 )
 from densalg import brackets
-from densalg.cli import EXIT_DOMAIN, main
+from densalg import classify as classify_module
+from densalg.cli import EXIT_DOMAIN, EXIT_OK, main
 from densalg.classify import (
     _invert_matrix,
     _rref,
@@ -43,9 +45,12 @@ from densalg.classify import (
 from conftest import (
     dense_kernel_matrix,
     dense_nullspace,
+    gl_super_constants,
     random_poly,
     reference_monomial_ansatz,
     row_space_rref,
+    super_jacobi_holds,
+    supertrace_of_ad,
 )
 
 
@@ -57,19 +62,16 @@ SO3 = [
 SOLVABLE = [(0, 1, 1, 1), (1, 0, 1, -1)]  # [e1, e2] = e2
 
 
-def gl_constants(n):
-    """gl(n) on the elementary matrices, E_ij the basis element i*n + j:
-    [E_ij, E_kl] = d_jk E_il - d_li E_kj (LieAlgebraData sums the repeats)."""
-    constants = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        constants.append((i * n + j, k * n + l, i * n + l, 1))
-                    if l == i:
-                        constants.append((i * n + j, k * n + l, k * n + j, -1))
-    return constants
+def gl(m, n):
+    """gl(m|n) as LieAlgebraData arguments (dimension, parities, constants)."""
+    parities, constants = gl_super_constants(m, n)
+    return len(parities), parities, constants
+
+
+GL2, GL3 = gl(2, 0), gl(3, 0)
+HQ = (2, [0, 1], [(0, 1, 1, 1), (1, 0, 1, -1)])  # [H, Q] = Q, H even and Q odd
+SUPER = {"gl11": gl(1, 1), "gl21": gl(2, 1), "gl12": gl(1, 2), "hq": HQ}
+EVEN_ALGEBRAS = {"so3": (3, None, SO3), "solvable": (2, None, SOLVABLE), "gl2": GL2, "gl3": GL3}
 
 
 class TestLinearAlgebra:
@@ -423,6 +425,32 @@ class TestClassification:
         with pytest.raises(Exception):
             classify_lifts(DensityElement(C["x"] * C["#x"], Fraction(1)), 1)
 
+    @pytest.mark.parametrize("weight", [2, Fraction(-1, 2), Fraction(1, 3)])
+    def test_even_s_needs_weight_zero(self, weight):
+        # at weight 2, #z solves (s, Q) = 0 but lift(s) + #z t^3 #t is not
+        # Poisson: the residual gains a term in s Q
+        C = Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)])
+        s = DensityElement(C["#x"] * C["#y"], weight)
+        assert antibracket(s.body, C["#z"]).is_zero()
+        if weight == 2:
+            h = C.hatted_version()
+            residual = -4 * h["#x"] * h["#y"] * h["#z"] * h.t_power(4)
+            assert master_check(attach_correction(s, C["#z"])) == residual
+        with pytest.raises(DomainError, match="only at weight 0, got weight %s" % weight):
+            classify_lifts(s, 0)
+        with pytest.raises(WeightOneError):
+            classify_lifts(DensityElement(s.body, 1), 0)
+
+    @pytest.mark.parametrize("weight", [2, Fraction(-1, 2), Fraction(1, 3)])
+    def test_odd_s_whole_ansatz_at_any_weight(self, weight):
+        # (S, S) = 0 for every odd S, so each ansatz element gives a Poisson lift
+        C = Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)])
+        s = DensityElement(C["x"] * C["#y"] + C["z"] * C["#x"], weight)
+        kb = classify_lifts(s, 1)
+        assert kb.flagged_odd_base and kb.dimension == len(kb.ansatz) > 0
+        for Q in kb.elements():
+            assert master_check(attach_correction(s, Q)).is_zero()
+
     def test_zero_s_rejected(self, small_chart):
         # 0 is homogeneous of every degree, so it fixes no ansatz for Q
         with pytest.raises(DomainError, match="fiber degree") as err:
@@ -459,6 +487,7 @@ class TestLieAlgebra:
         bad = [(0, 1, 2, 1), (1, 0, 2, -1), (1, 2, 0, 1), (2, 1, 0, -1),
                (0, 2, 0, 1), (2, 0, 0, -1)]
         g = LieAlgebraData(3, None, bad)
+        assert not super_jacobi_holds(g)
         assert not master_check(lie_poisson(g).body).is_zero()
         with pytest.raises(DomainError):
             supertrace_extension(g)
@@ -530,7 +559,7 @@ class TestLieAlgebra:
         return h
 
     @pytest.mark.parametrize("dimension, constants, bases", [
-        (3, SO3, 20), (2, SOLVABLE, 20), (4, gl_constants(2), 10), (9, gl_constants(3), 1),
+        (3, SO3, 20), (2, SOLVABLE, 20), (4, GL2[2], 10), (9, GL3[2], 1),
     ], ids=["so3", "solvable", "gl2", "gl3"])
     def test_change_basis_defining_identity(self, rng, dimension, constants, bases):
         g = LieAlgebraData(dimension, None, constants)
@@ -551,20 +580,69 @@ class TestLieAlgebra:
             assert h.constants == {(1, 1, 0): 2 * q * q / p}
             assert supertrace_extension(h) == (0, 0)
 
-    def test_even_odd_bracket_is_domain_error(self, tmp_path, capsys, monkeypatch):
-        # [H, Q] = Q: its Lie-Poisson element is 0 in today's sign convention, so
-        # route 1 reads no bracket back. Once the parity sign of ROADMAP item 1
-        # lands, this algebra passes with phi = (-1, 0).
-        g = LieAlgebraData(2, [0, 1], [(0, 1, 1, 1), (1, 0, 1, -1)])
-        with pytest.raises(DomainError, match="does not reproduce the structure constants"):
-            supertrace_extension(g)
+    def test_even_odd_bracket(self, tmp_path, capsys, monkeypatch):
+        # [H, Q] = Q: without the sign (-1)^p_i the two terms of its Lie-Poisson
+        # element cancel; with it pi = x2 #x1 #x2, and str ad H = -1
+        g = LieAlgebraData(*HQ)
+        assert lie_poisson(g).body
+        assert supertrace_extension(g) == (-1, 0)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g.json").write_text(
             '{"dimension": 2, "parities": [0, 1], "constants": [[1, 2, 2, "1"], [2, 1, 2, "-1"]]}')
         (tmp_path / "g.dsl").write_text('liealg("g.json")\n')
-        assert main(["g.dsl"]) == EXIT_DOMAIN
-        assert capsys.readouterr().err.startswith(
-            "densalg: g.dsl: 1:1: induced bracket does not reproduce")
+        assert main(["g.dsl"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "liealg: jacobi PASS\nliealg: supertrace functional (-1, 0)\n" in out and not err
+
+    @pytest.mark.parametrize("algebra", sorted(SUPER))
+    def test_lie_superalgebras(self, rng, algebra):
+        # the Lie-Poisson element of a Lie superalgebra is Poisson and phi is
+        # str ad, in the given basis and after a parity-preserving change
+        n, parities, constants = SUPER[algebra]
+        g = LieAlgebraData(n, parities, constants)
+        P = [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) * (i == j)
+              for j in range(n)] for i in range(n)]
+        for _ in range(2 * n):  # row additions between equal parities keep P invertible
+            i, j = rng.sample(range(n), 2)
+            if parities[i] == parities[j]:
+                c = rng.choice((-2, -1, 1, 2))
+                P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for h in (g, change_basis(g, P)):
+            assert super_jacobi_holds(h)
+            assert master_check(lie_poisson(h).body).is_zero()
+            assert supertrace_extension(h) == supertrace_of_ad(h)
+        if algebra.startswith("gl"):  # str ad X = str(X) sdim - sdim str(X) = 0
+            assert not any(supertrace_of_ad(g))
+
+    @pytest.mark.parametrize("algebra", sorted(EVEN_ALGEBRAS) + sorted(SUPER))
+    def test_divergence_is_supertrace(self, algebra):
+        # route 2's comparison on its own: div(pi) = sum_j str(ad e_j) #x_j
+        g = LieAlgebraData(*{**EVEN_ALGEBRAS, **SUPER}[algebra])
+        C = g.chart()
+        phi = supertrace_of_ad(g)
+        assert divergence(lie_poisson(g).body) == C.sum(
+            phi[j] * C["#" + name] for j, name in enumerate(g.names))
+
+    def test_one_chart_per_algebra(self):
+        g = LieAlgebraData(3, None, SO3)
+        assert g.chart() is g.chart()
+        s = lie_poisson(g)
+        assert s.chart is g.chart()
+        assert lift(s).chart is g.chart().hatted_version()
+
+    def test_supertrace_builds_no_lift(self, monkeypatch):
+        # route 2 compares div(s) directly: the lift's t #t term is div(s) itself
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return lift(s)
+
+        monkeypatch.setattr(classify_module, "lift", counted)
+        for g in (LieAlgebraData(3, None, SO3), LieAlgebraData(2, None, SOLVABLE),
+                  LieAlgebraData(*HQ), LieAlgebraData(3)):
+            supertrace_extension(g)
+        assert calls == []
 
     def test_invert_matrix(self, rng):
         g = LieAlgebraData(3, None, SO3)
@@ -664,3 +742,23 @@ class TestQManifolds:
     def test_chart_shape_validated(self):
         with pytest.raises(DomainError):
             q_manifold_lifts(Chart([("x", EVEN), ("y", EVEN)]), 1)
+
+    def test_lifts_are_the_de_rham_kernel(self, monkeypatch):
+        # q_manifold_lifts is classify_lifts of the de Rham element, bit for bit,
+        # and re-derives nothing; every basis element is closed, and besides
+        # the constant every one is a form of odd degree
+        def unused(*args):
+            raise AssertionError("q_manifold_lifts re-checks its basis")
+
+        for n in (1, 2, 3):
+            chart = q_manifold_chart(n)
+            s = DensityElement(de_rham_element(chart), Fraction(0))
+            for bound in range(4):
+                with monkeypatch.context() as m:
+                    m.setattr(classify_module, "exterior_derivative", unused)
+                    m.setattr(KernelBasis, "elements", unused)
+                    kb = q_manifold_lifts(chart, bound)
+                assert kb == classify_lifts(s, bound)
+                for theta in kb.elements():
+                    assert exterior_derivative(theta).is_zero()
+                    assert theta.parity() == ODD or theta == theta.constant_term()

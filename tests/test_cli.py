@@ -87,6 +87,15 @@ class TestExitCodes:
         assert "bound" in err and bound in err
         assert "dimension" not in out
 
+    def test_domain_error_classify_even_s_at_nonzero_weight(self, tmp_path, capsys):
+        # (s, Q) = 0 is the master equation only at weight 0: #z solves it for
+        # s = #x#y, but lift(s) + #z t^3 #t is not Poisson at weight 2
+        script = write(tmp_path, "w.dsl", "chart C { even x, y, z }\nclassify(#x*#y, 2, 0)\n")
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_DOMAIN
+        assert "w.dsl: 2:1: (s, Q) = 0 is the master equation of an even s only at weight 0" in err
+        assert "dimension" not in out
+
     def test_domain_error_zero_classify(self, tmp_path, capsys):
         script = write(tmp_path, "zero_s.dsl", """
             chart C { even p, q }
