@@ -11,9 +11,10 @@ docs/convention_ledger.txt.  Each identity reads only some of the sign
 fields, and one call judges it once per distinct value of those fields, on
 samples drawn once for all candidates; the pin fixes the fields one at a time
 and drops a partial candidate once an identity whose fields are all fixed
-rejects it.  A bracket sums the products of its derivative pairs into one term
-map (`spoly._mul_into`) from f's right `_partial_rows`, which `classify_lifts`
-builds once for every column.  A divergence strips both variables of each
+rejects it.  A bracket (f, g) runs f's `_bracket_plan`, each right partial of f
+with its partner slot and sign, against g's left `_partial_rows` and sums the
+products into one term map (`spoly._mul_into`); `classify_lifts` builds one
+plan of s for every column.  A divergence strips both variables of each
 pair from each term in one pass, delta's t^-1 d_#t term included.
 """
 from __future__ import annotations
@@ -74,34 +75,40 @@ PINNED = SignConvention(
 )
 
 
-def _right_tables(f):
-    """[(right `_partial_rows` of the part, its parity)] per nonzero parity part of f."""
-    parts = zip(f.parity_components(), (EVEN, ODD))
-    return [(_partial_rows(f.chart, part.terms, False), fp) for part, fp in parts if part]
-
-
-def _bracket_from(tables, g, conv):
-    """The bracket (f, g) from f's `_right_tables`, accumulated in one term
-    map; a pair of derivatives one of which is zero is skipped."""
-    chart = g.chart
-    dg = _partial_rows(chart, g.terms, True)
-    terms = {}
-    for df, fp in tables:
+def _bracket_plan(f, conv):
+    """f's side of every bracket (f, g): per nonzero right partial of a parity
+    part of f, its `_rows`, the partner slot to derive g by and the sign."""
+    plan = []
+    for part, fp in zip(f.parity_components(), (EVEN, ODD)):
+        if not part:
+            continue
+        df = _partial_rows(f.chart, part.terms, False)
         signs = (conv.bracket_signs(EVEN, fp), conv.bracket_signs(ODD, fp))
-        for q, qs, a in chart.pair_slots:
+        for q, qs, a in f.chart.pair_slots:
             s1, s2 = signs[a]
-            if q in df and qs in dg:
-                _mul_into(terms, df[q], dg[qs], s1 < 0)
-            if qs in df and q in dg:
-                _mul_into(terms, df[qs], dg[q], s2 < 0)
-    return SPoly(chart, terms)
+            if q in df:
+                plan.append((df[q], qs, s1 < 0))
+            if qs in df:
+                plan.append((df[qs], q, s2 < 0))
+    return plan
+
+
+def _bracket_from(plan, g):
+    """The bracket (f, g) from f's `_bracket_plan`, accumulated in one term
+    map; a product one of whose derivatives is zero is skipped."""
+    dg = _partial_rows(g.chart, g.terms, True)
+    terms = {}
+    for df, slot, negate in plan:
+        if slot in dg:
+            _mul_into(terms, df, dg[slot], negate)
+    return SPoly(g.chart, terms)
 
 
 def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     """The canonical odd bracket on the chart, (t, #t) pair included."""
     if f.chart != g.chart:
         raise ChartMismatchError("bracket operands live on different charts")
-    return _bracket_from(_right_tables(f), g, conv)
+    return _bracket_from(_bracket_plan(f, conv), g)
 
 
 def _div_pairs(f, pairs, conv, delta=False):

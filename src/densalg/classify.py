@@ -4,27 +4,31 @@ Every element above a weighted multivector s differs from the canonical lift
 by Q * w with Q a multivector of one lower fiber degree; the master equation
 for the sum reduces to (s, Q) = 0.  `classify_lifts` slices that kernel at a
 finite coefficient-degree bound and solves the resulting homogeneous linear
-system exactly.  The system is sparse end to end: the bracket images are
-transposed into one {ansatz column: coefficient} row per monomial, and one
-sparse Gauss-Jordan elimination (`_rref`) reduces them as primitive integer
-rows: denominators are cleared once on entry, every elimination step is
-integer-preserving and each row's content is divided out.  Only at the edge,
-in the kernel basis and the inverse, is each row divided by its pivot entry,
-which gives the unique reduced row echelon form, so bases are reproducible
-bit for bit.  The same routine inverts the basis-change matrices of
-`change_basis`.
+system exactly.  The system is sparse end to end: each column's image runs
+one `_bracket_plan` of s against derivatives read off the column's key, the
+images are transposed into one {ansatz column: coefficient} row per monomial,
+and one sparse Gauss-Jordan elimination (`_rref`) reduces them, the rows
+that start leftmost last, as primitive integer rows: denominators are
+cleared once on entry, every elimination step is integer-preserving and each
+row's content is divided out.  Only at the edge, in the kernel basis and the
+inverse, is each row divided by its pivot entry, which gives the unique
+reduced row echelon form, so bases are reproducible bit for bit.  The same
+routine inverts the basis-change matrices of `change_basis`.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, inf, lcm
 
-from .brackets import PINNED, DomainError, _bracket_from, _right_tables
+from .brackets import PINNED, DomainError, _bracket_from, _bracket_plan
 from .brackets import antibracket, divergence, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac, _num
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac, _mul_into, _num, _odd_mask, _strip
+
+# the most columns an ansatz may have; Darboux n = 8 at bound 4 has 3,960
+MAX_ANSATZ_COLUMNS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,14 @@ def _rref(rows):
     unique reduced row echelon form, so the result does not depend on the
     order of the rows; callers make that division once, at the edge.
     Arithmetic touches only rows that share a column with the pivot row,
-    which keeps block-structured systems cheap.
+    which keeps block-structured systems cheap.  Rows come in stable descending
+    order of first column; as a reduced row holds nothing left of its pivot,
+    only a pivot right of the leftmost so far is back-substituted.
     """
-    reduced = {}
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    rows.sort(key=lambda row: min(row, default=-1), reverse=True)
+    reduced, leftmost = {}, inf
     for row in rows:
-        row = {c: x for c, x in row.items() if x}
         scale = lcm(*(x.denominator for x in row.values()))
         row = _primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
         for p in [c for c in row if c in reduced]:
@@ -116,9 +123,11 @@ def _rref(rows):
         pivot = min(row)
         if row[pivot] < 0:
             row = {c: -x for c, x in row.items()}
-        for p, other in reduced.items():
-            if pivot in other:
-                reduced[p] = _eliminate(other, pivot, row)
+        if pivot > leftmost:
+            for p, other in reduced.items():
+                if pivot in other:
+                    reduced[p] = _eliminate(other, pivot, row)
+        leftmost = min(leftmost, pivot)
         reduced[pivot] = row
     return reduced
 
@@ -220,12 +229,19 @@ def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, pa
     count toward the bound (each appears at most once, so the ansatz stays
     finite).  At fiber degree zero the constant monomial is always admitted,
     whatever its parity: adding a constant multiple of the odd weight-zero
-    fiber coordinate never disturbs the master equation.
+    fiber coordinate never disturbs the master equation.  An ansatz that may
+    have more than MAX_ANSATZ_COLUMNS columns is a DomainError.
     """
     if chart.hatted:
         raise DomainError("the ansatz lives on an unhatted chart")
     base_vars = [v for v, _ in chart.base_pairs()]
     fiber_vars = [f for _, f in chart.base_pairs()]
+    # an upper bound, counted before enumerating: fiber exponents uncapped, summing to <= degree
+    k_odd = sum(v.parity for v in base_vars)
+    columns = comb(max(fiber_degree, 0) + len(fiber_vars), len(fiber_vars)) * comb(
+        max(coeff_degree_bound, 0) + len(base_vars) - k_odd, len(base_vars) - k_odd) << k_odd
+    if columns > MAX_ANSATZ_COLUMNS:
+        raise DomainError("the ansatz may have %d columns, over %d" % (columns, MAX_ANSATZ_COLUMNS))
     fiber_exps = list(_exponent_vectors(fiber_vars, fiber_degree, exact=True))
     out = []
     for bexps in _exponent_vectors(base_vars, coeff_degree_bound, exact=False):
@@ -251,8 +267,8 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         raise DomainError(
             "the coefficient degree bound must be a nonnegative integer, got %s" % bound
         )
-    tables = _right_tables(s.body)  # one table of s serves every column
-    if _bracket_from(tables, s.body, PINNED):
+    plan = _bracket_plan(s.body, PINNED)  # one plan of s serves every column
+    if _bracket_from(plan, s.body):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
         raise WeightOneError()
@@ -276,7 +292,14 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
         # every ansatz element already solves the master equation: no rows.
         for col, q in enumerate(ansatz):
-            for mono, c in _bracket_from(tables, q, PINNED).terms.items():
+            key, = q.terms  # one monomial, coefficient 1: its derivatives are read off the key
+            mask = _odd_mask(s.chart.odd_bits, key)
+            image = {}
+            for df, slot, negate in plan:
+                if key[slot]:
+                    k, c = _strip(key, slot, 1, mask, True)
+                    _mul_into(image, df, [(k, c, mask & ~(1 << slot), False)], negate)
+            for mono, c in image.items():
                 rows.setdefault(mono, {})[col] = c
     basis = nullspace(rows.values(), len(ansatz))
     return KernelBasis(s.chart, tuple(ansatz), tuple(basis), flagged)

@@ -121,6 +121,28 @@ class TestLinearAlgebra:
         # integer entries reduce to the same Fractions
         assert nullspace([{0: 2, 1: 4}], 2) == [(Fraction(-2), Fraction(1))]
 
+    def test_rref_does_not_depend_on_row_order(self):
+        # empty and all-zero rows, rows tied on their first column and mixed
+        # int and Fraction entries: every order reduces to the same rows
+        rng = random.Random(14)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            leads = rng.sample(range(n), min(n, 2))
+            rows = [{}, dict.fromkeys(range(n), 0)]
+            for _ in range(rng.randint(1, 8)):
+                lead = rng.choice(leads)
+                row = {c: rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)))
+                       for c in range(lead + 1, n) if rng.random() < 0.5}
+                row[lead] = rng.choice((-1, 1)) * rng.choice((rng.randint(1, 5), Fraction(5, 3)))
+                rows.append(row)
+            expected = _rref(rows)
+            oracle = dense_nullspace([[row.get(c, 0) for c in range(n)] for row in rows], n)
+            assert nullspace(rows, n) == oracle
+            for _ in range(6):
+                rng.shuffle(rows)
+                assert _rref(rows) == expected
+                assert nullspace(rows, n) == oracle
+
     @staticmethod
     def awkward_matrix(rng, kind, m, n, degenerate=True):
         """Rows the other tests never draw: 30-40-digit numerators and
@@ -354,28 +376,54 @@ class TestClassification:
         C = Chart([("p", EVEN), ("x", EVEN)])
         instances.append((DensityElement(darboux_form(C), Fraction(0)), 0))
         instances.append((DensityElement(darboux_form(C), Fraction(0)), 2))
+        # non-integral image coefficients: so(3) in the basis 5/3 e_i
+        g_scaled = change_basis(g_so3, [[Fraction(5, 3) * (i == j) for j in range(3)]
+                                        for i in range(3)])
+        assert set(g_scaled.constants.values()) == {Fraction(5, 3), Fraction(-5, 3)}
+        instances.append((lie_poisson(g_scaled), 1))
+        # odd base coordinates: column derivatives carry sign masks, and on
+        # gl(1|1) a column is derived by an odd coordinate inside it
+        instances.append((DensityElement(de_rham_element(q_manifold_chart(3)), Fraction(0)), 2))
+        instances.append((lie_poisson(LieAlgebraData(*SUPER["gl11"])), 1))
+        C6 = Chart([(name, EVEN) for name in ("p1", "p2", "p3", "x1", "x2", "x3")])
+        instances.append((DensityElement(darboux_form(C6), Fraction(0)), 2))
         for s, bound in instances:
             kb = classify_lifts(s, bound)
             _assert_matches_oracle(s, bound, kb)
 
     def test_one_table_of_s_per_classification(self, monkeypatch):
-        # s's right partial rows are built once per call, not once per column
+        # s's right partial rows are built once per call, not once per column,
+        # and a column's left derivatives are read off its key: the one left
+        # table is s's own, for the master check
         C = Chart([(name, EVEN) for name in ("p1", "p2", "x1", "x2")])
         s = DensityElement(darboux_form(C), Fraction(0))
         partial_rows = brackets._partial_rows
         tables = []
 
         def counted(chart, terms, left):
-            tables[-1] += not left
+            tables[-1][left] += 1
             return partial_rows(chart, terms, left)
 
         monkeypatch.setattr(brackets, "_partial_rows", counted)
         columns = []
         for bound in (1, 3):
-            tables.append(0)
+            tables.append([0, 0])  # right, left
             columns.append(len(classify_lifts(s, bound).ansatz))
         assert columns[0] < columns[1]
-        assert tables[0] == tables[1] == 1
+        assert tables[0] == tables[1] == [1, 1]
+
+    def test_huge_ansatz_rejected(self):
+        # the columns are counted before any is enumerated: a huge bound, or
+        # a huge fiber degree over odd base coordinates, is a DomainError
+        C = Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)])
+        with pytest.raises(DomainError, match="666706667400004 columns, over 65536"):
+            classify_lifts(DensityElement(C["#x"] * C["#y"], 0), 100000)
+        D = Chart([(name, ODD) for name in "abcde"])
+        with pytest.raises(DomainError, match="columns, over 65536"):
+            classify_lifts(DensityElement(D["#a"] ** 300, 0), 0)
+        # the largest recorded system, Darboux n = 8 at bound 4, passes
+        C8 = Chart([("p%d" % i, EVEN) for i in range(4)] + [("x%d" % i, EVEN) for i in range(4)])
+        assert len(monomial_ansatz(C8, 1, 4, ODD)) == 3960
 
     def test_so3_bound0_kernel_trivial(self):
         # constants #x_j are not in Ker(pi, .) for so(3): empty basis

@@ -96,6 +96,14 @@ class TestExitCodes:
         assert "w.dsl: 2:1: (s, Q) = 0 is the master equation of an even s only at weight 0" in err
         assert "dimension" not in out
 
+    def test_domain_error_classify_huge_bound(self, tmp_path, capsys):
+        # the ansatz is counted, not enumerated, before it is refused
+        script = write(tmp_path, "big.dsl", "chart C { even x, y, z }\nclassify(#x*#y, 0, 100000)\n")
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_DOMAIN
+        assert "big.dsl: 2:1: the ansatz may have 666706667400004 columns, over 65536" in err
+        assert "dimension" not in out
+
     def test_domain_error_zero_classify(self, tmp_path, capsys):
         script = write(tmp_path, "zero_s.dsl", """
             chart C { even p, q }
