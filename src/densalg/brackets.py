@@ -398,7 +398,7 @@ def _perturbations(conv):
             yield fld.name, replace(conv, **{fld.name: other})
 
 
-def convention_ledger(conv: SignConvention = PINNED, seed=2024) -> str:
+def convention_ledger(seed=2024) -> str:
     """Render the pinned convention: each sign bit with an identity forcing it.
 
     For every single-field perturbation of the pinned convention, report the
@@ -409,11 +409,12 @@ def convention_ledger(conv: SignConvention = PINNED, seed=2024) -> str:
         "Pinned sign convention",
         "======================",
         "",
-        "bracket term (d_r f/dq)(d_l g/dq*): sign exponent bits %s" % (conv.term_q_qstar,),
-        "bracket term (d_r f/dq*)(d_l g/dq): sign exponent bits %s" % (conv.term_qstar_q,),
+        "bracket term (d_r f/dq)(d_l g/dq*): sign exponent bits %s" % (PINNED.term_q_qstar,),
+        "bracket term (d_r f/dq*)(d_l g/dq): sign exponent bits %s" % (PINNED.term_qstar_q,),
         "  exponent = c0 + c1*parity(q) + c2*parity(f) + c3*parity(q)*parity(f)",
-        "divergence: sign exponent %d * parity(q), %s derivatives" % (conv.div_parity, conv.div_side),
-        "generator identity sign sigma(f) = (-1)^(%d + %d*parity(f))" % conv.generator_sign,
+        "divergence: sign exponent %d * parity(q), %s derivatives"
+        % (PINNED.div_parity, PINNED.div_side),
+        "generator identity sign sigma(f) = (-1)^(%d + %d*parity(f))" % PINNED.generator_sign,
         "",
         "Consequences:",
         "  (x, #x) = (#x, x) = +1 for an even base coordinate x",
@@ -424,7 +425,7 @@ def convention_ledger(conv: SignConvention = PINNED, seed=2024) -> str:
         "",
         "Forcing identities (first failure when one field is perturbed):",
     ]
-    for label, perturbed in _perturbations(conv):
+    for label, perturbed in _perturbations(PINNED):
         forced_by = suite.first_failure(perturbed) or "no identity rejects this perturbation"
         lines.append("  %-24s forced by: %s" % (label + ":", forced_by))
     lines.append("")

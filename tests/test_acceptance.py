@@ -246,7 +246,7 @@ def test_acceptance_6_worked_examples(capsys):
         assert lift(DensityElement(omega, Fraction(0))) == omega.transport(
             CD.hatted_version()
         )
-        # Lie-Poisson lifts: the supertrace functional via two routes
+        # Lie-Poisson lifts: the supertrace functional, read off div(pi)
         so3 = LieAlgebraData(3, None, [
             (0, 1, 2, 1), (1, 0, 2, -1), (1, 2, 0, 1),
             (2, 1, 0, -1), (2, 0, 1, 1), (0, 2, 1, -1),

@@ -1,4 +1,5 @@
 """Classification of Poisson lifts, Lie algebra examples, and worked cases."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -425,6 +426,36 @@ class TestClassification:
         C8 = Chart([("p%d" % i, EVEN) for i in range(4)] + [("x%d" % i, EVEN) for i in range(4)])
         assert len(monomial_ansatz(C8, 1, 4, ODD)) == 3960
 
+    @pytest.mark.parametrize("weight, bound, message", [
+        (0, 10 ** 5000, "the ansatz may have about 10^15000 columns, over 65536"),
+        (0, -10 ** 5000, "bound must be a nonnegative integer, got about -10^5000"),
+        (10 ** 5000, 0, "only at weight 0, got weight about 10^5000"),
+    ], ids=["huge_bound", "huge_negative_bound", "huge_weight"])
+    def test_huge_values_in_messages(self, weight, bound, message):
+        # a number past 2,048 bits is named by its size, so the message never
+        # meets Python's int/str digit limit, which only the CLI lifts
+        C = Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)])
+        with pytest.raises(DomainError) as err:
+            classify_lifts(DensityElement(C["#x"] * C["#y"], weight), bound)
+        assert message in str(err.value)
+
+    def test_ansatz_needs_unhatted_chart(self, small_chart):
+        with pytest.raises(DomainError, match="unhatted chart"):
+            monomial_ansatz(small_chart.hatted_version(), 1, 0, EVEN)
+
+    def test_inhomogeneous_or_non_poisson_s_rejected(self):
+        C = Chart([("x1", EVEN), ("x2", EVEN), ("x3", EVEN)])
+        x1, x3 = C["x1"], C["x3"]
+        s = x3 * C["#x2"] * C["#x1"] + x1 * C["#x3"] * C["#x2"] + x1 * C["#x1"] * C["#x3"]
+        with pytest.raises(DomainError, match="s does not satisfy the master equation"):
+            classify_lifts(DensityElement(s, 0), 1)
+        # constant coefficients: each s below is Poisson
+        with pytest.raises(DomainError, match="fiber-degree homogeneous"):
+            classify_lifts(DensityElement(C["#x1"] + C["#x1"] * C["#x2"] * C["#x3"], 0), 1)
+        D = Chart([("x", EVEN), ("xi", ODD)])
+        with pytest.raises(DomainError, match="parity homogeneous"):
+            classify_lifts(DensityElement(D["#x"] + D["xi"] * D["#x"], 0), 1)
+
     def test_so3_bound0_kernel_trivial(self):
         # constants #x_j are not in Ker(pi, .) for so(3): empty basis
         s = lie_poisson(LieAlgebraData(3, None, SO3))
@@ -544,6 +575,15 @@ class TestLieAlgebra:
         with pytest.raises(DomainError):
             LieAlgebraData(2, None, [(0, 1, 1, 1)])  # missing mirror entry
 
+    def test_lengths_and_indices_enforced(self):
+        with pytest.raises(DomainError, match="parity list does not match"):
+            LieAlgebraData(2, [0])
+        with pytest.raises(DomainError, match="name list does not match"):
+            LieAlgebraData(2, None, (), ["a", "b", "c"])
+        for index in (2, -1):
+            with pytest.raises(DomainError, match="index out of range"):
+                LieAlgebraData(2, None, [(0, index, 1, 1)])
+
     def test_parity_enforced(self):
         # C^{ij}_k != 0 needs p_k = p_i + p_j mod 2
         with pytest.raises(DomainError, match=r"\(0,1,0\) breaks parity"):
@@ -619,7 +659,7 @@ class TestLieAlgebra:
                 bases -= 1
 
     def test_odd_square(self, rng):
-        # [Q, Q] = 2H: route 1 reads the odd-odd constant back, and phi = 0
+        # [Q, Q] = 2H: the odd-odd constant leaves phi = 0 in every diagonal basis
         g = LieAlgebraData(2, [0, 1], [(1, 1, 0, 2)])
         assert supertrace_extension(g) == (0, 0)
         for _ in range(10):  # a diagonal basis change keeps the parities
@@ -642,12 +682,10 @@ class TestLieAlgebra:
         out, err = capsys.readouterr()
         assert "liealg: jacobi PASS\nliealg: supertrace functional (-1, 0)\n" in out and not err
 
-    @pytest.mark.parametrize("algebra", sorted(SUPER))
-    def test_lie_superalgebras(self, rng, algebra):
-        # the Lie-Poisson element of a Lie superalgebra is Poisson and phi is
-        # str ad, in the given basis and after a parity-preserving change
-        n, parities, constants = SUPER[algebra]
-        g = LieAlgebraData(n, parities, constants)
+    @staticmethod
+    def _parity_preserving_change(rng, g):
+        """g in a random basis that keeps each element's parity."""
+        n, parities = g.dimension, g.parities
         P = [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) * (i == j)
               for j in range(n)] for i in range(n)]
         for _ in range(2 * n):  # row additions between equal parities keep P invertible
@@ -655,7 +693,14 @@ class TestLieAlgebra:
             if parities[i] == parities[j]:
                 c = rng.choice((-2, -1, 1, 2))
                 P[i] = [a + c * b for a, b in zip(P[i], P[j])]
-        for h in (g, change_basis(g, P)):
+        return change_basis(g, P)
+
+    @pytest.mark.parametrize("algebra", sorted(SUPER))
+    def test_lie_superalgebras(self, rng, algebra):
+        # the Lie-Poisson element of a Lie superalgebra is Poisson and phi is
+        # str ad, in the given basis and after a parity-preserving change
+        g = LieAlgebraData(*SUPER[algebra])
+        for h in (g, self._parity_preserving_change(rng, g)):
             assert super_jacobi_holds(h)
             assert master_check(lie_poisson(h).body).is_zero()
             assert supertrace_extension(h) == supertrace_of_ad(h)
@@ -663,8 +708,21 @@ class TestLieAlgebra:
             assert not any(supertrace_of_ad(g))
 
     @pytest.mark.parametrize("algebra", sorted(EVEN_ALGEBRAS) + sorted(SUPER))
+    def test_bracket_reads_constants_back(self, rng, algebra):
+        # r_ary_bracket carries the orientation (-1)^{(f+1)(g+1)}, so the
+        # derived bracket of pi on two coordinates reads (-1)^p_i C^{ij}_k x_k,
+        # in the given basis and after a parity-preserving change
+        g = LieAlgebraData(*{**EVEN_ALGEBRAS, **SUPER}[algebra])
+        for h in (g, self._parity_preserving_change(rng, g)):
+            C, pi = h.chart(), lie_poisson(h).body
+            x = [C[name] for name in h.names]
+            for i, j in itertools.product(range(h.dimension), repeat=2):
+                assert r_ary_bracket(pi, [x[i], x[j]]) == C.sum(
+                    (-1) ** h.parities[i] * h.c(i, j, k) * x[k] for k in range(h.dimension))
+
+    @pytest.mark.parametrize("algebra", sorted(EVEN_ALGEBRAS) + sorted(SUPER))
     def test_divergence_is_supertrace(self, algebra):
-        # route 2's comparison on its own: div(pi) = sum_j str(ad e_j) #x_j
+        # the functional against the conftest oracle: div(pi) = sum_j str(ad e_j) #x_j
         g = LieAlgebraData(*{**EVEN_ALGEBRAS, **SUPER}[algebra])
         C = g.chart()
         phi = supertrace_of_ad(g)
@@ -679,7 +737,7 @@ class TestLieAlgebra:
         assert lift(s).chart is g.chart().hatted_version()
 
     def test_supertrace_builds_no_lift(self, monkeypatch):
-        # route 2 compares div(s) directly: the lift's t #t term is div(s) itself
+        # phi is read off div(s) directly: the lift's t #t term is div(s) itself
         calls = []
 
         def counted(s):

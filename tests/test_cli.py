@@ -15,7 +15,7 @@ from densalg import Chart, DensalgError, DomainError, EVEN, ODD
 from densalg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from densalg.dsl import COMMANDS, Interpreter, ParseError, _tokenize, parse
 from densalg.printing import poly_from_dict, poly_to_dict, poly_to_text
-from conftest import random_poly
+from conftest import hatted_poly, random_poly
 
 
 SO3_JSON = {
@@ -412,6 +412,17 @@ class TestJsonOutput:
         with pytest.raises(DomainError):
             poly_from_dict(d, chart)
 
+    def test_poly_from_dict_reads_the_chart(self, rng):
+        # without a chart argument the chart comes from the dict itself
+        chart = Chart([("x", EVEN), ("xi", ODD)], name="C")
+        for f in (random_poly(rng, chart), hatted_poly(rng, chart.hatted_version())):
+            g = poly_from_dict(poly_to_dict(f))
+            assert g == f and g.chart.name == "C"
+        d = poly_to_dict(chart["x"])
+        d["chart"]["base"][0][1] = 2
+        with pytest.raises(DomainError, match="parity must be 0 or 1"):
+            poly_from_dict(d)
+
     def test_determinism(self, tmp_path, capsys):
         script = write(tmp_path, "d.dsl", """
             chart C { even x, y; odd xi }
@@ -483,6 +494,21 @@ class TestCommands:
         assert code == EXIT_OK
         assert "jacobi PASS" in out
         assert "supertrace functional (0, 0, 0)" in out
+
+    def test_liealg_jacobi_failure(self, tmp_path, capsys, monkeypatch):
+        # constants that break the Jacobi identity: a verification failure,
+        # and no supertrace functional
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "bad.json", json.dumps({"dimension": 3, "constants": [
+            [1, 2, 3, 1], [2, 1, 3, -1], [2, 3, 1, 1], [3, 2, 1, -1],
+            [1, 3, 1, 1], [3, 1, 1, -1]]}))
+        script = write(tmp_path, "g.dsl", 'liealg("bad.json")\n')
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_VERIFY
+        assert out.endswith("\nliealg: jacobi FAIL\n") and "supertrace" not in out and not err
+        code, out, err = run_cli(capsys, [script, "--json"])
+        assert code == EXIT_VERIFY
+        assert '"jacobi": "FAIL"' in out and '"supertrace": null' in out
 
     def test_liealg_json_decimals_exact(self, tmp_path, capsys, monkeypatch):
         # a JSON decimal reads as written, the same as the string "1/10"

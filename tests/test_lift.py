@@ -419,6 +419,28 @@ class TestCoordinateChanges:
         with pytest.raises(Exception):
             CoordinateChange(src, tgt, {"x": 2 * tgt["u"]}, {"u": src["x"]})
 
+    def test_bad_charts_and_maps_rejected(self):
+        src = Chart([("x", EVEN), ("y", EVEN)], name="s")
+        tgt = Chart([("u", EVEN), ("v", EVEN)], name="g")
+        forward, inverse = {"x": tgt["u"], "y": tgt["v"]}, {"u": src["x"], "v": src["y"]}
+        for a, b, message in [
+            (src.hatted_version(), tgt, "connect unhatted charts"),
+            (src, tgt.hatted_version(), "connect unhatted charts"),
+            (Chart([("x", EVEN), ("y", ODD)]), tgt, "restricted to even coordinates"),
+            (src, Chart([("u", EVEN)]), "different dimension"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                CoordinateChange(a, b, forward, inverse)
+        with pytest.raises(DomainError, match="cover exactly the base coordinates"):
+            CoordinateChange(src, tgt, {"x": tgt["u"]}, inverse)
+        with pytest.raises(DomainError, match="image of y is not a base function"):
+            CoordinateChange(src, tgt, {"x": tgt["u"], "y": tgt["#v"]}, inverse)
+        with pytest.raises(DomainError, match="image of v is not a base function"):
+            CoordinateChange(src, tgt, forward, {"u": src["x"], "v": tgt["v"]})
+        # forward x = u + v^2 against the identity inverse: x + y^2 comes back
+        with pytest.raises(DomainError, match="not exact for x"):
+            CoordinateChange(src, tgt, {"x": tgt["u"] + tgt["v"] ** 2, "y": tgt["v"]}, inverse)
+
     def test_nonconstant_jacobian_rejected(self):
         src = Chart([("x", EVEN)], name="s")
         tgt = Chart([("u", EVEN)], name="g")
