@@ -32,6 +32,8 @@ from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac, _mul_into, _num, _odd_
 
 # the most columns an ansatz may have; Darboux n = 8 at bound 4 has 3,960
 MAX_ANSATZ_COLUMNS = 1 << 16
+# the largest Lie (super)algebra dimension; the shipped algebras have at most 9
+MAX_LIE_DIMENSION = 4096
 
 
 @dataclass(frozen=True)
@@ -332,6 +334,9 @@ class LieAlgebraData:
 
     def __init__(self, dimension, parities=None, constants=(), names=None):
         self.dimension = _integer(dimension, "dimension")
+        if not 0 <= self.dimension <= MAX_LIE_DIMENSION:
+            raise DomainError("the dimension must be in 0..%d, got %s"
+                              % (MAX_LIE_DIMENSION, _shown(self.dimension)))
         self.parities = tuple(
             _integer(p, "parity") for p in (parities or [EVEN] * self.dimension)
         )
@@ -402,7 +407,8 @@ def _integer(x, what):
     except (TypeError, ValueError, OverflowError):
         q = None
     if q is None or q.denominator != 1:
-        raise DomainError("%s must be an integer, got %r" % (what, x))
+        shown = repr(x) if q is None else _shown(q)  # a huge q is named by its size
+        raise DomainError("%s must be an integer, got %s" % (what, shown))
     return int(q)
 
 
@@ -424,11 +430,19 @@ def supertrace_extension(g: LieAlgebraData):
     """The extension functional phi_j = str(ad e_j) = sum_i (-1)^p_i C^{ji}_i,
     read off the modular vector field div(pi) = sum_j phi_j #x_j of the
     Lie-Poisson element pi, which is the t #t term of lift(pi)."""
-    s = lie_poisson(g)
-    if master_check(s.body):
+    phi = _supertrace(lie_poisson(g).body)
+    if phi is None:
         raise DomainError("structure constants violate the Jacobi identity")
-    div, n = divergence(s.body), g.dimension
-    return tuple(_frac(div.terms.get(s.chart.power_key(n + j, 1), 0)) for j in range(n))
+    return phi
+
+
+def _supertrace(pi: SPoly):
+    """phi_j, the coefficient of #x_j in div(pi), for a Lie-Poisson pi on
+    base coordinates x_1..x_n; None when (pi, pi) != 0 (Jacobi fails)."""
+    if master_check(pi):
+        return None
+    div, n = divergence(pi), len(pi.chart.base_coords)
+    return tuple(_frac(div.terms.get(pi.chart.power_key(n + j, 1), 0)) for j in range(n))
 
 
 def change_basis(g: LieAlgebraData, P):

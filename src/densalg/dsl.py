@@ -15,8 +15,9 @@ are runs of Unicode decimal digits, rationals ``p/q``, exponents ``^``.  A
 string is one line in double quotes; ``--`` and ``//`` comment to line end.
 
 `parse` turns text into a Script with source positions; `Interpreter.run`
-executes one, collecting printable output and a verification verdict.  The
-commands, with the kinds of their arguments, are the `COMMANDS` table.
+executes one, collecting printable output and a verification verdict.  Each
+command's result is one record, written as a JSON line or rendered as text.
+The commands, with the kinds of their arguments, are the `COMMANDS` table.
 """
 from __future__ import annotations
 
@@ -36,11 +37,11 @@ from .brackets import (
 )
 from .classify import (
     LieAlgebraData,
+    _supertrace,
     classify_lifts,
     density_evolution,
     lie_poisson,
     master_check,
-    supertrace_extension,
 )
 from .lift import (
     CoordinateChange,
@@ -138,14 +139,22 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind, what=None):
+    def fail(self, what):
+        """A ParseError at the next token: expected `what`, found that token."""
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                "expected %s, found %r" % (what or kind, tok.text or "end of input"),
-                tok.line,
-                tok.column,
-            )
+        raise ParseError("expected %s, found %r" % (what, tok.text or "end of input"),
+                         tok.line, tok.column)
+
+    def expect(self, kind, what=None):
+        if self.peek().kind != kind:
+            self.fail(what or kind)
+        return self.next()
+
+    def keyword(self, *words):
+        """The next token, a name that is one of `words`."""
+        tok = self.peek()
+        if tok.kind != "name" or tok.text not in words:
+            self.fail(" or ".join("'%s'" % word for word in words))
         return self.next()
 
     def at_name(self, text):
@@ -167,11 +176,7 @@ class _Parser:
     def parse_statement(self):
         tok = self.peek()
         if tok.kind != "name":
-            raise ParseError(
-                "expected a statement, found %r" % (tok.text or "end of input"),
-                tok.line,
-                tok.column,
-            )
+            self.fail("a statement")
         if tok.text == "chart":
             return self.parse_chart()
         if tok.text == "change":
@@ -191,14 +196,7 @@ class _Parser:
         self.expect("{")
         coords = []
         while not self.peek().kind == "}":
-            group = self.expect("name", "'even' or 'odd'")
-            if group.text not in ("even", "odd"):
-                raise ParseError(
-                    "expected 'even' or 'odd', found %r" % group.text,
-                    group.line,
-                    group.column,
-                )
-            parity = EVEN if group.text == "even" else ODD
+            parity = EVEN if self.keyword("even", "odd").text == "even" else ODD
             while True:
                 tok = self.expect("name", "coordinate name")
                 if tok.text in Chart.RESERVED or tok.text in dict(coords):
@@ -226,11 +224,7 @@ class _Parser:
         self.expect("{")
         maps = {}
         for which in ("forward", "inverse"):
-            label = self.expect("name", "'%s'" % which)
-            if label.text != which:
-                raise ParseError(
-                    "expected %r, found %r" % (which, label.text), label.line, label.column
-                )
+            self.keyword(which)
             self.expect("{")
             entries = []
             while self.peek().kind != "}":
@@ -281,21 +275,16 @@ class _Parser:
 
     # --- expressions: + -  <  * /  <  ^ (right associative) ---
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
+    def parse_expr(self, ops=("+", "-")):
+        """A left-associative chain of `ops`: + and - join terms, which are
+        chains of * and / joining powers."""
+        node, op = None, None
+        while True:
+            rhs = self.parse_power() if ops[0] == "*" else self.parse_expr(("*", "/"))
+            node = rhs if op is None else BinOp(op.kind, node, rhs, op.line, op.column)
+            if self.peek().kind not in ops:
+                return node
             op = self.next()
-            rhs = self.parse_term()
-            node = BinOp(op.kind, node, rhs, op.line, op.column)
-        return node
-
-    def parse_term(self):
-        node = self.parse_power()
-        while self.peek().kind in ("*", "/"):
-            op = self.next()
-            rhs = self.parse_power()
-            node = BinOp(op.kind, node, rhs, op.line, op.column)
-        return node
 
     def parse_power(self):
         node = self.parse_atom()
@@ -322,11 +311,7 @@ class _Parser:
         if tok.kind in ("name", "fiber"):
             self.next()
             return Name(tok.text, tok.line, tok.column)
-        raise ParseError(
-            "expected an expression, found %r" % (tok.text or "end of input"),
-            tok.line,
-            tok.column,
-        )
+        self.fail("an expression")
 
 
 def parse(text: str) -> Script:
@@ -354,14 +339,13 @@ class Interpreter:
 
     # --- helpers ---
 
-    def emit_poly(self, label, poly):
+    def emit(self, record, text):
+        """One result: `record`, whose polynomials are SPolys, as a JSON line,
+        or the lines `text()` renders."""
         if self.json_output:
-            self.emit_json({"label": label, "poly": poly_to_dict(poly)})
+            self.lines.append(json.dumps(record, sort_keys=True, default=poly_to_dict))
         else:
-            self.lines.append("%s = %s" % (label, poly_to_text(poly)))
-
-    def emit_json(self, payload):
-        self.lines.append(json.dumps(payload, sort_keys=True))
+            self.lines.extend(text())
 
     def eval_expr(self, node, chart=None):
         chart = chart or self.active_chart
@@ -477,7 +461,8 @@ class Interpreter:
         signature, run = COMMANDS[name]
         result = run(self, *self.read_arguments(name, signature, st.data["groups"]))
         if result is not None:  # one polynomial, printed under the command's name
-            self.emit_poly(name, result)
+            self.emit({"label": name, "poly": result},
+                      lambda: ["%s = %s" % (name, poly_to_text(result))])
 
     def read_arguments(self, name, signature, groups):
         """Check a command's argument count, ';' groups and kinds against its
@@ -515,72 +500,39 @@ class Interpreter:
 
     def project(self, f):
         pieces = project_base(f)
-        if self.json_output:
-            self.emit_json({
-                "label": "project",
-                "components": [
-                    {"weight": str(lam), "poly": poly_to_dict(body)}
-                    for body, lam in pieces
-                ],
-            })
-        else:
-            if not pieces:
-                self.lines.append("project = 0")
-            for body, lam in pieces:
-                self.lines.append("project[weight %s] = %s" % (lam, poly_to_text(body)))
+        self.emit({"label": "project",
+                   "components": [{"weight": str(lam), "poly": body} for body, lam in pieces]},
+                  lambda: ["project[weight %s] = %s" % (lam, poly_to_text(body))
+                           for body, lam in pieces] or ["project = 0"])
 
     def master(self, s):
         residual = master_check(s)
-        ok = residual.is_zero()
-        verdict = "PASS" if ok else "FAIL"
-        if self.json_output:
-            self.emit_json({"label": "master", "verdict": verdict,
-                            "residual": poly_to_dict(residual)})
-        else:
-            extra = "" if ok else " (residual = %s)" % poly_to_text(residual)
-            self.lines.append("master: %s%s" % (verdict, extra))
-        if not ok:
-            self.failures += 1
+        verdict = "FAIL" if residual else "PASS"
+        self.emit({"label": "master", "verdict": verdict, "residual": residual},
+                  lambda: ["master: " + verdict
+                           + (" (residual = %s)" % poly_to_text(residual) if residual else "")])
+        self.failures += bool(residual)
 
     def classify(self, s, weight, bound):
         kb = classify_lifts(DensityElement(s, weight), bound)
-        if self.json_output:
-            self.emit_json({
-                "label": "classify",
-                "dimension": kb.dimension,
-                "flagged_odd_base": kb.flagged_odd_base,
-                "basis": [poly_to_dict(e) for e in kb.elements()],
-            })
-        else:
-            flag = " [odd base: ansatz unconstrained]" if kb.flagged_odd_base else ""
-            self.lines.append("classify: dimension %d%s" % (kb.dimension, flag))
-            for e in kb.elements():
-                self.lines.append("  %s" % poly_to_text(e))
+        basis = kb.elements()
+        flag = " [odd base: ansatz unconstrained]" if kb.flagged_odd_base else ""
+        self.emit({"label": "classify", "dimension": kb.dimension,
+                   "flagged_odd_base": kb.flagged_odd_base, "basis": basis},
+                  lambda: ["classify: dimension %d%s" % (kb.dimension, flag)]
+                  + ["  " + poly_to_text(e) for e in basis])
 
     def liealg(self, path):
-        g = LieAlgebraData.from_json(path)
-        s = lie_poisson(g)
-        residual = master_check(s.body)
-        ok = residual.is_zero()
-        phi = supertrace_extension(g) if ok else None
-        if self.json_output:
-            self.emit_json({
-                "label": "liealg",
-                "poisson": poly_to_dict(s.body),
-                "jacobi": "PASS" if ok else "FAIL",
-                "supertrace": [str(x) for x in phi] if ok else None,
-            })
-        else:
-            self.lines.append("liealg: pi = %s" % poly_to_text(s.body))
-            self.lines.append("liealg: jacobi %s" % ("PASS" if ok else "FAIL"))
-            if ok:
-                self.lines.append(
-                    "liealg: supertrace functional (%s)" % ", ".join(str(x) for x in phi)
-                )
-        self.charts["lie"] = s.chart
-        self.active_chart = s.chart
-        if not ok:
-            self.failures += 1
+        pi = lie_poisson(LieAlgebraData.from_json(path)).body
+        phi = _supertrace(pi)  # None when pi breaks the Jacobi identity
+        verdict = "FAIL" if phi is None else "PASS"
+        shown = None if phi is None else [str(x) for x in phi]
+        self.emit({"label": "liealg", "poisson": pi, "jacobi": verdict, "supertrace": shown},
+                  lambda: ["liealg: pi = " + poly_to_text(pi), "liealg: jacobi " + verdict]
+                  + ([] if phi is None else
+                     ["liealg: supertrace functional (%s)" % ", ".join(shown)]))
+        self.charts["lie"] = self.active_chart = pi.chart
+        self.failures += phi is None
 
     def transform(self, f, change):
         if f.chart.hatted:

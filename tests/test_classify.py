@@ -584,6 +584,25 @@ class TestLieAlgebra:
             with pytest.raises(DomainError, match="index out of range"):
                 LieAlgebraData(2, None, [(0, index, 1, 1)])
 
+    @pytest.mark.parametrize("args, message", [
+        ((Fraction(10 ** 5000 + 1, 2),), "dimension must be an integer, got about 10^5000"),
+        ((2, [Fraction(10 ** 5000 + 1, 2), 0]), "parity must be an integer, got about 10^5000"),
+        ((Fraction(7, 2),), "dimension must be an integer, got 7/2"),
+        ((10 ** 12,), "the dimension must be in 0..4096, got 1000000000000"),
+        ((10 ** 5000,), "the dimension must be in 0..4096, got about 10^5000"),
+        ((-1,), "the dimension must be in 0..4096, got -1"),
+    ], ids=["huge_dimension", "huge_parity", "fractional_dimension", "large_dimension",
+            "huge_integral_dimension", "negative_dimension"])
+    def test_dimension_and_parity_values(self, args, message):
+        # a value past 2,048 bits is named by its size, under any int/str digit
+        # limit; a dimension is refused before anything of its size is built
+        with pytest.raises(DomainError) as err:
+            LieAlgebraData(*args)
+        assert message in str(err.value)
+
+    def test_largest_dimension_accepted(self):
+        assert LieAlgebraData(classify_module.MAX_LIE_DIMENSION).dimension == 4096
+
     def test_parity_enforced(self):
         # C^{ij}_k != 0 needs p_k = p_i + p_j mod 2
         with pytest.raises(DomainError, match=r"\(0,1,0\) breaks parity"):

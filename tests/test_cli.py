@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,11 @@ SO3_JSON = {
         [3, 1, 2, "1"], [1, 3, 2, "-1"],
     ],
 }
+
+
+# constants that break the Jacobi identity
+BAD_JACOBI_JSON = {"dimension": 3, "constants": [
+    [1, 2, 3, 1], [2, 1, 3, -1], [2, 3, 1, 1], [3, 2, 1, -1], [1, 3, 1, 1], [3, 1, 1, -1]]}
 
 
 def run_cli(capsys, argv):
@@ -499,9 +505,7 @@ class TestCommands:
         # constants that break the Jacobi identity: a verification failure,
         # and no supertrace functional
         monkeypatch.chdir(tmp_path)
-        write(tmp_path, "bad.json", json.dumps({"dimension": 3, "constants": [
-            [1, 2, 3, 1], [2, 1, 3, -1], [2, 3, 1, 1], [3, 2, 1, -1],
-            [1, 3, 1, 1], [3, 1, 1, -1]]}))
+        write(tmp_path, "bad.json", json.dumps(BAD_JACOBI_JSON))
         script = write(tmp_path, "g.dsl", 'liealg("bad.json")\n')
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_VERIFY
@@ -519,6 +523,36 @@ class TestCommands:
         assert code == EXIT_OK
         assert "pi = -1/10*x1*#x1*#x2" in out
         assert "supertrace functional (0, -1/10)" in out
+
+    def test_liealg_builds_pi_and_checks_jacobi_once(self, capsys, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (densalg.dsl, densalg.classify):
+            counted(module, "lie_poisson")
+            counted(module, "master_check")
+        monkeypatch.chdir(SO3.parent.parent)
+        monkeypatch.setattr(sys, "stdin", io.StringIO('liealg("demos/so3.json")\n'))
+        code, out, err = run_cli(capsys, [])
+        assert code == EXIT_OK and "supertrace functional (0, 0, 0)" in out
+        assert calls == {"lie_poisson": 1, "master_check": 1}
+
+    def test_liealg_dimension_limit(self, tmp_path, capsys, monkeypatch):
+        # refused before a list of that many parities is built
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "big.json", '{"dimension": 1000000000000, "constants": []}')
+        script = write(tmp_path, "g.dsl", 'liealg("big.json")\n')
+        code, out, err = run_cli(capsys, [script])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "g.dsl: 1:1: " in err and "big.json" in err
+        assert "the dimension must be in 0..4096, got 1000000000000" in err
 
     def test_classify_darboux(self, tmp_path, capsys):
         script = write(tmp_path, "c.dsl", """
@@ -554,6 +588,79 @@ class TestCommands:
         assert code == EXIT_DOMAIN
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_OK
+
+
+def _text_of(record):
+    """The text lines of one --json record, each polynomial read back with
+    poly_from_dict and printed with poly_to_text."""
+    def show(d):
+        return poly_to_text(poly_from_dict(d))
+
+    label = record["label"]
+    if label == "project":
+        return ["project[weight %s] = %s" % (c["weight"], show(c["poly"]))
+                for c in record["components"]] or ["project = 0"]
+    if label == "master":
+        residual = show(record["residual"])
+        return ["master: " + record["verdict"]
+                + ("" if residual == "0" else " (residual = %s)" % residual)]
+    if label == "classify":
+        flag = " [odd base: ansatz unconstrained]" if record["flagged_odd_base"] else ""
+        return (["classify: dimension %d%s" % (record["dimension"], flag)]
+                + ["  " + show(e) for e in record["basis"]])
+    if label == "liealg":
+        phi = record["supertrace"]
+        return (["liealg: pi = " + show(record["poisson"]), "liealg: jacobi " + record["jacobi"]]
+                + ([] if phi is None else ["liealg: supertrace functional (%s)" % ", ".join(phi)]))
+    return ["%s = %s" % (label, show(record["poly"]))]
+
+
+class TestBothOutputModes:
+    SCRIPT = """
+        chart A { even x }
+        let X = x^2*#x
+        chart B { even u }
+        change R : A -> B { forward { x = 2*u } inverse { u = x/2 } }
+        transform(X, R)
+        chart C { even x, y, z; odd xi }
+        bracket(x^2*#x, x*xi)
+        div(x^2*#x + xi*#xi)
+        lift(x^2*#x, 1/2)
+        rary(#x*#y; x, y)
+        master(z*#y*#x + x*#z*#y + x*#x*#z)
+        classify(x*#y + z*#x, 0, 1)
+        chart P { even p, q }
+        evolve(p^2, q, q, 1/2)
+        chart H hatted { even x }
+        delta(x^2*#x*w)
+        project(#x*w)
+        project(x*t^(1/2) + t^(-2))
+        liealg("bad.json")
+        liealg("so3.json")
+    """
+
+    def test_records_and_text_name_the_same_results(self, tmp_path, capsys, monkeypatch):
+        # every command; a failing master, a flagged classify of an odd s, a
+        # project with no base part and a liealg that breaks Jacobi among them
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "bad.json", json.dumps(BAD_JACOBI_JSON))
+        write(tmp_path, "so3.json", json.dumps(SO3_JSON))
+        script = write(tmp_path, "all.dsl", self.SCRIPT)
+        code, text, err = run_cli(capsys, [script])
+        assert (code, err) == (EXIT_VERIFY, "")
+        code, out, err = run_cli(capsys, [script, "--json"])
+        assert (code, err) == (EXIT_VERIFY, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        labels = [r["label"] for r in records]
+        assert set(labels) == set(COMMANDS)
+        assert labels == ["transform", "bracket", "div", "lift", "rary", "master", "classify",
+                          "evolve", "delta", "project", "project", "liealg", "liealg"]
+        assert [line for r in records for line in _text_of(r)] == text.splitlines()
+        for line in ("master: FAIL (residual = 2*z*#x*#y*#z)",
+                     "classify: dimension 4 [odd base: ansatz unconstrained]",
+                     "project = 0", "liealg: jacobi FAIL",
+                     "liealg: supertrace functional (0, 0, 0)"):
+            assert line in text.splitlines()
 
 
 class TestLedger:
@@ -622,6 +729,19 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="twice") as exc:
             parse(src % maps)
         assert (exc.value.line, exc.value.column) == position
+
+    @pytest.mark.parametrize("src, message", [
+        ("chart C { evn x }", "1:11: expected 'even' or 'odd', found 'evn'"),
+        ("chart C {", "1:10: expected 'even' or 'odd', found 'end of input'"),
+        ("change R : A -> B {\n  forwrd { x = u }\n  inverse { u = x }\n}",
+         "2:3: expected 'forward', found 'forwrd'"),
+        ("change R : A -> B {\n  forward { x = u }\n  invers { u = x }\n}",
+         "3:3: expected 'inverse', found 'invers'"),
+    ], ids=["misspelt_parity", "parity_at_end", "misspelt_forward", "misspelt_inverse"])
+    def test_keyword_errors(self, src, message):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == message
 
     def test_dsl_names_print_and_parse_back(self):
         for names in (["x.y", "b"], ["_a", "b1"], ["x²", "b"]):
