@@ -10,8 +10,10 @@ Two applications of the classification and evolution machinery:
    dimension grows as d + 2 with the polynomial coefficient bound d on
    the line.
 
-2. A classical Hamiltonian moves densities of weight lambda; the direct
-   bracket route and the closed-form evolution law agree exactly.
+2. A classical Hamiltonian H moves densities of weight lambda by the
+   closed-form evolution law ({H, psi} + lambda {H, f} psi) t^lambda, with f
+   the twist of the lift.  The test suite checks it against the direct route
+   through the lifted bracket.
 """
 from fractions import Fraction
 

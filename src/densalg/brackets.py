@@ -331,13 +331,6 @@ class _Suite:
                      if not self.holds(k, conv)), None)
 
 
-def _identity_suite(conv, rng):
-    """Yield (name, holds) for each identity in table order, anchors first."""
-    suite = _Suite(rng)
-    for k, (name, _, _) in enumerate(_IDENTITIES):
-        yield name, suite.holds(k, conv)
-
-
 _BITS = (0, 1)
 _FIELD_VALUES = (  # each field of SignConvention with its candidate values, in search order
     ("term_q_qstar", tuple(itertools.product(_BITS, repeat=4))),

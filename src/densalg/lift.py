@@ -103,10 +103,8 @@ def base_bracket(s: DensityElement, u: DensityElement) -> DensityElement:
 
 
 def lift_commutes_check(s: DensityElement, u: DensityElement) -> SPoly:
-    """(lift s, lift u) - lift (s, u); zero on the whole domain."""
-    for w in (s.weight, u.weight, s.weight + u.weight):
-        if w == 1:
-            raise WeightOneError()
+    """(lift s, lift u) - lift (s, u); zero on the whole domain.  A weight of
+    s, u or s + u equal to 1 is a WeightOneError, from `lift` or `base_bracket`."""
     return antibracket(lift(s), lift(u)) - lift(base_bracket(s, u))
 
 

@@ -559,23 +559,20 @@ class SPoly:
         return {i: SPoly(self.chart, {k: c for k, c, _, _ in rows}) for i, rows in tables.items()}
 
     # -- grading --
-    def parity(self):
+    def _grade(self, key_grade):
         if not self.terms:
             return ANY
-        grades = {self.chart.key_parity(k) for k in self.terms}
+        grades = {key_grade(k) for k in self.terms}
         return grades.pop() if len(grades) == 1 else MIXED
+
+    def parity(self):
+        return self._grade(self.chart.key_parity)
 
     def weight(self):
-        if not self.terms:
-            return ANY
-        grades = {self.chart.key_weight(k) for k in self.terms}
-        return grades.pop() if len(grades) == 1 else MIXED
+        return self._grade(self.chart.key_weight)
 
     def fiber_degree(self):
-        if not self.terms:
-            return ANY
-        grades = {self.chart.key_fiber_degree(k) for k in self.terms}
-        return grades.pop() if len(grades) == 1 else MIXED
+        return self._grade(self.chart.key_fiber_degree)
 
     def parity_components(self):
         """Split into (even part, odd part)."""

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from densalg import Chart, EVEN, ODD, SPoly, antibracket, poly_from_dict
+from densalg import Chart, DensityElement, EVEN, ODD, SPoly, antibracket, poly_from_dict
 from densalg.brackets import _random_homogeneous
+from densalg.classify import attach_correction, darboux_form
 
 
 SEED = 20240824
@@ -202,6 +203,20 @@ def reference_divergence(chart, f, conv, full=False):
                 for k2, c2 in reference_derivative(chart, k1, c1, q, left).items():
                     total[k2] = total.get(k2, 0) + sign * c2
     return SPoly(chart, {k: c for k, c in total.items() if c})
+
+
+def direct_density_evolution(H, f, psi, lam):
+    """Evolution oracle: the direct route ((Omega, H), Psi) through the lifted
+    structure, Omega = lift(omega) + X_f w on the hatted chart and Psi = psi t^lam.
+    The iterated bracket carries the same accumulator-parity signs as
+    r_ary_bracket, and the Hamiltonian field is oriented to match under the
+    pinned sign convention."""
+    chart = H.chart
+    hchart = chart.hatted_version()
+    omega = darboux_form(chart)
+    omega_x = attach_correction(DensityElement(omega, Fraction(0)), -antibracket(omega, f))
+    flow = antibracket(omega_x, H.transport(hchart)).parity_twist()
+    return antibracket(flow, psi.transport(hchart, Fraction(lam)))
 
 
 def dense_nullspace(rows, n_cols):

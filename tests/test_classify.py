@@ -46,6 +46,7 @@ from densalg.classify import (
 from conftest import (
     dense_kernel_matrix,
     dense_nullspace,
+    direct_density_evolution,
     gl_super_constants,
     random_poly,
     reference_monomial_ansatz,
@@ -266,6 +267,11 @@ class TestDecomposition:
         assert decompose(attach_correction(s, x_f), s).q_part == x_f
 
 
+def _lifted_residual(s, Q):
+    """The residual oracle: (S, S) of the hatted S = lift(s) + Q w, bracketed."""
+    return master_check(attach_correction(s, Q))
+
+
 class TestMasterResidual:
     def test_residual_formula_even_s(self, rng):
         C = Chart([("x1", EVEN), ("x2", EVEN), ("x3", EVEN)])
@@ -278,7 +284,7 @@ class TestMasterResidual:
         ansatz = monomial_ansatz(C, 1, 2, ODD)
         assert len(ansatz) >= 10
         for Q in ansatz:
-            master_residual_of_lift(s, Q)  # raises if the formula fails
+            assert master_residual_of_lift(s, Q) == _lifted_residual(s, Q)
 
     def test_residual_zero_iff_kernel(self):
         C = Chart([("x1", EVEN), ("x2", EVEN), ("x3", EVEN)])
@@ -292,6 +298,8 @@ class TestMasterResidual:
         casimir_field = antibracket(
             pi, C["x1"] * C["x1"] + C["x2"] * C["x2"] + C["x3"] * C["x3"]
         )
+        for Q in (casimir_field, C["#x1"]):
+            assert master_residual_of_lift(s, Q) == _lifted_residual(s, Q)
         assert master_residual_of_lift(s, casimir_field).is_zero()
         assert not master_residual_of_lift(s, C["#x1"]).is_zero()
 
@@ -301,12 +309,57 @@ class TestMasterResidual:
         assert s.body.parity() == ODD
         for Q in (C["x"] * C["x"], C["y"], C["x"] * C["y"]):
             assert master_residual_of_lift(s, Q).is_zero()
+            assert _lifted_residual(s, Q).is_zero()
+
+    def test_any_parity_of_q_matches_oracle(self, rng):
+        # off the ansatz parity the closed form still holds: for even s every
+        # part of Q counts, for odd s only the odd part, twice
+        C = Chart([("x1", EVEN), ("x2", EVEN), ("x3", EVEN), ("xi", ODD)])
+        pi = (
+            C["x3"] * C["#x2"] * C["#x1"]
+            + C["x1"] * C["#x3"] * C["#x2"]
+            + C["x2"] * C["#x1"] * C["#x3"]
+        )
+        bodies = (pi, C["xi"] * C["#x1"], C["x1"] * C["#x2"] + C["x3"] * C["#x1"],
+                  C["xi"] * C["#x1"] * C["#x2"], C.zero())
+        nonzero = 0
+        for body in bodies:
+            s = DensityElement(body, Fraction(0))
+            for _ in range(8):
+                even, odd = random_poly(rng, C, EVEN), random_poly(rng, C, ODD)
+                for Q in (even, odd, even + odd):
+                    residual = master_residual_of_lift(s, Q)
+                    assert residual == _lifted_residual(s, Q)
+                    nonzero += not residual.is_zero()
+        assert nonzero > 0
+
+    def test_no_hatted_element_is_built(self, monkeypatch, small_chart):
+        # each closed form is computed once: neither function attaches a correction
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return attach_correction(*args)
+
+        monkeypatch.setattr(classify_module, "attach_correction", counted)
+        C = Chart([("p", EVEN), ("x", EVEN)])
+        density_evolution(Fraction(1, 2) * C["p"] * C["p"], C["x"], C["x"], Fraction(1, 2))
+        s = DensityElement(small_chart["x"] * small_chart["#x"], Fraction(0))
+        master_residual_of_lift(s, small_chart["#y"])
+        assert calls == []
 
     def test_nonzero_weight_rejected(self, small_chart):
         C = small_chart
         s = DensityElement(C["x"] * C["#x"], Fraction(2))
         with pytest.raises(DomainError):
             master_residual_of_lift(s, C["y"])
+
+    def test_q_on_another_chart_rejected(self, small_chart):
+        C = small_chart
+        s = DensityElement(C["x"] * C["#x"], Fraction(0))
+        for Q in (C.hatted_version()["y"], Chart([("x", EVEN)])["#x"]):
+            with pytest.raises(DomainError, match="Q must live on the unhatted chart of s"):
+                master_residual_of_lift(s, Q)
 
 
 def _assert_matches_oracle(s, bound, kb):
@@ -591,11 +644,14 @@ class TestLieAlgebra:
         ((10 ** 12,), "the dimension must be in 0..4096, got 1000000000000"),
         ((10 ** 5000,), "the dimension must be in 0..4096, got about 10^5000"),
         ((-1,), "the dimension must be in 0..4096, got -1"),
+        (([Fraction(10 ** 5000)],), "dimension must be an integer, got list"),
+        ((2, [[10 ** 5000], 0]), "parity must be an integer, got list"),
     ], ids=["huge_dimension", "huge_parity", "fractional_dimension", "large_dimension",
-            "huge_integral_dimension", "negative_dimension"])
+            "huge_integral_dimension", "negative_dimension", "list_dimension", "list_parity"])
     def test_dimension_and_parity_values(self, args, message):
-        # a value past 2,048 bits is named by its size, under any int/str digit
-        # limit; a dimension is refused before anything of its size is built
+        # a value past 2,048 bits is named by its size and a value that is no
+        # number by its type, under any int/str digit limit; a dimension is
+        # refused before anything of its size is built
         with pytest.raises(DomainError) as err:
             LieAlgebraData(*args)
         assert message in str(err.value)
@@ -805,9 +861,8 @@ class TestLieAlgebra:
 
 class TestDensityEvolution:
     def test_randomized_agreement(self, rng):
-        # the closed form asserts equality with the direct route internally
+        # the closed form against the direct route through the lifted structure
         C = Chart([("p", EVEN), ("x", EVEN)])
-        base = Chart([("p", EVEN), ("x", EVEN)])
         from densalg.brackets import restrict_to_base
 
         for _ in range(200):
@@ -815,7 +870,7 @@ class TestDensityEvolution:
             f = restrict_to_base(random_poly(rng, C, parity=EVEN))
             psi = restrict_to_base(random_poly(rng, C, parity=EVEN))
             lam = rng.choice([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)])
-            density_evolution(H, f, psi, lam)  # raises on disagreement
+            assert density_evolution(H, f, psi, lam) == direct_density_evolution(H, f, psi, lam)
 
     def test_free_particle_half_density(self):
         C = Chart([("p", EVEN), ("x", EVEN)])

@@ -53,6 +53,18 @@ class TestBasics:
         assert chart.var("#x").parity == ODD
         assert chart.var("#xi").parity == EVEN
 
+    def test_grades(self, chart):
+        # parity, weight and fiber degree: ANY on 0, the grade of a homogeneous
+        # polynomial, MIXED once two terms differ
+        h = chart.hatted_version()
+        f = (h["x"] * h["#x"] + 2 * h["y"] * h["#y"]) * h.t_power(2) * h["#t"]
+        mixed = f + h["#x"]
+        for grade, value in (("parity", EVEN), ("weight", 1), ("fiber_degree", 2)):
+            assert getattr(h.zero(), grade)() is ANY
+            found = getattr(f, grade)()
+            assert found == value and found is not ANY
+            assert getattr(mixed, grade)() is MIXED
+
     def test_hatted_chart_extras(self, chart):
         h = chart.hatted_version()
         assert h.t_var.parity == EVEN and h.t_var.weight == 1
