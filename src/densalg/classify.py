@@ -12,8 +12,9 @@ that start leftmost last, as primitive integer rows: denominators are
 cleared once on entry, every elimination step is integer-preserving and each
 row's content is divided out.  Only at the edge, in the kernel basis and the
 inverse, is each row divided by its pivot entry, which gives the unique
-reduced row echelon form, so bases are reproducible bit for bit.  The same
-routine inverts the basis-change matrices of `change_basis`.
+reduced row echelon form, so bases are reproducible bit for bit; kernel
+vectors stay sparse, and `KernelBasis.basis` is only a dense view of them.
+The same routine inverts the basis-change matrices of `change_basis`.
 
 `supertrace_extension` reads the supertrace functional of a Lie (super)algebra
 once, off the modular vector field div(pi) of its Lie-Poisson element pi.
@@ -23,12 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, inf, lcm, log10
+from math import comb, gcd, inf, lcm
 
 from .brackets import PINNED, DomainError, _bracket_from, _bracket_plan
 from .brackets import antibracket, divergence, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _frac, _mul_into, _num, _odd_mask, _strip
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _mul_into, _num, _odd_mask
+from .spoly import _shown, _strip
 
 # the most columns an ansatz may have; Darboux n = 8 at bound 4 has 3,960
 MAX_ANSATZ_COLUMNS = 1 << 16
@@ -160,24 +162,20 @@ def _primitive(row):
 def nullspace(rows, n_cols):
     """Kernel basis of a rational matrix given as sparse {column: value} rows.
 
-    Each basis vector carries a 1 in its free column and minus the reduced
-    rows' entries in the pivot columns; vectors come in free-column order, so
-    the basis is the unique reduced one, bit for bit.  No rows give the
-    identity basis, no columns an empty one.
+    One sparse {column: Fraction} vector per free column, in free-column
+    order: a 1 in its free column and -x/d in each pivot column whose reduced
+    row holds x there and d at its pivot, so the basis is the unique reduced
+    one, bit for bit.  No rows give the identity basis, no columns an empty one.
     """
     reduced = _rref(rows)
-    basis = {}
-    for fc in range(n_cols):
-        if fc not in reduced:
-            basis[fc] = vec = [Fraction(0)] * n_cols
-            vec[fc] = Fraction(1)
+    basis = {fc: {fc: Fraction(1)} for fc in range(n_cols) if fc not in reduced}
     # a reduced row's non-pivot columns are all free: one walk fills the basis
     for p, row in reduced.items():
         d = row[p]
         for c, x in row.items():
             if c != p:
                 basis[c][p] = Fraction(-x, d)
-    return [tuple(vec) for vec in basis.values()]
+    return list(basis.values())
 
 
 @dataclass(frozen=True)
@@ -186,21 +184,22 @@ class KernelBasis:
 
     chart: Chart
     ansatz: tuple  # SPoly monomial generators, fixed order
-    basis: tuple  # tuples of Fractions, reduced over the ansatz order
+    vectors: tuple  # sparse {ansatz column: Fraction} vectors, reduced over the ansatz order
     flagged_odd_base: bool = False
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.vectors)
 
-    def element(self, vec) -> SPoly:
-        # every ansatz entry is one monomial with coefficient 1
-        return SPoly(self.chart, {
-            key: _num(c) for c, mono in zip(vec, self.ansatz) if c for key in mono.terms
-        })
+    @property
+    def basis(self):
+        """The vectors as dense tuples of Fractions over the ansatz order."""
+        n = len(self.ansatz)
+        return tuple(tuple(vec.get(c, Fraction(0)) for c in range(n)) for vec in self.vectors)
 
     def elements(self):
-        return [self.element(v) for v in self.basis]
+        keys = [key for mono in self.ansatz for key in mono.terms]  # one monomial, coefficient 1
+        return [SPoly(self.chart, {keys[c]: _num(x) for c, x in vec.items()}) for vec in self.vectors]
 
 
 def _exponent_vectors(variables, budget, exact):
@@ -221,14 +220,6 @@ def _exponent_vectors(variables, budget, exact):
     for e in range(top + 1):
         for tail in _exponent_vectors(rest, budget - e if counted else budget, exact):
             yield (e,) + tail
-
-
-def _shown(q):
-    """q as text, or as about +-10^k past 2,048 bits: 617 digits, under any int/str limit."""
-    q = _frac(q)
-    if max(abs(q.numerator), q.denominator).bit_length() <= 2048:
-        return str(q)
-    return "about %s10^%d" % ("-" * (q < 0), round(log10(abs(q.numerator)) - log10(q.denominator)))
 
 
 def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, parity):
@@ -313,8 +304,8 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
                     _mul_into(image, df, [(k, c, mask & ~(1 << slot), False)], negate)
             for mono, c in image.items():
                 rows.setdefault(mono, {})[col] = c
-    basis = nullspace(rows.values(), len(ansatz))
-    return KernelBasis(s.chart, tuple(ansatz), tuple(basis), flagged)
+    vectors = nullspace(rows.values(), len(ansatz))
+    return KernelBasis(s.chart, tuple(ansatz), tuple(vectors), flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +326,15 @@ class LieAlgebraData:
         if not 0 <= self.dimension <= MAX_LIE_DIMENSION:
             raise DomainError("the dimension must be in 0..%d, got %s"
                               % (MAX_LIE_DIMENSION, _shown(self.dimension)))
-        self.parities = tuple(
-            _integer(p, "parity") for p in (parities or [EVEN] * self.dimension)
-        )
-        if len(self.parities) != self.dimension:
-            raise DomainError("parity list does not match the dimension")
-        self.names = tuple(names) if names else tuple(
-            "x%d" % (i + 1) for i in range(self.dimension)
-        )
-        if len(self.names) != self.dimension:
-            raise DomainError("name list does not match the dimension")
+        self.parities = tuple(_integer(p, "parity") for p in _entries(
+            parities or [EVEN] * self.dimension, self.dimension,
+            "parity list does not match the dimension"))
+        self.names = _entries(names or ["x%d" % (i + 1) for i in range(self.dimension)],
+                              self.dimension, "name list does not match the dimension")
         # rejects a parity other than 0 or 1 and a bad or repeated name
         self._chart = Chart(list(zip(self.names, self.parities)), name="lie")
         table = {}
-        for i, j, k, val in constants:
+        for i, j, k, val in (_entries(c, 4, "a structure constant has 4 entries") for c in constants):
             i, j, k = (_integer(a, "structure constant index") for a in (i, j, k))
             if not all(0 <= a < self.dimension for a in (i, j, k)):
                 raise DomainError("structure constant index out of range")
@@ -372,7 +358,7 @@ class LieAlgebraData:
     @classmethod
     def from_dict(cls, d):
         constants = [
-            (*(_integer(a, "structure constant index") - 1 for a in (i, j, k)), Fraction(v))
+            (*(_integer(a, "structure constant index") - 1 for a in (i, j, k)), v)
             for i, j, k, v in d["constants"]
         ]
         return cls(
@@ -402,8 +388,8 @@ def _integer(x, what):
     if type(x) is int:  # a bool takes the Fraction path
         return x
     try:
-        q = Fraction(x)
-    except (TypeError, ValueError, OverflowError):
+        q = _frac(x)
+    except DomainError:
         q = None
     if q is None or q.denominator != 1:
         shown = type(x).__name__ if q is None else _shown(q)  # a huge q is named by its size
@@ -446,9 +432,10 @@ def _supertrace(pi: SPoly):
 
 def change_basis(g: LieAlgebraData, P):
     """Structure constants in the basis e'_i = sum_a P[a][i] e_a (P rational,
-    invertible)."""
+    invertible, n x n)."""
     n = g.dimension
-    P = [[_frac(x) for x in row] for row in P]
+    shape = "the basis change matrix must be %d x %d" % (n, n)
+    P = [[_frac(x) for x in _entries(row, n, shape)] for row in _entries(P, n, shape)]
     Pinv = _invert_matrix(P)
     # LieAlgebraData sums the contributions to each (i, j, k) and drops zeros
     constants = [

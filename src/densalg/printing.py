@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import neg
 
-from .spoly import ODD, Chart, DomainError, SPoly, _num
+from .spoly import ODD, Chart, DomainError, SPoly, _frac, _num, _shown
 
 
 def _term_sort_key(chart, key):
@@ -76,7 +76,7 @@ def chart_to_dict(chart: Chart) -> dict:
 
 
 def chart_from_dict(d: dict) -> Chart:
-    return Chart([(n, p) for n, p in d["base"]], hatted=d["hatted"], name=d.get("name", ""))
+    return Chart(d["base"], hatted=d["hatted"], name=d.get("name", ""))
 
 
 def poly_to_dict(f: SPoly) -> dict:
@@ -95,14 +95,18 @@ def poly_to_dict(f: SPoly) -> dict:
 
 def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
     """Read what poly_to_dict writes; raise DomainError for anything else."""
-    if chart is None:
-        chart = chart_from_dict(d["chart"])
+    try:
+        if chart is None:
+            chart = chart_from_dict(d["chart"])
+        entries = [(t["coeff"], t["exponents"]) for t in d["terms"]]
+    except KeyError as exc:
+        raise DomainError("a serialized polynomial has no key %s" % exc) from None
     terms = {}
-    for t in d["terms"]:
+    for coeff, exponents in entries:
         key = list(chart.zero_key)
-        for name, exp in t["exponents"].items():
+        for name, exp in exponents.items():
             v = chart.var(name)
-            exp = Fraction(exp)
+            exp = _frac(exp)
             if v.kind == "t":
                 valid = exp != 0
             elif v.parity == ODD:
@@ -110,10 +114,10 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
             else:
                 valid = exp.denominator == 1 and exp > 0
             if not valid:
-                raise DomainError("%s cannot have exponent %s" % (name, exp))
+                raise DomainError("%s cannot have exponent %s" % (name, _shown(exp)))
             key[v.index] = _num(exp)
         key = tuple(key)
-        coeff = _num(Fraction(t["coeff"]))
+        coeff = _num(_frac(coeff))
         if not coeff:
             raise DomainError("a term has coefficient 0")
         if key in terms:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import comb, lcm, prod
+from math import comb, lcm, log10, prod
 from operator import add, mul
 
 EVEN = 0
@@ -99,7 +99,32 @@ ANY = _AnyGrade("Any")
 
 
 def _frac(c):
-    return c if isinstance(c, Fraction) else Fraction(c)
+    """c as a Fraction; a value Fraction() refuses is a DomainError."""
+    if isinstance(c, Fraction):
+        return c
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError("expected a rational number, got %s" % type(c).__name__) from None
+
+
+def _entries(item, n, message):
+    """The n entries of a sequence as a tuple; anything else is a DomainError."""
+    try:
+        item = tuple(item)
+    except TypeError:
+        item = None
+    if item is None or len(item) != n:
+        raise DomainError(message)
+    return item
+
+
+def _shown(q):
+    """q as text, or as about +-10^k past 2,048 bits: 617 digits, under any int/str limit."""
+    q = _frac(q)
+    if max(abs(q.numerator), q.denominator).bit_length() <= 2048:
+        return str(q)
+    return "about %s10^%d" % ("-" * (q < 0), round(log10(abs(q.numerator)) - log10(q.denominator)))
 
 
 def _num(c):
@@ -200,14 +225,16 @@ class Chart:
     RESERVED = ("t", "#t", "w")  # names no base coordinate may take
 
     def __init__(self, base_coords, hatted=False, name=""):
-        base_coords = [(n, int(p)) for n, p in base_coords]
+        base_coords = [_entries(c, 2, "a coordinate is a (name, parity) pair") for c in base_coords]
         seen = set()
         for n, p in base_coords:
-            if p not in (EVEN, ODD):
+            if p not in (EVEN, ODD):  # checked before int(), which truncates 1.5 to 1
                 raise DomainError("parity must be 0 or 1")
             if not _is_name(n) or n in seen or n in self.RESERVED:
-                raise DomainError("bad or duplicate coordinate name: %r" % (n,))
+                shown = repr(n) if isinstance(n, str) else type(n).__name__  # an int may be too long
+                raise DomainError("bad or duplicate coordinate name: %s" % shown)
             seen.add(n)
+        base_coords = [(n, int(p)) for n, p in base_coords]
         self.name = name
         self.hatted = bool(hatted)
         self.base_coords = tuple(base_coords)

@@ -257,6 +257,12 @@ def dense_nullspace(rows, n_cols):
     return basis
 
 
+def densify(vectors, n_cols):
+    """Sparse {column: value} kernel vectors as dense tuples over n_cols
+    columns; the stored values are kept as they are."""
+    return [tuple(vec.get(c, Fraction(0)) for c in range(n_cols)) for vec in vectors]
+
+
 def row_space_rref(vectors, n_cols):
     """Canonical form of span(vectors): RREF rows as a tuple (span equality
     test for basis comparison)."""

@@ -46,6 +46,7 @@ from densalg.classify import (
 from conftest import (
     dense_kernel_matrix,
     dense_nullspace,
+    densify,
     direct_density_evolution,
     gl_super_constants,
     random_poly,
@@ -104,24 +105,26 @@ class TestLinearAlgebra:
             for m, n in sizes:
                 rows = matrix(shape, m, n)
                 sparse = [dict(enumerate(row)) for row in rows]
-                assert nullspace(sparse, n) == dense_nullspace(rows, n)
+                assert densify(nullspace(sparse, n), n) == dense_nullspace(rows, n)
 
     def test_kernel_vectors_annihilate(self, rng):
         for _ in range(20):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-            for vec in nullspace([dict(enumerate(row)) for row in rows], n):
+            for vec in densify(nullspace([dict(enumerate(row)) for row in rows], n), n):
                 for row in rows:
                     assert sum(r * v for r, v in zip(row, vec)) == 0
 
     def test_empty_system(self):
         # no rows: every column is free; no columns: nothing to solve for
-        assert nullspace([], 3) == dense_nullspace([], 3) == [
+        assert densify(nullspace([], 3), 3) == dense_nullspace([], 3) == [
             (1, 0, 0), (0, 1, 0), (0, 0, 1)
         ]
+        assert nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]  # one entry each
         assert nullspace([{}, {}], 0) == nullspace([], 0) == []
-        # integer entries reduce to the same Fractions
-        assert nullspace([{0: 2, 1: 4}], 2) == [(Fraction(-2), Fraction(1))]
+        # integer entries reduce to the same Fractions, held only where nonzero
+        assert densify(nullspace([{0: 2, 1: 4}], 2), 2) == [(Fraction(-2), Fraction(1))]
+        assert nullspace([{0: 2, 1: 4}, {2: 3}], 3) == [{1: 1, 0: -2}]
 
     def test_rref_does_not_depend_on_row_order(self):
         # empty and all-zero rows, rows tied on their first column and mixed
@@ -139,11 +142,11 @@ class TestLinearAlgebra:
                 rows.append(row)
             expected = _rref(rows)
             oracle = dense_nullspace([[row.get(c, 0) for c in range(n)] for row in rows], n)
-            assert nullspace(rows, n) == oracle
+            assert densify(nullspace(rows, n), n) == oracle
             for _ in range(6):
                 rng.shuffle(rows)
                 assert _rref(rows) == expected
-                assert nullspace(rows, n) == oracle
+                assert densify(nullspace(rows, n), n) == oracle
 
     @staticmethod
     def awkward_matrix(rng, kind, m, n, degenerate=True):
@@ -202,7 +205,7 @@ class TestLinearAlgebra:
             for _ in range(25):
                 m, n = rng.randint(1, 8), rng.randint(1, 8)
                 rows = self.awkward_matrix(rng, kind, m, n)
-                basis = nullspace([dict(enumerate(row)) for row in rows], n)
+                basis = densify(nullspace([dict(enumerate(row)) for row in rows], n), n)
                 assert basis == dense_nullspace(rows, n)
                 assert all(type(x) is Fraction for vec in basis for x in vec)
                 P = self.awkward_matrix(rng, kind, n, n, degenerate=False)
@@ -366,7 +369,10 @@ def _assert_matches_oracle(s, bound, kb):
     """classify_lifts output vs the dense Gauss-Jordan oracle: the same
     reduced basis over the ansatz order, bit for bit."""
     rows = dense_kernel_matrix(s, kb.ansatz)
-    assert kb.basis == tuple(dense_nullspace(rows, len(kb.ansatz)))
+    oracle = dense_nullspace(rows, len(kb.ansatz))
+    assert kb.basis == tuple(oracle)
+    # the elements read off the sparse vectors are the oracle's
+    assert kb.elements() == [kb.chart.sum(c * q for c, q in zip(vec, kb.ansatz)) for vec in oracle]
     # every claimed kernel element actually annihilates
     for e in kb.elements():
         assert antibracket(s.body, e).is_zero()
@@ -544,6 +550,15 @@ class TestClassification:
         n = len(kb.ansatz)
         assert n and kb.dimension == n
         assert kb.basis == tuple(dense_nullspace([], n))  # the identity
+        assert kb.elements() == list(kb.ansatz)
+
+    def test_odd_s_kernel_stays_sparse(self):
+        # 1,771 columns: the identity basis holds one entry per vector, not n^2
+        C = Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)])
+        kb = classify_lifts(DensityElement(C["x"] * C["#y"], Fraction(0)), 20)
+        n = len(kb.ansatz)
+        assert n == kb.dimension == 1771
+        assert kb.vectors == tuple({c: 1} for c in range(n))
         assert kb.elements() == list(kb.ansatz)
 
     def test_preconditions(self, small_chart):

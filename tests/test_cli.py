@@ -7,12 +7,15 @@ import re
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import densalg
-from densalg import Chart, DensalgError, DomainError, EVEN, ODD
+from densalg import Chart, DensalgError, DensityElement, DomainError, EVEN, ODD
+from densalg import LieAlgebraData, classify_lifts, density_evolution, q_manifold_lifts
+from densalg.classify import change_basis, q_manifold_chart
 from densalg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from densalg.dsl import COMMANDS, Interpreter, ParseError, _tokenize, parse
 from densalg.printing import poly_from_dict, poly_to_dict, poly_to_text
@@ -810,6 +813,76 @@ class TestErrorModel:
         # outside a script there is no position, and no KeyError quoting
         assert str(densalg.UnknownVariableError("no variable 'z'")) == "no variable 'z'"
         assert str(DomainError("bad", 2, 7)) == "2:7: bad"
+
+    def test_hostile_values(self):
+        # each number or sequence argument of the public names that take
+        # them, fed values no caller should pass: a result or a DensalgError,
+        # never a raw Python error
+        rng = random.Random(27)
+        big = rng.randint(10 ** 5000, 10 ** 5001)
+        values = [None, True, False, float("nan"), float("inf"), 1.5, "a", "1/0", "", object(),
+                  big, -big, Fraction(1, big), [big], [[big]], (),
+                  [rng.randint(-9, 9) for _ in range(rng.randint(3, 6))]]
+        C = Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)])
+        D = Chart([("p", EVEN), ("q", EVEN)])
+        s = DensityElement(C["#x"] * C["#y"], 0)
+        g = LieAlgebraData(2, None, [(0, 1, 1, 1), (1, 0, 1, -1)])
+
+        def poly(coeff=1, exp=1):
+            return poly_from_dict({"terms": [{"coeff": coeff, "exponents": {"x": exp}}]}, C)
+
+        calls = {
+            "Chart parity": lambda v: Chart([("x", v)]),
+            "Chart coordinate": lambda v: Chart([v]),
+            "Chart name": lambda v: Chart([(v, EVEN)]),
+            "Chart.const": C.const,
+            "Chart.t_power": C.hatted_version().t_power,
+            "DensityElement": lambda v: DensityElement(C["x"], v),
+            "classify_lifts": lambda v: classify_lifts(s, v),
+            "q_manifold_lifts": lambda v: q_manifold_lifts(q_manifold_chart(1), v),
+            "density_evolution": lambda v: density_evolution(D["p"] ** 2, D["q"], D["q"], v),
+            "LieAlgebraData dimension": LieAlgebraData,
+            "LieAlgebraData parities": lambda v: LieAlgebraData(2, v),
+            "LieAlgebraData parity": lambda v: LieAlgebraData(2, [v, 0]),
+            "LieAlgebraData names": lambda v: LieAlgebraData(2, None, (), v),
+            "LieAlgebraData constant": lambda v: LieAlgebraData(2, None, [v]),
+            "LieAlgebraData value": lambda v: LieAlgebraData(2, None, [(0, 1, 1, v)]),
+            "change_basis matrix": lambda v: change_basis(g, v),
+            "change_basis row": lambda v: change_basis(g, [v, [0, 1]]),
+            "change_basis entry": lambda v: change_basis(g, [[1, v], [0, 1]]),
+            "poly_from_dict coefficient": poly,
+            "poly_from_dict exponent": lambda v: poly(exp=v),
+        }
+        for name, call in calls.items():
+            for i, v in enumerate(values):
+                try:
+                    call(v)
+                except DensalgError:
+                    pass
+                except Exception as exc:  # a value past the int/str digit limit has no repr
+                    pytest.fail("%s, value %d: %s" % (name, i, type(exc).__name__))
+        # values that are no rational number, and sequences of the wrong length
+        for call in (lambda: classify_lifts(s, None),
+                     lambda: DensityElement(C["x"], float("inf")),
+                     lambda: C.const("a"),
+                     lambda: LieAlgebraData(2, None, [(0, 1, 1, "x")]),
+                     lambda: change_basis(g, [[1, "a"], [0, 1]])):
+            with pytest.raises(DomainError, match="expected a rational number, got "):
+                call()
+        with pytest.raises(DomainError, match="parity must be 0 or 1"):
+            Chart([("x", 1.5)])  # not truncated to an odd coordinate
+        with pytest.raises(DomainError, match=r"a coordinate is a \(name, parity\) pair"):
+            Chart([("x",)])
+        with pytest.raises(DomainError, match="a structure constant has 4 entries"):
+            LieAlgebraData(2, None, [(0, 1, 1)])
+        for P in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1], [0, 1]]):  # each gave an answer
+            with pytest.raises(DomainError, match="the basis change matrix must be 2 x 2"):
+                change_basis(g, P)
+        for key in ("terms", "coeff", "exponents"):
+            d = {"terms": [{"coeff": 1, "exponents": {"x": 1}}]}
+            (d if key == "terms" else d["terms"][0]).pop(key)
+            with pytest.raises(DomainError, match="a serialized polynomial has no key '%s'" % key):
+                poly_from_dict(d, C)
 
 
 TOUR = Path(__file__).resolve().parent.parent / "demos" / "tour.dsl"
