@@ -15,7 +15,8 @@ rejects it.  A bracket (f, g) runs f's `_bracket_plan`, each right partial of f
 with its partner slot and sign, against g's left `_partial_rows` and sums the
 products into one term map (`spoly._mul_into`); `classify_lifts` builds one
 plan of s for every column.  A divergence strips both variables of each
-pair from each term in one pass, delta's t^-1 d_#t term included.
+pair from each term in one pass.  Against a density c t^mu |D(x,t)| it gains
+mu t^-1 d_#t f in that pass, and delta is the divergence against t^-2.
 """
 from __future__ import annotations
 
@@ -55,12 +56,28 @@ class SignConvention:
     div_side: str  # 'left' or 'right'
     generator_sign: tuple
 
+    def __post_init__(self):
+        for name, values in _FIELD_VALUES:
+            if getattr(self, name) not in values:
+                raise DomainError("SignConvention.%s is none of its %d candidate values"
+                                  % (name, len(values)))
+
     def bracket_signs(self, a, fp):
         c = self.term_q_qstar
         b = self.term_qstar_q
         s1 = -1 if (c[0] + c[1] * a + c[2] * fp + c[3] * a * fp) % 2 else 1
         s2 = -1 if (b[0] + b[1] * a + b[2] * fp + b[3] * a * fp) % 2 else 1
         return s1, s2
+
+
+_BITS = (0, 1)
+_FIELD_VALUES = (  # each field of SignConvention with its candidate values, in search order
+    ("term_q_qstar", tuple(itertools.product(_BITS, repeat=4))),
+    ("term_qstar_q", tuple(itertools.product(_BITS, repeat=4))),
+    ("div_parity", _BITS),
+    ("div_side", ("left", "right")),
+    ("generator_sign", tuple(itertools.product(_BITS, repeat=2))),
+)
 
 
 # Selected by pin_convention(); matches the convention in which the bracket
@@ -111,11 +128,11 @@ def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     return _bracket_from(_bracket_plan(f, conv), g)
 
 
-def _div_pairs(f, pairs, conv, delta=False):
+def _div_pairs(f, pairs, conv, mu=0):
     """sum over `pairs` (`Chart.pair_slots`) of (-1)^(div_parity*a) d_q d_q* f,
-    both derivatives from conv.div_side, in one pass: each term is stripped of
-    q* and then of q for each pair it holds.  With `delta`, -2 t^-1 d_#t f
-    joins the same pass, its t slot decremented."""
+    both derivatives from conv.div_side, plus mu t^-1 d_#t f, in one pass:
+    each term is stripped of q* and then of q for each pair it holds, and of
+    #t, its t slot decremented, for a nonzero mu."""
     left = conv.div_side == "left"
     terms = {}
     for key, coeff in f.terms.items():
@@ -125,9 +142,9 @@ def _div_pairs(f, pairs, conv, delta=False):
                 k, c = _strip(key, qs, coeff, mask, left)
                 k, c = _strip(k, q, c, mask, left)  # q* was even if q reads the mask
                 _add_into(terms, k, -c if conv.div_parity and a else c)
-        if delta and key[-1]:  # #t holds the last slot and t the one before
+        if mu and key[-1]:  # #t holds the last slot and t the one before
             k, c = _strip(key, len(key) - 1, coeff, mask, left)
-            _add_into(terms, k[:-2] + (k[-2] - 1, 0), -2 * c)
+            _add_into(terms, k[:-2] + (k[-2] - 1, 0), mu * c)
     return SPoly(f.chart, terms)
 
 
@@ -144,7 +161,9 @@ def divergence_full(f: SPoly) -> SPoly:
 
 
 def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
-    """rho^-1 * divergence_full(f * rho) for a unit density coefficient.
+    """The divergence of f against the density rho |D(x,t)|, rho = c t^mu:
+    rho^-1 divergence_full(f rho), which is divergence_full(f) + mu t^-1 d_#t f
+    as rho depends on t alone; c cancels.
 
     rho_coeff must be a single invertible term c * t^mu on a hatted chart.
     """
@@ -157,21 +176,20 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
         raise DomainError("divergence_wrt needs a hatted chart")
     if len(rho_coeff.terms) != 1:
         raise DomainError("rho must be a single invertible term")
-    (key, c), = rho_coeff.terms.items()
+    (key, _), = rho_coeff.terms.items()
     ti = chart.t_var.index
     mu = key[ti]
     if key != chart.power_key(ti, mu):
         raise DomainError("rho must be a rational multiple of a power of t")
-    rho_inv = (Fraction(1) / c) * chart.t_power(-mu)
-    return rho_inv * divergence_full(f * rho_coeff)
+    return _div_pairs(f, chart.pair_slots, PINNED, mu)
 
 
 def delta_op(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
-    """The canonical odd operator: the divergence over every pair, (t, #t)
-    included, minus 2/t d_#t."""
+    """The canonical odd operator: the divergence against t^-2 |D(x,t)|, every
+    pair, (t, #t) included, minus 2/t d_#t."""
     if not f.chart.hatted:
         raise DomainError("delta_op needs a hatted chart")
-    return _div_pairs(f, f.chart.pair_slots, conv, delta=True)
+    return _div_pairs(f, f.chart.pair_slots, conv, -2)
 
 
 def restrict_to_base(f: SPoly) -> SPoly:
@@ -329,16 +347,6 @@ class _Suite:
         """Name of the first identity in the table that conv fails, or None."""
         return next((name for k, (name, _, _) in enumerate(_IDENTITIES)
                      if not self.holds(k, conv)), None)
-
-
-_BITS = (0, 1)
-_FIELD_VALUES = (  # each field of SignConvention with its candidate values, in search order
-    ("term_q_qstar", tuple(itertools.product(_BITS, repeat=4))),
-    ("term_qstar_q", tuple(itertools.product(_BITS, repeat=4))),
-    ("div_parity", _BITS),
-    ("div_side", ("left", "right")),
-    ("generator_sign", tuple(itertools.product(_BITS, repeat=2))),
-)
 
 
 def _candidate_family():

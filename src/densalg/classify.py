@@ -334,6 +334,7 @@ class LieAlgebraData:
         # rejects a parity other than 0 or 1 and a bad or repeated name
         self._chart = Chart(list(zip(self.names, self.parities)), name="lie")
         table = {}
+        constants = _entries(constants, None, "the structure constants are a list")
         for i, j, k, val in (_entries(c, 4, "a structure constant has 4 entries") for c in constants):
             i, j, k = (_integer(a, "structure constant index") for a in (i, j, k))
             if not all(0 <= a < self.dimension for a in (i, j, k)):
@@ -357,9 +358,10 @@ class LieAlgebraData:
 
     @classmethod
     def from_dict(cls, d):
+        constants = _entries(d["constants"], None, "the structure constants are a list")
         constants = [
             (*(_integer(a, "structure constant index") - 1 for a in (i, j, k)), v)
-            for i, j, k, v in d["constants"]
+            for i, j, k, v in (_entries(c, 4, "a structure constant has 4 entries") for c in constants)
         ]
         return cls(
             d["dimension"],
@@ -461,14 +463,23 @@ def _invert_matrix(P):
 # Worked examples: density evolution and Q-manifolds
 # ---------------------------------------------------------------------------
 
+def _layout(chart, parity):
+    """The name pairs (x_a, y_a) of a chart x_1..x_n, y_1..y_n with every x even
+    and every y of `parity`: a Darboux chart for EVEN, a parity reversed
+    tangent chart for ODD.  Any other base layout is a DomainError."""
+    coords = chart.base_coords
+    n = len(coords) // 2
+    if [p for _, p in coords] != [EVEN] * n + [parity] * n:
+        raise DomainError("expected n even coordinates, then n %s ones"
+                          % ("odd" if parity else "even"))
+    return [(x, y) for (x, _), (y, _) in zip(coords[:n], coords[n:])]
+
+
 def darboux_form(chart: Chart) -> SPoly:
-    """omega = sum_i #p_i #x_i on a chart [p_1..p_n, x_1..x_n], all even."""
-    n = chart.n_base
-    if chart.hatted or n % 2 or any(p for _, p in chart.base_coords):
-        raise DomainError("a Darboux chart has an even number of even coordinates")
-    half = n // 2
-    names = [name for name, _ in chart.base_coords]
-    return chart.sum(chart["#" + p] * chart["#" + x] for p, x in zip(names[:half], names[half:]))
+    """omega = sum_i #p_i #x_i on an unhatted chart [p_1..p_n, x_1..x_n], all even."""
+    if chart.hatted:
+        raise DomainError("a Darboux chart is unhatted")
+    return chart.sum(chart["#" + p] * chart["#" + x] for p, x in _layout(chart, EVEN))
 
 
 def density_evolution(H: SPoly, f: SPoly, psi: SPoly, lam) -> SPoly:
@@ -493,7 +504,10 @@ def density_evolution(H: SPoly, f: SPoly, psi: SPoly, lam) -> SPoly:
 
 def q_manifold_chart(n: int) -> Chart:
     """The chart of the parity reversed tangent bundle of R^n: x_a even,
-    dx_a odd."""
+    dx_a odd, for n in 0..MAX_LIE_DIMENSION."""
+    n = _integer(n, "the dimension")
+    if not 0 <= n <= MAX_LIE_DIMENSION:
+        raise DomainError("the dimension must be in 0..%d, got %s" % (MAX_LIE_DIMENSION, _shown(n)))
     base = [("x%d" % (a + 1), EVEN) for a in range(n)]
     base += [("dx%d" % (a + 1), ODD) for a in range(n)]
     return Chart(base, name="PiTR%d" % n)
@@ -501,30 +515,17 @@ def q_manifold_chart(n: int) -> Chart:
 
 def de_rham_element(chart: Chart) -> SPoly:
     """The vector field d = dx^a d/dx^a as a fiber-degree-1 element."""
-    n = chart.n_base // 2
-    names = [name for name, _ in chart.base_coords]
-    return chart.sum(chart[dx] * chart["#" + x] for x, dx in zip(names[:n], names[n:]))
+    return chart.sum(chart[dx] * chart["#" + x] for x, dx in _layout(chart, ODD))
 
 
 def exterior_derivative(theta: SPoly) -> SPoly:
     """d theta = sum_a dx^a d_l theta / dx^a on a parity reversed tangent chart."""
     chart = theta.chart
-    n = chart.n_base // 2
-    names = [name for name, _ in chart.base_coords]
-    return chart.sum(
-        chart[dx] * theta.derive_left(chart.var(x)) for x, dx in zip(names[:n], names[n:])
-    )
+    return chart.sum(chart[dx] * theta.derive_left(chart.var(x)) for x, dx in _layout(chart, ODD))
 
 
 def q_manifold_lifts(chart: Chart, coeff_degree_bound: int) -> KernelBasis:
     """Classify lifts of the de Rham vector field on a parity reversed tangent
     chart: (d, theta) = +-d theta, so the basis spans the closed forms in the
     ansatz."""
-    n = chart.n_base
-    if chart.hatted or n % 2:
-        raise DomainError("expected a parity reversed tangent chart")
-    half = n // 2
-    for a in range(half):
-        if chart.base_coords[a][1] != EVEN or chart.base_coords[half + a][1] != ODD:
-            raise DomainError("expected x coordinates then dx coordinates")
     return classify_lifts(DensityElement(de_rham_element(chart), Fraction(0)), coeff_degree_bound)

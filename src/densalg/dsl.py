@@ -52,7 +52,7 @@ from .lift import (
 )
 from .printing import poly_to_dict, poly_to_text
 from .spoly import Chart, DensalgError, EVEN, ODD, SPoly, SubstitutionError, rational_power
-from .spoly import UnknownVariableError, check_power_size
+from .spoly import UnknownVariableError, _is_name
 
 
 class ParseError(DensalgError):
@@ -79,7 +79,7 @@ def _tokenize(text):
         kind, column = m.lastgroup, m.start() - line_start + 1
         if kind == "newline":
             line, line_start = line + 1, m.end()
-        elif kind == "bad" or kind == "name" and not (m[0][0].isalpha() or m[0][0] == "_"):
+        elif kind == "bad" or kind == "name" and not _is_name(m[0]):
             ch = m[0][0]  # a name may not start with a digit such as '²', or with '.'
             raise ParseError(_BAD_START.get(ch, "unexpected character %r" % ch), line, column)
         elif kind:
@@ -395,12 +395,7 @@ class Interpreter:
             raise ParseError("polynomial exponent", node.line, node.column)
         try:  # every error of a power, its size limit included, is at the operator
             if isinstance(lhs, Fraction):
-                if not lhs and rhs < 0:
-                    raise DomainError("zero to a negative power")
-                if rhs.denominator == 1:
-                    check_power_size(lhs, rhs)
-                    return lhs ** int(rhs)
-                return rational_power(lhs, rhs) if lhs else lhs
+                return rational_power(lhs, rhs)
             if rhs.denominator != 1 or rhs < 0:
                 # fractional/negative powers only exist for the t coordinate
                 if lhs.chart.hatted and lhs == lhs.chart["t"]:

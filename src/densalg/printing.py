@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import neg
 
-from .spoly import ODD, Chart, DomainError, SPoly, _frac, _num, _shown
+from .spoly import ODD, Chart, DomainError, SPoly, _entries, _frac, _num, _shown
 
 
 def _term_sort_key(chart, key):
@@ -98,9 +98,12 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
     try:
         if chart is None:
             chart = chart_from_dict(d["chart"])
-        entries = [(t["coeff"], t["exponents"]) for t in d["terms"]]
+        listed = _entries(d["terms"], None, "the terms of a serialized polynomial are a list")
+        entries = [(t["coeff"], t["exponents"]) for t in listed if isinstance(t, dict)]
     except KeyError as exc:
         raise DomainError("a serialized polynomial has no key %s" % exc) from None
+    if len(entries) != len(listed) or not all(isinstance(e, dict) for _, e in entries):
+        raise DomainError("a serialized term and its exponents are maps")
     terms = {}
     for coeff, exponents in entries:
         key = list(chart.zero_key)

@@ -109,12 +109,13 @@ def _frac(c):
 
 
 def _entries(item, n, message):
-    """The n entries of a sequence as a tuple; anything else is a DomainError."""
+    """The entries of a sequence as a tuple, n of them unless n is None;
+    anything else is a DomainError."""
     try:
         item = tuple(item)
     except TypeError:
         item = None
-    if item is None or len(item) != n:
+    if item is None or n is not None and len(item) != n:
         raise DomainError(message)
     return item
 
@@ -157,25 +158,27 @@ def _checked_product(a, b):
 
 
 def rational_power(base, exponent):
-    """base**exponent for Fractions, exact or raise.
+    """base**exponent for Fractions, exact or raise: a constant power of the
+    DSL, a density's factor |det J|^weight, or c^e for t^e under t -> c*t.
 
-    Used when rescaling ``t`` (which carries rational Laurent exponents): the
-    result must stay rational, so base must be a perfect power when the
-    exponent has a denominator.
+    Any base takes an integer exponent and 0 a positive one; 0 to a negative
+    exponent is a DomainError.  A fractional exponent needs a positive base
+    whose numerator and denominator are perfect powers, else the result
+    leaves the rationals: a SubstitutionError.
     """
     base = _frac(base)
     exponent = _frac(exponent)
-    if base <= 0:
-        raise SubstitutionError("t may only be rescaled by a positive rational")
+    if not base and exponent < 0:
+        raise DomainError("zero to a negative power")
     check_power_size(base, exponent)
     if exponent.denominator == 1:
         return base ** int(exponent)
-    p = _exact_root(base.numerator, exponent.denominator)
+    if not base:
+        return base
+    p = _exact_root(base.numerator, exponent.denominator) if base > 0 else None
     q = _exact_root(base.denominator, exponent.denominator)
     if p is None or q is None:
-        raise SubstitutionError(
-            "rescaling t by %s with exponent %s leaves the rationals" % (base, exponent)
-        )
+        raise SubstitutionError("(%s)^(%s) leaves the rationals" % (base, exponent))
     return Fraction(p, q) ** exponent.numerator
 
 
@@ -225,7 +228,8 @@ class Chart:
     RESERVED = ("t", "#t", "w")  # names no base coordinate may take
 
     def __init__(self, base_coords, hatted=False, name=""):
-        base_coords = [_entries(c, 2, "a coordinate is a (name, parity) pair") for c in base_coords]
+        base_coords = [_entries(c, 2, "a coordinate is a (name, parity) pair")
+                       for c in _entries(base_coords, None, "the base coordinates are a list")]
         seen = set()
         for n, p in base_coords:
             if p not in (EVEN, ODD):  # checked before int(), which truncates 1.5 to 1
@@ -522,6 +526,8 @@ class SPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DomainError("division by zero")
             return self * (Fraction(1) / _frac(other))
         return NotImplemented
 

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from densalg import Chart, DensityElement, EVEN, ODD, SPoly, antibracket, poly_from_dict
+from densalg import Chart, DensityElement, EVEN, ODD, SPoly, antibracket, divergence_full
+from densalg import poly_from_dict
 from densalg.brackets import _random_homogeneous
 from densalg.classify import attach_correction, darboux_form
 
@@ -203,6 +204,14 @@ def reference_divergence(chart, f, conv, full=False):
                 for k2, c2 in reference_derivative(chart, k1, c1, q, left).items():
                     total[k2] = total.get(k2, 0) + sign * c2
     return SPoly(chart, {k: c for k, c in total.items() if c})
+
+
+def product_divergence_wrt(f, rho):
+    """divergence_wrt oracle, the product route: rho^-1 divergence_full(f rho)
+    for the density coefficient rho = c t^mu, with rho^-1 = (1/c) t^-mu."""
+    (key, c), = rho.terms.items()
+    mu = key[rho.chart.t_var.index]
+    return (Fraction(1) / c) * rho.chart.t_power(-mu) * divergence_full(f * rho)
 
 
 def direct_density_evolution(H, f, psi, lam):

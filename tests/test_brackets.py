@@ -10,6 +10,7 @@ import pytest
 from densalg import (
     ANY,
     Chart,
+    ChartMismatchError,
     DomainError,
     EVEN,
     MIXED,
@@ -33,6 +34,7 @@ from densalg.brackets import _Suite, _candidate_family, _div_pairs
 from conftest import (
     SEED,
     hatted_poly,
+    product_divergence_wrt,
     random_poly,
     reference_bracket,
     reference_derivative,
@@ -48,6 +50,19 @@ class TestConventionPinning:
 
     def test_unique_survivor_is_pinned(self):
         assert pin_convention(seed=2024) == PINNED
+
+    def test_fields_checked_on_construction(self):
+        # a field outside its candidate values is named when the convention is
+        # built, before a bracket reads it
+        C = Chart([("x", EVEN)])
+        with pytest.raises(DomainError, match="SignConvention.term_q_qstar is none of its 16 "):
+            antibracket(C["x"], C["#x"],
+                        SignConvention((0, 0, 1), (1, 0, 1, 0), 1, "left", (0, 0)))
+        for name, value in (("div_side", "up"), ("div_parity", None), ("div_parity", 2),
+                            ("term_qstar_q", [1, 0, 1, 0]), ("generator_sign", (0, 0, 0))):
+            with pytest.raises(DomainError, match="SignConvention.%s is none" % name):
+                replace(PINNED, **{name: value})
+        assert len(set(_candidate_family())) == 4096  # every candidate passes the check
 
     def test_first_failure_counts(self):
         # a wrongly declared field tuple in the identity table would move these
@@ -236,6 +251,32 @@ class TestDivergenceAndDelta:
         h = chart.hatted_version()
         with pytest.raises(DomainError):
             divergence_wrt(h["x"], h.t_power(1) + h.const(1))
+        with pytest.raises(DomainError, match="rho must be a rational multiple of a power of t"):
+            divergence_wrt(h["x"], h["x"] * h["t"])
+
+    def test_divergence_wrt_matches_product_route(self, rng, chart):
+        # one pass with mu t^-1 d_#t f equals rho^-1 divergence_full(f rho), c cancelling;
+        # hatted_poly draws t^(1/2), t^-1, #t and fractional coefficients
+        h = chart.hatted_version()
+        for mu in (-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)):
+            for c in (1, 2, Fraction(-1, 3)):
+                rho = c * h.t_power(mu)
+                for _ in range(10):
+                    f = hatted_poly(rng, h)
+                    assert divergence_wrt(f, rho) == product_divergence_wrt(f, rho)
+        # delta is the divergence against t^-2 with any c
+        f = hatted_poly(rng, h)
+        assert divergence_wrt(f, 5 * h.t_power(-2)) == delta_op(f)
+
+    def test_divergences_need_hatted_chart(self, chart):
+        with pytest.raises(DomainError, match="divergence_full needs a hatted chart"):
+            divergence_full(chart["x"] * chart["#x"])
+        for rho in (1, chart.const(1)):
+            with pytest.raises(DomainError, match="divergence_wrt needs a hatted chart"):
+                divergence_wrt(chart["x"] * chart["#x"], rho)
+        other = Chart([("x", EVEN)], hatted=True)
+        with pytest.raises(ChartMismatchError, match="rho lives on the wrong chart"):
+            divergence_wrt(chart.hatted_version()["x"], other.t_power(-2))
 
     def test_delta_needs_hatted_chart(self, chart):
         with pytest.raises(DomainError):

@@ -363,6 +363,19 @@ class TestMasterResidual:
         for Q in (C.hatted_version()["y"], Chart([("x", EVEN)])["#x"]):
             with pytest.raises(DomainError, match="Q must live on the unhatted chart of s"):
                 master_residual_of_lift(s, Q)
+            with pytest.raises(DomainError, match="Q must live on the unhatted chart of s"):
+                attach_correction(s, Q)
+
+    def test_s_must_be_poisson_and_homogeneous(self):
+        C = Chart([("x1", EVEN), ("x2", EVEN), ("x3", EVEN)])
+        x1, x3 = C["x1"], C["x3"]
+        broken = x3 * C["#x2"] * C["#x1"] + x1 * C["#x3"] * C["#x2"] + x1 * C["#x1"] * C["#x3"]
+        with pytest.raises(DomainError, match="s does not satisfy the master equation"):
+            master_residual_of_lift(DensityElement(broken, 0), C["x2"])
+        mixed = C["#x1"] + C["#x1"] * C["#x2"]  # (s, s) = 0: no term holds a base coordinate
+        assert master_check(mixed).is_zero()
+        with pytest.raises(DomainError, match="s must be parity homogeneous"):
+            master_residual_of_lift(DensityElement(mixed, 0), C["x2"])
 
 
 def _assert_matches_oracle(s, bound, kb):
@@ -902,6 +915,15 @@ class TestDensityEvolution:
         )
         assert out == closed
 
+    def test_inputs_checked(self):
+        C = Chart([("p", EVEN), ("x", EVEN)])
+        other = Chart([("p", EVEN), ("y", EVEN)])
+        for H, f, psi in ((C["p"], other["y"], C["x"]), (C["p"], C["x"], other["y"])):
+            with pytest.raises(DomainError, match="H, f, psi must share a chart"):
+                density_evolution(H, f, psi, 0)
+        with pytest.raises(DomainError, match="H, f, psi must be base functions"):
+            density_evolution(C["p"] * C["#x"], C["x"], C["x"], 0)
+
     def test_lambda_zero_is_hamiltonian_flow(self, rng):
         C = Chart([("p", EVEN), ("x", EVEN)])
         from densalg.brackets import restrict_to_base
@@ -935,8 +957,27 @@ class TestQManifolds:
             assert b in (dtheta, -dtheta)
 
     def test_chart_shape_validated(self):
-        with pytest.raises(DomainError):
-            q_manifold_lifts(Chart([("x", EVEN), ("y", EVEN)]), 1)
+        # one layout check: n even coordinates, then n odd ones for the de Rham
+        # examples and n even ones for a Darboux chart
+        plane = Chart([("x", EVEN), ("y", EVEN)])
+        for call in (lambda: q_manifold_lifts(plane, 1), lambda: de_rham_element(plane),
+                     lambda: exterior_derivative(plane["x"] ** 2)):
+            with pytest.raises(DomainError, match="expected n even coordinates, then n odd ones"):
+                call()
+        for chart in (Chart([("x", EVEN), ("dx", ODD), ("y", EVEN), ("dy", ODD)]),
+                      Chart([("x", EVEN), ("y", ODD), ("dx", ODD)])):
+            with pytest.raises(DomainError, match="then n odd ones"):
+                de_rham_element(chart)
+        for chart in (q_manifold_chart(1), Chart([("p", EVEN), ("q", EVEN), ("x", EVEN)])):
+            with pytest.raises(DomainError, match="expected n even coordinates, then n even ones"):
+                darboux_form(chart)
+        with pytest.raises(DomainError, match="a Darboux chart is unhatted"):
+            darboux_form(plane.hatted_version())
+        with pytest.raises(DomainError, match="a density body must live on an unhatted chart"):
+            q_manifold_lifts(q_manifold_chart(1).hatted_version(), 1)
+        # the empty chart is both layouts, n = 0
+        empty = q_manifold_chart(0)
+        assert darboux_form(empty).is_zero() and de_rham_element(empty).is_zero()
 
     def test_lifts_are_the_de_rham_kernel(self, monkeypatch):
         # q_manifold_lifts is classify_lifts of the de Rham element, bit for bit,

@@ -344,6 +344,28 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [script])
         assert (code, out) == (EXIT_OK, "div = 1\n")
 
+    def test_constant_powers_evaluate(self, tmp_path, capsys):
+        # a negative base to an integer power, 0 to a fractional one and a
+        # rational root of a negative power
+        script = write(tmp_path, "powers.dsl", "chart C { even x }\n"
+                       "let c = (-2)^3 * x + 0^(1/2) + (4/9)^(-1/2)\nbracket(c, #x)\n")
+        assert run_cli(capsys, [script]) == (EXIT_OK, "bracket = -8\n", "")
+
+    @pytest.mark.parametrize("src, code, message", [
+        ("chart C { even x }\nlet f = x^(1/2)\n", EXIT_PARSE,
+         "2:10: fractional powers apply to t only"),
+        ("chart C { even x }\nlet f = x^x\n", EXIT_PARSE, "2:10: polynomial exponent"),
+        ("chart A { even x }\nchart B { even u }\n"
+         "change R : A -> Z { forward { x = u } inverse { u = x } }\n", EXIT_PARSE,
+         "3:1: unknown chart 'Z'"),
+        ("chart C { even x }\nlet f = 0^(-1/2)\n", EXIT_DOMAIN, "2:10: zero to a negative power"),
+        ("chart C { even x }\nlet f = x/0\n", EXIT_DOMAIN, "2:10: division by zero"),
+    ], ids=["fractional_power", "polynomial_exponent", "unknown_chart", "zero_negative_power",
+            "division_by_zero"])
+    def test_refusal_message(self, tmp_path, capsys, src, code, message):
+        script = write(tmp_path, "refuse.dsl", src)
+        assert run_cli(capsys, [script]) == (code, "", "densalg: %s: %s\n" % (script, message))
+
     def test_verification_failure_jacobi(self, tmp_path, capsys):
         script = write(tmp_path, "fail.dsl", """
             chart C { even x1, x2, x3 }
@@ -832,6 +854,7 @@ class TestErrorModel:
             return poly_from_dict({"terms": [{"coeff": coeff, "exponents": {"x": exp}}]}, C)
 
         calls = {
+            "Chart coordinates": Chart,
             "Chart parity": lambda v: Chart([("x", v)]),
             "Chart coordinate": lambda v: Chart([v]),
             "Chart name": lambda v: Chart([(v, EVEN)]),
@@ -840,18 +863,27 @@ class TestErrorModel:
             "DensityElement": lambda v: DensityElement(C["x"], v),
             "classify_lifts": lambda v: classify_lifts(s, v),
             "q_manifold_lifts": lambda v: q_manifold_lifts(q_manifold_chart(1), v),
+            "q_manifold_chart": q_manifold_chart,
             "density_evolution": lambda v: density_evolution(D["p"] ** 2, D["q"], D["q"], v),
             "LieAlgebraData dimension": LieAlgebraData,
             "LieAlgebraData parities": lambda v: LieAlgebraData(2, v),
             "LieAlgebraData parity": lambda v: LieAlgebraData(2, [v, 0]),
             "LieAlgebraData names": lambda v: LieAlgebraData(2, None, (), v),
+            "LieAlgebraData constants": lambda v: LieAlgebraData(2, None, v),
             "LieAlgebraData constant": lambda v: LieAlgebraData(2, None, [v]),
+            "LieAlgebraData.from_dict constants":
+                lambda v: LieAlgebraData.from_dict({"dimension": 2, "constants": v}),
             "LieAlgebraData value": lambda v: LieAlgebraData(2, None, [(0, 1, 1, v)]),
             "change_basis matrix": lambda v: change_basis(g, v),
             "change_basis row": lambda v: change_basis(g, [v, [0, 1]]),
             "change_basis entry": lambda v: change_basis(g, [[1, v], [0, 1]]),
             "poly_from_dict coefficient": poly,
             "poly_from_dict exponent": lambda v: poly(exp=v),
+            "poly_from_dict terms": lambda v: poly_from_dict({"terms": v}, C),
+            "poly_from_dict term": lambda v: poly_from_dict({"terms": [v]}, C),
+            "poly_from_dict exponents":
+                lambda v: poly_from_dict({"terms": [{"coeff": 1, "exponents": v}]}, C),
+            "SignConvention": lambda v: densalg.SignConvention(v, v, v, v, v),
         }
         for name, call in calls.items():
             for i, v in enumerate(values):
@@ -883,6 +915,30 @@ class TestErrorModel:
             (d if key == "terms" else d["terms"][0]).pop(key)
             with pytest.raises(DomainError, match="a serialized polynomial has no key '%s'" % key):
                 poly_from_dict(d, C)
+        # a value that is no list where a whole list belongs, and no map where a map does
+        for call, message in (
+                (lambda: Chart(5), "the base coordinates are a list"),
+                (lambda: LieAlgebraData(2, None, 5), "the structure constants are a list"),
+                (lambda: LieAlgebraData.from_dict({"dimension": 2, "constants": 5}),
+                 "the structure constants are a list"),
+                (lambda: LieAlgebraData.from_dict({"dimension": 2, "constants": [5]}),
+                 "a structure constant has 4 entries"),
+                (lambda: poly_from_dict({"terms": 5}, C),
+                 "the terms of a serialized polynomial are a list"),
+                (lambda: poly_from_dict({"terms": [5]}, C),
+                 "a serialized term and its exponents are maps"),
+                (lambda: poly_from_dict({"terms": [{"coeff": 1, "exponents": 5}]}, C),
+                 "a serialized term and its exponents are maps")):
+            with pytest.raises(DomainError, match=message):
+                call()
+        for zero in (0, False):
+            with pytest.raises(DomainError, match="division by zero"):
+                C["x"] / zero
+        for n, message in ((None, "an integer, got NoneType"), (1.5, "an integer, got 3/2"),
+                           ("a", "an integer, got str"), (-2, "in 0..4096, got -2"),
+                           (10 ** 5000, r"in 0..4096, got about 10\^5000")):
+            with pytest.raises(DomainError, match="the dimension must be " + message):
+                q_manifold_chart(n)
 
 
 TOUR = Path(__file__).resolve().parent.parent / "demos" / "tour.dsl"

@@ -8,6 +8,7 @@ import pytest
 
 from densalg import (
     Chart,
+    ChartMismatchError,
     CoordinateChange,
     DensityElement,
     DomainError,
@@ -111,6 +112,15 @@ class TestLiftCommutes:
         u = DensityElement(C["y"], Fraction(1, 2))
         with pytest.raises(WeightOneError):
             lift_commutes_check(s, u)
+
+    def test_base_bracket_refusals(self, small_chart):
+        C = small_chart
+        for lam, mu in ((1, 0), (0, 1)):
+            with pytest.raises(WeightOneError, match="singular at weight 1"):
+                base_bracket(DensityElement(C["x"] * C["#x"], lam), DensityElement(C["y"], mu))
+        with pytest.raises(ChartMismatchError, match="density elements live on different charts"):
+            base_bracket(DensityElement(C["x"] * C["#x"], 0),
+                         DensityElement(Chart([("x", EVEN)])["x"], 0))
 
     def test_base_bracket_reduces_at_weight_zero(self, rng, small_chart):
         for _ in range(50):
@@ -440,6 +450,16 @@ class TestCoordinateChanges:
         # forward x = u + v^2 against the identity inverse: x + y^2 comes back
         with pytest.raises(DomainError, match="not exact for x"):
             CoordinateChange(src, tgt, {"x": tgt["u"] + tgt["v"] ** 2, "y": tgt["v"]}, inverse)
+
+    def test_transforms_need_the_source_chart(self):
+        src = Chart([("x", EVEN)], name="s")
+        tgt = Chart([("u", EVEN)], name="g")
+        ch = CoordinateChange(src, tgt, {"x": tgt["u"]}, {"u": src["x"]})
+        with pytest.raises(ChartMismatchError, match="density lives on the wrong chart"):
+            transform_density(DensityElement(tgt["u"], 0), ch)
+        for S in (src["x"], tgt.hatted_version()["u"]):
+            with pytest.raises(ChartMismatchError, match="S must live on the hatted source chart"):
+                transform_hatted(S, ch)
 
     def test_nonconstant_jacobian_rejected(self):
         src = Chart([("x", EVEN)], name="s")

@@ -512,6 +512,21 @@ class TestRationalPower:
         assert _exact_root(1024, 10) == 2  # k = bits - 1 still iterates
         assert _exact_root(1024, 11) is None and _exact_root(1023, 10) is None
 
+    def test_every_constant_power(self):
+        # any base to an integer exponent, 0 to a positive one; the DSL reads
+        # each constant power here
+        assert rational_power(Fraction(-2), Fraction(3)) == -8
+        assert rational_power(Fraction(-2, 3), Fraction(-2)) == Fraction(9, 4)
+        assert rational_power(Fraction(0), Fraction(0)) == 1
+        assert rational_power(Fraction(0), Fraction(1, 2)) == 0
+        assert rational_power(Fraction(4, 9), Fraction(-1, 2)) == Fraction(3, 2)
+        for exponent in (Fraction(-1), Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="zero to a negative power"):
+                rational_power(Fraction(0), exponent)
+        for base in (Fraction(-1), Fraction(-8)):  # no real root is taken
+            with pytest.raises(SubstitutionError, match="leaves the rationals"):
+                rational_power(base, Fraction(1, 3))
+
     def test_irrational_rejected(self):
         with pytest.raises(SubstitutionError):
             rational_power(Fraction(2), Fraction(1, 2))
