@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .spoly import ANY, EVEN, ODD, ChartMismatchError, Chart, DomainError, SPoly
-from .spoly import _add_into, _mul_into, _odd_mask, _partial_rows, _strip
+from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
+from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _strip
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,7 @@ def _bracket_from(plan, g):
 
 def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     """The canonical odd bracket on the chart, (t, #t) pair included."""
-    if f.chart != g.chart:
-        raise ChartMismatchError("bracket operands live on different charts")
+    _on(g, _on(f).chart, "bracket operands live on different charts")
     return _bracket_from(_bracket_plan(f, conv), g)
 
 
@@ -148,16 +147,23 @@ def _div_pairs(f, pairs, conv, mu=0):
     return SPoly(f.chart, terms)
 
 
+def _hatted_chart(f, name):
+    """The chart of the polynomial f, which must be hatted for the operation `name`."""
+    chart = _on(f).chart
+    if not chart.hatted:
+        raise DomainError("%s needs a hatted chart" % name)
+    return chart
+
+
 def divergence(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
     """Divergence with respect to |Dx|: base coordinate pairs only."""
-    return _div_pairs(f, f.chart.pair_slots[:f.chart.n_base], conv)
+    chart = _on(f).chart
+    return _div_pairs(f, chart.pair_slots[:chart.n_base], conv)
 
 
 def divergence_full(f: SPoly) -> SPoly:
     """Divergence with respect to |D(x,t)| on a hatted chart."""
-    if not f.chart.hatted:
-        raise DomainError("divergence_full needs a hatted chart")
-    return _div_pairs(f, f.chart.pair_slots, PINNED)
+    return _div_pairs(f, _hatted_chart(f, "divergence_full").pair_slots, PINNED)
 
 
 def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
@@ -167,13 +173,10 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
 
     rho_coeff must be a single invertible term c * t^mu on a hatted chart.
     """
-    chart = f.chart
+    chart = _hatted_chart(f, "divergence_wrt")
     if not isinstance(rho_coeff, SPoly):
         rho_coeff = chart.const(rho_coeff)
-    if rho_coeff.chart != chart:
-        raise ChartMismatchError("rho lives on the wrong chart")
-    if not chart.hatted:
-        raise DomainError("divergence_wrt needs a hatted chart")
+    _on(rho_coeff, chart, "rho lives on the wrong chart")
     if len(rho_coeff.terms) != 1:
         raise DomainError("rho must be a single invertible term")
     (key, _), = rho_coeff.terms.items()
@@ -187,14 +190,12 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
 def delta_op(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
     """The canonical odd operator: the divergence against t^-2 |D(x,t)|, every
     pair, (t, #t) included, minus 2/t d_#t."""
-    if not f.chart.hatted:
-        raise DomainError("delta_op needs a hatted chart")
-    return _div_pairs(f, f.chart.pair_slots, conv, -2)
+    return _div_pairs(f, _hatted_chart(f, "delta_op").pair_slots, conv, -2)
 
 
 def restrict_to_base(f: SPoly) -> SPoly:
     """Pullback along the zero section: all fiber variables (and #t) to 0."""
-    chart = f.chart
+    chart = _on(f).chart
     return SPoly(chart, {
         key: c for key, c in f.terms.items() if not chart.key_fiber_degree(key)
     })
@@ -207,8 +208,7 @@ def project_base(S: SPoly):
     weight; fiber variables of the hatted chart are re-read as plain fiber
     variables.
     """
-    if not S.chart.hatted:
-        raise DomainError("project_base needs a hatted chart")
+    _hatted_chart(S, "project_base")
     return [(body, Fraction(t)) for (t, tstar), body in sorted(S.tails().items()) if not tstar]
 
 
@@ -220,10 +220,11 @@ def r_ary_bracket(S: SPoly, args) -> SPoly:
     accumulated bracket}, which orients the induced brackets so that an even
     fiber-degree-2 S satisfies {f,g} = (-1)^((f+1)(g+1)) {g,f}.
     """
+    args = _entries(args, None, "the r-ary bracket arguments are a list")
     for f in args:
-        if f.fiber_degree() != 0:
+        if _on(f).fiber_degree() != 0:
             raise DomainError("r-ary bracket arguments must have fiber degree 0")
-    acc = S
+    acc = _on(S)
     for f in args:
         acc = antibracket(acc.parity_twist(), f)
     return restrict_to_base(acc)
@@ -362,7 +363,7 @@ def pin_convention(seed=2024):
     Fields are fixed one at a time in `_FIELD_VALUES` order; each identity
     judges a partial candidate once all its fields are fixed, the others
     holding their first value, which it does not read."""
-    suite = _Suite(random.Random(seed))
+    suite = _Suite(random.Random(_integer(seed, "the seed")))
     candidates = [SignConvention(**{name: values[0] for name, values in _FIELD_VALUES})]
     fixed = set()
     for name, values in _FIELD_VALUES:
@@ -405,7 +406,7 @@ def convention_ledger(seed=2024) -> str:
     For every single-field perturbation of the pinned convention, report the
     first identity in the suite that rejects it.
     """
-    suite = _Suite(random.Random(seed))
+    suite = _Suite(random.Random(_integer(seed, "the seed")))
     lines = [
         "Pinned sign convention",
         "======================",

@@ -29,8 +29,8 @@ from math import comb, gcd, inf, lcm
 from .brackets import PINNED, DomainError, _bracket_from, _bracket_plan
 from .brackets import antibracket, divergence, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _mul_into, _num, _odd_mask
-from .spoly import _shown, _strip
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _integer, _mul_into, _num
+from .spoly import _map, _odd_mask, _on, _shown, _strip
 
 # the most columns an ansatz may have; Darboux n = 8 at bound 4 has 3,960
 MAX_ANSATZ_COLUMNS = 1 << 16
@@ -46,8 +46,7 @@ class LiftDecomposition:
 
 def attach_correction(s: DensityElement, Q: SPoly) -> SPoly:
     """lift(s) + Q * t^(weight+1) * #t; at weight 0 this is lift(s) + Q*w."""
-    if Q.chart != s.chart:
-        raise DomainError("Q must live on the unhatted chart of s")
+    _on(Q, s.chart, "Q must live on the unhatted chart of s")
     return lift(s) + Q.transport(s.chart.hatted_version(), s.weight + 1, 1)
 
 
@@ -90,8 +89,7 @@ def master_residual_of_lift(s: DensityElement, Q: SPoly) -> SPoly:
     sp = s.body.parity()
     if sp is MIXED:
         raise DomainError("s must be parity homogeneous")
-    if Q.chart != s.chart:
-        raise DomainError("Q must live on the unhatted chart of s")
+    _on(Q, s.chart, "Q must live on the unhatted chart of s")
     if sp == ODD:  # 1 + (-1)^s = 0 on the even part of Q
         Q = Q.parity_components()[1]
     return (2 * antibracket(s.body, Q)).transport(s.chart.hatted_version(), 1, 1)
@@ -322,10 +320,7 @@ class LieAlgebraData:
     """
 
     def __init__(self, dimension, parities=None, constants=(), names=None):
-        self.dimension = _integer(dimension, "dimension")
-        if not 0 <= self.dimension <= MAX_LIE_DIMENSION:
-            raise DomainError("the dimension must be in 0..%d, got %s"
-                              % (MAX_LIE_DIMENSION, _shown(self.dimension)))
+        self.dimension = _integer(dimension, "the dimension", MAX_LIE_DIMENSION)
         self.parities = tuple(_integer(p, "parity") for p in _entries(
             parities or [EVEN] * self.dimension, self.dimension,
             "parity list does not match the dimension"))
@@ -358,6 +353,9 @@ class LieAlgebraData:
 
     @classmethod
     def from_dict(cls, d):
+        keys = "a Lie algebra is a map with the keys 'dimension' and 'constants'"
+        if not {"dimension", "constants"} <= _map(d, keys).keys():
+            raise DomainError(keys)
         constants = _entries(d["constants"], None, "the structure constants are a list")
         constants = [
             (*(_integer(a, "structure constant index") - 1 for a in (i, j, k)), v)
@@ -372,31 +370,16 @@ class LieAlgebraData:
 
     @classmethod
     def from_json(cls, path):
-        """Read a JSON file; a missing, unreadable or malformed one is a DomainError."""
+        """Read a JSON file; a missing, unreadable or malformed one is a DomainError.
+        A decode error is a ValueError, as is every DensalgError of `from_dict`."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh, parse_float=Fraction))
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
-                OverflowError) as exc:
+        except (OSError, ValueError) as exc:
             raise DomainError("bad Lie algebra file %s: %s" % (path, exc)) from None
 
     def chart(self):
         return self._chart
-
-
-def _integer(x, what):
-    """x as an int when it is exactly integral (3, 3.0, "3"), else a DomainError
-    that names a value which is no number by its type."""
-    if type(x) is int:  # a bool takes the Fraction path
-        return x
-    try:
-        q = _frac(x)
-    except DomainError:
-        q = None
-    if q is None or q.denominator != 1:
-        shown = type(x).__name__ if q is None else _shown(q)  # a huge q is named by its size
-        raise DomainError("%s must be an integer, got %s" % (what, shown))
-    return int(q)
 
 
 def lie_poisson(g: LieAlgebraData) -> DensityElement:
@@ -487,11 +470,9 @@ def density_evolution(H: SPoly, f: SPoly, psi: SPoly, lam) -> SPoly:
     form: ({H, psi} + lam {H, f} psi) t^lam.  This is ((Omega, H), Psi) with
     Omega = lift(omega) + X_f w, the lift twisted by the Hamiltonian field of f.
     """
-    chart = H.chart
-    if f.chart != chart or psi.chart != chart:
-        raise DomainError("H, f, psi must share a chart")
+    chart = _on(H).chart
     for p in (H, f, psi):
-        if p.fiber_degree() != 0:
+        if _on(p, chart, "H, f, psi must share a chart").fiber_degree() != 0:
             raise DomainError("H, f, psi must be base functions")
     lam = _frac(lam)
     omega = darboux_form(chart)
@@ -505,9 +486,7 @@ def density_evolution(H: SPoly, f: SPoly, psi: SPoly, lam) -> SPoly:
 def q_manifold_chart(n: int) -> Chart:
     """The chart of the parity reversed tangent bundle of R^n: x_a even,
     dx_a odd, for n in 0..MAX_LIE_DIMENSION."""
-    n = _integer(n, "the dimension")
-    if not 0 <= n <= MAX_LIE_DIMENSION:
-        raise DomainError("the dimension must be in 0..%d, got %s" % (MAX_LIE_DIMENSION, _shown(n)))
+    n = _integer(n, "the dimension", MAX_LIE_DIMENSION)
     base = [("x%d" % (a + 1), EVEN) for a in range(n)]
     base += [("dx%d" % (a + 1), ODD) for a in range(n)]
     return Chart(base, name="PiTR%d" % n)

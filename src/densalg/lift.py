@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 
 from .brackets import DomainError, antibracket, divergence, project_base
-from .spoly import Chart, ChartMismatchError, SPoly, _frac, _Substitution, rational_power
+from .spoly import Chart, SPoly, _frac, _map, _on, _Substitution, rational_power
 
 
 class WeightOneError(DomainError):
@@ -43,7 +43,7 @@ class DensityElement:
     weight: Fraction
 
     def __post_init__(self):
-        if self.body.chart.hatted:
+        if _on(self.body).chart.hatted:
             raise DomainError("a density body must live on an unhatted chart")
         object.__setattr__(self, "weight", _frac(self.weight))
 
@@ -89,8 +89,7 @@ def base_bracket(s: DensityElement, u: DensityElement) -> DensityElement:
     whenever the divergences do), where this reduces to the bare bracket of
     the bodies.
     """
-    if s.chart != u.chart:
-        raise ChartMismatchError("density elements live on different charts")
+    _on(u.body, s.chart, "density elements live on different charts")
     lam, mu = s.weight, u.weight
     if lam == 1 or mu == 1:
         raise WeightOneError()
@@ -136,15 +135,18 @@ class CoordinateChange:
             raise DomainError("charts have different dimension")
         self.source = source
         self.target = target
-        self.forward = {source.var(k) if isinstance(k, str) else k: v for k, v in forward.items()}
-        self.inverse = {target.var(k) if isinstance(k, str) else k: v for k, v in inverse.items()}
+        maps = "forward and inverse are maps from coordinates to polynomials"
+        self.forward = {source.var(k) if isinstance(k, str) else k: v
+                        for k, v in _map(forward, maps).items()}
+        self.inverse = {target.var(k) if isinstance(k, str) else k: v
+                        for k, v in _map(inverse, maps).items()}
         sb = [v for v, _ in source.base_pairs()]
         tb = [v for v, _ in target.base_pairs()]
         if set(self.forward) != set(sb) or set(self.inverse) != set(tb):
             raise DomainError("forward/inverse must cover exactly the base coordinates")
         for mapping, chart in ((self.forward, target), (self.inverse, source)):
             for v, img in mapping.items():
-                if img.chart != chart or img.fiber_degree() != 0:
+                if _on(img).chart != chart or img.fiber_degree() != 0:
                     raise DomainError("image of %s is not a base function" % v.name)
         # F(G(x)) = x exactly, F = forward and G = inverse: G is then injective,
         # so bijective (Ax-Grothendieck), and G(F(u)) = u follows
@@ -179,8 +181,7 @@ def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=Fals
     There is no w-term: its coefficient on #x_old^a is d/dx_old^a log|det J|,
     zero for the constant det J a change has.
     """
-    if S.chart != change.source.hatted_version():
-        raise ChartMismatchError("S must live on the hatted source chart")
+    _on(S, change.source.hatted_version(), "S must live on the hatted source chart")
     change.abs_det(strict_orientation)  # a zero S is judged too
     htgt = change.target.hatted_version()
     return htgt.sum(
@@ -195,7 +196,6 @@ def transform_density(s: DensityElement, change: CoordinateChange, strict_orient
     The body picks up |det J|^weight and its variables map by the change's
     prepared `substitution` of `images` (no w-term on the unhatted bundle).
     """
-    if s.chart != change.source:
-        raise ChartMismatchError("density lives on the wrong chart")
+    _on(s.body, change.source, "density lives on the wrong chart")
     absJ = change.abs_det(strict_orientation)
     return DensityElement(rational_power(absJ, s.weight) * change.substitution(s.body), s.weight)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import neg
 
-from .spoly import ODD, Chart, DomainError, SPoly, _entries, _frac, _num, _shown
+from .spoly import ODD, Chart, DomainError, SPoly, _entries, _frac, _map, _num, _on, _shown
 
 
 def _term_sort_key(chart, key):
@@ -45,7 +45,7 @@ def _monomial_factors(chart, key):
 
 
 def poly_to_text(f: SPoly) -> str:
-    if not f.terms:
+    if not _on(f).terms:
         return "0"
     chart = f.chart
     keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k))
@@ -76,12 +76,13 @@ def chart_to_dict(chart: Chart) -> dict:
 
 
 def chart_from_dict(d: dict) -> Chart:
+    d = _map(d, "a serialized chart is a map")
     return Chart(d["base"], hatted=d["hatted"], name=d.get("name", ""))
 
 
 def poly_to_dict(f: SPoly) -> dict:
     """SerializedPoly: rationals as strings so consumers lose nothing."""
-    chart = f.chart
+    chart = _on(f).chart
     keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k))
     terms = []
     for key in keys:
@@ -95,15 +96,15 @@ def poly_to_dict(f: SPoly) -> dict:
 
 def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
     """Read what poly_to_dict writes; raise DomainError for anything else."""
+    maps = "a serialized term and its exponents are maps"
     try:
+        d = _map(d, "a serialized polynomial is a map")
         if chart is None:
             chart = chart_from_dict(d["chart"])
         listed = _entries(d["terms"], None, "the terms of a serialized polynomial are a list")
-        entries = [(t["coeff"], t["exponents"]) for t in listed if isinstance(t, dict)]
+        entries = [(t["coeff"], _map(t["exponents"], maps)) for t in (_map(t, maps) for t in listed)]
     except KeyError as exc:
         raise DomainError("a serialized polynomial has no key %s" % exc) from None
-    if len(entries) != len(listed) or not all(isinstance(e, dict) for _, e in entries):
-        raise DomainError("a serialized term and its exponents are maps")
     terms = {}
     for coeff, exponents in entries:
         key = list(chart.zero_key)

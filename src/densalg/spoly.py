@@ -25,9 +25,16 @@ and each coordinate change keeps one for every density and tail it transforms.
 A hatted polynomial is a sum of unhatted bodies times (t, #t) tails t^a #t^b,
 of weight a - b, on their right: `SPoly.transport` attaches a tail to a body
 and `SPoly.tails` splits a polynomial into its tails.
+
+This module also owns how every public name reads a value it did not build:
+`_frac` a rational number, `_integer` an integer (in 0..top when bounded),
+`_entries` a sequence, `_map` a map and `_on` a polynomial (on a given chart).
+Each refuses what it cannot read with a `DomainError`, so every refusal of a
+value is one, and `ParseError` is the only other `DensalgError`.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -61,15 +68,15 @@ class DomainError(DensalgError):
     """Input outside an operation's mathematical domain."""
 
 
-class ChartMismatchError(DensalgError):
+class ChartMismatchError(DomainError):
     pass
 
 
-class UnknownVariableError(DensalgError, KeyError):
+class UnknownVariableError(DomainError, KeyError):
     pass
 
 
-class SubstitutionError(DensalgError):
+class SubstitutionError(DomainError):
     pass
 
 
@@ -108,16 +115,52 @@ def _frac(c):
         raise DomainError("expected a rational number, got %s" % type(c).__name__) from None
 
 
+def _integer(x, what, top=None):
+    """x as an int when it is exactly integral (3, 3.0, "3") and, with `top`
+    given, in 0..top; else a DomainError that names a value which is no number
+    by its type and a huge one by its size."""
+    try:
+        q = x if type(x) is int else _frac(x)  # a bool takes the Fraction path
+    except DomainError:
+        q = None
+    if q is None or q.denominator != 1:
+        shown = type(x).__name__ if q is None else _shown(q)
+        raise DomainError("%s must be an integer, got %s" % (what, shown))
+    if top is not None and not 0 <= q <= top:
+        raise DomainError("%s must be in 0..%d, got %s" % (what, top, _shown(q)))
+    return int(q)
+
+
 def _entries(item, n, message):
     """The entries of a sequence as a tuple, n of them unless n is None;
-    anything else is a DomainError."""
+    anything else is a DomainError.  An error raised while the entries are
+    read, as by a generator, is not this one."""
     try:
-        item = tuple(item)
+        entries = iter(item)
     except TypeError:
-        item = None
-    if item is None or n is not None and len(item) != n:
+        raise DomainError(message) from None
+    item = tuple(entries)
+    if n is not None and len(item) != n:
         raise DomainError(message)
     return item
+
+
+def _map(item, message):
+    """item when it is a map; anything else is a DomainError."""
+    if not isinstance(item, Mapping):
+        raise DomainError(message)
+    return item
+
+
+def _on(f, chart=None, message="operands live on different charts"):
+    """f when it is an SPoly, on `chart` when one is given.  A value that is no
+    SPoly is a DomainError that names its type; an SPoly on another chart is a
+    ChartMismatchError(message)."""
+    if not isinstance(f, SPoly):
+        raise DomainError("expected a polynomial, got %s" % type(f).__name__)
+    if chart is not None and f.chart != chart:
+        raise ChartMismatchError(message)
+    return f
 
 
 def _shown(q):
@@ -280,10 +323,11 @@ class Chart:
         return self._n_base
 
     def var(self, name):
-        try:
-            return self.by_name[name]
-        except KeyError:
-            raise UnknownVariableError("no variable %r on %r" % (name, self))
+        v = self.by_name.get(name) if isinstance(name, str) else None
+        if v is None:
+            shown = repr(name) if isinstance(name, str) else type(name).__name__
+            raise UnknownVariableError("no variable %s on %r" % (shown, self))
+        return v
 
     @property
     def t_var(self):
@@ -323,10 +367,8 @@ class Chart:
     def sum(self, polys):
         """The sum of SPolys over this chart, accumulated in one term map."""
         terms = {}
-        for p in polys:
-            if p.chart != self:
-                raise ChartMismatchError("a summand lives on a different chart")
-            for k, c in p.terms.items():
+        for p in _entries(polys, None, "the summands are a list"):
+            for k, c in _on(p, self, "a summand lives on a different chart").terms.items():
                 _add_into(terms, k, c)
         return SPoly(self, terms)
 
@@ -338,9 +380,7 @@ class Chart:
         return SPoly(self, {self.power_key(self.var(name).index, 1): 1})
 
     def t_power(self, lam):
-        lam = _frac(lam)
-        if not self.hatted:
-            raise UnknownVariableError("chart is not hatted")
+        lam = _frac(lam)  # t_var refuses an unhatted chart
         return SPoly(self, {self.power_key(self.t_var.index, _num(lam)): 1})
 
     def w_star(self):
@@ -472,14 +512,9 @@ class SPoly:
     def __hash__(self):
         return hash((self.chart, frozenset(self.terms.items())))
 
-    def _check_chart(self, other):
-        if self.chart != other.chart:
-            raise ChartMismatchError("operands live on different charts")
-
     def _coerce(self, other):
         if isinstance(other, SPoly):
-            self._check_chart(other)
-            return other
+            return _on(other, self.chart)
         if isinstance(other, (int, Fraction)):
             return self.chart.const(other)
         return None
@@ -644,15 +679,16 @@ class SPoly:
         odd variable.  `tails` inverts it.
         """
         chart = self.chart
+        t, tstar = _num(_frac(t)), _integer(tstar, "the #t exponent", 1)
         if target.base_coords != chart.base_coords:
             raise ChartMismatchError("transport needs a chart with the same base coordinates")
         width = len(target.zero_key)
         if any(any(key[width:]) for key in self.terms):
             raise SubstitutionError("a term with t or #t has no image on an unhatted chart")
         pad = target.zero_key[len(chart.zero_key):]
-        if (t or tstar) and (not pad or tstar not in (0, 1)):
-            raise DomainError("a tail t^%s #t^%s does not pad onto %r" % (t, tstar, target))
-        pad = (_num(_frac(t)), tstar) if pad else ()
+        if (t or tstar) and not pad:
+            raise DomainError("a tail t^%s #t^%s does not pad onto %r" % (_shown(t), tstar, target))
+        pad = (t, tstar) if pad else ()
         return SPoly(target, {key[:width] + pad: c for key, c in self.terms.items()})
 
     def tails(self):
@@ -682,6 +718,7 @@ class _Substitution:
     """
 
     def __init__(self, chart, images, target=None):
+        images = _map(images, "the images are a map from variables to polynomials")
         if target is None:
             target = chart
             for img in images.values():
@@ -695,8 +732,7 @@ class _Substitution:
                 raise UnknownVariableError("%r is not a variable of the chart" % (v,))
             if not isinstance(img, SPoly):
                 img = target.const(img)
-            if img.chart != target:
-                raise ChartMismatchError("image of %s lives on the wrong chart" % v.name)
+            _on(img, target, "image of %s lives on the wrong chart" % v.name)
             if v.kind == "t":
                 # only c*t with c > 0 keeps rational Laurent powers exact
                 if len(img.terms) != 1:
@@ -733,8 +769,7 @@ class _Substitution:
         return rows
 
     def __call__(self, poly):
-        if poly.chart != self.chart:
-            raise ChartMismatchError("the polynomial lives on another chart than the substitution")
+        _on(poly, self.chart, "the polynomial lives on another chart than the substitution")
         target, power, images = self.target, self._power, self._images
         slots = range(len(self.chart.zero_key))
         result = {}

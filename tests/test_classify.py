@@ -8,6 +8,7 @@ import pytest
 
 from densalg import (
     Chart,
+    ChartMismatchError,
     DensityElement,
     DomainError,
     EVEN,
@@ -361,10 +362,12 @@ class TestMasterResidual:
         C = small_chart
         s = DensityElement(C["x"] * C["#x"], Fraction(0))
         for Q in (C.hatted_version()["y"], Chart([("x", EVEN)])["#x"]):
-            with pytest.raises(DomainError, match="Q must live on the unhatted chart of s"):
+            with pytest.raises(DomainError, match="Q must live on the unhatted chart of s") as err:
                 master_residual_of_lift(s, Q)
-            with pytest.raises(DomainError, match="Q must live on the unhatted chart of s"):
+            assert err.type is ChartMismatchError
+            with pytest.raises(DomainError, match="Q must live on the unhatted chart of s") as err:
                 attach_correction(s, Q)
+            assert err.type is ChartMismatchError
 
     def test_s_must_be_poisson_and_homogeneous(self):
         C = Chart([("x1", EVEN), ("x2", EVEN), ("x3", EVEN)])
@@ -919,8 +922,9 @@ class TestDensityEvolution:
         C = Chart([("p", EVEN), ("x", EVEN)])
         other = Chart([("p", EVEN), ("y", EVEN)])
         for H, f, psi in ((C["p"], other["y"], C["x"]), (C["p"], C["x"], other["y"])):
-            with pytest.raises(DomainError, match="H, f, psi must share a chart"):
+            with pytest.raises(DomainError, match="H, f, psi must share a chart") as err:
                 density_evolution(H, f, psi, 0)
+            assert err.type is ChartMismatchError
         with pytest.raises(DomainError, match="H, f, psi must be base functions"):
             density_evolution(C["p"] * C["#x"], C["x"], C["x"], 0)
 

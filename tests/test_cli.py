@@ -1,4 +1,5 @@
 """The densalg command line tool and the expression DSL."""
+import inspect
 import io
 import json
 import math
@@ -48,6 +49,15 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def hostile_values(rng):
+    """Values no caller should pass where a number, string, sequence, map or
+    polynomial belongs: a result or a DensalgError, never a raw Python error."""
+    big = rng.randint(10 ** 5000, 10 ** 5001)
+    return [None, True, False, float("nan"), float("inf"), 1.5, "a", "1/0", "", object(),
+            big, -big, Fraction(1, big), [big], [[big]], (), {},
+            [rng.randint(-9, 9) for _ in range(rng.randint(3, 6))]]
 
 
 def _trinomial_power_text(n):
@@ -830,6 +840,8 @@ class TestErrorModel:
                   densalg.OrientationError, ParseError}
         assert public <= classes
         assert all(issubclass(cls, DensalgError) for cls in classes)
+        # the class tree is the exit code: every refusal of a value is a DomainError (3)
+        assert {cls for cls in classes if not issubclass(cls, DomainError)} == {DensalgError, ParseError}
         assert issubclass(densalg.UnknownVariableError, KeyError)
         assert densalg.brackets.DomainError is DomainError
         # outside a script there is no position, and no KeyError quoting
@@ -840,11 +852,7 @@ class TestErrorModel:
         # each number or sequence argument of the public names that take
         # them, fed values no caller should pass: a result or a DensalgError,
         # never a raw Python error
-        rng = random.Random(27)
-        big = rng.randint(10 ** 5000, 10 ** 5001)
-        values = [None, True, False, float("nan"), float("inf"), 1.5, "a", "1/0", "", object(),
-                  big, -big, Fraction(1, big), [big], [[big]], (),
-                  [rng.randint(-9, 9) for _ in range(rng.randint(3, 6))]]
+        values = hostile_values(random.Random(27))
         C = Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)])
         D = Chart([("p", EVEN), ("q", EVEN)])
         s = DensityElement(C["#x"] * C["#y"], 0)
@@ -917,6 +925,10 @@ class TestErrorModel:
                 poly_from_dict(d, C)
         # a value that is no list where a whole list belongs, and no map where a map does
         for call, message in (
+                (lambda: poly_from_dict(5, C), "a serialized polynomial is a map"),
+                (lambda: poly_from_dict({"chart": 5, "terms": []}), "a serialized chart is a map"),
+                (lambda: LieAlgebraData.from_dict(5), "a Lie algebra is a map with the keys"),
+                (lambda: LieAlgebraData.from_dict({}), "a Lie algebra is a map with the keys"),
                 (lambda: Chart(5), "the base coordinates are a list"),
                 (lambda: LieAlgebraData(2, None, 5), "the structure constants are a list"),
                 (lambda: LieAlgebraData.from_dict({"dimension": 2, "constants": 5}),
@@ -939,6 +951,121 @@ class TestErrorModel:
                            (10 ** 5000, r"in 0..4096, got about 10\^5000")):
             with pytest.raises(DomainError, match="the dimension must be " + message):
                 q_manifold_chart(n)
+
+    # a parameter that takes an object densalg builds, or a monomial key or
+    # variable index of the chart's own: another Python type there is a
+    # TypeError or AttributeError, as in any Python library
+    OBJECT_TYPES = (Chart, DensityElement, densalg.CoordinateChange, LieAlgebraData,
+                    densalg.SignConvention, densalg.Variable)
+    CHART_OWN = {"key", "index"}
+    # records that store their fields as given, besides the exception classes
+    RECORDS = {"SPoly", "Variable", "KernelBasis", "LiftDecomposition"}
+
+    def sweep_calls(self):
+        """{name: (callable, {parameter: valid value})} for every public callable
+        and every public method of Chart and SPoly that takes a parameter."""
+        C = Chart([("x", EVEN), ("y", EVEN)], name="C")
+        H = C.hatted_version()
+        B = Chart([("u", EVEN), ("v", EVEN)], name="B")
+        change = densalg.CoordinateChange(C, B, {"x": B["u"] + B["v"], "y": B["v"]},
+                                          {"u": C["x"] - C["y"], "v": C["y"]})
+        s = DensityElement(C["#x"] * C["#y"], 0)
+        g = LieAlgebraData(2, None, [(0, 1, 1, 1), (1, 0, 1, -1)])
+        f = C["x"] * C["#y"]
+        P = densalg.PINNED
+        return {
+            "Chart": (Chart, dict(base_coords=[("x", EVEN)], hatted=True, name="D")),
+            "CoordinateChange": (densalg.CoordinateChange, dict(
+                source=C, target=B, forward={"x": B["u"], "y": B["v"]},
+                inverse={"u": C["x"], "v": C["y"]})),
+            "DensityElement": (DensityElement, dict(body=f, weight=Fraction(1, 2))),
+            "LieAlgebraData": (LieAlgebraData, dict(
+                dimension=2, parities=[0, 0], constants=[(0, 1, 1, 1), (1, 0, 1, -1)],
+                names=["a", "b"])),
+            "SignConvention": (densalg.SignConvention, dict(
+                term_q_qstar=P.term_q_qstar, term_qstar_q=P.term_qstar_q,
+                div_parity=P.div_parity, div_side=P.div_side, generator_sign=P.generator_sign)),
+            "antibracket": (densalg.antibracket, dict(f=f, g=C["y"], conv=P)),
+            "base_bracket": (densalg.base_bracket, dict(s=s, u=s)),
+            "classify_lifts": (classify_lifts, dict(s=s, coeff_degree_bound=1)),
+            "convention_ledger": (densalg.convention_ledger, dict(seed=2024)),
+            "decompose": (densalg.decompose, dict(S=densalg.lift(s), s=s)),
+            "delta_op": (densalg.delta_op, dict(f=H["x"] * H["#t"], conv=P)),
+            "density_evolution": (density_evolution, dict(
+                H=C["x"] ** 2, f=C["y"], psi=C["y"], lam=Fraction(1, 2))),
+            "divergence": (densalg.divergence, dict(f=f, conv=P)),
+            "divergence_full": (densalg.divergence_full, dict(f=H["x"] * H["#x"])),
+            "divergence_wrt": (densalg.divergence_wrt, dict(f=H["#t"], rho_coeff=H.t_power(-2))),
+            "lie_poisson": (densalg.lie_poisson, dict(g=g)),
+            "lift": (densalg.lift, dict(s=s)),
+            "lift_commutes_check": (densalg.lift_commutes_check, dict(s=s, u=s)),
+            "master_check": (densalg.master_check, dict(S=f)),
+            "master_residual_of_lift": (densalg.master_residual_of_lift, dict(s=s, Q=C["x"])),
+            "pin_convention": (densalg.pin_convention, dict(seed=2024)),
+            "poly_from_dict": (poly_from_dict, dict(d=poly_to_dict(f), chart=C)),
+            "poly_to_dict": (poly_to_dict, dict(f=f)),
+            "poly_to_text": (poly_to_text, dict(f=f)),
+            "project_base": (densalg.project_base, dict(S=densalg.lift(s))),
+            "project_to_density": (densalg.project_to_density, dict(S=densalg.lift(s))),
+            "q_manifold_lifts": (q_manifold_lifts, dict(chart=q_manifold_chart(1),
+                                                        coeff_degree_bound=1)),
+            "r_ary_bracket": (densalg.r_ary_bracket, dict(S=s.body, args=[C["x"], C["y"]])),
+            "restrict_to_base": (densalg.restrict_to_base, dict(f=f + C["x"])),
+            "supertrace_extension": (densalg.supertrace_extension, dict(g=g)),
+            "LieAlgebraData.from_dict": (LieAlgebraData.from_dict, dict(
+                d={"dimension": 2, "constants": [[1, 2, 2, 1], [2, 1, 2, -1]]})),
+            "transform_density": (densalg.transform_density, dict(
+                s=s, change=change, strict_orientation=True)),
+            "transform_hatted": (densalg.transform_hatted, dict(
+                S=densalg.lift(s), change=change, strict_orientation=True)),
+            "Chart.__getitem__": (C.__getitem__, dict(name="x")),
+            "Chart.const": (C.const, dict(c=Fraction(-2, 3))),
+            "Chart.key_fiber_degree": (C.key_fiber_degree, dict(key=C.zero_key)),
+            "Chart.key_parity": (C.key_parity, dict(key=C.zero_key)),
+            "Chart.key_weight": (C.key_weight, dict(key=C.zero_key)),
+            "Chart.power_key": (C.power_key, dict(index=0, exp=2)),
+            "Chart.sum": (C.sum, dict(polys=[C["x"], f])),
+            "Chart.t_power": (H.t_power, dict(lam=Fraction(-1, 2))),
+            "Chart.var": (C.var, dict(name="#x")),
+            "SPoly.coefficient": (f.coefficient, dict(key=C.zero_key)),
+            "SPoly.derive_left": (f.derive_left, dict(v=C.var("#y"))),
+            "SPoly.derive_right": (f.derive_right, dict(v=C.var("#y"))),
+            "SPoly.partials": (f.partials, dict(left=False)),
+            "SPoly.substitute": (f.substitute, dict(images={C.var("x"): C["y"]}, target=C)),
+            "SPoly.transport": (f.transport, dict(target=H, t=Fraction(1, 3), tstar=1)),
+        }
+
+    def test_every_public_parameter_sweep(self):
+        # each number, string, sequence, map and polynomial parameter of every
+        # public callable, and of the public methods of Chart and SPoly, takes
+        # each hostile value with valid arguments in every other slot
+        calls = self.sweep_calls()
+        public = {name for name in densalg.__all__ if callable(getattr(densalg, name))
+                  and not inspect.ismodule(getattr(densalg, name))}
+        exempt = self.RECORDS | {name for name in public
+                                 if issubclass(type(getattr(densalg, name)), type)
+                                 and issubclass(getattr(densalg, name), BaseException)}
+        methods = {"%s.%s" % (cls.__name__, name) for cls in (Chart, densalg.SPoly)
+                   for name, member in vars(cls).items()
+                   if callable(member) and (not name.startswith("_") or name == "__getitem__")
+                   and inspect.signature(member).parameters.keys() - {"self"}}
+        assert set(calls) == (public - exempt) | methods | {"LieAlgebraData.from_dict"}
+        failures = []
+        for i, v in enumerate(hostile_values(random.Random(29))):
+            for name, (call, valid) in calls.items():
+                assert set(valid) == set(inspect.signature(call).parameters), name
+                if i == 0:
+                    call(**valid)  # the valid arguments are valid
+                fed = {param for param, value in valid.items()
+                       if not isinstance(value, self.OBJECT_TYPES) and param not in self.CHART_OWN}
+                for param in fed:
+                    try:
+                        call(**{**valid, param: v})
+                    except DensalgError:
+                        pass
+                    except Exception as exc:  # a value past the int/str digit limit has no repr
+                        failures.append("%s(%s=value %d): %s" % (name, param, i, type(exc).__name__))
+        assert failures == []
 
 
 TOUR = Path(__file__).resolve().parent.parent / "demos" / "tour.dsl"
