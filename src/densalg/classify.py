@@ -22,6 +22,7 @@ once, off the modular vector field div(pi) of its Lie-Poisson element pi.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
@@ -349,7 +350,10 @@ class LieAlgebraData:
                 )
 
     def c(self, i, j, k):
-        return self.constants.get((i, j, k), Fraction(0))
+        """C^{ij}_k, with 0-based indices."""
+        top = self.dimension - 1
+        return self.constants.get(
+            tuple(_integer(a, "structure constant index", top) for a in (i, j, k)), Fraction(0))
 
     @classmethod
     def from_dict(cls, d):
@@ -370,12 +374,18 @@ class LieAlgebraData:
 
     @classmethod
     def from_json(cls, path):
-        """Read a JSON file; a missing, unreadable or malformed one is a DomainError.
-        A decode error is a ValueError, as is every DensalgError of `from_dict`."""
+        """Read a JSON file at `path`, a str, bytes or os.PathLike (a number
+        would name an open file descriptor); a missing, unreadable or malformed
+        file is a DomainError.  A decode error is a ValueError, as is every
+        DensalgError of `from_dict`, and nesting past the recursion limit is a
+        RecursionError."""
+        if not isinstance(path, (str, bytes, os.PathLike)):
+            raise DomainError("a Lie algebra file path is a string or path object, got %s"
+                              % type(path).__name__)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh, parse_float=Fraction))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise DomainError("bad Lie algebra file %s: %s" % (path, exc)) from None
 
     def chart(self):

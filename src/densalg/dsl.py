@@ -46,6 +46,7 @@ from .classify import (
 from .lift import (
     CoordinateChange,
     DensityElement,
+    OrientationError,
     lift,
     transform_density,
     transform_hatted,
@@ -324,7 +325,9 @@ class Interpreter:
     """Executes a Script statement by statement.
 
     Output lines accumulate in `self.lines`; `self.failures` counts FAIL
-    verdicts from verification commands.
+    verdicts from verification commands.  With `strict_orientation` set,
+    `transform` refuses an orientation-reversing change (det J < 0) with an
+    OrientationError; this is the only place that policy lives.
     """
 
     def __init__(self, json_output=False, strict_orientation=False):
@@ -530,11 +533,11 @@ class Interpreter:
         self.failures += phi is None
 
     def transform(self, f, change):
+        if self.strict_orientation and change.jac_det < 0:
+            raise OrientationError("orientation-reversing change in strict mode")
         if f.chart.hatted:
-            return transform_hatted(f, change, self.strict_orientation)
-        return transform_density(
-            DensityElement(f, Fraction(0)), change, self.strict_orientation
-        ).body
+            return transform_hatted(f, change)
+        return transform_density(DensityElement(f, Fraction(0)), change).body
 
 
 # command -> (signature, run(interpreter, *arguments)); a run that returns a

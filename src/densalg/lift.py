@@ -9,7 +9,10 @@ commutes with the odd bracket and with coordinate changes, which
 prepares one substitution, which also yields det J as the image of the odd
 fiber coordinates' product, and has one law, `transform_density`, for every
 density and tail: a tail t^a #t^b of a hatted element has weight a - b, and
-its body transforms at that weight.
+its body transforms at that weight.  Densities transform by |det J|^weight,
+so orientation never enters the calculus: refusing an orientation-reversing
+change is a policy of the caller, who compares `jac_det` with 0, as the DSL's
+strict mode does.
 """
 from __future__ import annotations
 
@@ -108,16 +111,17 @@ def lift_commutes_check(s: DensityElement, u: DensityElement) -> SPoly:
 
 
 class OrientationError(DomainError):
-    pass
+    """An orientation-reversing change refused by the DSL's strict mode."""
 
 
 class CoordinateChange:
     """Invertible polynomial map between two all-even unhatted charts.
 
-    `forward` expresses each old base coordinate as a polynomial in the new
-    chart's base coordinates; `inverse` is the exact inverse map.  Such a map
-    has a nonzero rational constant Jacobian determinant `jac_det`, read off
-    the fiber images: #x_old^1...#x_old^n maps to (1/det J) #x_new^1...#x_new^n.
+    `forward` maps each old base coordinate's name to a polynomial in the new
+    chart's base coordinates; `inverse` is the exact inverse map, keyed by the
+    new names.  Each key is read through `Chart.var`.  Such a map has a
+    nonzero rational constant Jacobian determinant `jac_det`, read off the
+    fiber images: #x_old^1...#x_old^n maps to (1/det J) #x_new^1...#x_new^n.
     `images` maps every old unhatted variable to the new chart: base
     coordinates through `forward`, fiber coordinates as parity reversed
     momenta, #x_old^a -> sum_b (d x_new^b/d x_old^a) #x_new^b with the
@@ -136,10 +140,8 @@ class CoordinateChange:
         self.source = source
         self.target = target
         maps = "forward and inverse are maps from coordinates to polynomials"
-        self.forward = {source.var(k) if isinstance(k, str) else k: v
-                        for k, v in _map(forward, maps).items()}
-        self.inverse = {target.var(k) if isinstance(k, str) else k: v
-                        for k, v in _map(inverse, maps).items()}
+        self.forward = {source.var(k): v for k, v in _map(forward, maps).items()}
+        self.inverse = {target.var(k): v for k, v in _map(inverse, maps).items()}
         sb = [v for v, _ in source.base_pairs()]
         tb = [v for v, _ in target.base_pairs()]
         if set(self.forward) != set(sb) or set(self.inverse) != set(tb):
@@ -166,14 +168,8 @@ class CoordinateChange:
         c, = top.terms.values()
         self.jac_det = 1 / _frac(c)
 
-    def abs_det(self, strict_orientation=False):
-        """|det J|; an orientation-reversing change raises in strict mode."""
-        if self.jac_det < 0 and strict_orientation:
-            raise OrientationError("orientation-reversing change in strict mode")
-        return abs(self.jac_det)
 
-
-def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=False) -> SPoly:
+def transform_hatted(S: SPoly, change: CoordinateChange) -> SPoly:
     """Express S, living on the source hatted chart, in the target hatted chart.
 
     Each body of S.tails() transforms by `transform_density` at its tail's
@@ -182,7 +178,6 @@ def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=Fals
     zero for the constant det J a change has.
     """
     _on(S, change.source.hatted_version(), "S must live on the hatted source chart")
-    change.abs_det(strict_orientation)  # a zero S is judged too
     htgt = change.target.hatted_version()
     return htgt.sum(
         transform_density(DensityElement(body, a - b), change).body.transport(htgt, a, b)
@@ -190,12 +185,12 @@ def transform_hatted(S: SPoly, change: CoordinateChange, strict_orientation=Fals
     )
 
 
-def transform_density(s: DensityElement, change: CoordinateChange, strict_orientation=False) -> DensityElement:
+def transform_density(s: DensityElement, change: CoordinateChange) -> DensityElement:
     """Pull a weighted multivector through a coordinate change.
 
     The body picks up |det J|^weight and its variables map by the change's
     prepared `substitution` of `images` (no w-term on the unhatted bundle).
     """
     _on(s.body, change.source, "density lives on the wrong chart")
-    absJ = change.abs_det(strict_orientation)
+    absJ = abs(change.jac_det)
     return DensityElement(rational_power(absJ, s.weight) * change.substitution(s.body), s.weight)

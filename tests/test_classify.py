@@ -1,6 +1,7 @@
 """Classification of Poisson lifts, Lie algebra examples, and worked cases."""
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -667,6 +668,32 @@ class TestLieAlgebra:
         for index in (2, -1):
             with pytest.raises(DomainError, match="index out of range"):
                 LieAlgebraData(2, None, [(0, index, 1, 1)])
+
+    def test_constant_lookup_reads_its_indices(self):
+        so3 = LieAlgebraData(3, None, [(0, 1, 2, 1), (1, 0, 2, -1), (1, 2, 0, 1),
+                                       (2, 1, 0, -1), (2, 0, 1, 1), (0, 2, 1, -1)])
+        assert (so3.c(0, 1, 2), so3.c(1, 0, 2), so3.c(Fraction(2), 2, 2)) == (1, -1, 0)
+        with pytest.raises(DomainError, match="structure constant index must be an integer, got list"):
+            so3.c([1], 0, 0)
+        with pytest.raises(DomainError, match=r"structure constant index must be in 0\.\.2, got 3"):
+            so3.c(3, 0, 0)
+
+    def test_from_json_path_is_a_string_or_path_object(self, tmp_path):
+        # open() takes an int as a file descriptor, which it reads and closes:
+        # a number is refused before open(), and a descriptor stays open
+        path = tmp_path / "so3.json"
+        path.write_text('{"dimension": 3, "constants": []}')
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for bad in (fd, None, 1.5, [1], 10 ** 5000):
+                with pytest.raises(DomainError, match="a Lie algebra file path is a string or "
+                                                     "path object, got %s" % type(bad).__name__):
+                    LieAlgebraData.from_json(bad)
+            os.fstat(fd)
+        finally:
+            os.close(fd)
+        for good in (str(path), os.fsencode(path), path):
+            assert LieAlgebraData.from_json(good).dimension == 3
 
     @pytest.mark.parametrize("args, message", [
         ((Fraction(10 ** 5000 + 1, 2),), "dimension must be an integer, got about 10^5000"),

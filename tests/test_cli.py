@@ -589,6 +589,15 @@ class TestCommands:
         assert "g.dsl: 1:1: " in err and "big.json" in err
         assert "the dimension must be in 0..4096, got 1000000000000" in err
 
+    def test_liealg_file_nested_too_deeply(self, tmp_path, capsys, monkeypatch):
+        # the file is at fault, not the script: a domain error that names it
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "deep.json", "[" * 100000)
+        script = write(tmp_path, "g.dsl", 'liealg("deep.json")\n')
+        code, out, err = run_cli(capsys, [script])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("densalg: %s: 1:1: bad Lie algebra file deep.json: " % script)
+
     def test_classify_darboux(self, tmp_path, capsys):
         script = write(tmp_path, "c.dsl", """
             chart P { even p, x }
@@ -623,6 +632,36 @@ class TestCommands:
         assert code == EXIT_DOMAIN
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_OK
+
+    # a hatted element, lift(x^2*#x, 2) as printed, and a zero polynomial
+    @pytest.mark.parametrize("value", ["x^2*#x*t^2 - 2*x*t^2*w", "0"], ids=["hatted", "zero"])
+    def test_strict_orientation_refuses_at_transform(self, tmp_path, capsys, value):
+        script = write(tmp_path, "o.dsl", """
+            chart A { even x }
+            chart B { even u }
+            change R : A -> B { forward { x = 0 - u } inverse { u = 0 - x } }
+            chart AH hatted { even x }
+            let L = %s
+            transform(L, R)
+        """ % value)
+        code, out, err = run_cli(capsys, [script, "--strict-orientation"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "densalg: %s: 7:13: orientation-reversing change in strict mode\n" % script
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_OK and out.startswith("transform = ")  # |det J| = 1
+
+    def test_strict_orientation_keeps_preserving_change(self, tmp_path, capsys):
+        script = write(tmp_path, "p.dsl", """
+            chart B { even u }
+            chart A { even x }
+            change P : A -> B { forward { x = 2*u } inverse { u = x/2 } }
+            transform(x^2*#x, P)
+            chart AH hatted { even x }
+            transform(x^2*#x*t^2, P)
+        """)
+        code, out, err = run_cli(capsys, [script, "--strict-orientation"])
+        assert (code, out, err) == (EXIT_OK, "transform = 2*u^2*#u\ntransform = 8*u^2*#u*t^2\n", "")
+        assert run_cli(capsys, [script]) == (code, out, err)
 
 
 def _text_of(record):
@@ -963,7 +1002,8 @@ class TestErrorModel:
 
     def sweep_calls(self):
         """{name: (callable, {parameter: valid value})} for every public callable
-        and every public method of Chart and SPoly that takes a parameter."""
+        and every public method of Chart, SPoly, LieAlgebraData, KernelBasis and
+        CoordinateChange that takes a parameter."""
         C = Chart([("x", EVEN), ("y", EVEN)], name="C")
         H = C.hatted_version()
         B = Chart([("u", EVEN), ("v", EVEN)], name="B")
@@ -1012,12 +1052,12 @@ class TestErrorModel:
             "r_ary_bracket": (densalg.r_ary_bracket, dict(S=s.body, args=[C["x"], C["y"]])),
             "restrict_to_base": (densalg.restrict_to_base, dict(f=f + C["x"])),
             "supertrace_extension": (densalg.supertrace_extension, dict(g=g)),
+            "LieAlgebraData.c": (g.c, dict(i=0, j=1, k=1)),
             "LieAlgebraData.from_dict": (LieAlgebraData.from_dict, dict(
                 d={"dimension": 2, "constants": [[1, 2, 2, 1], [2, 1, 2, -1]]})),
-            "transform_density": (densalg.transform_density, dict(
-                s=s, change=change, strict_orientation=True)),
-            "transform_hatted": (densalg.transform_hatted, dict(
-                S=densalg.lift(s), change=change, strict_orientation=True)),
+            "LieAlgebraData.from_json": (LieAlgebraData.from_json, dict(path=str(SO3))),
+            "transform_density": (densalg.transform_density, dict(s=s, change=change)),
+            "transform_hatted": (densalg.transform_hatted, dict(S=densalg.lift(s), change=change)),
             "Chart.__getitem__": (C.__getitem__, dict(name="x")),
             "Chart.const": (C.const, dict(c=Fraction(-2, 3))),
             "Chart.key_fiber_degree": (C.key_fiber_degree, dict(key=C.zero_key)),
@@ -1037,19 +1077,22 @@ class TestErrorModel:
 
     def test_every_public_parameter_sweep(self):
         # each number, string, sequence, map and polynomial parameter of every
-        # public callable, and of the public methods of Chart and SPoly, takes
-        # each hostile value with valid arguments in every other slot
+        # public callable, and of the public methods of Chart, SPoly,
+        # LieAlgebraData, KernelBasis and CoordinateChange, takes each hostile
+        # value with valid arguments in every other slot
         calls = self.sweep_calls()
         public = {name for name in densalg.__all__ if callable(getattr(densalg, name))
                   and not inspect.ismodule(getattr(densalg, name))}
         exempt = self.RECORDS | {name for name in public
                                  if issubclass(type(getattr(densalg, name)), type)
                                  and issubclass(getattr(densalg, name), BaseException)}
-        methods = {"%s.%s" % (cls.__name__, name) for cls in (Chart, densalg.SPoly)
-                   for name, member in vars(cls).items()
-                   if callable(member) and (not name.startswith("_") or name == "__getitem__")
-                   and inspect.signature(member).parameters.keys() - {"self"}}
-        assert set(calls) == (public - exempt) | methods | {"LieAlgebraData.from_dict"}
+        classes = (Chart, densalg.SPoly, LieAlgebraData, densalg.KernelBasis,
+                   densalg.CoordinateChange)
+        methods = {"%s.%s" % (cls.__name__, name) for cls in classes for name in vars(cls)
+                   if callable(getattr(cls, name))  # a classmethod too
+                   and (not name.startswith("_") or name == "__getitem__")
+                   and inspect.signature(getattr(cls, name)).parameters.keys() - {"self"}}
+        assert set(calls) == (public - exempt) | methods
         failures = []
         for i, v in enumerate(hostile_values(random.Random(29))):
             for name, (call, valid) in calls.items():

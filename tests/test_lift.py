@@ -15,6 +15,7 @@ from densalg import (
     EVEN,
     ODD,
     SubstitutionError,
+    UnknownVariableError,
     WeightOneError,
     antibracket,
     base_bracket,
@@ -26,7 +27,6 @@ from densalg import (
     transform_density,
     transform_hatted,
 )
-from densalg.lift import OrientationError
 from densalg.printing import poly_to_text
 from densalg.spoly import _Substitution
 from conftest import hatted_poly, random_poly, reference_substitute
@@ -394,16 +394,11 @@ class TestCoordinateChanges:
         ch = CoordinateChange(src, tgt, {"x": -tgt["u"]}, {"u": -src["x"]})
         assert ch.jac_det == -1
         s = DensityElement(src["x"], Fraction(2))
-        # permissive mode uses |det J|
+        # the API always uses |det J|; refusing the change is the DSL's strict
+        # mode, tested through the CLI
         assert transform_density(s, ch).body == -tgt["u"]
-        with pytest.raises(OrientationError):
-            transform_density(s, ch, strict_orientation=True)
-        with pytest.raises(OrientationError):
-            transform_hatted(lift(s), ch, strict_orientation=True)
-        zero = src.hatted_version().zero()  # a zero S has no tails, but is judged too
+        zero = src.hatted_version().zero()
         assert transform_hatted(zero, ch) == tgt.hatted_version().zero()
-        with pytest.raises(OrientationError):
-            transform_hatted(zero, ch, strict_orientation=True)
 
     def test_transform_hatted_matches_substitution(self, rng):
         # tail by tail equals one substitution of the whole element with
@@ -450,6 +445,10 @@ class TestCoordinateChanges:
         # forward x = u + v^2 against the identity inverse: x + y^2 comes back
         with pytest.raises(DomainError, match="not exact for x"):
             CoordinateChange(src, tgt, {"x": tgt["u"] + tgt["v"] ** 2, "y": tgt["v"]}, inverse)
+        # every key is a coordinate name, read through Chart.var
+        for key, message in ((src.var("x"), "no variable Variable"), ("z", "no variable 'z'")):
+            with pytest.raises(UnknownVariableError, match=message):
+                CoordinateChange(src, tgt, {key: tgt["u"], "y": tgt["v"]}, inverse)
 
     def test_transforms_need_the_source_chart(self):
         src = Chart([("x", EVEN)], name="s")
