@@ -14,7 +14,13 @@ and drops a partial candidate once an identity whose fields are all fixed
 rejects it.  A bracket (f, g) runs f's `_bracket_plan`, each right partial of f
 with its partner slot and sign, against g's left `_partial_rows` and sums the
 products into one term map (`spoly._mul_into`); `classify_lifts` builds one
-plan of s for every column.  A divergence strips both variables of each
+plan of s for every column.  The plan has two parts.  Its core, `_plan_core`,
+is convention-free: each right partial's rows, partner slot and sign cell,
+which records parity(q), the parity of f's part and which of the two bracket
+terms the product feeds.  `_bracket_plan` maps conv's four `bracket_signs`
+pairs onto those cells on every call.  f keeps its core and g its left
+partials (see `spoly`), so the samples of the pin are derived once for all
+candidate conventions.  A divergence strips both variables of each
 pair from each term in one pass.  Against a density c t^mu |D(x,t)| it gains
 mu t^-1 d_#t f in that pass, and delta is the divergence against t^-2.
 """
@@ -92,28 +98,42 @@ PINNED = SignConvention(
 )
 
 
+def _plan_core(f):
+    """f's side of every bracket (f, g) under any convention, built on first
+    use and kept on f: per nonzero right partial of a parity part of f, its
+    `_rows`, the partner slot to derive g by and its sign cell
+    4 parity(q) + 2 parity(part) + term, term 0 for (d_r f/dq)(d_l g/dq*) and
+    1 for (d_r f/dq*)(d_l g/dq)."""
+    if f._plan_core is None:
+        core = []
+        for part, fp in zip(f.parity_components(), (EVEN, ODD)):
+            if not part:
+                continue
+            df = _partial_rows(f.chart, part.terms, False)
+            for q, qs, a in f.chart.pair_slots:
+                cell = 4 * a + 2 * fp
+                if q in df:
+                    core.append((df[q], qs, cell))
+                if qs in df:
+                    core.append((df[qs], q, cell + 1))
+        f._plan_core = core
+    return f._plan_core
+
+
 def _bracket_plan(f, conv):
-    """f's side of every bracket (f, g): per nonzero right partial of a parity
-    part of f, its `_rows`, the partner slot to derive g by and the sign."""
-    plan = []
-    for part, fp in zip(f.parity_components(), (EVEN, ODD)):
-        if not part:
-            continue
-        df = _partial_rows(f.chart, part.terms, False)
-        signs = (conv.bracket_signs(EVEN, fp), conv.bracket_signs(ODD, fp))
-        for q, qs, a in f.chart.pair_slots:
-            s1, s2 = signs[a]
-            if q in df:
-                plan.append((df[q], qs, s1 < 0))
-            if qs in df:
-                plan.append((df[qs], q, s2 < 0))
-    return plan
+    """f's side of every bracket (f, g) under conv: each entry of its
+    `_plan_core` with its sign cell mapped to whether conv negates it."""
+    negate = [s < 0 for a in (EVEN, ODD) for fp in (EVEN, ODD) for s in conv.bracket_signs(a, fp)]
+    return [(rows, slot, negate[cell]) for rows, slot, cell in _plan_core(f)]
 
 
 def _bracket_from(plan, g):
     """The bracket (f, g) from f's `_bracket_plan`, accumulated in one term
-    map; a product one of whose derivatives is zero is skipped."""
-    dg = _partial_rows(g.chart, g.terms, True)
+    map; a product one of whose derivatives is zero is skipped.  g's left
+    `_partial_rows` are built on first use and kept on g."""
+    if g._left_rows is None:
+        g._left_rows = _partial_rows(g.chart, g.terms, True)
+    dg = g._left_rows
     terms = {}
     for df, slot, negate in plan:
         if slot in dg:

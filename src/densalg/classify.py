@@ -209,6 +209,8 @@ def _exponent_vectors(variables, budget, exact):
     it only the even ones count and they sum to at most `budget` (a
     coefficient degree).
     """
+    if budget < 0:  # an odd variable offers exponent 1 past the budget
+        return
     if not variables:
         if not exact or budget == 0:
             yield ()

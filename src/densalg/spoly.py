@@ -22,6 +22,13 @@ flag), and `_partial_rows` gives every partial of a term map as rows in one pass
 A `_Substitution` checks its images once and keeps the rows of their powers
 for many polynomials; `SPoly.substitute` prepares one and applies it once,
 and each coordinate change keeps one for every density and tail it transforms.
+An SPoly keeps two convention-free bracket tables, None until `brackets`
+builds them on first use: the core of its `_bracket_plan` and the left
+`_partial_rows` that `_bracket_from` reads.  One build serves every later
+bracket, under any convention, that has the polynomial as an operand.  They
+cost memory, about one row per term and variable it holds, for as long as
+the polynomial lives, and stay valid as no code writes to the `terms` of a
+built SPoly.
 A hatted polynomial is a sum of unhatted bodies times (t, #t) tails t^a #t^b,
 of weight a - b, on their right: `SPoly.transport` attaches a tail to a body
 and `SPoly.tails` splits a polynomial into its tails.
@@ -490,11 +497,12 @@ def _strip(key, i, coeff, mask, left):
 class SPoly:
     """Sparse supercommutative polynomial over a chart, exact coefficients."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_plan_core", "_left_rows")  # the last two: bracket tables
 
     def __init__(self, chart, terms):
         self.chart = chart
         self.terms = terms
+        self._plan_core = self._left_rows = None
 
     def is_zero(self):
         return not self.terms

@@ -185,18 +185,31 @@ class TestBracketIdentities:
 
     def test_every_bracket_field_against_reference(self, chart):
         # all 256 values of the two bracket fields on seeded pairs, f of mixed
-        # parity on a chart with even and odd pairs
+        # parity on a chart with even and odd pairs, and on a hatted pair with
+        # t^(1/2), #t and f of mixed parity.  The same operands are walked
+        # ascending, then under PINNED, then descending: the tables they keep
+        # from their first bracket serve every later convention
         rng = random.Random(SEED)
         pairs = [
             (random_poly(rng, chart, EVEN, 2) + random_poly(rng, chart, ODD, 2),
              random_poly(rng, chart, n_terms=2))
             for _ in range(2)
         ]
+        h = chart.hatted_version()
+        half = h.t_power(Fraction(1, 2))
+        f = h["x"] * half * h["#t"] + Fraction(3, 2) * h["xi"] * h["#x"] * half + h["#xi"] * h["y"]
+        g = h["#x"] * h.t_power(Fraction(3, 2)) + h["eta"] * h["#t"] * h["x"] + h["#y"] * half * h["#t"]
+        assert f.parity() is MIXED and antibracket(f, g)
+        cases = [(chart, f, g) for f, g in pairs] + [(h, f, g)]
         bits = list(itertools.product((0, 1), repeat=4))
-        for c, b in itertools.product(bits, bits):
+        walk = list(itertools.product(bits, bits))
+        expected = {}  # the oracle's bracket per field values and case, computed once
+        for c, b in walk + [(PINNED.term_q_qstar, PINNED.term_qstar_q)] + walk[::-1]:
             conv = replace(PINNED, term_q_qstar=c, term_qstar_q=b)
-            for f, g in pairs:
-                assert antibracket(f, g, conv) == reference_bracket(chart, f, g, conv)
+            for i, (on, f, g) in enumerate(cases):
+                if (c, b, i) not in expected:
+                    expected[c, b, i] = reference_bracket(on, f, g, conv)
+                assert antibracket(f, g, conv) == expected[c, b, i]
         # every (field, parity(q), parity(f)) sign cell shows: flipping it
         # alone changes a bracket
         cells = {(0, 0): (1, 1, 1, 1), (1, 0): (0, 1, 0, 1), (0, 1): (0, 0, 1, 1),

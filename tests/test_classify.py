@@ -471,9 +471,9 @@ class TestClassification:
     def test_one_table_of_s_per_classification(self, monkeypatch):
         # s's right partial rows are built once per call, not once per column,
         # and a column's left derivatives are read off its key: the one left
-        # table is s's own, for the master check
+        # table is s's own, for the master check.  s keeps both, so a second
+        # classification of the same s builds none
         C = Chart([(name, EVEN) for name in ("p1", "p2", "x1", "x2")])
-        s = DensityElement(darboux_form(C), Fraction(0))
         partial_rows = brackets._partial_rows
         tables = []
 
@@ -482,12 +482,16 @@ class TestClassification:
             return partial_rows(chart, terms, left)
 
         monkeypatch.setattr(brackets, "_partial_rows", counted)
-        columns = []
+        bases = []
         for bound in (1, 3):
+            s = DensityElement(darboux_form(C), Fraction(0))
             tables.append([0, 0])  # right, left
-            columns.append(len(classify_lifts(s, bound).ansatz))
-        assert columns[0] < columns[1]
-        assert tables[0] == tables[1] == [1, 1]
+            bases.append(classify_lifts(s, bound))
+        assert len(bases[0].ansatz) < len(bases[1].ansatz)
+        assert tables == [[1, 1], [1, 1]]
+        tables.append([0, 0])
+        assert classify_lifts(s, 3).vectors == bases[1].vectors
+        assert tables[-1] == [0, 0]
 
     def test_huge_ansatz_rejected(self):
         # the columns are counted before any is enumerated: a huge bound, or
@@ -557,6 +561,22 @@ class TestClassification:
                         assert got == reference_monomial_ansatz(C, fiber_degree, bound, parity)
                         lengths.add(len(got))
         assert 0 in lengths and len(lengths) > 10  # empty results occur too
+
+    def test_ansatz_stops_at_its_budget(self, monkeypatch):
+        # 16 odd fiber coordinates at fiber degree 1: the enumeration returns as
+        # soon as a pattern exceeds the degree, not after all 2^16 patterns
+        C = Chart([("x%d" % i, EVEN) for i in range(16)])
+        vectors = classify_module._exponent_vectors
+        calls = [0]
+
+        def counted(variables, budget, exact):
+            calls[0] += 1
+            return vectors(variables, budget, exact)
+
+        monkeypatch.setattr(classify_module, "_exponent_vectors", counted)
+        got = monomial_ansatz(C, 1, 0, ODD)
+        assert calls[0] < 400
+        assert len(got) == 16 and got == reference_monomial_ansatz(C, 1, 0, ODD)
 
     def test_odd_s_flagged_mode(self, small_chart):
         C = small_chart
