@@ -11,18 +11,18 @@ docs/convention_ledger.txt.  Each identity reads only some of the sign
 fields, and one call judges it once per distinct value of those fields, on
 samples drawn once for all candidates; the pin fixes the fields one at a time
 and drops a partial candidate once an identity whose fields are all fixed
-rejects it.  A bracket (f, g) runs f's `_bracket_plan`, each right partial of f
-with its partner slot and sign, against g's left `_partial_rows` and sums the
-products into one term map (`spoly._mul_into`); `classify_lifts` builds one
-plan of s for every column.  The plan has two parts.  Its core, `_plan_core`,
-is convention-free: each right partial's rows, partner slot and sign cell,
-which records parity(q), the parity of f's part and which of the two bracket
-terms the product feeds.  `_bracket_plan` maps conv's four `bracket_signs`
-pairs onto those cells on every call.  f keeps its core and g its left
-partials (see `spoly`), so the samples of the pin are derived once for all
-candidate conventions.  A divergence strips both variables of each
-pair from each term in one pass.  Against a density c t^mu |D(x,t)| it gains
-mu t^-1 d_#t f in that pass, and delta is the divergence against t^-2.
+rejects it.  A bracket (f, g) runs f's `_plan_core`, each right partial of f
+with its partner slot and sign cell, against g's left `_partial_rows` and sums
+the products into one term map (`spoly._mul_into`); `classify_lifts` reads
+the core of s for every column.  The core is convention-free: a sign cell
+records parity(q), the parity of f's part and which of the two bracket terms
+the product feeds, and a convention reaches the bracket as its eight
+`SignConvention.negations`, one bool per cell, computed once per convention.
+f keeps its core and g its left partials (see `spoly`), so the samples of
+the pin are derived once for all candidate conventions.  A divergence strips
+both variables of each pair from each term in one pass.  Against a density
+c t^mu |D(x,t)| it gains mu t^-1 d_#t f in that pass, and delta is the
+divergence against t^-2.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
 from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _strip
@@ -46,7 +47,9 @@ class SignConvention:
           + (-1)^e2(a, f) (d_r f / dq*)(d_l g / dq)
 
     with a = parity(q), f = parity(f), and e(a, f) = c0 + c1*a + c2*f + c3*a*f
-    for the four recorded bits.  The divergence of f is
+    for the four recorded bits.  `negations[4*a + 2*f + term]`, the sign
+    cells in that order, is whether e1 (term 0) or e2 (term 1) is odd at
+    (a, f); it is computed once per convention.  The divergence of f is
 
         div(f) = sum over base pairs of (-1)^(div_parity*a) d d f
 
@@ -68,12 +71,10 @@ class SignConvention:
                 raise DomainError("SignConvention.%s is none of its %d candidate values"
                                   % (name, len(values)))
 
-    def bracket_signs(self, a, fp):
-        c = self.term_q_qstar
-        b = self.term_qstar_q
-        s1 = -1 if (c[0] + c[1] * a + c[2] * fp + c[3] * a * fp) % 2 else 1
-        s2 = -1 if (b[0] + b[1] * a + b[2] * fp + b[3] * a * fp) % 2 else 1
-        return s1, s2
+    @cached_property
+    def negations(self):
+        return tuple(bool((c[0] + c[1] * a + c[2] * fp + c[3] * a * fp) % 2) for a in _BITS
+                     for fp in _BITS for c in (self.term_q_qstar, self.term_qstar_q))
 
 
 _BITS = (0, 1)
@@ -120,31 +121,25 @@ def _plan_core(f):
     return f._plan_core
 
 
-def _bracket_plan(f, conv):
-    """f's side of every bracket (f, g) under conv: each entry of its
-    `_plan_core` with its sign cell mapped to whether conv negates it."""
-    negate = [s < 0 for a in (EVEN, ODD) for fp in (EVEN, ODD) for s in conv.bracket_signs(a, fp)]
-    return [(rows, slot, negate[cell]) for rows, slot, cell in _plan_core(f)]
-
-
-def _bracket_from(plan, g):
-    """The bracket (f, g) from f's `_bracket_plan`, accumulated in one term
-    map; a product one of whose derivatives is zero is skipped.  g's left
-    `_partial_rows` are built on first use and kept on g."""
+def _bracket_from(f, g, negate):
+    """The bracket (f, g) from f's `_plan_core`, each sign cell negated where
+    `negate` says, accumulated in one term map; a product one of whose
+    derivatives is zero is skipped.  g's left `_partial_rows` are built on
+    first use and kept on g."""
     if g._left_rows is None:
         g._left_rows = _partial_rows(g.chart, g.terms, True)
     dg = g._left_rows
     terms = {}
-    for df, slot, negate in plan:
+    for df, slot, cell in _plan_core(f):
         if slot in dg:
-            _mul_into(terms, df, dg[slot], negate)
+            _mul_into(terms, df, dg[slot], negate[cell])
     return SPoly(g.chart, terms)
 
 
 def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
     """The canonical odd bracket on the chart, (t, #t) pair included."""
     _on(g, _on(f).chart, "bracket operands live on different charts")
-    return _bracket_from(_bracket_plan(f, conv), g)
+    return _bracket_from(f, g, conv.negations)
 
 
 def _div_pairs(f, pairs, conv, mu=0):

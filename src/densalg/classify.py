@@ -5,7 +5,7 @@ by Q * w with Q a multivector of one lower fiber degree; the master equation
 for the sum reduces to (s, Q) = 0.  `classify_lifts` slices that kernel at a
 finite coefficient-degree bound and solves the resulting homogeneous linear
 system exactly.  The system is sparse end to end: each column's image runs
-one `_bracket_plan` of s against derivatives read off the column's key, the
+the `_plan_core` of s against derivatives read off the column's key, the
 images are transposed into one {ansatz column: coefficient} row per monomial,
 and one sparse Gauss-Jordan elimination (`_rref`) reduces them, the rows
 that start leftmost last, as primitive integer rows: denominators are
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
 
-from .brackets import PINNED, DomainError, _bracket_from, _bracket_plan
+from .brackets import PINNED, DomainError, _bracket_from, _plan_core
 from .brackets import antibracket, divergence, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
 from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _integer, _mul_into, _num
@@ -271,8 +271,8 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         raise DomainError(
             "the coefficient degree bound must be a nonnegative integer, got %s" % _shown(bound)
         )
-    plan = _bracket_plan(s.body, PINNED)  # one plan of s serves every column
-    if _bracket_from(plan, s.body):
+    core, negate = _plan_core(s.body), PINNED.negations  # for every column
+    if _bracket_from(s.body, s.body, negate):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
         raise WeightOneError()
@@ -299,10 +299,10 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
             key, = q.terms  # one monomial, coefficient 1: its derivatives are read off the key
             mask = _odd_mask(s.chart.odd_bits, key)
             image = {}
-            for df, slot, negate in plan:
+            for df, slot, cell in core:
                 if key[slot]:
                     k, c = _strip(key, slot, 1, mask, True)
-                    _mul_into(image, df, [(k, c, mask & ~(1 << slot), False)], negate)
+                    _mul_into(image, df, [(k, c, mask & ~(1 << slot), False)], negate[cell])
             for mono, c in image.items():
                 rows.setdefault(mono, {})[col] = c
     vectors = nullspace(rows.values(), len(ansatz))

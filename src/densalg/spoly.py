@@ -23,12 +23,12 @@ A `_Substitution` checks its images once and keeps the rows of their powers
 for many polynomials; `SPoly.substitute` prepares one and applies it once,
 and each coordinate change keeps one for every density and tail it transforms.
 An SPoly keeps two convention-free bracket tables, None until `brackets`
-builds them on first use: the core of its `_bracket_plan` and the left
-`_partial_rows` that `_bracket_from` reads.  One build serves every later
-bracket, under any convention, that has the polynomial as an operand.  They
-cost memory, about one row per term and variable it holds, for as long as
-the polynomial lives, and stay valid as no code writes to the `terms` of a
-built SPoly.
+builds them on first use: its `_plan_core`, its side of every bracket with
+a sign cell in place of each sign, and the left `_partial_rows` that
+`_bracket_from` reads.  One build serves every later bracket, under any
+convention, that has the polynomial as an operand.  They cost memory, about
+one row per term and variable it holds, for as long as the polynomial lives,
+and stay valid as no code writes to the `terms` of a built SPoly.
 A hatted polynomial is a sum of unhatted bodies times (t, #t) tails t^a #t^b,
 of weight a - b, on their right: `SPoly.transport` attaches a tail to a body
 and `SPoly.tails` splits a polynomial into its tails.

@@ -396,3 +396,28 @@ def supertrace_of_ad(g):
         ad = [[g.c(j, i, k) for i in range(n)] for k in range(n)]
         out.append(sum((-1) ** g.parities[i] * ad[i][i] for i in range(n)))
     return tuple(out)
+
+
+def jacobian_structure(rng, chart, n_terms=3, degree=3):
+    """A 3D Jacobian Poisson structure, Poisson by construction: (s, C) with
+    C a random polynomial on the three base coordinates x, y, z of `chart`
+    (terms of degree at most `degree` in each, small integer coefficients,
+    redrawn until C is not constant) and
+
+        s = d_z C #y #x + d_x C #z #y + d_y C #x #z,
+
+    whose induced bracket is {x_i, x_j} = d_k C for cyclic (i, j, k) and which
+    has C as a Casimir."""
+    names = [name for name, _ in chart.base_coords]
+    s = chart.zero()
+    while not s:
+        C = chart.zero()
+        for _ in range(n_terms):
+            term = chart.const(rng.choice((-3, -2, -1, 1, 2, 3)))
+            for name in names:
+                term = term * chart[name] ** rng.randint(0, degree)
+            C = C + term
+        dx, dy, dz = (C.derive_left(chart.var(name)) for name in names)
+        xs, ys, zs = (chart["#" + name] for name in names)
+        s = dz * ys * xs + dx * zs * ys + dy * xs * zs
+    return s, C

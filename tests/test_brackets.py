@@ -2,7 +2,7 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -109,6 +109,44 @@ class TestConventionPinning:
         assert "no identity rejects" not in text
         # one forcing line per perturbable field
         assert text.count("forced by:") == 12
+
+
+class TestSignCells:
+    def test_negations_are_the_documented_exponents(self):
+        # cell 4 parity(q) + 2 parity(f) + term holds whether that term's
+        # exponent c0 + c1 a + c2 f + c3 a f is odd, for all 256 field values
+        bits = list(itertools.product((0, 1), repeat=4))
+        for c, b in itertools.product(bits, bits):
+            expected = []
+            for cell in range(8):
+                a, fp, term = cell >> 2, (cell >> 1) & 1, cell & 1
+                e = (c, b)[term]
+                expected.append(sum(bit * m for bit, m in zip(e, (1, a, fp, a * fp))) % 2 == 1)
+            conv = replace(PINNED, term_q_qstar=c, term_qstar_q=b)
+            assert conv.negations == tuple(expected)
+        # PINNED negates term 0 of odd f and term 1 of even f
+        assert PINNED.negations == (False, True, True, False) * 2
+
+    def test_negations_computed_once_per_convention(self):
+        conv = replace(PINNED, term_q_qstar=(1, 1, 0, 1))
+        assert conv.negations is conv.negations
+
+    def test_reading_negations_changes_no_dataclass_behaviour(self):
+        shown = ("SignConvention(term_q_qstar=(0, 0, 1, 0), term_qstar_q=(1, 0, 1, 0), "
+                 "div_parity=1, div_side='left', generator_sign=(0, 0))")
+        read = SignConvention((0, 0, 1, 0), (1, 0, 1, 0), 1, "left", (0, 0))
+        fresh = SignConvention((0, 0, 1, 0), (1, 0, 1, 0), 1, "left", (0, 0))
+        read.negations
+        assert repr(read) == repr(fresh) == repr(PINNED) == shown
+        assert read == fresh == PINNED and hash(read) == hash(fresh) == hash(PINNED)
+        assert read != replace(fresh, div_parity=0)
+        assert [f.name for f in fields(read)] == [
+            "term_q_qstar", "term_qstar_q", "div_parity", "div_side", "generator_sign"]
+        assert replace(read) == fresh
+        # a replaced convention computes its own cells
+        flipped = replace(read, term_qstar_q=(0, 0, 1, 0))
+        assert flipped.negations == (False, False, True, True) * 2
+        assert read.negations == PINNED.negations
 
 
 class TestBracketIdentities:

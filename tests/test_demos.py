@@ -1,4 +1,5 @@
-"""The demo scripts run cleanly against the package in `src/`."""
+"""The demo scripts run cleanly against the package in `src/` and print their
+recorded answers, `tests/data/<demo>.txt`, byte for byte."""
 import os
 import subprocess
 import sys
@@ -17,3 +18,4 @@ def test_demo_runs(demo):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
+    assert out.stdout == (ROOT / "tests" / "data" / (demo.stem + ".txt")).read_text()
