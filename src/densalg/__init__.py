@@ -15,7 +15,6 @@ from .brackets import (
     divergence_full,
     divergence_wrt,
     pin_convention,
-    project_base,
     r_ary_bracket,
     restrict_to_base,
 )
@@ -34,7 +33,6 @@ from .lift import (
 from .classify import (
     KernelBasis,
     LieAlgebraData,
-    LiftDecomposition,
     classify_lifts,
     decompose,
     density_evolution,

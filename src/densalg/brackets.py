@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, fields, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
@@ -216,17 +215,6 @@ def restrict_to_base(f: SPoly) -> SPoly:
     })
 
 
-def project_base(S: SPoly):
-    """Set #t to 0 and split by t-power into weighted components.
-
-    Returns a list of (body, weight) pairs over the unhatted chart, sorted by
-    weight; fiber variables of the hatted chart are re-read as plain fiber
-    variables.
-    """
-    _hatted_chart(S, "project_base")
-    return [(body, Fraction(t)) for (t, tstar), body in sorted(S.tails().items()) if not tstar]
-
-
 def r_ary_bracket(S: SPoly, args) -> SPoly:
     """{f_1 ... f_r} = restrict_to_base(((S, f_1), f_2), ..., f_r).
 
@@ -401,18 +389,19 @@ def _perturbations(conv):
     """Yield (label, convention) for each single-field change of conv.
 
     A tuple field changes one bit at a time (c0..c3 for the bracket terms,
-    s0 and s1 for the generator sign); div_parity flips and div_side swaps.
+    s0 and s1 for the generator sign); a two-valued field, div_parity or
+    div_side, takes its other candidate value from `_FIELD_VALUES`.
     """
-    for fld in fields(conv):
-        value = getattr(conv, fld.name)
+    for name, values in _FIELD_VALUES:
+        value = getattr(conv, name)
         if isinstance(value, tuple):
-            letter = "s" if fld.name == "generator_sign" else "c"
+            letter = "s" if name == "generator_sign" else "c"
             for i in range(len(value)):
                 bits = value[:i] + (value[i] ^ 1,) + value[i + 1:]
-                yield "%s bit %s%d" % (fld.name, letter, i), replace(conv, **{fld.name: bits})
+                yield "%s bit %s%d" % (name, letter, i), replace(conv, **{name: bits})
         else:
-            other = {0: 1, 1: 0, "left": "right", "right": "left"}[value]
-            yield fld.name, replace(conv, **{fld.name: other})
+            other, = (v for v in values if v != value)
+            yield name, replace(conv, **{name: other})
 
 
 def convention_ledger(seed=2024) -> str:

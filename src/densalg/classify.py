@@ -39,20 +39,14 @@ MAX_ANSATZ_COLUMNS = 1 << 16
 MAX_LIE_DIMENSION = 4096
 
 
-@dataclass(frozen=True)
-class LiftDecomposition:
-    base: DensityElement
-    q_part: SPoly  # the Q of S = lift(base) + Q * w
-
-
 def attach_correction(s: DensityElement, Q: SPoly) -> SPoly:
     """lift(s) + Q * t^(weight+1) * #t; at weight 0 this is lift(s) + Q*w."""
     _on(Q, s.chart, "Q must live on the unhatted chart of s")
     return lift(s) + Q.transport(s.chart.hatted_version(), s.weight + 1, 1)
 
 
-def decompose(S: SPoly, s: DensityElement) -> LiftDecomposition:
-    """Recover Q from S = lift(s) + Q * w.
+def decompose(S: SPoly, s: DensityElement) -> SPoly:
+    """Recover Q from S = lift(s) + Q * w, the inverse of `attach_correction`.
 
     S must project to exactly s; anything in the difference that is not a
     w-multiple of the right weight is rejected.
@@ -63,7 +57,7 @@ def decompose(S: SPoly, s: DensityElement) -> LiftDecomposition:
     Q = tails.pop((s.weight + 1, 1), s.chart.zero())
     if tails:
         raise DomainError("S - lift(s) is not of the form Q * w")
-    return LiftDecomposition(base=s, q_part=Q)
+    return Q
 
 
 def master_check(S: SPoly) -> SPoly:
@@ -330,7 +324,7 @@ class LieAlgebraData:
         self.names = _entries(names or ["x%d" % (i + 1) for i in range(self.dimension)],
                               self.dimension, "name list does not match the dimension")
         # rejects a parity other than 0 or 1 and a bad or repeated name
-        self._chart = Chart(list(zip(self.names, self.parities)), name="lie")
+        self.chart = Chart(list(zip(self.names, self.parities)), name="lie")
         table = {}
         constants = _entries(constants, None, "the structure constants are a list")
         for i, j, k, val in (_entries(c, 4, "a structure constant has 4 entries") for c in constants):
@@ -390,16 +384,13 @@ class LieAlgebraData:
         except (OSError, ValueError, RecursionError) as exc:
             raise DomainError("bad Lie algebra file %s: %s" % (path, exc)) from None
 
-    def chart(self):
-        return self._chart
-
 
 def lie_poisson(g: LieAlgebraData) -> DensityElement:
     """pi = 1/2 (-1)^p_i C^{ij}_k x^k x*_j x*_i at weight 0; the sign, +1 on an
     even algebra, makes (pi, pi) = 0 the super Jacobi identity of the constants.
     The derived bracket r_ary_bracket(pi, [x^i, x^j]) carries the orientation
     (-1)^{(f+1)(g+1)} of `r_ary_bracket`, so it reads (-1)^p_i C^{ij}_k x^k."""
-    chart = g.chart()
+    chart = g.chart
     pi = chart.sum(
         Fraction((-1) ** g.parities[i], 2) * v
         * (chart[g.names[k]] * chart["#" + g.names[j]] * chart["#" + g.names[i]])

@@ -32,7 +32,6 @@ from .brackets import (
     antibracket,
     delta_op,
     divergence,
-    project_base,
     r_ary_bracket,
 )
 from .classify import (
@@ -48,6 +47,7 @@ from .lift import (
     DensityElement,
     OrientationError,
     lift,
+    project_to_density,
     transform_density,
     transform_hatted,
 )
@@ -497,11 +497,11 @@ class Interpreter:
     # --- commands with their own output ---
 
     def project(self, f):
-        pieces = project_base(f)
+        pieces = project_to_density(f)
         self.emit({"label": "project",
-                   "components": [{"weight": str(lam), "poly": body} for body, lam in pieces]},
-                  lambda: ["project[weight %s] = %s" % (lam, poly_to_text(body))
-                           for body, lam in pieces] or ["project = 0"])
+                   "components": [{"weight": str(e.weight), "poly": e.body} for e in pieces]},
+                  lambda: ["project[weight %s] = %s" % (e.weight, poly_to_text(e.body))
+                           for e in pieces] or ["project = 0"])
 
     def master(self, s):
         residual = master_check(s)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .brackets import DomainError, antibracket, divergence, project_base
+from .brackets import DomainError, antibracket, divergence
 from .spoly import Chart, SPoly, _frac, _map, _on, _Substitution, rational_power
 
 
@@ -62,6 +62,7 @@ def lift(s: DensityElement) -> SPoly:
     """The unique delta-closed element above s, for weight != 1.
 
     Closed form: s(x, #x) t^lambda + 1/(1-lambda) t^(lambda+1) #t div(s).
+    `project_to_density` takes it back to [s]: it keeps the tails without #t.
     """
     lam = s.weight
     if lam == 1:
@@ -73,8 +74,10 @@ def lift(s: DensityElement) -> SPoly:
 
 
 def project_to_density(S: SPoly):
-    """project_base with DensityElement packaging."""
-    return [DensityElement(body, lam) for body, lam in project_base(S)]
+    """Set #t to 0 and split the hatted S by t-power: one DensityElement per
+    tail t^lambda, its body at weight lambda, sorted by weight."""
+    return [DensityElement(body, t) for (t, tstar), body in sorted(_on(S).tails().items())
+            if not tstar]
 
 
 def base_bracket(s: DensityElement, u: DensityElement) -> DensityElement:

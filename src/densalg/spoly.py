@@ -21,7 +21,8 @@ accumulate into one term map through `_mul_into`, sums through `_add_into`.
 flag), and `_partial_rows` gives every partial of a term map as rows in one pass.
 A `_Substitution` checks its images once and keeps the rows of their powers
 for many polynomials; `SPoly.substitute` prepares one and applies it once,
-and each coordinate change keeps one for every density and tail it transforms.
+its target the source chart unless another is named, and each coordinate
+change keeps one, target named, for every density and tail it transforms.
 An SPoly keeps two convention-free bracket tables, None until `brackets`
 builds them on first use: its `_plan_core`, its side of every bracket with
 a sign cell in place of each sign, and the left `_partial_rows` that
@@ -308,7 +309,7 @@ class Chart:
         # (q slot, q* slot, parity of q) for each pair, (t, #t) last
         self.pair_slots = tuple((i, n + i, p) for i, (_, p) in enumerate(base_coords)) + (
             ((2 * n, 2 * n + 1, EVEN),) if self.hatted else ())
-        self._n_base = n
+        self.n_base = n
         self._key = (self.base_coords, self.hatted)
         self._other = None  # see `_counterpart`
 
@@ -325,10 +326,6 @@ class Chart:
             "; hatted" if self.hatted else "",
         )
 
-    @property
-    def n_base(self):
-        return self._n_base
-
     def var(self, name):
         v = self.by_name.get(name) if isinstance(name, str) else None
         if v is None:
@@ -340,18 +337,12 @@ class Chart:
     def t_var(self):
         if not self.hatted:
             raise UnknownVariableError("chart is not hatted")
-        return self.variables[2 * self._n_base]
-
-    @property
-    def tstar_var(self):
-        if not self.hatted:
-            raise UnknownVariableError("chart is not hatted")
-        return self.variables[2 * self._n_base + 1]
+        return self.variables[2 * self.n_base]
 
     def base_pairs(self):
         """(x^a, x*_a) pairs, base coordinates only."""
         v = self.variables
-        return [(v[q], v[qs]) for q, qs, _ in self.pair_slots[:self._n_base]]
+        return [(v[q], v[qs]) for q, qs, _ in self.pair_slots[:self.n_base]]
 
     def hatted_version(self):
         return self if self.hatted else self._counterpart()
@@ -403,11 +394,11 @@ class Chart:
         return _odd_mask(self.odd_bits, key).bit_count() & 1
 
     def key_weight(self, key):
-        t = 2 * self._n_base
+        t = 2 * self.n_base
         return key[t] - key[t + 1] if self.hatted else 0
 
     def key_fiber_degree(self, key):
-        n = self._n_base
+        n = self.n_base
         return sum(key[n:2 * n]) + sum(key[2 * n + 1:])
 
 
@@ -628,12 +619,6 @@ class SPoly:
                 result[k] = c
         return SPoly(chart, result)
 
-    def partials(self, left):
-        """Every partial derivative from one pass over the terms, as
-        {variable index: derivative}; a variable no term holds has no entry."""
-        tables = _partial_rows(self.chart, self.terms, left)
-        return {i: SPoly(self.chart, {k: c for k, c, _, _ in rows}) for i, rows in tables.items()}
-
     # -- grading --
     def _grade(self, key_grade):
         if not self.terms:
@@ -667,8 +652,9 @@ class SPoly:
         """Simultaneous substitution.
 
         `images` maps Variables of this chart to SPoly values over `target`
-        (default: this chart).  Odd variables must get odd images, even
-        variables even images; `t` may only be rescaled by a positive rational.
+        (default: this chart, whichever chart the images live on).  Odd
+        variables must get odd images, even variables even images; `t` may
+        only be rescaled by a positive rational.
         A variable without an image keeps its factor on this chart and is a
         SubstitutionError on any other.  This prepares a `_Substitution` and
         applies it once; to substitute the same images into many polynomials,
@@ -723,16 +709,13 @@ class _Substitution:
     an image, c^e t^e for t -> c*t or a kept variable, are built on first use
     and kept.  Calling it multiplies each term's factors onto its coefficient in
     slot order, so the odd factors meet in chart order, and stops at a zero.
+    The target chart defaults to the source chart: an image on any other chart
+    needs the target named.
     """
 
     def __init__(self, chart, images, target=None):
         images = _map(images, "the images are a map from variables to polynomials")
-        if target is None:
-            target = chart
-            for img in images.values():
-                if isinstance(img, SPoly) and img.chart != chart:
-                    target = img.chart
-                    break
+        target = chart if target is None else target
         self.chart, self.target, self._keep = chart, target, target == chart
         self._images, self._powers, self._t_index, self._t_scale = {}, {}, None, None
         for v, img in images.items():

@@ -398,6 +398,18 @@ def supertrace_of_ad(g):
     return tuple(out)
 
 
+def random_base_poly(rng, chart, names, n_terms, degree):
+    """A random polynomial in the base coordinates `names` of `chart`: n_terms
+    terms, each a small integer times every coordinate to a power in 0..degree."""
+    f = chart.zero()
+    for _ in range(n_terms):
+        term = chart.const(rng.choice((-3, -2, -1, 1, 2, 3)))
+        for name in names:
+            term = term * chart[name] ** rng.randint(0, degree)
+        f = f + term
+    return f
+
+
 def jacobian_structure(rng, chart, n_terms=3, degree=3):
     """A 3D Jacobian Poisson structure, Poisson by construction: (s, C) with
     C a random polynomial on the three base coordinates x, y, z of `chart`
@@ -411,13 +423,28 @@ def jacobian_structure(rng, chart, n_terms=3, degree=3):
     names = [name for name, _ in chart.base_coords]
     s = chart.zero()
     while not s:
-        C = chart.zero()
-        for _ in range(n_terms):
-            term = chart.const(rng.choice((-3, -2, -1, 1, 2, 3)))
-            for name in names:
-                term = term * chart[name] ** rng.randint(0, degree)
-            C = C + term
+        C = random_base_poly(rng, chart, names, n_terms, degree)
         dx, dy, dz = (C.derive_left(chart.var(name)) for name in names)
         xs, ys, zs = (chart["#" + name] for name in names)
         s = dz * ys * xs + dx * zs * ys + dy * xs * zs
     return s, C
+
+
+def planar_structure(rng, chart, n_terms=3, degree=2):
+    """A sum of 2D Poisson structures on disjoint coordinate pairs, Poisson by
+    construction: the base coordinates of `chart`, all even, are taken in
+    consecutive pairs (x, y), and
+
+        s = sum over the pairs of f(x, y) #x #y
+
+    with each f a random polynomial in its pair alone (`random_base_poly`,
+    redrawn until f is not constant).  Every bivector on a plane is Poisson,
+    and two of them on disjoint coordinates bracket to zero."""
+    names = [name for name, _ in chart.base_coords]
+    s = chart.zero()
+    for x, y in zip(names[::2], names[1::2]):
+        f = chart.zero()
+        while not f - f.constant_term():
+            f = random_base_poly(rng, chart, (x, y), n_terms, degree)
+        s = s + f * chart["#" + x] * chart["#" + y]
+    return s

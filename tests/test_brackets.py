@@ -25,7 +25,7 @@ from densalg import (
     divergence_full,
     divergence_wrt,
     pin_convention,
-    project_base,
+    project_to_density,
     r_ary_bracket,
     restrict_to_base,
 )
@@ -208,7 +208,7 @@ class TestBracketIdentities:
     def test_against_reference_bracket(self, rng, chart, conv):
         # t^(1/2) keys, #t and fractional coefficients, f of mixed parity
         hchart = chart.hatted_version()
-        t, ts = hchart.t_var.index, hchart.tstar_var.index
+        t, ts = hchart.t_var.index, hchart.var("#t").index
         mixed = half = tstar = fraction = False
         for _ in range(40):
             f = hatted_poly(rng, hchart)
@@ -340,7 +340,7 @@ class TestDivergenceAndDelta:
         # t^(1/2), t^-1 and #t terms, fractional coefficients
         h = chart.hatted_version()
         conv = replace(PINNED, div_parity=div_parity, div_side=div_side)
-        t, ts = h.t_var.index, h.tstar_var.index
+        t, ts = h.t_var.index, h.var("#t").index
         half = inverse = tstar = False
         for _ in range(40):
             f = hatted_poly(rng, h)
@@ -352,7 +352,7 @@ class TestDivergenceAndDelta:
             # delta = the full divergence - 2 t^-1 d_#t f
             d_tstar = {}
             for key, coeff in f.terms.items():
-                for k, c in reference_derivative(h, key, coeff, h.tstar_var,
+                for k, c in reference_derivative(h, key, coeff, h.var("#t"),
                                                  div_side == "left").items():
                     d_tstar[k] = d_tstar.get(k, 0) + c
             shifted = reference_product(h, h.t_power(-1), SPoly(h, d_tstar))
@@ -371,23 +371,26 @@ class TestDivergenceAndDelta:
         h = chart.hatted_version()
         for _ in range(50):
             f = random_poly(rng, h)
-            extra = f.derive_left(h.tstar_var).derive_left(h.t_var)
+            extra = f.derive_left(h.var("#t")).derive_left(h.t_var)
             assert divergence_full(f) == divergence(f) + extra
 
 
 class TestProjection:
-    def test_project_base_splits_weights(self, chart):
+    def test_projection_splits_weights(self, chart):
         h = chart.hatted_version()
         S = (
             chart["x"].transport(h) * h.t_power(Fraction(1, 2))
             + chart["y"].transport(h) * h.t_power(-2)
             + h["x"] * h["#t"]
         )
-        parts = project_base(S)
-        assert [(p, str(lam)) for p, lam in parts] == [
+        parts = project_to_density(S)
+        assert [(e.body, str(e.weight)) for e in parts] == [
             (chart["y"], "-2"),
             (chart["x"], "1/2"),
         ]
+        # only a hatted polynomial has (t, #t) tails to split
+        with pytest.raises(DomainError, match=r"only a hatted polynomial has \(t, #t\) tails"):
+            project_to_density(chart["x"])
 
     def test_restrict_to_base_kills_fibers(self, chart):
         f = chart["x"] + chart["x"] * chart["#y"] + chart["xi"] * chart["#xi"]

@@ -124,6 +124,13 @@ class TestExitCodes:
         assert "big.dsl: 2:1: the ansatz may have 666706667400004 columns, over 65536" in err
         assert "dimension" not in out
 
+    def test_domain_error_project_unhatted(self, tmp_path, capsys):
+        script = write(tmp_path, "proj.dsl", "chart C { even x }\nproject(x)\n")
+        code, out, err = run_cli(capsys, [script])
+        assert code == EXIT_DOMAIN
+        assert "proj.dsl: 2:1: only a hatted polynomial has (t, #t) tails" in err
+        assert out == ""
+
     def test_domain_error_zero_classify(self, tmp_path, capsys):
         script = write(tmp_path, "zero_s.dsl", """
             chart C { even p, q }
@@ -1003,7 +1010,7 @@ class TestErrorModel:
                     densalg.SignConvention, densalg.Variable)
     CHART_OWN = {"key", "index"}
     # records that store their fields as given, besides the exception classes
-    RECORDS = {"SPoly", "Variable", "KernelBasis", "LiftDecomposition"}
+    RECORDS = {"SPoly", "Variable", "KernelBasis"}
 
     def sweep_calls(self):
         """{name: (callable, {parameter: valid value})} for every public callable
@@ -1050,7 +1057,6 @@ class TestErrorModel:
             "poly_from_dict": (poly_from_dict, dict(d=poly_to_dict(f), chart=C)),
             "poly_to_dict": (poly_to_dict, dict(f=f)),
             "poly_to_text": (poly_to_text, dict(f=f)),
-            "project_base": (densalg.project_base, dict(S=densalg.lift(s))),
             "project_to_density": (densalg.project_to_density, dict(S=densalg.lift(s))),
             "q_manifold_lifts": (q_manifold_lifts, dict(chart=q_manifold_chart(1),
                                                         coeff_degree_bound=1)),
@@ -1075,7 +1081,6 @@ class TestErrorModel:
             "SPoly.coefficient": (f.coefficient, dict(key=C.zero_key)),
             "SPoly.derive_left": (f.derive_left, dict(v=C.var("#y"))),
             "SPoly.derive_right": (f.derive_right, dict(v=C.var("#y"))),
-            "SPoly.partials": (f.partials, dict(left=False)),
             "SPoly.substitute": (f.substitute, dict(images={C.var("x"): C["y"]}, target=C)),
             "SPoly.transport": (f.transport, dict(target=H, t=Fraction(1, 3), tstar=1)),
         }

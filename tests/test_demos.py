@@ -1,5 +1,6 @@
 """The demo scripts run cleanly against the package in `src/` and print their
-recorded answers, `tests/data/<demo>.txt`, byte for byte."""
+recorded answers, `tests/data/<demo>.txt`, byte for byte, and the README's
+first example prints what its comment says."""
 import os
 import subprocess
 import sys
@@ -19,3 +20,14 @@ def test_demo_runs(demo):
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     assert out.stdout == (ROOT / "tests" / "data" / (demo.stem + ".txt")).read_text()
+
+
+def test_readme_example_prints_its_comment(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    # a print line's comment, up to the first double space, is what it prints
+    expected = [line.split("# ", 1)[1].split("  ")[0] for line in block.splitlines()
+                if line.startswith("print(")]
+    assert expected == ["x^2*#x + 2*x*w"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

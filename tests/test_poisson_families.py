@@ -4,16 +4,21 @@ below holds on any seed.
 
 The 3D Jacobian structures s = d_z C #y #x + d_x C #z #y + d_y C #x #z come
 from a random Casimir C (`conftest.jacobian_structure`), 20 per test on one
-seed.
+seed.  They are unimodular, div(s) = 0, so their lift adds no w-term.  The
+planar sums s = f(a, b) #a #b + g(c, d) #c #d (`conftest.planar_structure`),
+also 20 per test on one seed, are not: their lift is Poisson at weight 0 and
+at any other weight lambda misses it by exactly -2 lambda s Y t^(2 lambda),
+with Y = div(s)^tw / (1 - lambda) its w-coefficient.
 """
 import random
+from fractions import Fraction
 
 import pytest
 
 from densalg import Chart, DensityElement, EVEN, antibracket, decompose, divergence, lift
 from densalg import master_check, r_ary_bracket
 from densalg.classify import attach_correction
-from conftest import jacobian_structure
+from conftest import jacobian_structure, planar_structure
 
 TRIALS = 20
 
@@ -58,5 +63,57 @@ class TestJacobianStructures:
             assert not antibracket(s, Q)
             S = attach_correction(DensityElement(s, 0), Q)
             assert not master_check(S)
-            assert decompose(S, DensityElement(s, 0)).q_part == Q
+            assert decompose(S, DensityElement(s, 0)) == Q
+        assert nonzero >= TRIALS // 2
+
+
+@pytest.fixture
+def abcd():
+    return Chart([(name, EVEN) for name in "abcd"])
+
+
+@pytest.fixture
+def planar(abcd):
+    rng = random.Random(11)
+    return [planar_structure(rng, abcd) for _ in range(TRIALS)]
+
+
+class TestPlanarStructures:
+    def test_master_equation_and_modular_field(self, planar):
+        for s in planar:
+            assert not master_check(s)
+            assert not antibracket(s, divergence(s))  # (s, div s) = 0 for Poisson s
+        # not unimodular: the lift gains a w-term
+        assert all(divergence(s) for s in planar)
+
+    def test_lift_at_weight_zero_is_poisson(self, planar):
+        for s in planar:
+            assert not master_check(lift(DensityElement(s, 0)))
+
+    def test_lift_residual_at_other_weights(self, abcd, planar):
+        # (S, S) = 2 (s, Y) t^(2 lam + 1) #t - 2 lam s Y t^(2 lam) for
+        # S = s t^lam + Y t^(lam + 1) #t, and (s, Y) = 0 for Y proportional to div s
+        h = abcd.hatted_version()
+        for lam in (Fraction(2), Fraction(-1, 2), Fraction(1, 3)):
+            for s in planar:
+                Y = divergence(s).parity_twist() / (1 - lam)
+                residual = (-2 * lam * (s * Y)).transport(h, 2 * lam)
+                assert residual
+                assert master_check(lift(DensityElement(s, lam))) == residual
+
+    def test_hamiltonian_corrections(self, abcd, planar):
+        # Q = (s, f) for a base monomial f is in the kernel of (s, -), so
+        # lift(s) + Q w is a Poisson lift above s that decomposes back to Q
+        rng = random.Random(12)
+        nonzero = 0
+        for s in planar:
+            f = abcd.const(1)
+            for name in "abcd":
+                f = f * abcd[name] ** rng.randint(0, 2)
+            Q = antibracket(s, f)
+            nonzero += bool(Q)
+            assert not antibracket(s, Q)
+            S = attach_correction(DensityElement(s, 0), Q)
+            assert not master_check(S)
+            assert decompose(S, DensityElement(s, 0)) == Q
         assert nonzero >= TRIALS // 2

@@ -21,7 +21,7 @@ from densalg import (
     classify_lifts,
 )
 from densalg.classify import darboux_form
-from densalg.spoly import _exact_root, _Substitution, rational_power
+from densalg.spoly import _exact_root, _partial_rows, _Substitution, rational_power
 from conftest import (
     dense, hatted_poly, random_poly, reference_derivative, reference_product,
     reference_substitute, sparse,
@@ -33,6 +33,13 @@ def stored_fractions(f):
     exponents are read from every slot, so a Fraction(0) is one too."""
     values = list(f.terms.values()) + [e for key in f.terms for e in key]
     return [x for x in values if isinstance(x, Fraction) and x.denominator == 1]
+
+
+def partials(f, left):
+    """Every partial derivative of f from one `_partial_rows` pass, as
+    {variable index: derivative}."""
+    return {i: SPoly(f.chart, {k: c for k, c, _, _ in rows})
+            for i, rows in _partial_rows(f.chart, f.terms, left).items()}
 
 
 class TestBasics:
@@ -68,7 +75,7 @@ class TestBasics:
     def test_hatted_chart_extras(self, chart):
         h = chart.hatted_version()
         assert h.t_var.parity == EVEN and h.t_var.weight == 1
-        assert h.tstar_var.parity == ODD and h.tstar_var.weight == -1
+        assert h.var("#t").parity == ODD and h.var("#t").weight == -1
         assert h.w_star() == h["t"] * h["#t"]
 
     def test_counterparts_are_built_once(self, chart):
@@ -219,7 +226,7 @@ class TestRandomizedLaws:
                 antibracket(f, g), hchart.t_power(Fraction(2)), hchart.const(Fraction(4, 2)),
             ]
             for left in (True, False):
-                results += f.partials(left).values()
+                results += partials(f, left).values()
             for r in results:
                 assert stored_fractions(r) == []
                 for key in r.terms:
@@ -271,7 +278,7 @@ class TestDerivatives:
                 expected = {k: c for k, c in expected.items() if c}
                 got = f.derive_left(v) if left else f.derive_right(v)
                 assert got == SPoly(chart, expected)
-                assert f.partials(left).get(v.index, chart.zero()) == SPoly(chart, expected)
+                assert partials(f, left).get(v.index, chart.zero()) == SPoly(chart, expected)
 
     def test_left_product_rule(self, rng, chart):
         for _ in range(200):
@@ -386,7 +393,10 @@ class TestSubstitution:
         with pytest.raises(SubstitutionError):
             f.substitute({chart.var("x"): h["x"]}, target=h)
         # a variable that does not occur needs no image
-        assert chart["x"].substitute({chart.var("x"): other["y1"]}) == other["y1"]
+        assert chart["x"].substitute({chart.var("x"): other["y1"]}, target=other) == other["y1"]
+        # the target is the source chart unless named, whatever chart the images live on
+        with pytest.raises(ChartMismatchError):
+            chart["x"].substitute({chart.var("x"): other["y1"]})
 
     def test_odd_substitution_signs(self, chart):
         # swapping xi -> eta must preserve the anticommutation relations
