@@ -23,6 +23,24 @@ from conftest import jacobian_structure, planar_structure
 TRIALS = 20
 
 
+def check_hamiltonian_corrections(rng, chart, structures):
+    """Q = (s, f) for a random base monomial f is in the kernel of (s, -), so
+    lift(s) + Q w is a Poisson lift above s that decomposes back to Q; at
+    least half of the Q are nonzero."""
+    nonzero = 0
+    for s in structures:
+        f = chart.const(1)
+        for name, _ in chart.base_coords:
+            f = f * chart[name] ** rng.randint(0, 2)
+        Q = antibracket(s, f)
+        nonzero += bool(Q)
+        assert not antibracket(s, Q)
+        S = attach_correction(DensityElement(s, 0), Q)
+        assert not master_check(S)
+        assert decompose(S, DensityElement(s, 0)) == Q
+    assert nonzero >= TRIALS // 2
+
+
 @pytest.fixture
 def xyz():
     return Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)])
@@ -50,21 +68,7 @@ class TestJacobianStructures:
                 assert r_ary_bracket(s, [x[i], x[j]]) == C.derive_left(xyz.var("xyz"[k]))
 
     def test_hamiltonian_corrections(self, xyz, structures):
-        # Q = (s, f) for a base monomial f is in the kernel of (s, -), so
-        # lift(s) + Q w is a Poisson lift above s that decomposes back to Q
-        rng = random.Random(8)
-        nonzero = 0
-        for s, _ in structures:
-            f = xyz.const(1)
-            for name in "xyz":
-                f = f * xyz[name] ** rng.randint(0, 2)
-            Q = antibracket(s, f)
-            nonzero += bool(Q)
-            assert not antibracket(s, Q)
-            S = attach_correction(DensityElement(s, 0), Q)
-            assert not master_check(S)
-            assert decompose(S, DensityElement(s, 0)) == Q
-        assert nonzero >= TRIALS // 2
+        check_hamiltonian_corrections(random.Random(8), xyz, [s for s, _ in structures])
 
 
 @pytest.fixture
@@ -102,18 +106,4 @@ class TestPlanarStructures:
                 assert master_check(lift(DensityElement(s, lam))) == residual
 
     def test_hamiltonian_corrections(self, abcd, planar):
-        # Q = (s, f) for a base monomial f is in the kernel of (s, -), so
-        # lift(s) + Q w is a Poisson lift above s that decomposes back to Q
-        rng = random.Random(12)
-        nonzero = 0
-        for s in planar:
-            f = abcd.const(1)
-            for name in "abcd":
-                f = f * abcd[name] ** rng.randint(0, 2)
-            Q = antibracket(s, f)
-            nonzero += bool(Q)
-            assert not antibracket(s, Q)
-            S = attach_correction(DensityElement(s, 0), Q)
-            assert not master_check(S)
-            assert decompose(S, DensityElement(s, 0)) == Q
-        assert nonzero >= TRIALS // 2
+        check_hamiltonian_corrections(random.Random(12), abcd, planar)
