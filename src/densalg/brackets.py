@@ -9,7 +9,8 @@ identity) together with two normalization anchors.  `pin_convention` re-runs
 that selection and `convention_ledger` renders the result; see
 docs/convention_ledger.txt.  Each identity reads only some of the sign
 fields, and one call judges it once per distinct value of those fields, on
-samples drawn once for all candidates; the pin fixes the fields one at a time
+24 random triples per chart drawn once for all candidates and shared by
+every identity on that chart; the pin fixes the fields one at a time
 and drops a partial candidate once an identity whose fields are all fixed
 rejects it.  A bracket (f, g) runs f's `_plan_core`, each right partial of f
 with its partner slot and sign cell, against g's left `_partial_rows` and sums
@@ -264,16 +265,16 @@ def _grade(f):
 
 _CHART = Chart([("x", EVEN), ("y", EVEN), ("xi", ODD), ("eta", ODD)])
 _HCHART = _CHART.hatted_version()
-_SAMPLES = 24  # random triples per check
+_SAMPLES = 24  # random triples per chart, shared by every check on it
 _X, _XS, _XI, _XIS = (_CHART[n] for n in ("x", "#x", "xi", "#xi"))
 _BRACKET = ("term_q_qstar", "term_qstar_q")
 _DIV = ("div_parity", "div_side")
 
 # (name, fields, [(sample, holds(f, g, h, conv)), ...]): an identity holds when
 # each of its checks holds on every triple of its sample: fixed triples for the
-# anchors, which fix the global signs the identities cannot see, else a chart
-# to draw _SAMPLES random homogeneous triples on.  Its verdict depends on conv
-# only through the named fields.
+# anchors, which fix the global signs the identities cannot see, else a chart,
+# whose _SAMPLES random homogeneous triples every check on it reads.  Its
+# verdict depends on conv only through the named fields.
 _IDENTITIES = (
     ("anchor (x, #x) = +1", _BRACKET,
      [([(_X, _XS, _CHART.const(1))], lambda f, g, h, c: antibracket(f, g, c) == h)]),
@@ -318,23 +319,18 @@ _IDENTITIES = (
 )
 
 
-def _draw(rng, sample):
-    if not isinstance(sample, Chart):
-        return sample
-    return [[_random_homogeneous(rng, sample, rng.choice([EVEN, ODD])) for _ in range(3)]
-            for _ in range(_SAMPLES)]
-
-
 class _Suite:
     """The identity suite on one random stream, shared by the candidates of one call.
 
-    Every identity's triples are drawn up front, in table order, so they are
-    the same whichever identity or candidate asks first.  Verdicts are
-    memoised on the identity and conv's values of its fields.
+    _SAMPLES random triples are drawn up front for _CHART, then for _HCHART,
+    and every check on a chart reads that chart's triples, so they are the
+    same whichever identity or candidate asks first.  Verdicts are memoised
+    on the identity and conv's values of its fields.
     """
 
     def __init__(self, rng):
-        self.samples = [[_draw(rng, s) for s, _ in checks] for _, _, checks in _IDENTITIES]
+        self.samples = {c: [[_random_homogeneous(rng, c, rng.choice([EVEN, ODD])) for _ in range(3)]
+                            for _ in range(_SAMPLES)] for c in (_CHART, _HCHART)}
         self.verdicts = {}
 
     def holds(self, k, conv):
@@ -342,8 +338,9 @@ class _Suite:
         key = (k,) + tuple(getattr(conv, n) for n in names)
         if key not in self.verdicts:
             self.verdicts[key] = all(
-                all(holds(f, g, h, conv) for f, g, h in triples)
-                for (_, holds), triples in zip(checks, self.samples[k])
+                all(holds(f, g, h, conv) for f, g, h in
+                    (self.samples[sample] if isinstance(sample, Chart) else sample))
+                for sample, holds in checks
             )
         return self.verdicts[key]
 

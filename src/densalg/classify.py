@@ -286,9 +286,9 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
     # the system as sparse rows {ansatz column: coefficient}, one per monomial
     # of the images (s, Q)
     rows = {}
+    # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
+    # every ansatz element already solves the master equation: no rows.
     if not flagged:
-        # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
-        # every ansatz element already solves the master equation: no rows.
         for col, q in enumerate(ansatz):
             key, = q.terms  # one monomial, coefficient 1: its derivatives are read off the key
             mask = _odd_mask(s.chart.odd_bits, key)
@@ -502,7 +502,7 @@ def de_rham_element(chart: Chart) -> SPoly:
 
 def exterior_derivative(theta: SPoly) -> SPoly:
     """d theta = sum_a dx^a d_l theta / dx^a on a parity reversed tangent chart."""
-    chart = theta.chart
+    chart = _on(theta).chart
     return chart.sum(chart[dx] * theta.derive_left(chart.var(x)) for x, dx in _layout(chart, ODD))
 
 

@@ -97,6 +97,41 @@ class TestConventionPinning:
         assert len(survivors) == 1
         assert pinned == survivors[0]
 
+    def test_one_draw_per_chart(self, monkeypatch):
+        # the pin's one suite draws _SAMPLES triples per chart, not per check,
+        # and every check on a chart reads the same triple objects, so their
+        # bracket tables are built once for all checks
+        draws, tables, seen = [], [], {}
+        random_homogeneous, partial_rows = brackets._random_homogeneous, brackets._partial_rows
+
+        def drawn(*args):
+            draws.append(args)
+            return random_homogeneous(*args)
+
+        def built(chart, terms, left):
+            tables.append(left)
+            return partial_rows(chart, terms, left)
+
+        def recorded(chart, holds):
+            def check(f, g, h, conv):
+                seen.setdefault((chart, holds), set()).add((id(f), id(g), id(h)))
+                return holds(f, g, h, conv)
+            return check
+
+        monkeypatch.setattr(brackets, "_random_homogeneous", drawn)
+        monkeypatch.setattr(brackets, "_partial_rows", built)
+        monkeypatch.setattr(brackets, "_IDENTITIES", tuple(
+            (name, names, [(s, recorded(s, holds) if isinstance(s, Chart) else holds)
+                           for s, holds in checks])
+            for name, names, checks in brackets._IDENTITIES))
+        assert pin_convention(2024) == PINNED
+        assert len(draws) == 2 * 3 * brackets._SAMPLES == 144
+        assert len(tables) <= 316  # fewer when an earlier call built the anchors' tables
+        for chart, n_checks in ((brackets._CHART, 5), (brackets._HCHART, 2)):
+            triples = [t for (c, _), t in seen.items() if c == chart]
+            assert len(triples) == n_checks and len(triples[0]) == brackets._SAMPLES
+            assert all(t == triples[0] for t in triples)
+
     def test_anchors(self, chart):
         assert antibracket(chart["x"], chart["#x"]) == chart.const(1)
         assert antibracket(chart["xi"], chart["#xi"]) == chart.const(-1)

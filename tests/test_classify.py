@@ -1004,6 +1004,10 @@ class TestQManifolds:
             dtheta = exterior_derivative(theta)
             assert b in (dtheta, -dtheta)
 
+    def test_exterior_derivative_refuses_a_non_polynomial(self):
+        with pytest.raises(DomainError, match="expected a polynomial, got int"):
+            exterior_derivative(5)
+
     def test_chart_shape_validated(self):
         # one layout check: n even coordinates, then n odd ones for the de Rham
         # examples and n even ones for a Darboux chart
