@@ -12,7 +12,6 @@ from .brackets import (
     convention_ledger,
     delta_op,
     divergence,
-    divergence_full,
     divergence_wrt,
     pin_convention,
     r_ary_bracket,

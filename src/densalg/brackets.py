@@ -5,8 +5,11 @@ coordinate formulas here carry their per-term signs as data (SignConvention)
 and the shipped constant PINNED is the unique member of a finite candidate
 family that passes the whole identity suite (graded symmetry, Leibniz, odd
 Jacobi, the divergence derivation identity, nilpotency, the delta generator
-identity) together with two normalization anchors.  `pin_convention` re-runs
-that selection and `convention_ledger` renders the result; see
+identity) together with two normalization anchors.  The public operators,
+`antibracket`, `divergence`, `divergence_wrt` and `delta_op`, run under PINNED
+only.  `pin_convention` re-runs the selection of PINNED, reaching each candidate
+through the private kernels `_bracket_from` and `_div_pairs`, which take the
+convention, and `convention_ledger` renders the result; see
 docs/convention_ledger.txt.  Each identity reads only some of the sign
 fields, and one call judges it once per distinct value of those fields, on
 24 random triples per chart drawn once for all candidates and shared by
@@ -22,8 +25,8 @@ the product feeds, and a convention reaches the bracket as its eight
 f keeps its core and g its left partials (see `spoly`), so the samples of
 the pin are derived once for all candidate conventions.  A divergence strips
 both variables of each pair from each term in one pass.  Against a density
-c t^mu |D(x,t)| it gains mu t^-1 d_#t f in that pass, and delta is the
-divergence against t^-2.
+c t^mu |D(x,t)| it gains mu t^-1 d_#t f in that pass, so divergence_wrt(f, 1)
+is the divergence against |D(x,t)| and delta the divergence against t^-2.
 """
 from __future__ import annotations
 
@@ -121,14 +124,14 @@ def _plan_core(f):
     return f._plan_core
 
 
-def _bracket_from(f, g, negate):
-    """The bracket (f, g) from f's `_plan_core`, each sign cell negated where
-    `negate` says, accumulated in one term map; a product one of whose
-    derivatives is zero is skipped.  g's left `_partial_rows` are built on
-    first use and kept on g."""
+def _bracket_from(f, g, conv):
+    """The bracket (f, g) under `conv` from f's `_plan_core`, each sign cell
+    negated where `conv.negations` says, accumulated in one term map; a
+    product one of whose derivatives is zero is skipped.  g's left
+    `_partial_rows` are built on first use and kept on g."""
     if g._left_rows is None:
         g._left_rows = _partial_rows(g.chart, g.terms, True)
-    dg = g._left_rows
+    dg, negate = g._left_rows, conv.negations
     terms = {}
     for df, slot, cell in _plan_core(f):
         if slot in dg:
@@ -136,10 +139,10 @@ def _bracket_from(f, g, negate):
     return SPoly(g.chart, terms)
 
 
-def antibracket(f: SPoly, g: SPoly, conv: SignConvention = PINNED) -> SPoly:
+def antibracket(f: SPoly, g: SPoly) -> SPoly:
     """The canonical odd bracket on the chart, (t, #t) pair included."""
     _on(g, _on(f).chart, "bracket operands live on different charts")
-    return _bracket_from(f, g, conv.negations)
+    return _bracket_from(f, g, PINNED)
 
 
 def _div_pairs(f, pairs, conv, mu=0):
@@ -170,21 +173,17 @@ def _hatted_chart(f, name):
     return chart
 
 
-def divergence(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
+def divergence(f: SPoly) -> SPoly:
     """Divergence with respect to |Dx|: base coordinate pairs only."""
     chart = _on(f).chart
-    return _div_pairs(f, chart.pair_slots[:chart.n_base], conv)
-
-
-def divergence_full(f: SPoly) -> SPoly:
-    """Divergence with respect to |D(x,t)| on a hatted chart."""
-    return _div_pairs(f, _hatted_chart(f, "divergence_full").pair_slots, PINNED)
+    return _div_pairs(f, chart.pair_slots[:chart.n_base], PINNED)
 
 
 def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
     """The divergence of f against the density rho |D(x,t)|, rho = c t^mu:
-    rho^-1 divergence_full(f rho), which is divergence_full(f) + mu t^-1 d_#t f
-    as rho depends on t alone; c cancels.
+    rho^-1 times the divergence of f rho over every pair, (t, #t) included,
+    which is that divergence of f plus mu t^-1 d_#t f as rho depends on t
+    alone; c cancels.  divergence_wrt(f, 1) is the divergence against |D(x,t)|.
 
     rho_coeff must be a single invertible term c * t^mu on a hatted chart.
     """
@@ -202,10 +201,10 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
     return _div_pairs(f, chart.pair_slots, PINNED, mu)
 
 
-def delta_op(f: SPoly, conv: SignConvention = PINNED) -> SPoly:
+def delta_op(f: SPoly) -> SPoly:
     """The canonical odd operator: the divergence against t^-2 |D(x,t)|, every
     pair, (t, #t) included, minus 2/t d_#t."""
-    return _div_pairs(f, _hatted_chart(f, "delta_op").pair_slots, conv, -2)
+    return _div_pairs(f, _hatted_chart(f, "delta_op").pair_slots, PINNED, -2)
 
 
 def restrict_to_base(f: SPoly) -> SPoly:
@@ -270,51 +269,60 @@ _X, _XS, _XI, _XIS = (_CHART[n] for n in ("x", "#x", "xi", "#xi"))
 _BRACKET = ("term_q_qstar", "term_qstar_q")
 _DIV = ("div_parity", "div_side")
 
+
+def _div(f, conv, mu=0):
+    """The divergence of f under `conv` over every pair of its chart, plus
+    mu t^-1 d_#t f: the divergence on _CHART at mu = 0, delta on _HCHART at
+    mu = -2."""
+    return _div_pairs(f, f.chart.pair_slots, conv, mu)
+
+
 # (name, fields, [(sample, holds(f, g, h, conv)), ...]): an identity holds when
 # each of its checks holds on every triple of its sample: fixed triples for the
 # anchors, which fix the global signs the identities cannot see, else a chart,
 # whose _SAMPLES random homogeneous triples every check on it reads.  Its
-# verdict depends on conv only through the named fields.
+# verdict depends on conv only through the named fields.  The checks run the
+# kernels of the public operators, `_bracket_from` and `_div`, under conv.
 _IDENTITIES = (
     ("anchor (x, #x) = +1", _BRACKET,
-     [([(_X, _XS, _CHART.const(1))], lambda f, g, h, c: antibracket(f, g, c) == h)]),
+     [([(_X, _XS, _CHART.const(1))], lambda f, g, h, c: _bracket_from(f, g, c) == h)]),
     ("anchor div(x * #x) = +1", _DIV,
-     [([(_X * _XS, None, _CHART.const(1))], lambda f, g, h, c: divergence(f, c) == h)]),
+     [([(_X * _XS, None, _CHART.const(1))], lambda f, g, h, c: _div(f, c) == h)]),
     ("anchor (xi, #xi) = -1 (odd base)", _BRACKET,
-     [([(_XI, _XIS, _CHART.const(-1))], lambda f, g, h, c: antibracket(f, g, c) == h)]),
+     [([(_XI, _XIS, _CHART.const(-1))], lambda f, g, h, c: _bracket_from(f, g, c) == h)]),
     ("anchor div(xi * #xi) = -1 (odd base)", _DIV,
-     [([(_XI * _XIS, None, _CHART.const(-1))], lambda f, g, h, c: divergence(f, c) == h)]),
+     [([(_XI * _XIS, None, _CHART.const(-1))], lambda f, g, h, c: _div(f, c) == h)]),
     ("graded symmetry (f,g) = (-1)^(fg) (g,f)", _BRACKET, [
         (_CHART, lambda f, g, h, c:
-            antibracket(f, g, c) == _sign(_grade(f) * _grade(g)) * antibracket(g, f, c)),
+            _bracket_from(f, g, c) == _sign(_grade(f) * _grade(g)) * _bracket_from(g, f, c)),
     ]),
     ("Leibniz (fg,h) = (-1)^f f(g,h) + (-1)^(gh) (f,h)g", _BRACKET, [
         (_CHART, lambda f, g, h, c:
-            antibracket(f * g, h, c)
-            == _sign(_grade(f)) * (f * antibracket(g, h, c))
-            + _sign(_grade(g) * _grade(h)) * (antibracket(f, h, c) * g)),
+            _bracket_from(f * g, h, c)
+            == _sign(_grade(f)) * (f * _bracket_from(g, h, c))
+            + _sign(_grade(g) * _grade(h)) * (_bracket_from(f, h, c) * g)),
     ]),
     ("odd Jacobi (f,(g,h)) = (-1)^(f+1) ((f,g),h) + (-1)^((f+1)(g+1)) (g,(f,h))", _BRACKET, [
         (_CHART, lambda f, g, h, c:
-            antibracket(f, antibracket(g, h, c), c)
-            == _sign(_grade(f) + 1) * antibracket(antibracket(f, g, c), h, c)
-            + _sign((_grade(f) + 1) * (_grade(g) + 1)) * antibracket(g, antibracket(f, h, c), c)),
+            _bracket_from(f, _bracket_from(g, h, c), c)
+            == _sign(_grade(f) + 1) * _bracket_from(_bracket_from(f, g, c), h, c)
+            + _sign((_grade(f) + 1) * (_grade(g) + 1)) * _bracket_from(g, _bracket_from(f, h, c), c)),
     ]),
     ("derivation identity div(f,g) = -(div f, g) - (-1)^f (f, div g)", _BRACKET + _DIV, [
         (_CHART, lambda f, g, h, c:
-            divergence(antibracket(f, g, c), c)
-            == -antibracket(divergence(f, c), g, c)
-            - _sign(_grade(f)) * antibracket(f, divergence(g, c), c)),
+            _div(_bracket_from(f, g, c), c)
+            == -_bracket_from(_div(f, c), g, c)
+            - _sign(_grade(f)) * _bracket_from(f, _div(g, c), c)),
     ]),
     ("nilpotency div^2 = 0 and delta^2 = 0", _DIV, [
-        (_CHART, lambda f, g, h, c: not divergence(divergence(f, c), c)),
-        (_HCHART, lambda f, g, h, c: not delta_op(delta_op(f, c), c)),
+        (_CHART, lambda f, g, h, c: not _div(_div(f, c), c)),
+        (_HCHART, lambda f, g, h, c: not _div(_div(f, c, -2), c, -2)),
     ]),
     ("generator identity delta(fg) - delta(f)g - (-1)^f f delta(g) = sigma(f)(f,g)",
      _BRACKET + _DIV + ("generator_sign",), [
         (_HCHART, lambda f, g, h, c:
-            delta_op(f * g, c) - delta_op(f, c) * g - _sign(_grade(f)) * (f * delta_op(g, c))
-            == _sign(c.generator_sign[0] + c.generator_sign[1] * _grade(f)) * antibracket(f, g, c)),
+            _div(f * g, c, -2) - _div(f, c, -2) * g - _sign(_grade(f)) * (f * _div(g, c, -2))
+            == _sign(c.generator_sign[0] + c.generator_sign[1] * _grade(f)) * _bracket_from(f, g, c)),
     ]),
 )
 

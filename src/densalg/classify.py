@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
 
-from .brackets import PINNED, DomainError, _bracket_from, _plan_core
+from .brackets import PINNED, DomainError, _plan_core
 from .brackets import antibracket, divergence, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
 from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _integer, _mul_into, _num
@@ -265,8 +265,7 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         raise DomainError(
             "the coefficient degree bound must be a nonnegative integer, got %s" % _shown(bound)
         )
-    core, negate = _plan_core(s.body), PINNED.negations  # for every column
-    if _bracket_from(s.body, s.body, negate):
+    if master_check(s.body):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
         raise WeightOneError()
@@ -289,6 +288,7 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
     # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
     # every ansatz element already solves the master equation: no rows.
     if not flagged:
+        core, negate = _plan_core(s.body), PINNED.negations  # the master check's core
         for col, q in enumerate(ansatz):
             key, = q.terms  # one monomial, coefficient 1: its derivatives are read off the key
             mask = _odd_mask(s.chart.odd_bits, key)

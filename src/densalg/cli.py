@@ -8,7 +8,9 @@ Usage::
 Reads from stdin when no script is given.  Exit codes: 0 success, 2 parse
 error, 3 domain error (e.g. a weight-1 lift), 4 verification failure.  Every
 error in a script prints ``densalg: FILE: LINE:COL: message`` and exits 2 or
-3, never 1; API users catch the same errors as `densalg.DensalgError`.
+3, never 1; API users catch the same errors as `densalg.DensalgError`.  A
+script or stdin that cannot be read, or is not UTF-8, prints ``densalg:
+cannot read FILE: reason`` and exits 2.
 Integers of any size are read and printed exactly; a constant power, and a
 polynomial power's result or, where no bound on that fits, each product
 inside it, may take at most `spoly.MAX_POWER_BITS` bits.
@@ -76,16 +78,17 @@ def _main(argv):
         return EXIT_OK
 
     sources = []
-    if args.scripts:
-        for path in args.scripts:
-            try:
+    for path in args.scripts or [None]:  # None reads stdin
+        label = "<stdin>" if path is None else path
+        try:
+            if path is None:
+                sources.append((label, sys.stdin.read()))
+            else:
                 with open(path, "r", encoding="utf-8") as fh:
-                    sources.append((path, fh.read()))
-            except OSError as exc:
-                sys.stderr.write("densalg: cannot read %s: %s\n" % (path, exc))
-                return EXIT_PARSE
-    else:
-        sources.append(("<stdin>", sys.stdin.read()))
+                    sources.append((label, fh.read()))
+        except (OSError, UnicodeDecodeError) as exc:
+            sys.stderr.write("densalg: cannot read %s: %s\n" % (label, exc))
+            return EXIT_PARSE
 
     interp = Interpreter(
         json_output=args.json, strict_orientation=args.strict_orientation

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from densalg import Chart, DensityElement, EVEN, ODD, SPoly, antibracket, divergence_full
+from densalg import Chart, DensityElement, EVEN, ODD, PINNED, SPoly, antibracket
 from densalg import poly_from_dict
 from densalg.brackets import _random_homogeneous
 from densalg.classify import attach_correction, darboux_form
@@ -207,11 +207,13 @@ def reference_divergence(chart, f, conv, full=False):
 
 
 def product_divergence_wrt(f, rho):
-    """divergence_wrt oracle, the product route: rho^-1 divergence_full(f rho)
-    for the density coefficient rho = c t^mu, with rho^-1 = (1/c) t^-mu."""
+    """divergence_wrt oracle, the product route: rho^-1 times the divergence
+    of f rho against |D(x,t)| (`reference_divergence` over every pair) for the
+    density coefficient rho = c t^mu, with rho^-1 = (1/c) t^-mu."""
     (key, c), = rho.terms.items()
     mu = key[rho.chart.t_var.index]
-    return (Fraction(1) / c) * rho.chart.t_power(-mu) * divergence_full(f * rho)
+    full = reference_divergence(rho.chart, f * rho, PINNED, full=True)
+    return (Fraction(1) / c) * rho.chart.t_power(-mu) * full
 
 
 def direct_density_evolution(H, f, psi, lam):

@@ -22,7 +22,6 @@ from densalg import (
     convention_ledger,
     delta_op,
     divergence,
-    divergence_full,
     divergence_wrt,
     pin_convention,
     project_to_density,
@@ -30,7 +29,7 @@ from densalg import (
     restrict_to_base,
 )
 from densalg import brackets
-from densalg.brackets import _Suite, _candidate_family, _div_pairs
+from densalg.brackets import _Suite, _bracket_from, _candidate_family, _div_pairs
 from conftest import (
     SEED,
     hatted_poly,
@@ -54,10 +53,8 @@ class TestConventionPinning:
     def test_fields_checked_on_construction(self):
         # a field outside its candidate values is named when the convention is
         # built, before a bracket reads it
-        C = Chart([("x", EVEN)])
         with pytest.raises(DomainError, match="SignConvention.term_q_qstar is none of its 16 "):
-            antibracket(C["x"], C["#x"],
-                        SignConvention((0, 0, 1), (1, 0, 1, 0), 1, "left", (0, 0)))
+            SignConvention((0, 0, 1), (1, 0, 1, 0), 1, "left", (0, 0))
         for name, value in (("div_side", "up"), ("div_parity", None), ("div_parity", 2),
                             ("term_qstar_q", [1, 0, 1, 0]), ("generator_sign", (0, 0, 0))):
             with pytest.raises(DomainError, match="SignConvention.%s is none" % name):
@@ -100,9 +97,10 @@ class TestConventionPinning:
     def test_one_draw_per_chart(self, monkeypatch):
         # the pin's one suite draws _SAMPLES triples per chart, not per check,
         # and every check on a chart reads the same triple objects, so their
-        # bracket tables are built once for all checks
-        draws, tables, seen = [], [], {}
+        # bracket tables are built once for all checks; it runs 937 brackets
+        draws, tables, seen, brackets_run = [], [], {}, []
         random_homogeneous, partial_rows = brackets._random_homogeneous, brackets._partial_rows
+        bracket_from = brackets._bracket_from
 
         def drawn(*args):
             draws.append(args)
@@ -112,6 +110,10 @@ class TestConventionPinning:
             tables.append(left)
             return partial_rows(chart, terms, left)
 
+        def bracketed(f, g, conv):
+            brackets_run.append(conv)
+            return bracket_from(f, g, conv)
+
         def recorded(chart, holds):
             def check(f, g, h, conv):
                 seen.setdefault((chart, holds), set()).add((id(f), id(g), id(h)))
@@ -120,6 +122,7 @@ class TestConventionPinning:
 
         monkeypatch.setattr(brackets, "_random_homogeneous", drawn)
         monkeypatch.setattr(brackets, "_partial_rows", built)
+        monkeypatch.setattr(brackets, "_bracket_from", bracketed)
         monkeypatch.setattr(brackets, "_IDENTITIES", tuple(
             (name, names, [(s, recorded(s, holds) if isinstance(s, Chart) else holds)
                            for s, holds in checks])
@@ -127,6 +130,7 @@ class TestConventionPinning:
         assert pin_convention(2024) == PINNED
         assert len(draws) == 2 * 3 * brackets._SAMPLES == 144
         assert len(tables) <= 316  # fewer when an earlier call built the anchors' tables
+        assert len(brackets_run) == 937
         for chart, n_checks in ((brackets._CHART, 5), (brackets._HCHART, 2)):
             triples = [t for (c, _), t in seen.items() if c == chart]
             assert len(triples) == n_checks and len(triples[0]) == brackets._SAMPLES
@@ -248,7 +252,7 @@ class TestBracketIdentities:
         for _ in range(40):
             f = hatted_poly(rng, hchart)
             g = hatted_poly(rng, hchart)
-            assert antibracket(f, g, conv) == reference_bracket(hchart, f, g, conv)
+            assert _bracket_from(f, g, conv) == reference_bracket(hchart, f, g, conv)
             mixed |= f.parity() is MIXED
             for key, c in f.terms.items():
                 half |= Fraction(dict(sparse(key)).get(t, 0)).denominator == 2
@@ -282,7 +286,7 @@ class TestBracketIdentities:
             for i, (on, f, g) in enumerate(cases):
                 if (c, b, i) not in expected:
                     expected[c, b, i] = reference_bracket(on, f, g, conv)
-                assert antibracket(f, g, conv) == expected[c, b, i]
+                assert _bracket_from(f, g, conv) == expected[c, b, i]
         # every (field, parity(q), parity(f)) sign cell shows: flipping it
         # alone changes a bracket
         cells = {(0, 0): (1, 1, 1, 1), (1, 0): (0, 1, 0, 1), (0, 1): (0, 0, 1, 1),
@@ -291,7 +295,7 @@ class TestBracketIdentities:
             for flip in cells.values():
                 flipped = tuple(x ^ y for x, y in zip(getattr(PINNED, field), flip))
                 conv = replace(PINNED, **{field: flipped})
-                assert any(antibracket(f, g, conv) != antibracket(f, g) for f, g in pairs)
+                assert any(_bracket_from(f, g, conv) != antibracket(f, g) for f, g in pairs)
 
 
 class TestDivergenceAndDelta:
@@ -341,7 +345,7 @@ class TestDivergenceAndDelta:
             divergence_wrt(h["x"], h["x"] * h["t"])
 
     def test_divergence_wrt_matches_product_route(self, rng, chart):
-        # one pass with mu t^-1 d_#t f equals rho^-1 divergence_full(f rho), c cancelling;
+        # one pass with mu t^-1 d_#t f equals rho^-1 div(f rho) over every pair, c cancelling;
         # hatted_poly draws t^(1/2), t^-1, #t and fractional coefficients
         h = chart.hatted_version()
         for mu in (-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)):
@@ -355,8 +359,6 @@ class TestDivergenceAndDelta:
         assert divergence_wrt(f, 5 * h.t_power(-2)) == delta_op(f)
 
     def test_divergences_need_hatted_chart(self, chart):
-        with pytest.raises(DomainError, match="divergence_full needs a hatted chart"):
-            divergence_full(chart["x"] * chart["#x"])
         for rho in (1, chart.const(1)):
             with pytest.raises(DomainError, match="divergence_wrt needs a hatted chart"):
                 divergence_wrt(chart["x"] * chart["#x"], rho)
@@ -379,11 +381,11 @@ class TestDivergenceAndDelta:
         half = inverse = tstar = False
         for _ in range(40):
             f = hatted_poly(rng, h)
-            full = reference_divergence(h, f, conv, full=True)
-            assert divergence(f, conv) == reference_divergence(h, f, conv)
+            base, full = (reference_divergence(h, f, conv, full=w) for w in (False, True))
+            assert _div_pairs(f, h.pair_slots[:h.n_base], conv) == base
             assert _div_pairs(f, h.pair_slots, conv) == full
-            if conv == PINNED:
-                assert divergence_full(f) == full
+            if conv == PINNED:  # the public operators run these kernels under PINNED
+                assert divergence(f) == base and divergence_wrt(f, 1) == full
             # delta = the full divergence - 2 t^-1 d_#t f
             d_tstar = {}
             for key, coeff in f.terms.items():
@@ -394,7 +396,10 @@ class TestDivergenceAndDelta:
             expected = dict(full.terms)
             for k, c in shifted.terms.items():
                 expected[k] = expected.get(k, 0) - 2 * c
-            assert delta_op(f, conv) == SPoly(h, {k: c for k, c in expected.items() if c})
+            delta = SPoly(h, {k: c for k, c in expected.items() if c})
+            assert _div_pairs(f, h.pair_slots, conv, -2) == delta
+            if conv == PINNED:
+                assert delta_op(f) == delta
             for key in f.terms:
                 exps = dict(sparse(key))
                 half |= Fraction(exps.get(t, 0)).denominator == 2
@@ -407,7 +412,7 @@ class TestDivergenceAndDelta:
         for _ in range(50):
             f = random_poly(rng, h)
             extra = f.derive_left(h.var("#t")).derive_left(h.t_var)
-            assert divergence_full(f) == divergence(f) + extra
+            assert divergence_wrt(f, 1) == divergence(f) + extra
 
 
 class TestProjection:

@@ -398,6 +398,19 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["/nonexistent/path.dsl"])
         assert code == EXIT_PARSE
 
+    def test_script_not_utf8(self, tmp_path, capsys):
+        script = tmp_path / "bad.dsl"
+        script.write_bytes(b"chart C { even x }\nlet a = x\xff\n")
+        code, out, err = run_cli(capsys, [str(script)])
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("densalg: cannot read %s: 'utf-8' codec can't decode" % script)
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))
+        code, out, err = run_cli(capsys, [])
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("densalg: cannot read <stdin>: 'utf-8' codec can't decode")
+
 
 class TestPrintParseRoundTrip:
     def test_randomized(self, rng):
@@ -1037,16 +1050,15 @@ class TestErrorModel:
             "SignConvention": (densalg.SignConvention, dict(
                 term_q_qstar=P.term_q_qstar, term_qstar_q=P.term_qstar_q,
                 div_parity=P.div_parity, div_side=P.div_side, generator_sign=P.generator_sign)),
-            "antibracket": (densalg.antibracket, dict(f=f, g=C["y"], conv=P)),
+            "antibracket": (densalg.antibracket, dict(f=f, g=C["y"])),
             "base_bracket": (densalg.base_bracket, dict(s=s, u=s)),
             "classify_lifts": (classify_lifts, dict(s=s, coeff_degree_bound=1)),
             "convention_ledger": (densalg.convention_ledger, dict(seed=2024)),
             "decompose": (densalg.decompose, dict(S=densalg.lift(s), s=s)),
-            "delta_op": (densalg.delta_op, dict(f=H["x"] * H["#t"], conv=P)),
+            "delta_op": (densalg.delta_op, dict(f=H["x"] * H["#t"])),
             "density_evolution": (density_evolution, dict(
                 H=C["x"] ** 2, f=C["y"], psi=C["y"], lam=Fraction(1, 2))),
-            "divergence": (densalg.divergence, dict(f=f, conv=P)),
-            "divergence_full": (densalg.divergence_full, dict(f=H["x"] * H["#x"])),
+            "divergence": (densalg.divergence, dict(f=f)),
             "divergence_wrt": (densalg.divergence_wrt, dict(f=H["#t"], rho_coeff=H.t_power(-2))),
             "lie_poisson": (densalg.lie_poisson, dict(g=g)),
             "lift": (densalg.lift, dict(s=s)),
