@@ -15,13 +15,16 @@ fields, and one call judges it once per distinct value of those fields, on
 24 random triples per chart drawn once for all candidates and shared by
 every identity on that chart; the pin fixes the fields one at a time
 and drops a partial candidate once an identity whose fields are all fixed
-rejects it.  A bracket (f, g) runs f's `_plan_core`, each right partial of f
-with its partner slot and sign cell, against g's left `_partial_rows` and sums
-the products into one term map (`spoly._mul_into`); `classify_lifts` reads
-the core of s for every column.  The core is convention-free: a sign cell
-records parity(q), the parity of f's part and which of the two bracket terms
-the product feeds, and a convention reaches the bracket as its eight
-`SignConvention.negations`, one bool per cell, computed once per convention.
+rejects it.  This module owns every bracket loop: `_bracket_from`,
+`_image_rows` and `_div_pairs`.  A bracket (f, g) runs f's `_plan_core`, each
+right partial of f with its partner slot and sign cell, against g's left
+`_partial_rows` and sums the products into one term map (`spoly._mul_into`);
+`_image_rows` runs the core of s against each one-term column of
+`classify_lifts`, whose derivatives it reads off the column's key.  The core
+is convention-free: a sign cell records parity(q), the parity of f's part and
+which of the two bracket terms the product feeds, and a convention reaches
+the bracket as its eight `SignConvention.negations`, one bool per cell,
+computed once per convention.
 f keeps its core and g its left partials (see `spoly`), so the samples of
 the pin are derived once for all candidate conventions.  A divergence strips
 both variables of each pair from each term in one pass.  Against a density
@@ -137,6 +140,26 @@ def _bracket_from(f, g, conv):
         if slot in dg:
             _mul_into(terms, df, dg[slot], negate[cell])
     return SPoly(g.chart, terms)
+
+
+def _image_rows(f, columns):
+    """The images (f, q) under PINNED of one-term `columns` of coefficient 1,
+    transposed into one sparse row {column: coefficient} per monomial of the
+    images: the linear system of `classify_lifts`.  Each column's derivatives
+    are read off its key, so no table is built or kept for a column."""
+    core, negate, odd = _plan_core(f), PINNED.negations, f.chart.odd_bits
+    rows = {}
+    for col, q in enumerate(columns):
+        key, = q.terms
+        mask = _odd_mask(odd, key)
+        image = {}
+        for df, slot, cell in core:
+            if key[slot]:
+                k, c = _strip(key, slot, 1, mask, True)
+                _mul_into(image, df, [(k, c, mask & ~(1 << slot), False)], negate[cell])
+        for mono, c in image.items():
+            rows.setdefault(mono, {})[col] = c
+    return rows.values()
 
 
 def antibracket(f: SPoly, g: SPoly) -> SPoly:

@@ -4,17 +4,17 @@ Every element above a weighted multivector s differs from the canonical lift
 by Q * w with Q a multivector of one lower fiber degree; the master equation
 for the sum reduces to (s, Q) = 0.  `classify_lifts` slices that kernel at a
 finite coefficient-degree bound and solves the resulting homogeneous linear
-system exactly.  The system is sparse end to end: each column's image runs
-the `_plan_core` of s against derivatives read off the column's key, the
-images are transposed into one {ansatz column: coefficient} row per monomial,
-and one sparse Gauss-Jordan elimination (`_rref`) reduces them, the rows
-that start leftmost last, as primitive integer rows: denominators are
-cleared once on entry, every elimination step is integer-preserving and each
-row's content is divided out.  Only at the edge, in the kernel basis and the
-inverse, is each row divided by its pivot entry, which gives the unique
-reduced row echelon form, so bases are reproducible bit for bit; kernel
-vectors stay sparse, and `KernelBasis.basis` is only a dense view of them.
-The same routine inverts the basis-change matrices of `change_basis`.
+system exactly.  The system is sparse end to end: `brackets._image_rows`
+builds it, one {ansatz column: coefficient} row per monomial of the images
+(s, q) of the ansatz columns q, and one sparse Gauss-Jordan elimination
+(`_rref`) reduces them, the rows that start leftmost last, as primitive
+integer rows: denominators are cleared once on entry, every elimination step
+is integer-preserving and each row's content is divided out.  Only at the
+edge, in the kernel basis and the inverse, is each row divided by its pivot
+entry, which gives the unique reduced row echelon form, so bases are
+reproducible bit for bit; kernel vectors stay sparse, and
+`KernelBasis.basis` is only a dense view of them.  The same routine inverts
+the basis-change matrices of `change_basis`.
 
 `supertrace_extension` reads the supertrace functional of a Lie (super)algebra
 once, off the modular vector field div(pi) of its Lie-Poisson element pi.
@@ -27,11 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
 
-from .brackets import PINNED, DomainError, _plan_core
-from .brackets import antibracket, divergence, r_ary_bracket
+from .brackets import DomainError, _image_rows, antibracket, divergence, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _integer, _mul_into, _num
-from .spoly import _map, _odd_mask, _on, _shown, _strip
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _integer, _map, _num, _on, _shown
 
 # the most columns an ansatz may have; Darboux n = 8 at bound 4 has 3,960
 MAX_ANSATZ_COLUMNS = 1 << 16
@@ -282,24 +280,9 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         raise DomainError("(s, Q) = 0 is the master equation of an even s only at "
                           "weight 0, got weight %s" % _shown(s.weight))
     ansatz = monomial_ansatz(s.chart, r - 1, int(bound), (sp + 1) % 2)
-    # the system as sparse rows {ansatz column: coefficient}, one per monomial
-    # of the images (s, Q)
-    rows = {}
     # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
     # every ansatz element already solves the master equation: no rows.
-    if not flagged:
-        core, negate = _plan_core(s.body), PINNED.negations  # the master check's core
-        for col, q in enumerate(ansatz):
-            key, = q.terms  # one monomial, coefficient 1: its derivatives are read off the key
-            mask = _odd_mask(s.chart.odd_bits, key)
-            image = {}
-            for df, slot, cell in core:
-                if key[slot]:
-                    k, c = _strip(key, slot, 1, mask, True)
-                    _mul_into(image, df, [(k, c, mask & ~(1 << slot), False)], negate[cell])
-            for mono, c in image.items():
-                rows.setdefault(mono, {})[col] = c
-    vectors = nullspace(rows.values(), len(ansatz))
+    vectors = nullspace([] if flagged else _image_rows(s.body, ansatz), len(ansatz))
     return KernelBasis(s.chart, tuple(ansatz), tuple(vectors), flagged)
 
 

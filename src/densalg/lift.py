@@ -63,6 +63,9 @@ def lift(s: DensityElement) -> SPoly:
 
     Closed form: s(x, #x) t^lambda + 1/(1-lambda) t^(lambda+1) #t div(s).
     `project_to_density` takes it back to [s]: it keeps the tails without #t.
+    The lift is delta-exact, lift(s) = delta(sigma)/(lambda-1) for
+    sigma = s^tw t^(lambda+1) #t with s^tw the `parity_twist` of s, as
+    delta(sigma) = (lambda-1) s t^lambda - div(s)^tw t^(lambda+1) #t.
     """
     lam = s.weight
     if lam == 1:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from densalg import Chart, DensityElement, EVEN, ODD, PINNED, SPoly, antibracket
+from densalg import Chart, DensityElement, EVEN, ODD, PINNED, LieAlgebraData, SPoly, antibracket
 from densalg import poly_from_dict
 from densalg.brackets import _random_homogeneous
 from densalg.classify import attach_correction, darboux_form
@@ -450,3 +450,41 @@ def planar_structure(rng, chart, n_terms=3, degree=2):
             f = random_base_poly(rng, chart, (x, y), n_terms, degree)
         s = s + f * chart["#" + x] * chart["#" + y]
     return s
+
+
+def bianchi_table():
+    """Every 3-dimensional real Lie algebra up to isomorphism (Bianchi 1898;
+    Ellis & MacCallum 1969) as {type: LieAlgebraData}, built from structure
+    constants with 1-based `LieAlgebraData.from_dict`.  I is abelian.  II, VIII
+    (sl(2)) and IX (so(3)) read [e2, e3] = n1 e1, [e3, e1] = n2 e2 and
+    [e1, e2] = n3 e3 with n = (1, 0, 0), (1, 1, -1) and (1, 1, 1).  The rest
+    are R x_A R^2, [e1, e_j] = sum_i A_ij e_i over i, j in {2, 3}, with A =
+    diag(1, 0) (III), [[1, 1], [0, 1]] (IV), I (V), diag(1, h) (VI_h) and
+    [[h, -1], [1, h]] (VII_h), at h = 1/3 and at the class-A VI_0 = diag(1, -1)
+    and VII_0 = [[0, -1], [1, 0]]."""
+    def bracket(i, j, k, v):
+        return [[i, j, k, v], [j, i, k, -v]] if v else []
+
+    def cyclic(n):
+        return [c for (i, j, k), v in zip(((2, 3, 1), (3, 1, 2), (1, 2, 3)), n)
+                for c in bracket(i, j, k, v)]
+
+    def semidirect(A):
+        return [c for i in range(2) for j in range(2) for c in bracket(1, j + 2, i + 2, A[i][j])]
+
+    h = Fraction(1, 3)
+    constants = {
+        "I": [],
+        "II": cyclic((1, 0, 0)),
+        "III": semidirect([[1, 0], [0, 0]]),
+        "IV": semidirect([[1, 1], [0, 1]]),
+        "V": semidirect([[1, 0], [0, 1]]),
+        "VI_0": semidirect([[1, 0], [0, -1]]),
+        "VI_1/3": semidirect([[1, 0], [0, h]]),
+        "VII_0": semidirect([[0, -1], [1, 0]]),
+        "VII_1/3": semidirect([[h, -1], [1, h]]),
+        "VIII": cyclic((1, 1, -1)),
+        "IX": cyclic((1, 1, 1)),
+    }
+    return {name: LieAlgebraData.from_dict({"dimension": 3, "constants": c})
+            for name, c in constants.items()}

@@ -50,6 +50,11 @@ class TestConventionPinning:
     def test_unique_survivor_is_pinned(self):
         assert pin_convention(seed=2024) == PINNED
 
+    def test_no_unique_survivor_raises(self, monkeypatch):
+        monkeypatch.setattr(brackets, "_IDENTITIES", ())
+        with pytest.raises(RuntimeError, match="got 4096$"):
+            pin_convention()
+
     def test_fields_checked_on_construction(self):
         # a field outside its candidate values is named when the convention is
         # built, before a bracket reads it

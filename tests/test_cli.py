@@ -378,8 +378,10 @@ class TestExitCodes:
          "3:1: unknown chart 'Z'"),
         ("chart C { even x }\nlet f = 0^(-1/2)\n", EXIT_DOMAIN, "2:10: zero to a negative power"),
         ("chart C { even x }\nlet f = x/0\n", EXIT_DOMAIN, "2:10: division by zero"),
+        ("let a = 1\n", EXIT_PARSE, "1:9: no chart declared"),
+        ("lift(1, 0)\n", EXIT_PARSE, "1:6: no chart declared"),
     ], ids=["fractional_power", "polynomial_exponent", "unknown_chart", "zero_negative_power",
-            "division_by_zero"])
+            "division_by_zero", "let_before_chart", "lift_before_chart"])
     def test_refusal_message(self, tmp_path, capsys, src, code, message):
         script = write(tmp_path, "refuse.dsl", src)
         assert run_cli(capsys, [script]) == (code, "", "densalg: %s: %s\n" % (script, message))

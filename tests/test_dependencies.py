@@ -37,3 +37,20 @@ def test_no_assert_statements():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             assert not isinstance(node, ast.Assert), "%s:%d" % (path.name, node.lineno)
+
+
+KERNEL_HELPERS = {"_mul_into", "_rows", "_partial_rows", "_strip", "_odd_mask",
+                  "_reorder_is_odd", "_plan_core"}
+
+
+def test_only_brackets_imports_the_kernel_helpers():
+    # spoly defines the rows, masks and products of the bracket kernel and
+    # brackets its core: every bracket loop lives in brackets
+    importers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & KERNEL_HELPERS
+                if names:
+                    importers.setdefault(path.stem, set()).update(names)
+    assert set(importers) == {"brackets"}, importers

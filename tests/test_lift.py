@@ -77,6 +77,10 @@ class TestLiftProperties:
                 assert lift(s).chart is hatted
         assert built == []
 
+    def test_repr_shows_the_weight(self, small_chart):
+        s = DensityElement(small_chart["x"], Fraction(1, 2))
+        assert repr(s) == "DensityElement(x, weight=1/2)"
+
     def test_weight_one_raises(self, small_chart):
         s = DensityElement(small_chart["x"], Fraction(1))
         with pytest.raises(WeightOneError):
@@ -92,6 +96,26 @@ class TestLiftProperties:
             h.t_power(4) * (h["#t"] * divergence(s).transport(h))
         )
         assert lift(DensityElement(s, lam)) == expected
+
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(2), Fraction(-1, 2), Fraction(1, 3),
+                                     Fraction(1)], ids=str)
+    def test_lift_is_delta_exact(self, rng, lam):
+        # sigma = s^tw t^(lam+1) #t has delta(sigma) = (lam - 1) s t^lam
+        # - div(s)^tw t^(lam+1) #t, so lift(s) = delta(sigma) / (lam - 1) off
+        # lam = 1, where what is left is the modular field
+        C = Chart([("x", EVEN), ("y", EVEN), ("z", EVEN), ("xi", ODD)])
+        h = C.hatted_version()
+        diverging = 0
+        for parity in (EVEN, ODD):
+            for _ in range(10):
+                s = random_poly(rng, C, parity, n_terms=4)
+                sigma = s.parity_twist().transport(h, lam + 1, 1)
+                modular = divergence(s).parity_twist().transport(h, lam + 1, 1)
+                assert delta_op(sigma) == (lam - 1) * s.transport(h, lam) - modular
+                if lam != 1:
+                    assert lift(DensityElement(s, lam)) == delta_op(sigma) / (lam - 1)
+                diverging += bool(modular)
+        assert diverging >= 10
 
 
 class TestLiftCommutes:

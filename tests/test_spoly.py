@@ -78,6 +78,19 @@ class TestBasics:
         assert h.var("#t").parity == ODD and h.var("#t").weight == -1
         assert h.w_star() == h["t"] * h["#t"]
 
+    def test_t_power_needs_a_hatted_chart(self, chart):
+        with pytest.raises(UnknownVariableError, match="chart is not hatted"):
+            chart.t_power(1)
+
+    def test_hash_agrees_with_equality(self, chart):
+        # t^(1/2) t^(1/2) stores the integral exponent 1 as an int, and 2x and
+        # Fraction(2) x store the same int coefficient
+        h = chart.hatted_version()
+        half = h.t_power(Fraction(1, 2))
+        pairs = [(half * half, h.t_power(1)), (2 * chart["x"], Fraction(2) * chart["x"])]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+
     def test_counterparts_are_built_once(self, chart):
         named = Chart(chart.base_coords, name="N")
         h = named.hatted_version()
