@@ -39,7 +39,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
-from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _strip
+from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _rows
+from .spoly import _strip
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,14 @@ def _plan_core(f):
     4 parity(q) + 2 parity(part) + term, term 0 for (d_r f/dq)(d_l g/dq*) and
     1 for (d_r f/dq*)(d_l g/dq)."""
     if f._plan_core is None:
+        parts = ([], [])  # f's `_rows` split by parity, read off each mask
+        for row in _rows(f.chart, f.terms):
+            parts[row[2].bit_count() & 1].append(row)
         core = []
-        for part, fp in zip(f.parity_components(), (EVEN, ODD)):
-            if not part:
+        for rows, fp in zip(parts, (EVEN, ODD)):
+            if not rows:
                 continue
-            df = _partial_rows(f.chart, part.terms, False)
+            df = _partial_rows(f.chart, rows, False)
             for q, qs, a in f.chart.pair_slots:
                 cell = 4 * a + 2 * fp
                 if q in df:
@@ -133,7 +137,7 @@ def _bracket_from(f, g, conv):
     product one of whose derivatives is zero is skipped.  g's left
     `_partial_rows` are built on first use and kept on g."""
     if g._left_rows is None:
-        g._left_rows = _partial_rows(g.chart, g.terms, True)
+        g._left_rows = _partial_rows(g.chart, _rows(g.chart, g.terms), True)
     dg, negate = g._left_rows, conv.negations
     terms = {}
     for df, slot, cell in _plan_core(f):

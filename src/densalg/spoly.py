@@ -16,9 +16,13 @@ an integral one is stored as an int (`_num`): an int and a Fraction of equal
 value compare and hash alike, so this changes no equality, only the cost of
 the arithmetic.  Every other slot holds an int, 0 or 1 for an odd variable.
 All values are immutable and all operations are pure.  Products and brackets
-accumulate into one term map through `_mul_into`, sums through `_add_into`.
+accumulate in place into one term map through `_mul_into`, which repeats the
+rule of `_add_into` inline.  A sum copies its operand with more terms and adds
+the other into the copy through `_add_into`; a difference adds -c for each
+term of the right operand into a copy of the left.  A product by the scalar 1
+returns the polynomial itself, and by -1 its negation.
 `_mul_into` takes `_rows` (key, coefficient, odd-variable bitmask, fractional-t
-flag), and `_partial_rows` gives every partial of a term map as rows in one pass.
+flag), and `_partial_rows` gives every partial of those rows in one pass.
 A `_Substitution` checks its images once and keeps the rows of their powers
 for many polynomials; `SPoly.substitute` prepares one and applies it once,
 its target the source chart unless another is named, and each coordinate
@@ -417,7 +421,9 @@ def _add_into(terms, key, c):
 
 def _mul_into(result, left, right, negate):
     """result += (-1 if negate else 1) * left * right in place, for `_rows`
-    of two term maps over one chart."""
+    of two term maps over one chart.  Each product is accumulated by
+    `_add_into`'s rule, repeated inline so that a pair costs no call."""
+    stored = result.setdefault
     for k1, c1, m1, f1 in left:
         for k2, c2, m2, f2 in right:
             if m1 & m2:
@@ -426,8 +432,15 @@ def _mul_into(result, left, right, negate):
             key = tuple(map(add, k1, k2))
             if f1 and f2:  # two fractional powers of t may sum to an integer
                 key = tuple(map(_num, key))
-            c = c1 * c2
-            _add_into(result, key, -c if flip != negate else c)
+            c = -c1 * c2 if flip != negate else c1 * c2
+            size = len(result)
+            old = stored(key, _num(c))
+            if len(result) == size:
+                new = old + c
+                if new:
+                    result[key] = _num(new)
+                else:
+                    del result[key]
 
 
 def _rows(chart, terms):
@@ -440,14 +453,14 @@ def _rows(chart, terms):
     ]
 
 
-def _partial_rows(chart, terms, left):
-    """Every partial derivative of a term map from one pass over its terms, as
+def _partial_rows(chart, rows, left):
+    """Every partial derivative of the `_rows` of a term map from one pass, as
     {variable index: `_rows` of the derivative}; a variable no term holds has
     no entry.  A derivative's mask is its term's with the variable's bit
     cleared, and its power of t stays a Fraction or an int."""
     slots = range(len(chart.zero_key))
     tables = {}
-    for key, coeff, mask, frac in _rows(chart, terms):
+    for key, coeff, mask, frac in rows:
         for i in compress(slots, key):  # the slots of the variables key holds
             k, c = _strip(key, i, coeff, mask, left)
             tables.setdefault(i, []).append((k, c, mask & ~(1 << i), frac))
@@ -522,8 +535,9 @@ class SPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        terms = dict(big.terms)
+        for k, c in small.terms.items():
             _add_into(terms, k, c)
         return SPoly(self.chart, terms)
 
@@ -536,7 +550,10 @@ class SPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            _add_into(terms, k, -c)
+        return SPoly(self.chart, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -545,6 +562,10 @@ class SPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.chart.zero()
+            if other == 1:
+                return self  # values are immutable
+            if other == -1:
+                return -self
             return SPoly(self.chart, {k: _num(v * other) for k, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:

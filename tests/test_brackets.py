@@ -30,6 +30,7 @@ from densalg import (
 )
 from densalg import brackets
 from densalg.brackets import _Suite, _bracket_from, _candidate_family, _div_pairs
+from densalg.spoly import _partial_rows, _rows
 from conftest import (
     SEED,
     hatted_poly,
@@ -301,6 +302,35 @@ class TestBracketIdentities:
                 flipped = tuple(x ^ y for x, y in zip(getattr(PINNED, field), flip))
                 conv = replace(PINNED, **{field: flipped})
                 assert any(_bracket_from(f, g, conv) != antibracket(f, g) for f, g in pairs)
+
+    def test_plan_core_matches_parity_component_route(self, rng, chart):
+        # f is split by parity in the pass that reads its masks; the core
+        # must equal, entry for entry and in order, the core built from the
+        # two parity_components() of f
+        def oracle(f):
+            core = []
+            for part, fp in zip(f.parity_components(), (EVEN, ODD)):
+                if not part:
+                    continue
+                df = _partial_rows(f.chart, _rows(f.chart, part.terms), False)
+                for q, qs, a in f.chart.pair_slots:
+                    if q in df:
+                        core.append((df[q], qs, 4 * a + 2 * fp))
+                    if qs in df:
+                        core.append((df[qs], q, 4 * a + 2 * fp + 1))
+            return core
+
+        hchart = chart.hatted_version()
+        t = hchart.t_var.index
+        mixed = half = False
+        for _ in range(40):
+            f = hatted_poly(rng, hchart, n_terms=8)
+            mixed |= f.parity() is MIXED
+            half |= any(type(key[t]) is Fraction for key in f.terms)
+            for g in (f, *f.parity_components()):
+                g = SPoly(hchart, dict(g.terms))  # no core kept from an earlier call
+                assert brackets._plan_core(g) == oracle(g)
+        assert mixed and half
 
 
 class TestDivergenceAndDelta:

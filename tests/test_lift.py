@@ -27,6 +27,7 @@ from densalg import (
     transform_density,
     transform_hatted,
 )
+from densalg.classify import monomial_ansatz
 from densalg.printing import poly_to_text
 from densalg.spoly import _Substitution
 from conftest import hatted_poly, random_poly, reference_substitute
@@ -129,6 +130,30 @@ class TestLiftCommutes:
                     s = DensityElement(random_poly(rng, C, ps), lam)
                     u = DensityElement(random_poly(rng, C, pu), mu)
                     assert lift_commutes_check(s, u).is_zero()
+
+    def test_infinitesimal_naturality_on_monomial_bases(self):
+        """The lift commutes with the Lie derivative of every polynomial
+        vector field X of coefficient degree <= 2 on the plane, acting on
+        every bivector of degree <= 2 and every vector field of degree <= 1,
+        at the weights 0, 2, -1/2, 1/3 and 3.
+
+        With X at weight 0, `base_bracket` gives L_X s at weight lam,
+        (X, s) + lam div(X) s, so lift_commutes_check(DensityElement(X, 0),
+        DensityElement(s, lam)) is (lift X, lift s) - lift(L_X s).  The
+        check is bilinear in (X, s): zero on the monomial bases below is
+        zero on every X and s of this slice, at these five weights only.
+        It also exercises the scalar multiples and sums of `base_bracket`.
+        """
+        C = Chart([("x", EVEN), ("y", EVEN)])
+        fields = monomial_ansatz(C, 1, 2, ODD)
+        targets = monomial_ansatz(C, 2, 2, EVEN) + monomial_ansatz(C, 1, 1, ODD)
+        assert (len(fields), len(targets)) == (12, 12)
+        checks = 0
+        for lam in (Fraction(0), Fraction(2), Fraction(-1, 2), Fraction(1, 3), Fraction(3)):
+            for X, s in itertools.product(fields, targets):
+                assert lift_commutes_check(DensityElement(X, 0), DensityElement(s, lam)).is_zero()
+                checks += 1
+        assert checks == 720
 
     def test_weight_sum_one_raises(self, small_chart):
         C = small_chart

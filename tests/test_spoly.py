@@ -21,7 +21,7 @@ from densalg import (
     classify_lifts,
 )
 from densalg.classify import darboux_form
-from densalg.spoly import _exact_root, _partial_rows, _Substitution, rational_power
+from densalg.spoly import _exact_root, _partial_rows, _rows, _Substitution, rational_power
 from conftest import (
     dense, hatted_poly, random_poly, reference_derivative, reference_product,
     reference_substitute, sparse,
@@ -35,11 +35,33 @@ def stored_fractions(f):
     return [x for x in values if isinstance(x, Fraction) and x.denominator == 1]
 
 
+def combination(*scaled):
+    """The term map of sum a * f over (a, f) pairs, term by term in a plain
+    dict, with the terms that cancel left out: the oracle of sums and scalar
+    products."""
+    out = {}
+    for a, f in scaled:
+        for key, c in f.terms.items():
+            out[key] = out.get(key, 0) + a * c
+    return {key: c for key, c in out.items() if c}
+
+
+def unequal_pairs(rng, chart):
+    """(one-term, 30-or-more-term) operands with t^(1/2) keys and Fraction
+    coefficients: the one term is drawn fresh, or is a term of the big
+    operand at twice or minus its coefficient, so that sums add, merge and
+    cancel."""
+    big = hatted_poly(rng, chart, n_terms=40)
+    assert len(big.terms) >= 30
+    term = SPoly(chart, dict([rng.choice(list(big.terms.items()))]))
+    return [(one, big) for one in (hatted_poly(rng, chart, n_terms=1), 2 * term, -term)]
+
+
 def partials(f, left):
     """Every partial derivative of f from one `_partial_rows` pass, as
     {variable index: derivative}."""
     return {i: SPoly(f.chart, {k: c for k, c, _, _ in rows})
-            for i, rows in _partial_rows(f.chart, f.terms, left).items()}
+            for i, rows in _partial_rows(f.chart, _rows(f.chart, f.terms), left).items()}
 
 
 class TestBasics:
@@ -208,7 +230,10 @@ class TestRandomizedLaws:
             for r in results:
                 assert all(r.terms.values())
         # t^(1/2) keys and fractional coefficients; graded symmetry makes the
-        # bracket of an odd h with itself 0, so its terms cancel in one map
+        # bracket of an odd h with itself 0, so its terms cancel in one map.
+        # The unequal pairs come from their own generator, so f, g and h are
+        # the draws they always were
+        sized = random.Random("unequal")
         for _ in range(60):
             f = hatted_poly(rng, hchart)
             g = hatted_poly(rng, hchart)
@@ -218,7 +243,10 @@ class TestRandomizedLaws:
             results = [
                 f + g, f + (-f), f - g, f * g, f * f, h * h,
                 antibracket(f, g), antibracket(f, f), antibracket(g, h), hh,
+                f * 1, -1 * f, f * Fraction(-1),
             ]
+            for one, big in unequal_pairs(sized, hchart):
+                results += [one + big, big + one, one - big, big - one]
             for r in results:
                 assert all(r.terms.values())
 
@@ -226,6 +254,7 @@ class TestRandomizedLaws:
         # 1/2 * 2 and t^(1/2) * t^(1/2) must come out as int 1, not Fraction(1)
         hchart = chart.hatted_version()
         x, xi = hchart.var("x"), hchart.var("xi")
+        sized = random.Random("unequal")  # leaves the draws of f, g and h as they were
         for _ in range(60):
             f = hatted_poly(rng, hchart)
             g = hatted_poly(rng, hchart)
@@ -237,7 +266,10 @@ class TestRandomizedLaws:
                 f.substitute({x: g.parity_components()[0] + 1, xi: h}),
                 f.substitute({hchart.t_var: 4 * hchart["t"]}),
                 antibracket(f, g), hchart.t_power(Fraction(2)), hchart.const(Fraction(4, 2)),
+                f * 1, -1 * f, f * Fraction(-1),
             ]
+            for one, big in unequal_pairs(sized, hchart):
+                results += [one + big, big + one, one - big, big - one]
             for left in (True, False):
                 results += partials(f, left).values()
             for r in results:
@@ -245,6 +277,24 @@ class TestRandomizedLaws:
                 for key in r.terms:
                     assert len(key) == len(hchart.variables)
                     assert all(e in (0, 1) for e, bit in zip(key, hchart.odd_bits) if bit)
+
+    def test_sums_and_scalar_products_against_dict_oracle(self, rng, chart):
+        # sums copy one operand and add the other into the copy, a difference
+        # adds -c per term, and a product by 1 or -1 is the polynomial or its
+        # negation: each must equal the term-by-term sum, for very unequal
+        # sizes in both orders
+        hchart = chart.hatted_version()
+        for _ in range(20):
+            for f, g in unequal_pairs(rng, hchart):
+                for a, b in ((f, g), (g, f)):
+                    assert (a + b).terms == combination((1, a), (1, b))
+                    assert (a - b).terms == combination((1, a), (-1, b))
+                    assert (1 - a).terms == combination((1, hchart.const(1)), (-1, a))
+                    for c in (1, -1, Fraction(-1), 2, Fraction(1, 2)):
+                        assert (c * a).terms == combination((c, a))
+                        assert (a * c).terms == combination((c, a))
+        f = hatted_poly(rng, hchart)
+        assert f * 1 is f and 1 * f is f  # values are immutable
 
     def test_public_values_are_fractions(self, rng, chart):
         f = random_poly(rng, chart) * chart["x"] + 3
