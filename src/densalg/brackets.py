@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
 from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _rows
-from .spoly import _strip
+from .spoly import _T_UNIT, _strip, _strip_t, _t_exp, _t_slot
 
 
 @dataclass(frozen=True)
@@ -178,17 +178,19 @@ def _div_pairs(f, pairs, conv, mu=0):
     each term is stripped of q* and then of q for each pair it holds, and of
     #t, its t slot decremented, for a nonzero mu."""
     left = conv.div_side == "left"
+    t = 2 * f.chart.n_base if f.chart.hatted else -1
     terms = {}
     for key, coeff in f.terms.items():
         mask = _odd_mask(f.chart.odd_bits, key)
         for q, qs, a in pairs:
             if key[q] and key[qs]:
                 k, c = _strip(key, qs, coeff, mask, left)
-                k, c = _strip(k, q, c, mask, left)  # q* was even if q reads the mask
+                # q* was even if q reads the mask
+                k, c = _strip_t(k, q, c) if q == t else _strip(k, q, c, mask, left)
                 _add_into(terms, k, -c if conv.div_parity and a else c)
         if mu and key[-1]:  # #t holds the last slot and t the one before
             k, c = _strip(key, len(key) - 1, coeff, mask, left)
-            _add_into(terms, k[:-2] + (k[-2] - 1, 0), mu * c)
+            _add_into(terms, k[:-2] + (k[-2] - _T_UNIT, 0), mu * c)
     return SPoly(f.chart, terms)
 
 
@@ -225,7 +227,7 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
     mu = key[ti]
     if key != chart.power_key(ti, mu):
         raise DomainError("rho must be a rational multiple of a power of t")
-    return _div_pairs(f, chart.pair_slots, PINNED, mu)
+    return _div_pairs(f, chart.pair_slots, PINNED, _t_exp(mu))
 
 
 def delta_op(f: SPoly) -> SPoly:
@@ -274,6 +276,8 @@ def _random_homogeneous(rng, chart, parity, n_terms=3):
         key = tuple([int(rng.random() < 0.4) if o else rng.choice((0, 0, 1, 2)) for o in odd])
         if chart.key_parity(key) != parity:
             continue
+        if chart.hatted:  # the drawn power of t, written to its slot
+            key = key[:-2] + (_t_slot(key[-2]), key[-1])
         c = rng.choice((-3, -2, -1, 1, 2, 3))
         terms[key] = c
     return SPoly(chart, terms)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from operator import neg
 
 from .spoly import ODD, Chart, DomainError, SPoly, _entries, _frac, _map, _num, _on, _shown
+from .spoly import _t_exp, _t_slot
 
 
 def _term_sort_key(chart, key):
@@ -31,6 +32,7 @@ def _monomial_factors(chart, key):
     use_w = False
     if chart.hatted:
         ti = chart.t_var.index  # the t and #t slots come last
+        exps[ti] = _t_exp(exps[ti])
         if exps[ti + 1] == 1 and exps[ti] >= 1:
             use_w = True
             exps[ti] -= 1
@@ -87,7 +89,7 @@ def poly_to_dict(f: SPoly) -> dict:
     terms = []
     for key in keys:
         exps = {
-            v.name: str(exp) if v.kind == "t" else exp
+            v.name: str(_t_exp(exp)) if v.kind == "t" else exp
             for v, exp in zip(chart.variables, key) if exp
         }
         terms.append({"coeff": str(f.terms[key]), "exponents": exps})
@@ -119,7 +121,7 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
                 valid = exp.denominator == 1 and exp > 0
             if not valid:
                 raise DomainError("%s cannot have exponent %s" % (name, _shown(exp)))
-            key[v.index] = _num(exp)
+            key[v.index] = _t_slot(exp) if v.kind == "t" else _num(exp)
         key = tuple(key)
         coeff = _num(_frac(coeff))
         if not coeff:

@@ -11,10 +11,14 @@ by `Variable.index`, with 0 for an absent variable: a product adds the keys
 slot by slot and a derivative updates one slot.  Odd variables are
 implicitly kept in chart declaration order and every reordering sign is
 absorbed into the coefficient at construction time, so equal polynomials have
-equal term maps.  Coefficients and the exponent of t are int or Fraction, and
-an integral one is stored as an int (`_num`): an int and a Fraction of equal
-value compare and hash alike, so this changes no equality, only the cost of
-the arithmetic.  Every other slot holds an int, 0 or 1 for an odd variable.
+equal term maps.  Coefficients are int or Fraction, and an integral one is
+stored as an int (`_num`): an int and a Fraction of equal value compare and
+hash alike, so this changes no equality, only the cost of the arithmetic.
+The t slot holds t's exponent times `_T_UNIT` = lcm(1..16) (`_t_slot`, read
+back by `_t_exp`): an int when the exponent's denominator divides it, as every
+denominator up to 16 does (1/2, -3/2, 5/3), so those keys hash, compare and
+add as ints, and else a Fraction.  Every other slot holds an int, 0 or 1 for
+an odd variable.
 All values are immutable and all operations are pure.  Products and brackets
 accumulate in place into one term map through `_mul_into`, which repeats the
 rule of `_add_into` inline.  A sum copies its operand with more terms and adds
@@ -186,6 +190,19 @@ def _shown(q):
 def _num(c):
     """An integral Fraction as its int numerator; any other value unchanged."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+_T_UNIT = 720720  # lcm(1..16): a key's t slot holds t's exponent times this
+
+
+def _t_slot(e):
+    """The t slot value that holds the exponent e (an int or Fraction) of t."""
+    return _num(e * _T_UNIT)
+
+
+def _t_exp(s):
+    """The exponent of t that the t slot value s holds, an int when integral."""
+    return s // _T_UNIT if type(s) is int and not s % _T_UNIT else Fraction(s, _T_UNIT)
 
 
 # the most bits a constant power may take; 3^(2^22) is computed in about a second
@@ -379,11 +396,12 @@ class Chart:
         return SPoly(self, {self.zero_key: c} if c else {})
 
     def __getitem__(self, name):
-        return SPoly(self, {self.power_key(self.var(name).index, 1): 1})
+        v = self.var(name)
+        return SPoly(self, {self.power_key(v.index, _T_UNIT if v.kind == "t" else 1): 1})
 
     def t_power(self, lam):
         lam = _frac(lam)  # t_var refuses an unhatted chart
-        return SPoly(self, {self.power_key(self.t_var.index, _num(lam)): 1})
+        return SPoly(self, {self.power_key(self.t_var.index, _t_slot(lam)): 1})
 
     def w_star(self):
         """The weight-0 odd coordinate w = t * #t."""
@@ -391,7 +409,8 @@ class Chart:
 
     # -- monomial-key helpers --
     def power_key(self, index, exp):
-        """The key of the monomial (variable `index`)^exp."""
+        """The key of the monomial (variable `index`)^exp; for t, exp is a
+        t slot value (`_t_slot`)."""
         return self.zero_key[:index] + (exp,) + self.zero_key[index + 1:]
 
     def key_parity(self, key):
@@ -399,7 +418,7 @@ class Chart:
 
     def key_weight(self, key):
         t = 2 * self.n_base
-        return key[t] - key[t + 1] if self.hatted else 0
+        return _t_exp(key[t]) - key[t + 1] if self.hatted else 0
 
     def key_fiber_degree(self, key):
         n = self.n_base
@@ -430,8 +449,8 @@ def _mul_into(result, left, right, negate):
                 continue  # an odd variable squared
             flip = m1 and m2 and _reorder_is_odd(m1, m2)
             key = tuple(map(add, k1, k2))
-            if f1 and f2:  # two fractional powers of t may sum to an integer
-                key = tuple(map(_num, key))
+            if f1 and f2:  # two Fraction t slots may sum to an integer
+                key = key[:-2] + (_num(key[-2]), key[-1])
             c = -c1 * c2 if flip != negate else c1 * c2
             size = len(result)
             old = stored(key, _num(c))
@@ -445,7 +464,8 @@ def _mul_into(result, left, right, negate):
 
 def _rows(chart, terms):
     """The operands of `_mul_into`: (key, coeff, `_odd_mask` of the key, whether
-    its power of t, in the last slot but one, is a Fraction) for every term."""
+    its t slot, the last but one, is a Fraction: a power of t whose denominator
+    does not divide `_T_UNIT`) for every term."""
     odd, hatted = chart.odd_bits, chart.hatted
     return [
         (key, c, _odd_mask(odd, key), hatted and type(key[-2]) is Fraction)
@@ -457,12 +477,13 @@ def _partial_rows(chart, rows, left):
     """Every partial derivative of the `_rows` of a term map from one pass, as
     {variable index: `_rows` of the derivative}; a variable no term holds has
     no entry.  A derivative's mask is its term's with the variable's bit
-    cleared, and its power of t stays a Fraction or an int."""
+    cleared, and its t slot stays a Fraction or an int."""
     slots = range(len(chart.zero_key))
+    t = 2 * chart.n_base if chart.hatted else -1
     tables = {}
     for key, coeff, mask, frac in rows:
         for i in compress(slots, key):  # the slots of the variables key holds
-            k, c = _strip(key, i, coeff, mask, left)
+            k, c = _strip_t(key, i, coeff) if i == t else _strip(key, i, coeff, mask, left)
             tables.setdefault(i, []).append((k, c, mask & ~(1 << i), frac))
     return tables
 
@@ -496,6 +517,14 @@ def _strip(key, i, coeff, mask, left):
         crossed = mask & ((1 << i) - 1) if left else mask >> (i + 1)
         return key[:i] + (0,) + key[i + 1:], -coeff if crossed.bit_count() & 1 else coeff
     return key[:i] + (exp - 1,) + key[i + 1:], coeff if exp == 1 else _num(coeff * exp)
+
+
+def _strip_t(key, i, coeff):
+    """The derivative of coeff * key by t, at slot i, which it holds, as (key,
+    coeff): one `_T_UNIT` off the slot and the coefficient times t's exponent."""
+    s = key[i]
+    c = coeff if s == _T_UNIT else _num(coeff * _t_exp(s))
+    return key[:i] + (s - _T_UNIT,) + key[i + 1:], c
 
 
 class SPoly:
@@ -601,6 +630,8 @@ class SPoly:
         bits = (int(max(sum(abs(c) for c in coeffs) * D, D)) - 1).bit_length()
         count = comb(n + len(coeffs) - 1, n)
         slots = list(zip(*self.terms))
+        if slots and self.chart.hatted:
+            slots[-2] = [_t_exp(s) for s in slots[-2]]
         if all(e.denominator == 1 for exps in slots for e in exps):
             count = min(count, prod(n * (max(exps) - min(exps)) + 1 for exps in slots))
         fits = count * n * bits <= MAX_POWER_BITS
@@ -636,7 +667,8 @@ class SPoly:
         result = {}
         for key, coeff in self.terms.items():
             if key[i]:
-                k, c = _strip(key, i, coeff, _odd_mask(odd, key), left)
+                k, c = (_strip_t(key, i, coeff) if v.kind == "t"
+                        else _strip(key, i, coeff, _odd_mask(odd, key), left))
                 result[k] = c
         return SPoly(chart, result)
 
@@ -694,7 +726,7 @@ class SPoly:
         odd variable.  `tails` inverts it.
         """
         chart = self.chart
-        t, tstar = _num(_frac(t)), _integer(tstar, "the #t exponent", 1)
+        t, tstar = _frac(t), _integer(tstar, "the #t exponent", 1)
         if target.base_coords != chart.base_coords:
             raise ChartMismatchError("transport needs a chart with the same base coordinates")
         width = len(target.zero_key)
@@ -703,7 +735,7 @@ class SPoly:
         pad = target.zero_key[len(chart.zero_key):]
         if (t or tstar) and not pad:
             raise DomainError("a tail t^%s #t^%s does not pad onto %r" % (_shown(t), tstar, target))
-        pad = (t, tstar) if pad else ()
+        pad = (_t_slot(t), tstar) if pad else ()
         return SPoly(target, {key[:width] + pad: c for key, c in self.terms.items()})
 
     def tails(self):
@@ -715,7 +747,7 @@ class SPoly:
         for key, c in self.terms.items():
             parts.setdefault(key[-2:], {})[key[:-2]] = c
         base = self.chart.unhatted_version()
-        return {tail: SPoly(base, terms) for tail, terms in parts.items()}
+        return {(_t_exp(t), tstar): SPoly(base, terms) for (t, tstar), terms in parts.items()}
 
     def coefficient(self, key):
         return Fraction(self.terms.get(key, 0))
@@ -750,7 +782,7 @@ class _Substitution:
                 if len(img.terms) != 1:
                     raise SubstitutionError("t image must be a positive multiple of t")
                 (key, c), = img.terms.items()
-                if key != target.power_key(target.t_var.index, 1) or c <= 0:
+                if key != target.power_key(target.t_var.index, _T_UNIT) or c <= 0:
                     raise SubstitutionError("t image must be a positive multiple of t")
                 self._t_index, self._t_scale = v.index, c
                 continue
@@ -770,7 +802,7 @@ class _Substitution:
             terms = (img if exp == 1 else img ** exp).terms
         elif idx == self._t_index:
             terms = {target.power_key(target.t_var.index, exp):
-                     _num(rational_power(self._t_scale, exp))}
+                     _num(rational_power(self._t_scale, _t_exp(exp)))}
         elif self._keep:
             terms = {target.power_key(idx, exp): 1}
         else:

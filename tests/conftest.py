@@ -16,6 +16,7 @@ from densalg import Chart, DensityElement, EVEN, ODD, PINNED, LieAlgebraData, SP
 from densalg import poly_from_dict
 from densalg.brackets import _random_homogeneous
 from densalg.classify import attach_correction, darboux_form
+from densalg.spoly import _T_UNIT
 
 
 SEED = 20240824
@@ -49,6 +50,12 @@ def dense(chart, pairs):
     for idx, e in pairs:
         key[idx] = e
     return tuple(key)
+
+
+def unit(v):
+    """The key slot value of v^1: t's slot holds its exponent times spoly's
+    `_T_UNIT`, every other slot the exponent itself."""
+    return _T_UNIT if v.kind == "t" else 1
 
 
 def random_poly(rng, chart, parity=None, n_terms=3):
@@ -101,10 +108,10 @@ def reference_substitute(f, images, target):
                 image, times = SPoly(target, {dense(target, ((idx, e),)): 1}), 1
             elif v.kind == "t":
                 (_, c), = image.terms.items()
-                e = Fraction(e)
+                t_e = dense(target, ((target.t_var.index, e),))  # t^e keeps its slot
+                e = Fraction(e, unit(v))
                 root = Fraction(float(c) ** (1 / e.denominator)).limit_denominator(10 ** 6)
                 assert root ** e.denominator == c
-                t_e = dense(target, ((target.t_var.index, e),))
                 image, times = SPoly(target, {t_e: root ** e.numerator}), 1
             for _ in range(times):
                 acc = reference_product(target, acc, image)
@@ -142,10 +149,10 @@ def reference_derivative(chart, key, coeff, v, left):
         return {}
     exp = kd[v.index]
     if v.parity == EVEN:
-        kd[v.index] = exp - 1
+        kd[v.index] = exp - unit(v)
         if not kd[v.index]:
             del kd[v.index]
-        return {dense(chart, sorted(kd.items())): coeff * exp}
+        return {dense(chart, sorted(kd.items())): coeff * Fraction(exp, unit(v))}
     # odd: count odd factors strictly before (left) / after (right) v in the
     # canonical factor order
     odd_positions = [idx for idx, _ in sorted(kd.items()) if chart.variables[idx].parity == ODD]
@@ -211,7 +218,8 @@ def product_divergence_wrt(f, rho):
     of f rho against |D(x,t)| (`reference_divergence` over every pair) for the
     density coefficient rho = c t^mu, with rho^-1 = (1/c) t^-mu."""
     (key, c), = rho.terms.items()
-    mu = key[rho.chart.t_var.index]
+    t = rho.chart.t_var
+    mu = Fraction(key[t.index], unit(t))
     full = reference_divergence(rho.chart, f * rho, PINNED, full=True)
     return (Fraction(1) / c) * rho.chart.t_power(-mu) * full
 

@@ -1,4 +1,5 @@
 """The odd bracket, divergence operators, delta, and the pinned convention."""
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -29,7 +30,8 @@ from densalg import (
     restrict_to_base,
 )
 from densalg import brackets
-from densalg.brackets import _Suite, _bracket_from, _candidate_family, _div_pairs
+from densalg.brackets import _CHART, _HCHART, _Suite, _bracket_from, _candidate_family, _div_pairs
+from densalg.printing import poly_to_text
 from densalg.spoly import _partial_rows, _rows
 from conftest import (
     SEED,
@@ -41,6 +43,7 @@ from conftest import (
     reference_divergence,
     reference_product,
     sparse,
+    unit,
 )
 
 
@@ -50,6 +53,17 @@ class TestConventionPinning:
 
     def test_unique_survivor_is_pinned(self):
         assert pin_convention(seed=2024) == PINNED
+
+    def test_samples_are_pinned(self):
+        # the printed triples the pin draws at seed 2024, which random_poly's
+        # draws share: a t slot written as a raw exponent would draw
+        # t^(1/720720) in place of t, which every identity and the ledger accept
+        samples = _Suite(random.Random(2024)).samples
+        text = "\n".join(poly_to_text(f) for c in (_CHART, _HCHART) for triple in samples[c]
+                         for f in triple)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3cf866f6275323d40560b34c1c401c6a52ab911d14ac876d025ad8400f972787")
+        assert "t^2" in text and "w" in text
 
     def test_no_unique_survivor_raises(self, monkeypatch):
         monkeypatch.setattr(brackets, "_IDENTITIES", ())
@@ -261,7 +275,7 @@ class TestBracketIdentities:
             assert _bracket_from(f, g, conv) == reference_bracket(hchart, f, g, conv)
             mixed |= f.parity() is MIXED
             for key, c in f.terms.items():
-                half |= Fraction(dict(sparse(key)).get(t, 0)).denominator == 2
+                half |= Fraction(dict(sparse(key)).get(t, 0), unit(hchart.t_var)).denominator == 2
                 tstar |= any(idx == ts for idx, _ in sparse(key))
                 fraction |= Fraction(c).denominator > 1
         assert mixed and half and tstar and fraction
@@ -326,7 +340,7 @@ class TestBracketIdentities:
         for _ in range(40):
             f = hatted_poly(rng, hchart, n_terms=8)
             mixed |= f.parity() is MIXED
-            half |= any(type(key[t]) is Fraction for key in f.terms)
+            half |= any(Fraction(key[t], unit(hchart.t_var)).denominator > 1 for key in f.terms)
             for g in (f, *f.parity_components()):
                 g = SPoly(hchart, dict(g.terms))  # no core kept from an earlier call
                 assert brackets._plan_core(g) == oracle(g)
@@ -437,8 +451,9 @@ class TestDivergenceAndDelta:
                 assert delta_op(f) == delta
             for key in f.terms:
                 exps = dict(sparse(key))
-                half |= Fraction(exps.get(t, 0)).denominator == 2
-                inverse |= exps.get(t, 0) == -1
+                e = Fraction(exps.get(t, 0), unit(h.t_var))
+                half |= e.denominator == 2
+                inverse |= e == -1
                 tstar |= ts in exps
         assert half and inverse and tstar
 

@@ -1,4 +1,5 @@
 """Core supercommutative polynomial algebra."""
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,17 +15,25 @@ from densalg import (
     EVEN,
     MIXED,
     ODD,
+    PINNED,
     SPoly,
     SubstitutionError,
     UnknownVariableError,
     antibracket,
     classify_lifts,
+    delta_op,
+    divergence,
+    divergence_wrt,
 )
+from densalg import spoly
 from densalg.classify import darboux_form
+from densalg.dsl import Interpreter, parse
+from densalg.printing import poly_from_dict, poly_to_dict, poly_to_text
 from densalg.spoly import _exact_root, _partial_rows, _rows, _Substitution, rational_power
 from conftest import (
-    dense, hatted_poly, random_poly, reference_derivative, reference_product,
-    reference_substitute, sparse,
+    dense, hatted_poly, product_divergence_wrt, random_poly, reference_bracket,
+    reference_derivative, reference_divergence, reference_product, reference_substitute,
+    sparse, unit,
 )
 
 
@@ -164,10 +173,12 @@ class TestRandomizedLaws:
             D = math.lcm(*(Fraction(c).denominator for c in coeffs))
             S = sum(abs(c) for c in coeffs) * D
             assert len(power.terms) <= math.comb(n + len(coeffs) - 1, n)
-            if all(Fraction(e).denominator == 1 for key in f.terms for e in key):
+            slots = [[Fraction(e, unit(v)) for e in exps]  # exponents, t's too
+                     for v, exps in zip(f.chart.variables, zip(*f.terms))]
+            if all(e.denominator == 1 for exps in slots for e in exps):
                 # n * (max - min) + 1 exponent sums per variable
                 assert len(power.terms) <= math.prod(n * (max(exps) - min(exps)) + 1
-                                                     for exps in zip(*f.terms))
+                                                     for exps in slots)
             assert all(max(abs(Fraction(c).numerator), Fraction(c).denominator) <= max(S, D) ** n
                        for c in power.terms.values())
 
@@ -426,7 +437,8 @@ class TestSubstitution:
             assert h.sum(body.transport(h, a, b) for (a, b), body in tails.items()) == S
             for (a, b), body in tails.items():
                 assert body.chart == chart and not body.is_zero()
-                tail = SPoly(h, {dense(h, [(i, e) for i, e in ((ti, a), (ti + 1, b)) if e]): 1})
+                slots = ((ti, a * unit(h.t_var)), (ti + 1, b))
+                tail = SPoly(h, {dense(h, [(i, e) for i, e in slots if e]): 1})
                 expected = reference_product(h, body.transport(h), tail)
                 assert body.transport(h, a, b) == expected
                 assert not stored_fractions(body.transport(h, Fraction(a), b))
@@ -605,3 +617,104 @@ class TestRationalPower:
             rational_power(Fraction(2), Fraction(1, 2))
         with pytest.raises(SubstitutionError):
             rational_power(Fraction((10**30 + 7) ** 2 + 1), Fraction(1, 2))
+
+
+class TestTSlot:
+    """The t slot holds t's exponent times `spoly._T_UNIT` = lcm(1..16): an int
+    for every denominator up to 16, else a Fraction.  Exponents 1/17 and -5/34
+    take the Fraction path, 10^30/7 a huge int slot; every operation on them is
+    checked against the oracles."""
+
+    EXPONENTS = (Fraction(1, 17), Fraction(-5, 34), Fraction(10**30, 7))
+
+    def operands(self, chart):
+        h = chart.hatted_version()
+        a, b, c = (h.t_power(e) for e in self.EXPONENTS)
+        x, y, xi, eta, tstar = (h[n] for n in ("x", "y", "xi", "eta", "#t"))
+        f = x * h["#y"] * a + Fraction(3, 2) * xi * b * tstar + 5 * y * h["#xi"] * c * tstar \
+            + h["#x"] * eta
+        g = y * h["#x"] * h.t_power(Fraction(16, 17)) - xi * eta * b * tstar \
+            + Fraction(2, 3) * x * h["#eta"] * c
+        return h, f, g
+
+    def test_storage(self, chart):
+        h = chart.hatted_version()
+        ti = h.t_var.index
+        key, = (h.t_power(Fraction(1, 17)) * h.t_power(Fraction(16, 17))).terms
+        assert type(key[ti]) is int and h.key_weight(key) == 1
+        for e in (Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3), 2):
+            key, = h.t_power(e).terms
+            assert type(key[ti]) is int
+        key, = h.t_power(Fraction(1, 17)).terms
+        assert type(key[ti]) is Fraction
+        # key_weight is t's exponent less #t's, an int when it is integral
+        for f, weight in ((h.t_power(Fraction(1, 2)), Fraction(1, 2)), (h["t"] ** 2, 2),
+                          (h.t_power(Fraction(1, 17)) * h["#t"], Fraction(-16, 17)),
+                          (h.t_power(Fraction(10**30, 7)), Fraction(10**30, 7)),
+                          (h.w_star(), 0), (h["x"], 0), (chart["x"], 0)):
+            key, = f.terms
+            assert f.chart.key_weight(key) == weight
+            assert type(f.chart.key_weight(key)) is type(weight)
+
+    def test_product_and_bracket_against_oracles(self, chart):
+        h, f, g = self.operands(chart)
+        for p, q in ((f, g), (g, f), (f, f)):
+            assert p * q == reference_product(h, p, q)
+            assert antibracket(p, q) == reference_bracket(h, p, q, PINNED)
+        assert antibracket(f, g)
+
+    def test_divergence_and_delta_against_oracles(self, chart):
+        h, f, g = self.operands(chart)
+        for p in (f, g):
+            assert divergence(p) == reference_divergence(h, p, PINNED)
+            assert divergence_wrt(p, 1) == reference_divergence(h, p, PINNED, full=True)
+            for e in self.EXPONENTS:
+                rho = 3 * h.t_power(e)
+                assert divergence_wrt(p, rho) == product_divergence_wrt(p, rho)
+            assert delta_op(p) == product_divergence_wrt(p, h.t_power(-2))
+        assert delta_op(f) and divergence_wrt(g, h.t_power(self.EXPONENTS[0]))
+
+    def test_substitution_scales_t(self, chart):
+        h, f, g = self.operands(chart)
+        x, t = h.var("x"), h.t_var
+        assert h.t_power(Fraction(1, 17)).substitute({t: 2**34 * h["t"]}) \
+            == 4 * h.t_power(Fraction(1, 17))
+        small = f - SPoly(h, {k: c for k, c in f.terms.items() if h.key_weight(k) > 1})
+        for p, scale in ((small, 2**34), (f, 1), (g, 1)):
+            images = {x: h["y"] + 2 * h["x"], t: scale * h["t"]}
+            assert p.substitute(images) == reference_substitute(p, images, h)
+
+    def test_transport_and_tails(self, chart):
+        h, f, g = self.operands(chart)
+        ti = h.t_var.index
+        tails = f.tails()
+        a, b, c = self.EXPONENTS
+        assert set(tails) == {(a, 0), (b, 1), (c, 1), (0, 0)}
+        assert [type(e) for e, _ in sorted(tails)] == [Fraction, int, Fraction, Fraction]
+        assert h.sum(body.transport(h, e, s) for (e, s), body in tails.items()) == f
+        for (e, s), body in tails.items():
+            slots = ((ti, e * unit(h.t_var)), (ti + 1, s))
+            tail = SPoly(h, {dense(h, [(i, v) for i, v in slots if v]): 1})
+            assert body.transport(h, e, s) == reference_product(h, body.transport(h), tail)
+
+    def test_text_and_json_round_trip(self, chart):
+        h, f, g = self.operands(chart)
+        assert poly_to_text(f) == ("5*y*#xi*t^(999999999999999999999999999993/7)*w"
+                                   " + x*#y*t^(1/17) - eta*#x + 3/2*xi*t^(-5/34)*#t")
+        assert poly_to_text(g) == ("2/3*x*#eta*t^(1000000000000000000000000000000/7)"
+                                   " + y*#x*t^(16/17) - xi*eta*t^(-5/34)*#t")
+        header = "chart H hatted { even x, y; odd xi, eta }\nlet p = "
+        for p in (f, g):
+            interp = Interpreter()
+            interp.run(parse(header + poly_to_text(p) + "\n"))
+            assert interp.bindings["p"] == p
+            assert poly_from_dict(json.loads(json.dumps(poly_to_dict(p)))) == p
+
+    def test_power_bound_reads_exponents(self, monkeypatch, chart):
+        # t's spread is 5 in exponent units: the bound of 501 terms fits, so
+        # no product is checked
+        h = chart.hatted_version()
+        checked = []
+        monkeypatch.setattr(spoly, "_checked_product", lambda a, b: checked.append(1) or a * b)
+        power = h.sum(h["t"] ** k for k in range(6)) ** 100
+        assert not checked and len(power.terms) == 501
