@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
 from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _rows
-from .spoly import _T_UNIT, _strip, _strip_t, _t_exp, _t_slot
+from .spoly import _T_UNIT, _strip, _strip_t, _t_slot
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,9 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
         raise DomainError("rho must be a single invertible term")
     (key, _), = rho_coeff.terms.items()
     ti = chart.t_var.index
-    mu = key[ti]
-    if key != chart.power_key(ti, mu):
+    if key != chart.power_key(ti, key[ti]):
         raise DomainError("rho must be a rational multiple of a power of t")
-    return _div_pairs(f, chart.pair_slots, PINNED, _t_exp(mu))
+    return _div_pairs(f, chart.pair_slots, PINNED, rho_coeff.weight())
 
 
 def delta_op(f: SPoly) -> SPoly:

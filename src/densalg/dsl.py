@@ -379,7 +379,6 @@ class Interpreter:
             for op in reversed(spine):
                 value = self._apply(op, value, self.eval_expr(op.right, chart))
             return value
-        raise ParseError("malformed expression")
 
     def _apply(self, node, lhs, rhs):
         if node.op == "+":

@@ -20,11 +20,8 @@ def _term_sort_key(chart, key):
 
 
 def _exp_text(exp):
-    if isinstance(exp, Fraction) and (exp.denominator != 1 or exp < 0):
-        return "(%s)" % exp
-    if isinstance(exp, int) and exp < 0:
-        return "(%d)" % exp
-    return str(exp)
+    # _t_exp gives an int for every integral power of t, so a Fraction here is never integral
+    return "(%s)" % exp if exp < 0 or type(exp) is Fraction else str(exp)
 
 
 def _monomial_factors(chart, key):

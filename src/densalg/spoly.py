@@ -110,9 +110,6 @@ class _AnyGrade(_Sentinel):
     def __eq__(self, other):
         return other is not MIXED
 
-    def __ne__(self, other):
-        return other is MIXED
-
     def __hash__(self):
         return hash(self.label)
 

@@ -39,18 +39,28 @@ def test_no_assert_statements():
             assert not isinstance(node, ast.Assert), "%s:%d" % (path.name, node.lineno)
 
 
-KERNEL_HELPERS = {"_mul_into", "_rows", "_partial_rows", "_strip", "_odd_mask",
-                  "_reorder_is_odd", "_plan_core"}
+KERNEL_HELPERS = {"_mul_into", "_rows", "_partial_rows", "_strip", "_strip_t", "_add_into",
+                  "_odd_mask", "_reorder_is_odd", "_plan_core"}
+T_SLOT_CODEC = {"_T_UNIT", "_t_slot", "_t_exp"}
 
 
 def test_only_brackets_imports_the_kernel_helpers():
     # spoly defines the rows, masks and products of the bracket kernel and
-    # brackets its core: every bracket loop lives in brackets
+    # brackets its core: every bracket loop lives in brackets.  A hatted key
+    # holds t's exponent times _T_UNIT, so one raw exponent written to a t
+    # slot silently means t^(e/_T_UNIT): only brackets and printing reach the
+    # slot's codec, and only printing decodes it
     importers = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names} & KERNEL_HELPERS
+                names = {alias.name for alias in node.names} & (KERNEL_HELPERS | T_SLOT_CODEC)
                 if names:
                     importers.setdefault(path.stem, set()).update(names)
-    assert set(importers) == {"brackets"}, importers
+
+    def importing(wanted):
+        return {stem for stem, names in importers.items() if names & wanted}
+
+    assert importing(KERNEL_HELPERS) == {"brackets"}, importers
+    assert importing(T_SLOT_CODEC) <= {"brackets", "printing"}, importers
+    assert importing({"_t_exp"}) == {"printing"}, importers

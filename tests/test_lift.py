@@ -119,6 +119,34 @@ class TestLiftProperties:
         assert diverging >= 10
 
 
+def _naturality_bases(C):
+    """The monomial bases of the naturality certificates on the even chart C:
+    the vector fields of coefficient degree <= 2, and the bivectors of degree
+    <= 2 followed by the vector fields of degree <= 1."""
+    targets = monomial_ansatz(C, 2, 2, EVEN) + monomial_ansatz(C, 1, 1, ODD)
+    return monomial_ansatz(C, 1, 2, ODD), targets
+
+
+def _scaled_coefficients(S, lam):
+    """{(t exponent - lam, #t exponent, body key): (1 - lam) * coefficient}
+    over the terms of the hatted S."""
+    return {(t - lam, tstar, key): (1 - lam) * c
+            for (t, tstar), body in S.tails().items() for key, c in body.terms.items()}
+
+
+def _through(xs, ys, x):
+    """The value at x of the polynomial of degree < len(xs) through the
+    points (xs, ys), by Lagrange's formula."""
+    total = 0
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = yi
+        for j, xj in enumerate(xs):
+            if j != i:
+                term = term * (x - xj) / (xi - xj)
+        total += term
+    return total
+
+
 class TestLiftCommutes:
     def test_residual_zero_on_weight_grid(self, rng, small_chart):
         C = small_chart
@@ -135,18 +163,25 @@ class TestLiftCommutes:
         """The lift commutes with the Lie derivative of every polynomial
         vector field X of coefficient degree <= 2 on the plane, acting on
         every bivector of degree <= 2 and every vector field of degree <= 1,
-        at the weights 0, 2, -1/2, 1/3 and 3.
+        at every weight lam != 1.
 
         With X at weight 0, `base_bracket` gives L_X s at weight lam,
         (X, s) + lam div(X) s, so lift_commutes_check(DensityElement(X, 0),
         DensityElement(s, lam)) is (lift X, lift s) - lift(L_X s).  The
         check is bilinear in (X, s): zero on the monomial bases below is
-        zero on every X and s of this slice, at these five weights only.
-        It also exercises the scalar multiples and sums of `base_bracket`.
+        zero on every X and s of this slice.
+
+        Zero at three weights other than 1 is zero at every lam != 1.  Read
+        each coefficient of the check at a tail t^(lam + k) #t^j and a body
+        monomial: its only denominator is 1 - lam, and (1 - lam) times it
+        is a polynomial in lam of degree at most 2.  `lift` brings the
+        factors 1 and 1/(1 - lam), the t-derivatives of t^lam and
+        t^(lam + 1) bring lam and lam + 1, and `base_bracket` at weights
+        (0, lam) brings lam div(X) s.  `test_naturality_check_is_quadratic_in_lam`
+        tests that bound.  The five weights below leave two to spare.  The
+        check also exercises the scalar multiples and sums of `base_bracket`.
         """
-        C = Chart([("x", EVEN), ("y", EVEN)])
-        fields = monomial_ansatz(C, 1, 2, ODD)
-        targets = monomial_ansatz(C, 2, 2, EVEN) + monomial_ansatz(C, 1, 1, ODD)
+        fields, targets = _naturality_bases(Chart([("x", EVEN), ("y", EVEN)]))
         assert (len(fields), len(targets)) == (12, 12)
         checks = 0
         for lam in (Fraction(0), Fraction(2), Fraction(-1, 2), Fraction(1, 3), Fraction(3)):
@@ -154,6 +189,47 @@ class TestLiftCommutes:
                 assert lift_commutes_check(DensityElement(X, 0), DensityElement(s, lam)).is_zero()
                 checks += 1
         assert checks == 720
+
+    def test_infinitesimal_naturality_in_three_coordinates(self):
+        """The certificate above on 3 even coordinates: X runs over the 30
+        vector fields of coefficient degree <= 2, s over the 30 bivectors of
+        degree <= 2 and the 12 vector fields of degree <= 1, at three
+        weights, which by the bound above is every lam != 1."""
+        fields, targets = _naturality_bases(Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)]))
+        assert (len(fields), len(targets)) == (30, 42)
+        checks = 0
+        for lam in (Fraction(0), Fraction(2), Fraction(-1, 2)):
+            for X, s in itertools.product(fields, targets):
+                assert lift_commutes_check(DensityElement(X, 0), DensityElement(s, lam)).is_zero()
+                checks += 1
+        assert checks == 3780
+
+    def test_naturality_check_is_quadratic_in_lam(self, rng):
+        """The premise of the bound in the certificates above, side by side:
+        (1 - lam) times each coefficient of (lift X, lift s) and of
+        lift(base_bracket(X, s)), grouped by tail (t exponent - lam,
+        #t exponent) and body monomial, is a polynomial in lam of degree at
+        most 2.  On 20 seeded pairs of the 3-coordinate bases, the quadratic
+        through lam = 0, 2 and -1/2 gives the values at 1/3, 3 and 5, and
+        on each side some group needs the degree 2."""
+        fields, targets = _naturality_bases(Chart([("x", EVEN), ("y", EVEN), ("z", EVEN)]))
+        fit = (Fraction(0), Fraction(2), Fraction(-1, 2))
+        held_out = (Fraction(1, 3), Fraction(3), Fraction(5))
+        quadratic = [0, 0]
+        for _ in range(20):
+            X, s = rng.choice(fields), rng.choice(targets)
+            scaled = {}
+            for lam in fit + held_out:
+                sides = (antibracket(lift(DensityElement(X, 0)), lift(DensityElement(s, lam))),
+                         lift(base_bracket(DensityElement(X, 0), DensityElement(s, lam))))
+                scaled[lam] = [_scaled_coefficients(side, lam) for side in sides]
+            for side in (0, 1):
+                for group in set().union(*(scaled[lam][side] for lam in scaled)):
+                    values = [scaled[lam][side].get(group, 0) for lam in fit]
+                    for lam in held_out:
+                        assert scaled[lam][side].get(group, 0) == _through(fit, values, lam)
+                    quadratic[side] += _through(fit[:2], values[:2], fit[2]) != values[2]
+        assert all(quadratic)
 
     def test_weight_sum_one_raises(self, small_chart):
         C = small_chart

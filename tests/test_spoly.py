@@ -102,6 +102,9 @@ class TestBasics:
             found = getattr(f, grade)()
             assert found == value and found is not ANY
             assert getattr(mixed, grade)() is MIXED
+        # != is the negation of ANY's __eq__ from either side
+        assert not (ANY != EVEN) and not (EVEN != ANY) and not (ANY != ANY)
+        assert ANY != MIXED and MIXED != ANY
 
     def test_hatted_chart_extras(self, chart):
         h = chart.hatted_version()
