@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
 from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _rows
-from .spoly import _T_UNIT, _strip, _strip_t, _t_slot
+from .spoly import _strip, _strip_t
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,12 @@ def antibracket(f: SPoly, g: SPoly) -> SPoly:
 def _div_pairs(f, pairs, conv, mu=0):
     """sum over `pairs` (`Chart.pair_slots`) of (-1)^(div_parity*a) d_q d_q* f,
     both derivatives from conv.div_side, plus mu t^-1 d_#t f, in one pass:
-    each term is stripped of q* and then of q for each pair it holds, and of
-    #t, its t slot decremented, for a nonzero mu."""
+    each term is stripped of q* and then of q for each pair it holds and,
+    for a nonzero mu, stripped of #t and divided by t: the t slot of the key
+    of t^-1, built once per call, is added to its t slot."""
     left = conv.div_side == "left"
     t = 2 * f.chart.n_base if f.chart.hatted else -1
+    t_inverse_slot = f.chart.power_key(t, -1)[t] if mu else None
     terms = {}
     for key, coeff in f.terms.items():
         mask = _odd_mask(f.chart.odd_bits, key)
@@ -190,7 +192,7 @@ def _div_pairs(f, pairs, conv, mu=0):
                 _add_into(terms, k, -c if conv.div_parity and a else c)
         if mu and key[-1]:  # #t holds the last slot and t the one before
             k, c = _strip(key, len(key) - 1, coeff, mask, left)
-            _add_into(terms, k[:-2] + (k[-2] - _T_UNIT, 0), mu * c)
+            _add_into(terms, k[:-2] + (k[-2] + t_inverse_slot, 0), mu * c)
     return SPoly(f.chart, terms)
 
 
@@ -214,7 +216,8 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
     which is that divergence of f plus mu t^-1 d_#t f as rho depends on t
     alone; c cancels.  divergence_wrt(f, 1) is the divergence against |D(x,t)|.
 
-    rho_coeff must be a single invertible term c * t^mu on a hatted chart.
+    rho_coeff must be a single invertible term c * t^mu on a hatted chart:
+    its key holds no variable but t.
     """
     chart = _hatted_chart(f, "divergence_wrt")
     if not isinstance(rho_coeff, SPoly):
@@ -224,7 +227,7 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
         raise DomainError("rho must be a single invertible term")
     (key, _), = rho_coeff.terms.items()
     ti = chart.t_var.index
-    if key != chart.power_key(ti, key[ti]):
+    if any(key[:ti]) or key[ti + 1]:
         raise DomainError("rho must be a rational multiple of a power of t")
     return _div_pairs(f, chart.pair_slots, PINNED, rho_coeff.weight())
 
@@ -275,10 +278,7 @@ def _random_homogeneous(rng, chart, parity, n_terms=3):
         key = tuple([int(rng.random() < 0.4) if o else rng.choice((0, 0, 1, 2)) for o in odd])
         if chart.key_parity(key) != parity:
             continue
-        if chart.hatted:  # the drawn power of t, written to its slot
-            key = key[:-2] + (_t_slot(key[-2]), key[-1])
-        c = rng.choice((-3, -2, -1, 1, 2, 3))
-        terms[key] = c
+        terms[chart._to_key(key)] = rng.choice((-3, -2, -1, 1, 2, 3))  # t's exponent to its slot
     return SPoly(chart, terms)
 
 

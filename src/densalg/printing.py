@@ -12,7 +12,6 @@ from fractions import Fraction
 from operator import neg
 
 from .spoly import ODD, Chart, DomainError, SPoly, _entries, _frac, _map, _num, _on, _shown
-from .spoly import _t_exp, _t_slot
 
 
 def _term_sort_key(chart, key):
@@ -20,16 +19,16 @@ def _term_sort_key(chart, key):
 
 
 def _exp_text(exp):
-    # _t_exp gives an int for every integral power of t, so a Fraction here is never integral
+    # Chart._exponents gives an int for every integral power of t, so a Fraction
+    # here is never integral
     return "(%s)" % exp if exp < 0 or type(exp) is Fraction else str(exp)
 
 
 def _monomial_factors(chart, key):
-    exps = list(key)
+    exps = list(chart._exponents(key))
     use_w = False
     if chart.hatted:
         ti = chart.t_var.index  # the t and #t slots come last
-        exps[ti] = _t_exp(exps[ti])
         if exps[ti + 1] == 1 and exps[ti] >= 1:
             use_w = True
             exps[ti] -= 1
@@ -86,8 +85,8 @@ def poly_to_dict(f: SPoly) -> dict:
     terms = []
     for key in keys:
         exps = {
-            v.name: str(_t_exp(exp)) if v.kind == "t" else exp
-            for v, exp in zip(chart.variables, key) if exp
+            v.name: str(exp) if v.kind == "t" else exp
+            for v, exp in zip(chart.variables, chart._exponents(key)) if exp
         }
         terms.append({"coeff": str(f.terms[key]), "exponents": exps})
     return {"chart": chart_to_dict(chart), "terms": terms}
@@ -118,8 +117,8 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
                 valid = exp.denominator == 1 and exp > 0
             if not valid:
                 raise DomainError("%s cannot have exponent %s" % (name, _shown(exp)))
-            key[v.index] = _t_slot(exp) if v.kind == "t" else _num(exp)
-        key = tuple(key)
+            key[v.index] = _num(exp)
+        key = chart._to_key(tuple(key))
         coeff = _num(_frac(coeff))
         if not coeff:
             raise DomainError("a term has coefficient 0")

@@ -18,7 +18,11 @@ The t slot holds t's exponent times `_T_UNIT` = lcm(1..16) (`_t_slot`, read
 back by `_t_exp`): an int when the exponent's denominator divides it, as every
 denominator up to 16 does (1/2, -3/2, 5/3), so those keys hash, compare and
 add as ints, and else a Fraction.  Every other slot holds an int, 0 or 1 for
-an odd variable.
+an odd variable.  Outside the kernel loops (`_mul_into`, `_rows`, `_strip_t`)
+this codec is reached only through three `Chart` methods, which speak plain
+exponents: `power_key` for one variable's power, `_to_key` for a tuple of
+exponents, one per variable, and its inverse `_exponents`.  No other module
+reads or writes a t slot.
 All values are immutable and all operations are pure.  Products and brackets
 accumulate in place into one term map through `_mul_into`, which repeats the
 rule of `_add_into` inline.  A sum copies its operand with more terms and adds
@@ -206,15 +210,6 @@ def _t_exp(s):
 MAX_POWER_BITS = 1 << 22
 
 
-def check_power_size(base, exponent):
-    """Raise DomainError when base**exponent, for Fractions, would take more
-    than MAX_POWER_BITS bits, estimated as |exponent| times one less than the
-    bit length of the base's larger part: 0 for bases 0 and -1 and 1."""
-    bits = max(abs(base.numerator), base.denominator).bit_length() - 1
-    if abs(exponent) * bits > MAX_POWER_BITS:
-        raise DomainError("the constant power exceeds %d bits" % MAX_POWER_BITS)
-
-
 def _checked_product(a, b):
     """a*b for a power not known to fit, or DomainError when the product may
     take more than MAX_POWER_BITS bits, estimated as its term pairs times the
@@ -233,13 +228,18 @@ def rational_power(base, exponent):
     Any base takes an integer exponent and 0 a positive one; 0 to a negative
     exponent is a DomainError.  A fractional exponent needs a positive base
     whose numerator and denominator are perfect powers, else the result
-    leaves the rationals: a SubstitutionError.
+    leaves the rationals: a SubstitutionError.  A power that would take more
+    than MAX_POWER_BITS bits, estimated as |exponent| times one less than the
+    bit length of the base's larger part (0 for bases 0, -1 and 1), is a
+    DomainError.
     """
     base = _frac(base)
     exponent = _frac(exponent)
     if not base and exponent < 0:
         raise DomainError("zero to a negative power")
-    check_power_size(base, exponent)
+    bits = max(abs(base.numerator), base.denominator).bit_length() - 1
+    if abs(exponent) * bits > MAX_POWER_BITS:
+        raise DomainError("the constant power exceeds %d bits" % MAX_POWER_BITS)
     if exponent.denominator == 1:
         return base ** int(exponent)
     if not base:
@@ -393,12 +393,11 @@ class Chart:
         return SPoly(self, {self.zero_key: c} if c else {})
 
     def __getitem__(self, name):
-        v = self.var(name)
-        return SPoly(self, {self.power_key(v.index, _T_UNIT if v.kind == "t" else 1): 1})
+        return SPoly(self, {self.power_key(self.var(name).index, 1): 1})
 
     def t_power(self, lam):
-        lam = _frac(lam)  # t_var refuses an unhatted chart
-        return SPoly(self, {self.power_key(self.t_var.index, _t_slot(lam)): 1})
+        # t_var refuses an unhatted chart, and power_key a lam that is no rational
+        return SPoly(self, {self.power_key(self.t_var.index, lam): 1})
 
     def w_star(self):
         """The weight-0 odd coordinate w = t * #t."""
@@ -406,9 +405,22 @@ class Chart:
 
     # -- monomial-key helpers --
     def power_key(self, index, exp):
-        """The key of the monomial (variable `index`)^exp; for t, exp is a
-        t slot value (`_t_slot`)."""
+        """The key of the monomial (variable `index`)^exp.  t's exponent is any
+        rational, read by `_frac` unless it is an int, and written to its slot
+        by `_t_slot`."""
+        if self.hatted and index == 2 * self.n_base:
+            exp = _t_slot(exp if type(exp) is int else _frac(exp))
         return self.zero_key[:index] + (exp,) + self.zero_key[index + 1:]
+
+    def _to_key(self, exps):
+        """The key of the monomial with the exponents `exps`, a tuple with one
+        per variable: t's written to its slot, the last but one."""
+        return exps[:-2] + (_t_slot(exps[-2]), exps[-1]) if self.hatted else exps
+
+    def _exponents(self, key):
+        """The exponents of a key's variables, one per variable, t's an int
+        when integral: the inverse of `_to_key`."""
+        return key[:-2] + (_t_exp(key[-2]), key[-1]) if self.hatted else key
 
     def key_parity(self, key):
         return _odd_mask(self.odd_bits, key).bit_count() & 1
@@ -626,9 +638,7 @@ class SPoly:
         D = lcm(*(c.denominator for c in coeffs))
         bits = (int(max(sum(abs(c) for c in coeffs) * D, D)) - 1).bit_length()
         count = comb(n + len(coeffs) - 1, n)
-        slots = list(zip(*self.terms))
-        if slots and self.chart.hatted:
-            slots[-2] = [_t_exp(s) for s in slots[-2]]
+        slots = list(zip(*map(self.chart._exponents, self.terms)))
         if all(e.denominator == 1 for exps in slots for e in exps):
             count = min(count, prod(n * (max(exps) - min(exps)) + 1 for exps in slots))
         fits = count * n * bits <= MAX_POWER_BITS
@@ -779,7 +789,7 @@ class _Substitution:
                 if len(img.terms) != 1:
                     raise SubstitutionError("t image must be a positive multiple of t")
                 (key, c), = img.terms.items()
-                if key != target.power_key(target.t_var.index, _T_UNIT) or c <= 0:
+                if key != target.power_key(target.t_var.index, 1) or c <= 0:
                     raise SubstitutionError("t image must be a positive multiple of t")
                 self._t_index, self._t_scale = v.index, c
                 continue
@@ -789,24 +799,27 @@ class _Substitution:
                 )
             self._images[v.index] = img
 
-    def _power(self, idx, exp):
-        """The `_rows` that (variable idx)^exp becomes, built on first use."""
-        rows = self._powers.get((idx, exp))
+    def _power(self, idx, key):
+        """The `_rows` that variable idx to its power in `key` becomes, built on
+        first use from the exponent `Chart._exponents` reads and kept under
+        the key's slot value."""
+        rows = self._powers.get((idx, key[idx]))
         if rows is not None:
             return rows
+        exp = self.chart._exponents(key)[idx]
         target, img = self.target, self._images.get(idx)
         if img is not None:
             terms = (img if exp == 1 else img ** exp).terms
         elif idx == self._t_index:
             terms = {target.power_key(target.t_var.index, exp):
-                     _num(rational_power(self._t_scale, _t_exp(exp)))}
+                     _num(rational_power(self._t_scale, exp))}
         elif self._keep:
             terms = {target.power_key(idx, exp): 1}
         else:
             raise SubstitutionError(
                 "%s has no image on the target chart" % self.chart.variables[idx].name
             )
-        rows = self._powers[idx, exp] = _rows(target, terms)
+        rows = self._powers[idx, key[idx]] = _rows(target, terms)
         return rows
 
     def __call__(self, poly):
@@ -818,7 +831,7 @@ class _Substitution:
             acc = [(target.zero_key, coeff, 0, False)]
             for idx in compress(slots, key):
                 part = {}
-                _mul_into(part, acc, power(idx, key[idx]), False)
+                _mul_into(part, acc, power(idx, key), False)
                 if not part and idx in images:  # a zero from a kept factor goes on to check t
                     break
                 acc = _rows(target, part)

@@ -48,8 +48,9 @@ def test_only_brackets_imports_the_kernel_helpers():
     # spoly defines the rows, masks and products of the bracket kernel and
     # brackets its core: every bracket loop lives in brackets.  A hatted key
     # holds t's exponent times _T_UNIT, so one raw exponent written to a t
-    # slot silently means t^(e/_T_UNIT): only brackets and printing reach the
-    # slot's codec, and only printing decodes it
+    # slot silently means t^(e/_T_UNIT): no module but spoly reaches the
+    # slot's codec, and every other one reads and writes plain exponents
+    # through Chart.power_key, Chart._to_key and Chart._exponents
     importers = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -62,5 +63,4 @@ def test_only_brackets_imports_the_kernel_helpers():
         return {stem for stem, names in importers.items() if names & wanted}
 
     assert importing(KERNEL_HELPERS) == {"brackets"}, importers
-    assert importing(T_SLOT_CODEC) <= {"brackets", "printing"}, importers
-    assert importing({"_t_exp"}) == {"printing"}, importers
+    assert importing(T_SLOT_CODEC) == set(), importers

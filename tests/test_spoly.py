@@ -659,6 +659,29 @@ class TestTSlot:
             assert f.chart.key_weight(key) == weight
             assert type(f.chart.key_weight(key)) is type(weight)
 
+    def test_power_key_takes_exponents(self, chart):
+        # power_key, _to_key and _exponents speak plain exponents, t's too:
+        # only spoly knows how its slot stores them
+        h = chart.hatted_version()
+        ti = h.t_var.index
+        assert h.power_key(ti, 1) == next(iter(h["t"].terms))
+        half = h.t_power(Fraction(1, 2))  # read by _frac, where an int exponent is not
+        assert h.power_key(ti, 1) == next(iter((half * half).terms))
+        assert poly_to_text(SPoly(h, {h.power_key(ti, 1): 1})) == "t"
+        for e in (Fraction(1, 17), -2):
+            assert h.power_key(ti, e) == next(iter(h.t_power(e).terms))
+        for e in (Fraction(1, 2), Fraction(1, 17), Fraction(-3, 2), Fraction(10**30, 7)):
+            exps = (2, 0, 1, 0, 0, 1, 0, 0, e, 1)
+            assert h._exponents(h._to_key(exps)) == exps
+        exps = h._exponents(h._to_key((0,) * 8 + (Fraction(34, 17), 0)))
+        assert exps[ti] == 2 and type(exps[ti]) is int
+        assert chart._to_key(chart.zero_key) == chart._exponents(chart.zero_key) == chart.zero_key
+        for hostile in ("ab", [1], None, math.nan):
+            with pytest.raises(DomainError):
+                h.power_key(ti, hostile)
+            with pytest.raises(DomainError):
+                h.t_power(hostile)
+
     def test_product_and_bracket_against_oracles(self, chart):
         h, f, g = self.operands(chart)
         for p, q in ((f, g), (g, f), (f, f)):
