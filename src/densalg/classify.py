@@ -6,15 +6,17 @@ for the sum reduces to (s, Q) = 0.  `classify_lifts` slices that kernel at a
 finite coefficient-degree bound and solves the resulting homogeneous linear
 system exactly.  The system is sparse end to end: `brackets._image_rows`
 builds it, one {ansatz column: coefficient} row per monomial of the images
-(s, q) of the ansatz columns q, and one sparse Gauss-Jordan elimination
+(D s, q) of the ansatz columns q, and one sparse Gauss-Jordan elimination
 (`_rref`) reduces them, the rows that start leftmost last, as primitive
-integer rows: denominators are cleared once on entry, every elimination step
-is integer-preserving and each row's content is divided out.  Only at the
-edge, in the kernel basis and the inverse, is each row divided by its pivot
-entry, which gives the unique reduced row echelon form, so bases are
-reproducible bit for bit; kernel vectors stay sparse, and
-`KernelBasis.basis` is only a dense view of them.  The same routine inverts
-the basis-change matrices of `change_basis`.
+integer rows.  The scale is set at the source: D, the common denominator of
+s's coefficients, makes every row of `classify_lifts` an int row, and `_rref`
+clears denominators only in a row that holds a Fraction, as the rows of
+`nullspace`'s other callers may; every elimination step is integer-preserving
+and each row's content is divided out.  Only at the edge, in the kernel basis
+and the inverse, is each row divided by its pivot entry, which gives the
+unique reduced row echelon form, so bases are reproducible bit for bit;
+kernel vectors stay sparse, and `KernelBasis.basis` is only a dense view of
+them.  The same routine inverts the basis-change matrices of `change_basis`.
 
 `supertrace_extension` reads the supertrace functional of a Lie (super)algebra
 once, off the modular vector field div(pi) of its Lie-Poisson element pi.
@@ -96,22 +98,27 @@ def _rref(rows):
     """Sparse Gauss-Jordan elimination on primitive integer rows.
 
     Takes {column: int or Fraction} maps and returns {pivot column: row}:
-    every row holds only ints with content (gcd of the entries) 1, a positive
-    entry in its pivot column, which is its first nonzero column, and a 0 in
-    every other pivot column.  Dividing each row by its pivot entry gives the
-    unique reduced row echelon form, so the result does not depend on the
-    order of the rows; callers make that division once, at the edge.
-    Arithmetic touches only rows that share a column with the pivot row,
-    which keeps block-structured systems cheap.  Rows come in stable descending
-    order of first column; as a reduced row holds nothing left of its pivot,
-    only a pivot right of the leftmost so far is back-substituted.
+    a row that holds a zero is copied without it and one that holds a
+    Fraction (or a bool) is scaled to ints; an int row is taken as it is, and
+    may come back as the same dict.  Every returned row holds only ints with
+    content (gcd of the entries) 1, a positive entry in its pivot column,
+    which is its first nonzero column, and a 0 in every other pivot column.
+    Dividing each row by its pivot entry gives the unique reduced row echelon
+    form, so the result does not depend on the order of the rows; callers
+    make that division once, at the edge.  Arithmetic touches only rows that
+    share a column with the pivot row, which keeps block-structured systems
+    cheap.  Rows come in stable descending order of first column; as a
+    reduced row holds nothing left of its pivot, only a pivot right of the
+    leftmost so far is back-substituted.
     """
-    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    rows = [{c: x for c, x in row.items() if x} if 0 in row.values() else row for row in rows]
     rows.sort(key=lambda row: min(row, default=-1), reverse=True)
     reduced, leftmost = {}, inf
     for row in rows:
-        scale = lcm(*(x.denominator for x in row.values()))
-        row = _primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
+        if not {int}.issuperset(map(type, row.values())):  # a Fraction or a bool
+            scale = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+        row = _primitive(row)
         for p in [c for c in row if c in reduced]:
             row = _eliminate(row, p, reduced[p])
         if not row:
@@ -239,13 +246,17 @@ def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, pa
         raise DomainError("the ansatz may have %s columns, over %d"
                           % (_shown(columns), MAX_ANSATZ_COLUMNS))
     fiber_exps = list(_exponent_vectors(fiber_vars, fiber_degree, exact=True))
+    # keys hold base then fiber slots: every slot of the chart
+    zero_base, zero_fiber = (0,) * len(base_vars), (0,) * len(fiber_vars)
+    by_parity = ([], [])
+    for fexps in fiber_exps:
+        by_parity[chart.key_parity(zero_base + fexps)].append(fexps)
     out = []
     for bexps in _exponent_vectors(base_vars, coeff_degree_bound, exact=False):
-        for fexps in fiber_exps:
-            key = bexps + fexps  # base then fiber slots: every slot of the chart
-            if any(key) and chart.key_parity(key) != parity:
-                continue
-            out.append(SPoly(chart, {key: 1}))
+        fibers = by_parity[parity ^ chart.key_parity(bexps + zero_fiber)]
+        if fiber_exps == [zero_fiber] and not any(bexps):  # the constant monomial
+            fibers = fiber_exps
+        out.extend(SPoly(chart, {bexps + fexps: 1}) for fexps in fibers)
     return out
 
 
@@ -263,7 +274,10 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         raise DomainError(
             "the coefficient degree bound must be a nonnegative integer, got %s" % _shown(bound)
         )
-    if master_check(s.body):
+    # D s, D the common denominator: (D s, Q) = D (s, Q) has the kernel of (s, Q)
+    # and int rows, and (D s, D s) = D^2 (s, s)
+    body = lcm(*(c.denominator for c in s.body.terms.values())) * s.body
+    if master_check(body):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
         raise WeightOneError()
@@ -282,7 +296,7 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
     ansatz = monomial_ansatz(s.chart, r - 1, int(bound), (sp + 1) % 2)
     # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
     # every ansatz element already solves the master equation: no rows.
-    vectors = nullspace([] if flagged else _image_rows(s.body, ansatz), len(ansatz))
+    vectors = nullspace([] if flagged else _image_rows(body, ansatz), len(ansatz))
     return KernelBasis(s.chart, tuple(ansatz), tuple(vectors), flagged)
 
 

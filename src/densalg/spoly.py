@@ -407,7 +407,9 @@ class Chart:
     def power_key(self, index, exp):
         """The key of the monomial (variable `index`)^exp.  t's exponent is any
         rational, read by `_frac` unless it is an int, and written to its slot
-        by `_t_slot`."""
+        by `_t_slot`.  An index that names no variable is a DomainError."""
+        if not 0 <= index < len(self.zero_key):
+            raise DomainError("the chart has no variable at index %s" % _shown(index))
         if self.hatted and index == 2 * self.n_base:
             exp = _t_slot(exp if type(exp) is int else _frac(exp))
         return self.zero_key[:index] + (exp,) + self.zero_key[index + 1:]

@@ -150,6 +150,33 @@ class TestLinearAlgebra:
                 assert _rref(rows) == expected
                 assert densify(nullspace(rows, n), n) == oracle
 
+    def test_rref_takes_integral_fractions_bools_and_zeros(self):
+        # integral Fractions, bools and zeros of each type reduce as their int
+        # twins, to rows of ints: only a row of ints skips the rewrite
+        assert _rref([{0: Fraction(3), 1: Fraction(-6, 2), 2: 0},
+                      {0: True, 1: False, 2: Fraction(0)}]) == {0: {0: 1}, 1: {1: 1}}
+        rng = random.Random(15)
+
+        def dressed(x):
+            if not x:
+                return rng.choice((0, Fraction(0), False))
+            return rng.choice((x, Fraction(x), Fraction(2 * x, 2)) + (True,) * (x == 1))
+
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            twins = [{c: rng.randint(-6, 6) for c in range(n) if rng.random() < 0.6}
+                     for _ in range(rng.randint(1, 8))]
+            rows = [{c: dressed(x) for c, x in row.items()} for row in twins]
+            before = [dict(row) for row in rows]
+            expected = _rref(twins)
+            reduced = _rref(rows)
+            assert reduced == expected and rows == before
+            for row in (*expected.values(), *reduced.values()):
+                assert all(type(x) is int and x for x in row.values())
+            basis = nullspace(rows, n)
+            assert basis == nullspace(twins, n)
+            assert all(type(x) is Fraction for vec in basis for x in vec.values())
+
     @staticmethod
     def awkward_matrix(rng, kind, m, n, degenerate=True):
         """Rows the other tests never draw: 30-40-digit numerators and
@@ -465,6 +492,34 @@ class TestClassification:
         for s, bound in instances:
             kb = classify_lifts(s, bound)
             _assert_matches_oracle(s, bound, kb)
+
+    def test_scaled_s_has_the_same_kernel(self):
+        # classify_lifts brackets D s, D the common denominator of s: any
+        # nonzero rational multiple of s gives the same ansatz, vectors and
+        # flag, the reduced kernel of the unscaled rows
+        darboux = darboux_form(Chart([(n, EVEN) for n in ("p0", "p1", "x0", "x1")]))
+        so3 = lie_poisson(change_basis(LieAlgebraData(3, None, SO3),
+                                       [[1, 1, 0], [0, 1, 2], [0, 0, 1]])).body
+        de_rham = de_rham_element(q_manifold_chart(2))
+        xy = Chart([("x", EVEN), ("y", EVEN)])
+        odd = xy["x"] * xy["#y"]  # flagged: the whole ansatz
+        scales = (Fraction(1, 2), Fraction(-5, 3), Fraction(10**40, 10**40 + 1))
+        for body, bounds in ((darboux, range(4)), (so3, range(4)), (de_rham, range(3)),
+                             (odd, range(3))):
+            for bound in bounds:
+                kb = classify_lifts(DensityElement(body, 0), bound)
+                if bound < 3 and body is not odd:  # odd s has no rows
+                    _assert_matches_oracle(DensityElement(body, 0), bound, kb)
+                for c in scales:
+                    scaled = classify_lifts(DensityElement(c * body, 0), bound)
+                    assert scaled.ansatz == kb.ansatz and scaled.vectors == kb.vectors
+                    assert scaled.flagged_odd_base == kb.flagged_odd_base == (body is odd)
+        C = Chart([("x1", EVEN), ("x2", EVEN), ("x3", EVEN)])
+        x1, x3 = C["x1"], C["x3"]
+        broken = x3 * C["#x2"] * C["#x1"] + x1 * C["#x3"] * C["#x2"] + x1 * C["#x1"] * C["#x3"]
+        for c in (1,) + scales:
+            with pytest.raises(DomainError, match="s does not satisfy the master equation"):
+                classify_lifts(DensityElement(c * broken, 0), 1)
 
     def test_one_table_of_s_per_classification(self, monkeypatch):
         # s's right partial rows are built once per call, not once per column,

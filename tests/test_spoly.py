@@ -682,6 +682,17 @@ class TestTSlot:
             with pytest.raises(DomainError):
                 h.t_power(hostile)
 
+    def test_power_key_refuses_an_index_past_the_chart(self):
+        # a 2-variable chart has no slot 5, and -2 on a hatted one would reach
+        # t's slot without being written by `_t_slot`
+        small = Chart([("x", EVEN)])
+        h = small.hatted_version()
+        assert small.power_key(1, 1) == (0, 1)
+        assert h.power_key(2, 1) == next(iter(h["t"].terms))
+        for c, index in ((small, 5), (small, 2), (small, -1), (h, -2), (h, 4), (h, 10**700)):
+            with pytest.raises(DomainError, match="no variable at index"):
+                c.power_key(index, 1)
+
     def test_product_and_bracket_against_oracles(self, chart):
         h, f, g = self.operands(chart)
         for p, q in ((f, g), (g, f), (f, f)):
