@@ -206,20 +206,19 @@ def _exponent_vectors(variables, budget, exact):
     An odd variable takes 0 or 1, an even one any power.  With `exact` every
     exponent counts and they sum to exactly `budget` (a fiber degree); without
     it only the even ones count and they sum to at most `budget` (a
-    coefficient degree).
+    coefficient degree).  Each prefix carries the budget it leaves, and a
+    counted exponent never exceeds it, so no prefix past the degree is built;
+    extending the prefixes in order by ascending exponents keeps them in
+    ascending order.
     """
-    if budget < 0:  # an odd variable offers exponent 1 past the budget
-        return
-    if not variables:
-        if not exact or budget == 0:
-            yield ()
-        return
-    v, rest = variables[0], variables[1:]
-    counted = exact or v.parity == EVEN
-    top = budget if v.parity == EVEN else 1
-    for e in range(top + 1):
-        for tail in _exponent_vectors(rest, budget - e if counted else budget, exact):
-            yield (e,) + tail
+    prefixes = [((), budget)]
+    for v in variables:
+        counted = exact or v.parity == EVEN
+        top = budget if v.parity == EVEN else 1
+        prefixes = [(prefix + (e,), left - e if counted else left)
+                    for prefix, left in prefixes
+                    for e in range((min(top, left) if counted else top) + 1)]
+    return [prefix for prefix, left in prefixes if (left == 0 if exact else left >= 0)]
 
 
 def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, parity):
@@ -245,7 +244,7 @@ def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, pa
     if columns > MAX_ANSATZ_COLUMNS:
         raise DomainError("the ansatz may have %s columns, over %d"
                           % (_shown(columns), MAX_ANSATZ_COLUMNS))
-    fiber_exps = list(_exponent_vectors(fiber_vars, fiber_degree, exact=True))
+    fiber_exps = _exponent_vectors(fiber_vars, fiber_degree, exact=True)
     # keys hold base then fiber slots: every slot of the chart
     zero_base, zero_fiber = (0,) * len(base_vars), (0,) * len(fiber_vars)
     by_parity = ([], [])

@@ -10,7 +10,9 @@ error, 3 domain error (e.g. a weight-1 lift), 4 verification failure.  Every
 error in a script prints ``densalg: FILE: LINE:COL: message`` and exits 2 or
 3, never 1; API users catch the same errors as `densalg.DensalgError`.  A
 script or stdin that cannot be read, or is not UTF-8, prints ``densalg:
-cannot read FILE: reason`` and exits 2.
+cannot read FILE: reason`` and exits 2.  A closed stdout, as in ``densalg
+script.dsl | head -1``, ends the output but not the run: the exit code and
+any message on stderr are those of the run, with no traceback.
 Integers of any size are read and printed exactly; a constant power, and a
 polynomial power's result or, where no bound on that fits, each product
 inside it, may take at most `spoly.MAX_POWER_BITS` bits.
@@ -18,6 +20,7 @@ inside it, may take at most `spoly.MAX_POWER_BITS` bits.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .brackets import convention_ledger
@@ -71,10 +74,8 @@ def main(argv=None):
 
 def _main(argv):
     args = build_parser().parse_args(argv)
-    out = sys.stdout
     if args.ledger:
-        out.write(convention_ledger(seed=args.seed))
-        out.write("\n")
+        _write([convention_ledger(seed=args.seed)])
         return EXIT_OK
 
     sources = []
@@ -97,13 +98,25 @@ def _main(argv):
         try:
             interp.run(parse(text))
         except DensalgError as exc:
-            for line in interp.lines:  # the output computed before the error
-                out.write(line + "\n")
+            _write(interp.lines)  # the output computed before the error
             sys.stderr.write("densalg: %s: %s\n" % (label, exc))
             return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_DOMAIN
-    for line in interp.lines:
-        out.write(line + "\n")
+    _write(interp.lines)
     return EXIT_VERIFY if interp.failures else EXIT_OK
+
+
+def _write(lines):
+    """Write `lines` to stdout.  A reader that went away ends the output, not
+    the run: stdout is pointed at the null device, so the interpreter's last
+    flush cannot fail again, and the caller returns the code it computed."""
+    try:
+        for line in lines:
+            sys.stdout.write(line + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

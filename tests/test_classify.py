@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -630,6 +631,20 @@ class TestClassification:
         got = monomial_ansatz(C, 1, 0, ODD)
         assert calls[0] < 400
         assert len(got) == 16 and got == reference_monomial_ansatz(C, 1, 0, ODD)
+
+    def test_ansatz_never_builds_past_its_budget(self):
+        # the 16 odd fiber coordinates at fiber degree 1: a prefix past the
+        # degree is never built, so the 2^16 patterns never sit in memory
+        C = Chart([("x%d" % i, EVEN) for i in range(16)])
+        fiber_vars = [f for _, f in C.base_pairs()]
+        tracemalloc.start()
+        try:
+            got = classify_module._exponent_vectors(fiber_vars, 1, exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 16 and sorted(got) == got
+        assert peak < 1 << 20
 
     def test_odd_s_flagged_mode(self, small_chart):
         C = small_chart

@@ -3,8 +3,10 @@ import inspect
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -86,6 +88,26 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [script])
         assert code == EXIT_PARSE
         assert "bad.dsl" in err
+
+    @pytest.mark.parametrize("script, code, message", [
+        ("chart C { even x }\nbracket(x, #x)\n", EXIT_OK, ""),
+        ("chart C { even x }\nlift(x*#x, 1)\n", EXIT_DOMAIN, "densalg: <stdin>: 2:1: "),
+    ])
+    def test_closed_stdout(self, script, code, message):
+        # the reader of stdout is gone before the first write, as in `densalg | true`:
+        # the run still exits with its own code, without a traceback
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "densalg.cli"], input=script.encode(),
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == code
+        assert err.startswith(message) and bool(err) == bool(message)
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_domain_error_weight_one_lift(self, tmp_path, capsys):
         script = write(tmp_path, "dom.dsl", """
