@@ -12,7 +12,9 @@ error in a script prints ``densalg: FILE: LINE:COL: message`` and exits 2 or
 script or stdin that cannot be read, or is not UTF-8, prints ``densalg:
 cannot read FILE: reason`` and exits 2.  A closed stdout, as in ``densalg
 script.dsl | head -1``, ends the output but not the run: the exit code and
-any message on stderr are those of the run, with no traceback.
+any message on stderr are those of the run, with no traceback.  A closed
+stderr, or a stream closed before the run (``>&-``, ``2>&-``), also leaves
+the run's exit code.
 Integers of any size are read and printed exactly; a constant power, and a
 polynomial power's result or, where no bound on that fits, each product
 inside it, may take at most `spoly.MAX_POWER_BITS` bits.
@@ -20,6 +22,7 @@ inside it, may take at most `spoly.MAX_POWER_BITS` bits.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -75,7 +78,7 @@ def main(argv=None):
 def _main(argv):
     args = build_parser().parse_args(argv)
     if args.ledger:
-        _write([convention_ledger(seed=args.seed)])
+        _write(sys.stdout, [convention_ledger(seed=args.seed)])
         return EXIT_OK
 
     sources = []
@@ -88,7 +91,7 @@ def _main(argv):
                 with open(path, "r", encoding="utf-8") as fh:
                     sources.append((label, fh.read()))
         except (OSError, UnicodeDecodeError) as exc:
-            sys.stderr.write("densalg: cannot read %s: %s\n" % (label, exc))
+            _write(sys.stderr, ["densalg: cannot read %s: %s" % (label, exc)])
             return EXIT_PARSE
 
     interp = Interpreter(
@@ -98,24 +101,30 @@ def _main(argv):
         try:
             interp.run(parse(text))
         except DensalgError as exc:
-            _write(interp.lines)  # the output computed before the error
-            sys.stderr.write("densalg: %s: %s\n" % (label, exc))
+            _write(sys.stdout, interp.lines)  # the output computed before the error
+            _write(sys.stderr, ["densalg: %s: %s" % (label, exc)])
             return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_DOMAIN
-    _write(interp.lines)
+    _write(sys.stdout, interp.lines)
     return EXIT_VERIFY if interp.failures else EXIT_OK
 
 
-def _write(lines):
-    """Write `lines` to stdout.  A reader that went away ends the output, not
-    the run: stdout is pointed at the null device, so the interpreter's last
-    flush cannot fail again, and the caller returns the code it computed."""
+def _write(stream, lines):
+    """Write `lines` to `stream`, one a line.  A stream that is gone ends its
+    output, not the run: it is None, its reader went away or its descriptor is
+    closed.  A gone stream's descriptor is pointed at the null device, so the
+    interpreter's last flush cannot fail again, and the caller returns the code
+    it computed.  Any other OSError is raised."""
+    if stream is None:  # the descriptor was closed before the interpreter started
+        return
     try:
         for line in lines:
-            sys.stdout.write(line + "\n")
-        sys.stdout.flush()
-    except BrokenPipeError:
+            stream.write(line + "\n")
+        stream.flush()
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError) and exc.errno != errno.EBADF:
+            raise
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 

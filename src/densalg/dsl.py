@@ -128,6 +128,11 @@ class Script:
 
 
 class _Parser:
+    """A cursor over the tokens.  `peek` and `next` read; `accept` takes an
+    optional token, `expect` and `keyword` a required one, and `fail` raises
+    at the next token.  `parse_statement` places every statement at its
+    first token."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -140,6 +145,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, kind, words=None):
+        """The next token, taken, if it is of `kind` and, given `words`, one
+        of them; otherwise None, and nothing is taken."""
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (words is None or tok.text in words):
+            self.pos += 1
+            return tok
+
     def fail(self, what):
         """A ParseError at the next token: expected `what`, found that token."""
         tok = self.peek()
@@ -147,20 +160,11 @@ class _Parser:
                          tok.line, tok.column)
 
     def expect(self, kind, what=None):
-        if self.peek().kind != kind:
-            self.fail(what or kind)
-        return self.next()
+        return self.accept(kind) or self.fail(what or kind)
 
     def keyword(self, *words):
         """The next token, a name that is one of `words`."""
-        tok = self.peek()
-        if tok.kind != "name" or tok.text not in words:
-            self.fail(" or ".join("'%s'" % word for word in words))
-        return self.next()
-
-    def at_name(self, text):
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == text
+        return self.accept("name", words) or self.fail(" or ".join("'%s'" % w for w in words))
 
     # --- statements ---
 
@@ -175,28 +179,21 @@ class _Parser:
         return script
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok.kind != "name":
-            self.fail("a statement")
-        if tok.text == "chart":
-            return self.parse_chart()
-        if tok.text == "change":
-            return self.parse_change()
-        if tok.text == "let":
-            return self.parse_let()
-        if tok.text in COMMANDS:
-            return self.parse_command()
-        raise ParseError("unknown statement %r" % tok.text, tok.line, tok.column)
+        kw = self.expect("name", "a statement")
+        if kw.text in ("chart", "change", "let"):
+            kind, data = kw.text, getattr(self, "parse_" + kw.text)()
+        elif kw.text in COMMANDS:
+            kind, data = "command", self.parse_command(kw.text)
+        else:
+            raise ParseError("unknown statement %r" % kw.text, kw.line, kw.column)
+        return Statement(kind, data, kw.line, kw.column)
 
     def parse_chart(self):
-        kw = self.next()
         name = self.expect("name", "chart name").text
-        hatted = self.at_name("hatted")
-        if hatted:
-            self.next()
+        hatted = self.accept("name", ("hatted",)) is not None
         self.expect("{")
         coords = []
-        while not self.peek().kind == "}":
+        while not self.accept("}"):
             parity = EVEN if self.keyword("even", "odd").text == "even" else ODD
             while True:
                 tok = self.expect("name", "coordinate name")
@@ -204,19 +201,12 @@ class _Parser:
                     raise ParseError("bad or duplicate coordinate name: %r" % tok.text,
                                      tok.line, tok.column)
                 coords.append((tok.text, parity))
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
-            if self.peek().kind == ";":
-                self.next()
-        self.expect("}")
-        return Statement(
-            "chart", {"name": name, "coords": coords, "hatted": hatted}, kw.line, kw.column
-        )
+                if not self.accept(","):
+                    break
+            self.accept(";")
+        return {"name": name, "coords": coords, "hatted": hatted}
 
     def parse_change(self):
-        kw = self.next()
         name = self.expect("name", "change name").text
         self.expect(":")
         src = self.expect("name", "source chart").text
@@ -228,34 +218,24 @@ class _Parser:
             self.keyword(which)
             self.expect("{")
             entries = []
-            while self.peek().kind != "}":
+            while not self.accept("}"):
                 var = self.expect("name", "coordinate name")
                 if any(var.text == given for given, _ in entries):
                     raise ParseError("%s gives %r twice" % (which, var.text),
                                      var.line, var.column)
                 self.expect("=")
                 entries.append((var.text, self.parse_expr()))
-                if self.peek().kind == ";":
-                    self.next()
-            self.expect("}")
+                self.accept(";")
             maps[which] = entries
         self.expect("}")
-        return Statement(
-            "change",
-            {"name": name, "source": src, "target": tgt, **maps},
-            kw.line,
-            kw.column,
-        )
+        return {"name": name, "source": src, "target": tgt, **maps}
 
     def parse_let(self):
-        kw = self.next()
         name = self.expect("name", "binding name").text
         self.expect("=")
-        expr = self.parse_expr()
-        return Statement("let", {"name": name, "expr": expr}, kw.line, kw.column)
+        return {"name": name, "expr": self.parse_expr()}
 
-    def parse_command(self):
-        kw = self.next()
+    def parse_command(self, name):
         self.expect("(")
         groups = [[]]
         while self.peek().kind != ")":
@@ -263,16 +243,12 @@ class _Parser:
             # each goes with its first token, where a kind error points
             start = self.peek()
             groups[-1].append((start, self.next() if start.kind == "string" else self.parse_expr()))
-            separator = self.peek().kind
-            if separator == ";":
+            if self.accept(";"):
                 groups.append([])
-            elif separator != ",":
+            elif not self.accept(","):
                 break
-            self.next()
         self.expect(")", "',' or ')'")
-        return Statement(
-            "command", {"name": kw.text, "groups": groups}, kw.line, kw.column
-        )
+        return {"name": name, "groups": groups}
 
     # --- expressions: + -  <  * /  <  ^ (right associative) ---
 

@@ -89,25 +89,39 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "bad.dsl" in err
 
-    @pytest.mark.parametrize("script, code, message", [
-        ("chart C { even x }\nbracket(x, #x)\n", EXIT_OK, ""),
-        ("chart C { even x }\nlift(x*#x, 1)\n", EXIT_DOMAIN, "densalg: <stdin>: 2:1: "),
-    ])
-    def test_closed_stdout(self, script, code, message):
-        # the reader of stdout is gone before the first write, as in `densalg | true`:
-        # the run still exits with its own code, without a traceback
+    @pytest.mark.parametrize("args, script, code, message, output", [
+        ([], "chart C { even x }\nbracket(x, #x)\n", EXIT_OK, "", "bracket = 1\n"),
+        ([], "chart C { even x }\nlift(x*#x, 1)\n", EXIT_DOMAIN, "densalg: <stdin>: 2:1: ", ""),
+        ([], "chart C {", EXIT_PARSE, "densalg: <stdin>: 1:10: ", ""),
+        (["/nonexistent.dsl"], "", EXIT_PARSE, "densalg: cannot read /nonexistent.dsl: ", ""),
+    ], ids=["ok", "domain_error", "parse_error", "unreadable"])
+    @pytest.mark.parametrize("how", ["reader_gone", "fd_closed"])
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_closed_stdout(self, stream, how, args, script, code, message, output):
+        # a stream is gone: its reader went away before the first write, as in
+        # `densalg | true`, or its descriptor was closed before the run, as in
+        # `densalg >&-`; the run still exits with its own code, and the stream
+        # still open holds what the run wrote to it, without a traceback
+        argv = [sys.executable, "-m", "densalg.cli", *args]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
         read_end, write_end = os.pipe()
         os.close(read_end)
+        if how == "reader_gone":
+            pipes[stream] = write_end
+        else:
+            argv = ["sh", "-c", 'exec "$@" %d>&-' % (1 if stream == "stdout" else 2), "sh", *argv]
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         try:
-            proc = subprocess.run([sys.executable, "-m", "densalg.cli"], input=script.encode(),
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+            proc = subprocess.run(argv, input=script.encode(), env=env, timeout=60, **pipes)
         finally:
             os.close(write_end)
-        err = proc.stderr.decode()
+        still_open = (proc.stderr if stream == "stdout" else proc.stdout).decode()
         assert proc.returncode == code
-        assert err.startswith(message) and bool(err) == bool(message)
-        assert "Traceback" not in err and "Exception ignored" not in err
+        assert "Traceback" not in still_open and "Exception ignored" not in still_open
+        if stream == "stdout":
+            assert still_open.startswith(message) and bool(still_open) == bool(message)
+        else:
+            assert still_open == output
 
     def test_domain_error_weight_one_lift(self, tmp_path, capsys):
         script = write(tmp_path, "dom.dsl", """
@@ -860,7 +874,25 @@ class TestParseErrors:
          "2:3: expected 'forward', found 'forwrd'"),
         ("change R : A -> B {\n  forward { x = u }\n  invers { u = x }\n}",
          "3:3: expected 'inverse', found 'invers'"),
-    ], ids=["misspelt_parity", "parity_at_end", "misspelt_forward", "misspelt_inverse"])
+        ("chart C { even x,, y }", "1:18: expected coordinate name, found ','"),
+        ("chart C hatted x { even y }", "1:16: expected {, found 'x'"),
+        ("chart C hatted hatted { even x }", "1:16: expected {, found 'hatted'"),
+        ("chart C { even x } }", "1:20: expected a statement, found '}'"),
+        ("let a = x^", "1:11: expected an expression, found 'end of input'"),
+        ("rary(x;; x)", "1:8: expected an expression, found ';'"),
+        ("bracket(x #x)", "1:11: expected ',' or ')', found '#x'"),
+        ("lift(x, 1", "1:10: expected ',' or ')', found 'end of input'"),
+        ("change R : A -> B {\n  forward { x = u;; }\n  inverse { u = x }\n}",
+         "2:19: expected coordinate name, found ';'"),
+        ("change R A -> B { }", "1:10: expected :, found 'A'"),
+        ("change R : A B { }", "1:14: expected ->, found 'B'"),
+        ("let a = (x", "1:11: expected ), found 'end of input'"),
+        ("command(x)", "1:1: unknown statement 'command'"),
+    ], ids=["misspelt_parity", "parity_at_end", "misspelt_forward", "misspelt_inverse",
+            "empty_coordinate", "name_after_hatted", "hatted_twice", "brace_after_chart",
+            "power_at_end", "empty_rary_argument", "missing_comma", "arguments_at_end",
+            "empty_map_entry", "missing_colon", "missing_arrow", "unclosed_parenthesis",
+            "command_is_no_command"])
     def test_keyword_errors(self, src, message):
         with pytest.raises(ParseError) as exc:
             parse(src)
