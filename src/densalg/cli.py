@@ -14,7 +14,9 @@ cannot read FILE: reason`` and exits 2.  A closed stdout, as in ``densalg
 script.dsl | head -1``, ends the output but not the run: the exit code and
 any message on stderr are those of the run, with no traceback.  A closed
 stderr, or a stream closed before the run (``>&-``, ``2>&-``), also leaves
-the run's exit code.
+the run's exit code; a stdin closed before the run (``<&-``) cannot be read.
+The argument parser is built once per process, on the first `main` call;
+each call parses its own arguments, so in-process runs stay independent.
 Integers of any size are read and printed exactly; a constant power, and a
 polynomial power's result or, where no bound on that fits, each product
 inside it, may take at most `spoly.MAX_POWER_BITS` bits.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 
@@ -36,6 +39,7 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
 
+@functools.cache  # one parser per process, built on first use; parse_args leaves it as it is
 def build_parser():
     p = argparse.ArgumentParser(
         prog="densalg",
@@ -86,6 +90,8 @@ def _main(argv):
         label = "<stdin>" if path is None else path
         try:
             if path is None:
+                if sys.stdin is None:  # the descriptor was closed before the interpreter started
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 sources.append((label, sys.stdin.read()))
             else:
                 with open(path, "r", encoding="utf-8") as fh:

@@ -53,7 +53,7 @@ from .lift import (
 )
 from .printing import poly_to_dict, poly_to_text
 from .spoly import Chart, DensalgError, EVEN, ODD, SPoly, SubstitutionError, rational_power
-from .spoly import UnknownVariableError, _is_name
+from .spoly import UnknownVariableError
 
 
 class ParseError(DensalgError):
@@ -67,7 +67,8 @@ class Token(NamedTuple):
     column: int
 
 
-# tried in order; blanks and comments capture no group, `bad` what starts no token
+# tried in order; blanks and comments capture no group, `bad` what starts no token.
+# re's \w is str.isalnum() or '_', so only a name's first character needs a check
 _TOKEN = re.compile(r'[ \t\r]+|(?:--|//)[^\n]*|(?P<newline>\n)|(?P<fiber>#[\w.]+)'
                     r'|"(?P<string>[^"\n]*)"|(?P<int>\d+)|(?P<name>[\w.]+)'
                     r'|(?P<symbol>->|[{}(),;=+\-*/^:])|(?P<bad>.)')
@@ -80,7 +81,7 @@ def _tokenize(text):
         kind, column = m.lastgroup, m.start() - line_start + 1
         if kind == "newline":
             line, line_start = line + 1, m.end()
-        elif kind == "bad" or kind == "name" and not _is_name(m[0]):
+        elif kind == "bad" or kind == "name" and not (m[0][0].isalpha() or m[0][0] == "_"):
             ch = m[0][0]  # a name may not start with a digit such as '²', or with '.'
             raise ParseError(_BAD_START.get(ch, "unexpected character %r" % ch), line, column)
         elif kind:

@@ -9,13 +9,13 @@ exponents desc), so printing is deterministic and parse(print(f)) == f.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
 
 from .spoly import ODD, Chart, DomainError, SPoly, _entries, _frac, _map, _num, _on, _shown
 
 
 def _term_sort_key(chart, key):
-    return (-chart.key_fiber_degree(key), -chart.key_weight(key), tuple(map(neg, key)))
+    # sorted descending (reverse=True); a term map's keys are distinct, so no terms tie
+    return (chart.key_fiber_degree(key), chart.key_weight(key), key)
 
 
 def _exp_text(exp):
@@ -46,7 +46,7 @@ def poly_to_text(f: SPoly) -> str:
     if not _on(f).terms:
         return "0"
     chart = f.chart
-    keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k))
+    keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k), reverse=True)
     pieces = []
     for key in keys:
         coeff = f.terms[key]
@@ -81,7 +81,7 @@ def chart_from_dict(d: dict) -> Chart:
 def poly_to_dict(f: SPoly) -> dict:
     """SerializedPoly: rationals as strings so consumers lose nothing."""
     chart = _on(f).chart
-    keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k))
+    keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k), reverse=True)
     terms = []
     for key in keys:
         exps = {

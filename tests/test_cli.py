@@ -11,6 +11,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from operator import neg
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,10 @@ from densalg import Chart, DensalgError, DensityElement, DomainError, EVEN, ODD
 from densalg import LieAlgebraData, classify_lifts, density_evolution, q_manifold_lifts
 from densalg import PINNED, pin_convention
 from densalg.classify import change_basis, q_manifold_chart
-from densalg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
+from densalg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, build_parser, main
 from densalg.dsl import COMMANDS, Interpreter, ParseError, _tokenize, parse
 from densalg.printing import poly_from_dict, poly_to_dict, poly_to_text
+from densalg.spoly import SPoly, _is_name
 from conftest import hatted_poly, random_poly
 
 
@@ -449,6 +451,56 @@ class TestExitCodes:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("densalg: cannot read <stdin>: 'utf-8' codec can't decode")
 
+    def test_closed_stdin(self):
+        # `densalg <&-`: no script and no stdin to read it from is an unreadable
+        # source, exit 2 with a message and no traceback
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "densalg.cli"], capture_output=True,
+                              env=env, timeout=60, preexec_fn=lambda: os.close(0))
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_PARSE and proc.stdout == b""
+        assert err.startswith("densalg: cannot read <stdin>: ") and "Traceback" not in err
+
+
+class TestParserReuse:
+    """The argument parser is built once per process; each `main` call parses
+    its own arguments, so no flag carries over from one in-process run to the
+    next."""
+
+    def test_one_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_json_does_not_carry_over(self, tmp_path, capsys):
+        script = write(tmp_path, "b.dsl", "chart C { even x }\nbracket(x, #x)\n")
+        code, out, _ = run_cli(capsys, ["--json", script])
+        assert code == EXIT_OK and json.loads(out)["label"] == "bracket"
+        assert run_cli(capsys, [script])[:2] == (EXIT_OK, "bracket = 1\n")
+
+    def test_seed_does_not_carry_over(self, capsys, monkeypatch):
+        seeds = []
+
+        def ledger(seed):
+            seeds.append(seed)
+            return "ledger %s" % seed
+
+        monkeypatch.setattr(densalg.cli, "convention_ledger", ledger)
+        assert run_cli(capsys, ["--seed", "7", "--ledger"])[:2] == (EXIT_OK, "ledger 7\n")
+        assert run_cli(capsys, ["--ledger"])[:2] == (EXIT_OK, "ledger 2024\n")
+        assert seeds == [7, 2024]
+
+    @pytest.mark.parametrize("argv, code", [(["--no-such-flag"], 2), (["--help"], 0)],
+                             ids=["bad_flag", "help"])
+    def test_exits_repeat(self, capsys, argv, code):
+        outputs = []
+        for _ in range(3):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert ("usage: densalg" in outputs[0].out) if code == 0 else \
+            ("unrecognized arguments: --no-such-flag" in outputs[0].err)
+
 
 class TestPrintParseRoundTrip:
     def test_randomized(self, rng):
@@ -478,6 +530,59 @@ class TestPrintParseRoundTrip:
         interp.run(parse("chart C { even x }\nlet g = x - x\n"))
         assert interp.bindings["g"].is_zero()
         assert poly_to_text(interp.bindings["g"]) == "0"
+
+
+def _old_term_order(chart, keys):
+    """The term order as a negated key: fiber degree, weight and exponents,
+    each descending."""
+    return sorted(keys, key=lambda k: (-chart.key_fiber_degree(k), -chart.key_weight(k),
+                                       tuple(map(neg, k))))
+
+
+class TestTermOrder:
+    """`poly_to_text` and `poly_to_dict` list the terms by fiber degree, weight
+    and exponents, each descending, checked against that order spelt as one
+    negated key."""
+
+    def check(self, f):
+        chart = f.chart
+        order = _old_term_order(chart, f.terms)
+        listed = [poly_from_dict({"terms": [term]}, chart) for term in poly_to_dict(f)["terms"]]
+        assert [next(iter(g.terms)) for g in listed] == order
+        pieces = [poly_to_text(SPoly(chart, {k: f.terms[k]})) for k in order]
+        text = " ".join([pieces[0]] + [("- " + p[1:]) if p.startswith("-") else "+ " + p
+                                       for p in pieces[1:]])
+        assert poly_to_text(f) == text
+
+    def test_unhatted(self, rng):
+        chart = Chart([("x", EVEN), ("y", EVEN), ("xi", ODD), ("eta", ODD)], name="C")
+        for _ in range(60):
+            self.check(random_poly(rng, chart, n_terms=rng.randint(1, 12)))
+
+    def test_hatted(self, rng):
+        chart = Chart([("x", EVEN), ("y", EVEN), ("xi", ODD)], name="H", hatted=True)
+        for _ in range(60):
+            self.check(hatted_poly(rng, chart, n_terms=rng.randint(1, 12)))
+
+    def test_t_powers(self, rng):
+        # t^(1/17) has a denominator that does not divide the t slot's unit, so
+        # its slot is a Fraction, beside int slots for t^(1/2), t^-1 and t^2;
+        # each power twice, so that terms of one fiber degree and weight meet
+        chart = Chart([("x", EVEN), ("xi", ODD)], name="H", hatted=True)
+        t_exps = ("1/2", "1/17", "-1", "1", "2", "-3/2") * 2
+        for _ in range(40):
+            terms = []
+            for e in t_exps:
+                exps = {"t": e}
+                for name, choices in (("x", (0, 1, 2)), ("#x", (0, 1)), ("xi", (0, 1)),
+                                      ("#xi", (0, 1)), ("#t", (0, 1))):
+                    if rng.choice(choices):
+                        exps[name] = rng.choice(choices[1:])
+                terms.append({"coeff": str(rng.choice((1, -1, 2, "1/3", "-5/2"))),
+                              "exponents": exps})
+            f = chart.sum([poly_from_dict({"terms": [term]}, chart) for term in terms])
+            assert any(type(k[-2]) is Fraction for k in f.terms)
+            self.check(f)
 
 
 class TestJsonOutput:
@@ -934,6 +1039,43 @@ class TestParseErrors:
             order = [(tok.line, tok.column) for tok in tokens]
             assert order == sorted(set(order)), text
             assert (eof.kind, eof.line, eof.column) == ("eof", len(lines), len(lines[-1]) + 1), text
+
+    def test_name_tokens_are_names(self):
+        """Every name token satisfies the chart's name rule, which the scanner
+        checks on the first character only: re's \\w is str.isalnum() or '_'
+        on every code point."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+        rng = random.Random(23)
+        parts = ["x", "ab", "x.y", ".", "_", "_a", "#x", "1", "٣", "²", "Ⅻ", "é", "ǅ", "ª", "中",
+                 "x²", " ", "\n", "+", "(", ")"]
+        names = 0
+        for _ in range(3000):
+            text = "".join(rng.choice(parts) for _ in range(rng.randint(0, 8)))
+            try:
+                tokens = _tokenize(text)
+            except ParseError:
+                continue
+            for tok in tokens:
+                if tok.kind == "name":
+                    assert _is_name(tok.text), (text, tok)
+                    names += 1
+        assert names > 1000
+
+    @pytest.mark.parametrize("src, message", [
+        ("²x", "1:1: unexpected character '²'"),
+        (".x", "1:1: unexpected character '.'"),
+        ("Ⅻ", "1:1: unexpected character 'Ⅻ'"),
+        ("let a = .x", "1:9: unexpected character '.'"),
+        ("chart C { even x }\nlet a = Ⅻ", "2:9: unexpected character 'Ⅻ'"),
+        ("x²", "1:1: unknown statement 'x²'"),
+        ("chart C { even x }\nlet a = x²", "2:9: unknown name 'x²' on chart C"),
+    ], ids=["digit_start", "dot_start", "numeral_start", "dot_in_expression",
+            "numeral_in_expression", "digit_inside_statement", "digit_inside_expression"])
+    def test_name_start_errors(self, src, message):
+        with pytest.raises(ParseError) as exc:
+            Interpreter().run(parse(src))
+        assert str(exc.value) == message
 
     def test_error_carries_position(self):
         try:
