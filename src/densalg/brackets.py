@@ -5,7 +5,8 @@ coordinate formulas here carry their per-term signs as data (SignConvention)
 and the shipped constant PINNED is the unique member of a finite candidate
 family that passes the whole identity suite (graded symmetry, Leibniz, odd
 Jacobi, the divergence derivation identity, nilpotency, the delta generator
-identity) together with two normalization anchors.  The public operators,
+identity) together with four normalization anchors, (x, #x) = +1,
+(xi, #xi) = -1, div(x * #x) = +1 and div(xi * #xi) = -1.  The public operators,
 `antibracket`, `divergence`, `divergence_wrt` and `delta_op`, run under PINNED
 only.  `pin_convention` re-runs the selection of PINNED, reaching each candidate
 through the private kernels `_bracket_from` and `_div_pairs`, which take the
@@ -310,17 +311,22 @@ def _div(f, conv, mu=0):
 # (name, fields, [(sample, holds(f, g, h, conv)), ...]): an identity holds when
 # each of its checks holds on every triple of its sample: fixed triples for the
 # anchors, which fix the global signs the identities cannot see, else a chart,
-# whose _SAMPLES random homogeneous triples every check on it reads.  Its
-# verdict depends on conv only through the named fields.  The checks run the
+# whose _SAMPLES random homogeneous triples every check on it reads.  An
+# identity names exactly the fields its verdict reads: the anchor (x, #x) reads
+# only sign cell 0, e1(0, 0), and (xi, #xi) only cell 6, e1(1, 1), both of
+# term_q_qstar, and div(xi * #xi) strips an even #xi and a lone xi, so no side
+# enters.  Naming a field it does not read only delays its verdict in the pin
+# and splits its memo; naming too few would share a verdict between candidates
+# it tells apart (test_named_fields_suffice checks this).  The checks run the
 # kernels of the public operators, `_bracket_from` and `_div`, under conv.
 _IDENTITIES = (
-    ("anchor (x, #x) = +1", _BRACKET,
+    ("anchor (x, #x) = +1", ("term_q_qstar",),
      [([(_X, _XS, _CHART.const(1))], lambda f, g, h, c: _bracket_from(f, g, c) == h)]),
     ("anchor div(x * #x) = +1", _DIV,
      [([(_X * _XS, None, _CHART.const(1))], lambda f, g, h, c: _div(f, c) == h)]),
-    ("anchor (xi, #xi) = -1 (odd base)", _BRACKET,
+    ("anchor (xi, #xi) = -1 (odd base)", ("term_q_qstar",),
      [([(_XI, _XIS, _CHART.const(-1))], lambda f, g, h, c: _bracket_from(f, g, c) == h)]),
-    ("anchor div(xi * #xi) = -1 (odd base)", _DIV,
+    ("anchor div(xi * #xi) = -1 (odd base)", ("div_parity",),
      [([(_XI * _XIS, None, _CHART.const(-1))], lambda f, g, h, c: _div(f, c) == h)]),
     ("graded symmetry (f,g) = (-1)^(fg) (g,f)", _BRACKET, [
         (_CHART, lambda f, g, h, c:
@@ -400,7 +406,12 @@ def pin_convention(seed=2024):
 
     Fields are fixed one at a time in `_FIELD_VALUES` order; each identity
     judges a partial candidate once all its fields are fixed, the others
-    holding their first value, which it does not read."""
+    holding their first value, which it does not read.  An identity names
+    exactly the fields its verdict reads, so it judges as early as it can:
+    the two bracket anchors once term_q_qstar is fixed, on 16 and 8
+    candidates, where naming both bracket fields would judge them on 256
+    and 128 for the same answer (a test checks that no identity reads a
+    field it omits)."""
     suite = _Suite(random.Random(_integer(seed, "the seed")))
     candidates = [SignConvention(**{name: values[0] for name, values in _FIELD_VALUES})]
     fixed = set()

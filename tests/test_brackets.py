@@ -96,6 +96,31 @@ class TestConventionPinning:
             None: 1,  # PINNED
         }
 
+    def test_named_fields_suffice(self):
+        # an identity's verdict reads only the fields it names: the verdict memo
+        # keys on those fields, and the pin judges the identity once they are
+        # fixed. Judged here on every triple, past the memo, from PINNED and
+        # each single-field perturbation of it, setting any field the identity
+        # does not name to any candidate value leaves the verdict as it was
+        suite = _Suite(random.Random(2024))
+        bases = [PINNED] + [conv for _, conv in brackets._perturbations(PINNED)]
+        assert len(bases) == 13
+
+        def verdict(checks, conv):
+            return all(holds(f, g, h, conv)
+                       for sample, holds in checks
+                       for f, g, h in (suite.samples[sample] if isinstance(sample, Chart) else sample))
+
+        for name, names, checks in brackets._IDENTITIES:
+            others = [(field, values) for field, values in brackets._FIELD_VALUES
+                      if field not in names]
+            for base in bases:
+                expected = verdict(checks, base)
+                for field, values in others:
+                    for value in values:
+                        assert verdict(checks, replace(base, **{field: value})) == expected, (
+                            name, base, field, value)
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_field_search_matches_brute_force(self, seed, monkeypatch):
         # the brute force runs on the pin's own suite: a verdict depends only
@@ -117,7 +142,8 @@ class TestConventionPinning:
     def test_one_draw_per_chart(self, monkeypatch):
         # the pin's one suite draws _SAMPLES triples per chart, not per check,
         # and every check on a chart reads the same triple objects, so their
-        # bracket tables are built once for all checks; it runs 937 brackets
+        # bracket tables are built once for all checks; it runs 577 brackets,
+        # the two bracket anchors judged on the 16 values of term_q_qstar alone
         draws, tables, seen, brackets_run = [], [], {}, []
         random_homogeneous, partial_rows = brackets._random_homogeneous, brackets._partial_rows
         bracket_from = brackets._bracket_from
@@ -150,7 +176,7 @@ class TestConventionPinning:
         assert pin_convention(2024) == PINNED
         assert len(draws) == 2 * 3 * brackets._SAMPLES == 144
         assert len(tables) <= 316  # fewer when an earlier call built the anchors' tables
-        assert len(brackets_run) == 937
+        assert len(brackets_run) == 577
         for chart, n_checks in ((brackets._CHART, 5), (brackets._HCHART, 2)):
             triples = [t for (c, _), t in seen.items() if c == chart]
             assert len(triples) == n_checks and len(triples[0]) == brackets._SAMPLES
