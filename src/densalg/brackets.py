@@ -4,9 +4,11 @@ Sign conventions are not hard to get wrong when transcribing, so the
 coordinate formulas here carry their per-term signs as data (SignConvention)
 and the shipped constant PINNED is the unique member of a finite candidate
 family that passes the whole identity suite (graded symmetry, Leibniz, odd
-Jacobi, the divergence derivation identity, nilpotency, the delta generator
-identity) together with four normalization anchors, (x, #x) = +1,
-(xi, #xi) = -1, div(x * #x) = +1 and div(xi * #xi) = -1.  The public operators,
+Jacobi, the divergence derivation identity, the delta generator identity)
+together with three normalization anchors, (x, #x) = +1, (xi, #xi) = -1 and
+div(xi * #xi) = -1.  div(x * #x) = +1 and the nilpotency of div and delta
+hold under every candidate, so the suite does not judge them; a test checks
+that they do.  The public operators,
 `antibracket`, `divergence`, `divergence_wrt` and `delta_op`, run under PINNED
 only.  `pin_convention` re-runs the selection of PINNED, reaching each candidate
 through the private kernels `_bracket_from` and `_div_pairs`, which take the
@@ -38,10 +40,11 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import lcm
 
 from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
-from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _rows
-from .spoly import _strip, _strip_t
+from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _poly
+from .spoly import _rows, _strip, _strip_t, _t_scale
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,13 @@ def _plan_core(f):
     use and kept on f: per nonzero right partial of a parity part of f, its
     `_rows`, the partner slot to derive g by and its sign cell
     4 parity(q) + 2 parity(part) + term, term 0 for (d_r f/dq)(d_l g/dq*) and
-    1 for (d_r f/dq*)(d_l g/dq)."""
+    1 for (d_r f/dq*)(d_l g/dq).  It is kept as (core, den): the rows hold
+    f's numerators times its `_t_scale`, so they are ints over f's den times
+    that scale, derivatives by t included."""
     if f._plan_core is None:
+        scale = _t_scale(f.chart, f.num)
         parts = ([], [])  # f's `_rows` split by parity, read off each mask
-        for row in _rows(f.chart, f.terms):
+        for row in _rows(f.chart, f.num, scale):
             parts[row[2].bit_count() & 1].append(row)
         core = []
         for rows, fp in zip(parts, (EVEN, ODD)):
@@ -128,7 +134,7 @@ def _plan_core(f):
                     core.append((df[q], qs, cell))
                 if qs in df:
                     core.append((df[qs], q, cell + 1))
-        f._plan_core = core
+        f._plan_core = core, f.den * scale
     return f._plan_core
 
 
@@ -136,26 +142,31 @@ def _bracket_from(f, g, conv):
     """The bracket (f, g) under `conv` from f's `_plan_core`, each sign cell
     negated where `conv.negations` says, accumulated in one term map; a
     product one of whose derivatives is zero is skipped.  g's left
-    `_partial_rows` are built on first use and kept on g."""
+    `_partial_rows` are built on first use and kept on g as (tables, den),
+    scaled like f's core, and the bracket's denominator is the product of the
+    two."""
     if g._left_rows is None:
-        g._left_rows = _partial_rows(g.chart, _rows(g.chart, g.terms), True)
-    dg, negate = g._left_rows, conv.negations
+        scale = _t_scale(g.chart, g.num)
+        g._left_rows = _partial_rows(g.chart, _rows(g.chart, g.num, scale), True), g.den * scale
+    (dg, g_den), (core, f_den), negate = g._left_rows, _plan_core(f), conv.negations
     terms = {}
-    for df, slot, cell in _plan_core(f):
+    for df, slot, cell in core:
         if slot in dg:
             _mul_into(terms, df, dg[slot], negate[cell])
-    return SPoly(g.chart, terms)
+    return _poly(g.chart, terms, f_den * g_den)
 
 
 def _image_rows(f, columns):
     """The images (f, q) under PINNED of one-term `columns` of coefficient 1,
-    transposed into one sparse row {column: coefficient} per monomial of the
-    images: the linear system of `classify_lifts`.  Each column's derivatives
-    are read off its key, so no table is built or kept for a column."""
-    core, negate, odd = _plan_core(f), PINNED.negations, f.chart.odd_bits
+    transposed into one sparse int row {column: coefficient} per monomial of
+    the images: the linear system of `classify_lifts`.  The rows read f's
+    core, int numerators over one denominator, and leave that out: a common
+    factor changes no kernel.  Each column's derivatives are read off its
+    key, so no table is built or kept for a column."""
+    (core, _), negate, odd = _plan_core(f), PINNED.negations, f.chart.odd_bits
     rows = {}
     for col, q in enumerate(columns):
-        key, = q.terms
+        key, = q.num
         mask = _odd_mask(odd, key)
         image = {}
         for df, slot, cell in core:
@@ -178,23 +189,27 @@ def _div_pairs(f, pairs, conv, mu=0):
     both derivatives from conv.div_side, plus mu t^-1 d_#t f, in one pass:
     each term is stripped of q* and then of q for each pair it holds and,
     for a nonzero mu, stripped of #t and divided by t: the t slot of the key
-    of t^-1, built once per call, is added to its t slot."""
+    of t^-1, built once per call, is added to its t slot.  The numerators are
+    scaled by the lcm of f's `_t_scale` and mu's denominator, so the sum is
+    ints over f's den times that scale."""
     left = conv.div_side == "left"
     t = 2 * f.chart.n_base if f.chart.hatted else -1
     t_inverse_slot = f.chart.power_key(t, -1)[t] if mu else None
+    scale = lcm(_t_scale(f.chart, f.num), mu.denominator)
+    mu = mu.numerator * (scale // mu.denominator)
     terms = {}
-    for key, coeff in f.terms.items():
+    for key, coeff in f.num.items():
         mask = _odd_mask(f.chart.odd_bits, key)
         for q, qs, a in pairs:
             if key[q] and key[qs]:
-                k, c = _strip(key, qs, coeff, mask, left)
+                k, c = _strip(key, qs, coeff * scale, mask, left)
                 # q* was even if q reads the mask
                 k, c = _strip_t(k, q, c) if q == t else _strip(k, q, c, mask, left)
                 _add_into(terms, k, -c if conv.div_parity and a else c)
         if mu and key[-1]:  # #t holds the last slot and t the one before
             k, c = _strip(key, len(key) - 1, coeff, mask, left)
             _add_into(terms, k[:-2] + (k[-2] + t_inverse_slot, 0), mu * c)
-    return SPoly(f.chart, terms)
+    return _poly(f.chart, terms, f.den * scale)
 
 
 def _hatted_chart(f, name):
@@ -224,9 +239,9 @@ def divergence_wrt(f: SPoly, rho_coeff: SPoly) -> SPoly:
     if not isinstance(rho_coeff, SPoly):
         rho_coeff = chart.const(rho_coeff)
     _on(rho_coeff, chart, "rho lives on the wrong chart")
-    if len(rho_coeff.terms) != 1:
+    if len(rho_coeff.num) != 1:
         raise DomainError("rho must be a single invertible term")
-    (key, _), = rho_coeff.terms.items()
+    key, = rho_coeff.num
     ti = chart.t_var.index
     if any(key[:ti]) or key[ti + 1]:
         raise DomainError("rho must be a rational multiple of a power of t")
@@ -242,9 +257,8 @@ def delta_op(f: SPoly) -> SPoly:
 def restrict_to_base(f: SPoly) -> SPoly:
     """Pullback along the zero section: all fiber variables (and #t) to 0."""
     chart = _on(f).chart
-    return SPoly(chart, {
-        key: c for key, c in f.terms.items() if not chart.key_fiber_degree(key)
-    })
+    kept = {key: c for key, c in f.num.items() if not chart.key_fiber_degree(key)}
+    return _poly(chart, kept, f.den)
 
 
 def r_ary_bracket(S: SPoly, args) -> SPoly:
@@ -322,8 +336,6 @@ def _div(f, conv, mu=0):
 _IDENTITIES = (
     ("anchor (x, #x) = +1", ("term_q_qstar",),
      [([(_X, _XS, _CHART.const(1))], lambda f, g, h, c: _bracket_from(f, g, c) == h)]),
-    ("anchor div(x * #x) = +1", _DIV,
-     [([(_X * _XS, None, _CHART.const(1))], lambda f, g, h, c: _div(f, c) == h)]),
     ("anchor (xi, #xi) = -1 (odd base)", ("term_q_qstar",),
      [([(_XI, _XIS, _CHART.const(-1))], lambda f, g, h, c: _bracket_from(f, g, c) == h)]),
     ("anchor div(xi * #xi) = -1 (odd base)", ("div_parity",),
@@ -349,10 +361,6 @@ _IDENTITIES = (
             _div(_bracket_from(f, g, c), c)
             == -_bracket_from(_div(f, c), g, c)
             - _sign(_grade(f)) * _bracket_from(f, _div(g, c), c)),
-    ]),
-    ("nilpotency div^2 = 0 and delta^2 = 0", _DIV, [
-        (_CHART, lambda f, g, h, c: not _div(_div(f, c), c)),
-        (_HCHART, lambda f, g, h, c: not _div(_div(f, c, -2), c, -2)),
     ]),
     ("generator identity delta(fg) - delta(f)g - (-1)^f f delta(g) = sigma(f)(f,g)",
      _BRACKET + _DIV + ("generator_sign",), [

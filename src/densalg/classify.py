@@ -8,8 +8,9 @@ system exactly.  The system is sparse end to end: `brackets._image_rows`
 builds it, one {ansatz column: coefficient} row per monomial of the images
 (D s, q) of the ansatz columns q, and one sparse Gauss-Jordan elimination
 (`_rref`) reduces them, the rows that start leftmost last, as primitive
-integer rows.  The scale is set at the source: D, the common denominator of
-s's coefficients, makes every row of `classify_lifts` an int row, and `_rref`
+integer rows.  The scale is set at the source: `_image_rows` reads s's int
+numerators, D s with D the denominator of s, so every row of
+`classify_lifts` is an int row, and `_rref`
 clears denominators only in a row that holds a Fraction, as the rows of
 `nullspace`'s other callers may; every elimination step is integer-preserving
 and each row's content is divided out.  Only at the edge, in the kernel basis
@@ -31,7 +32,7 @@ from math import comb, gcd, inf, lcm
 
 from .brackets import DomainError, _image_rows, antibracket, divergence, r_ary_bracket
 from .lift import DensityElement, WeightOneError, lift, project_to_density
-from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _integer, _map, _num, _on, _shown
+from .spoly import EVEN, MIXED, ODD, Chart, SPoly, _entries, _frac, _integer, _map, _on, _poly, _shown
 
 # the most columns an ansatz may have; Darboux n = 8 at bound 4 has 3,960
 MAX_ANSATZ_COLUMNS = 1 << 16
@@ -197,7 +198,7 @@ class KernelBasis:
 
     def elements(self):
         keys = [key for mono in self.ansatz for key in mono.terms]  # one monomial, coefficient 1
-        return [SPoly(self.chart, {keys[c]: _num(x) for c, x in vec.items()}) for vec in self.vectors]
+        return [SPoly(self.chart, {keys[c]: x for c, x in vec.items()}) for vec in self.vectors]
 
 
 def _exponent_vectors(variables, budget, exact):
@@ -255,7 +256,7 @@ def monomial_ansatz(chart: Chart, fiber_degree: int, coeff_degree_bound: int, pa
         fibers = by_parity[parity ^ chart.key_parity(bexps + zero_fiber)]
         if fiber_exps == [zero_fiber] and not any(bexps):  # the constant monomial
             fibers = fiber_exps
-        out.extend(SPoly(chart, {bexps + fexps: 1}) for fexps in fibers)
+        out.extend(_poly(chart, {bexps + fexps: 1}) for fexps in fibers)
     return out
 
 
@@ -273,10 +274,9 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
         raise DomainError(
             "the coefficient degree bound must be a nonnegative integer, got %s" % _shown(bound)
         )
-    # D s, D the common denominator: (D s, Q) = D (s, Q) has the kernel of (s, Q)
-    # and int rows, and (D s, D s) = D^2 (s, s)
-    body = lcm(*(c.denominator for c in s.body.terms.values())) * s.body
-    if master_check(body):
+    # `_image_rows` brackets s's int numerators, den s: (den s, Q) = den (s, Q)
+    # has the kernel of (s, Q) and int rows
+    if master_check(s.body):
         raise DomainError("s does not satisfy the master equation")
     if s.weight == 1:
         raise WeightOneError()
@@ -295,7 +295,7 @@ def classify_lifts(s: DensityElement, coeff_degree_bound: int) -> KernelBasis:
     ansatz = monomial_ansatz(s.chart, r - 1, int(bound), (sp + 1) % 2)
     # odd s: the residual (1 + (-1)^s)(s, Q) w* vanishes identically, so
     # every ansatz element already solves the master equation: no rows.
-    vectors = nullspace([] if flagged else _image_rows(body, ansatz), len(ansatz))
+    vectors = nullspace([] if flagged else _image_rows(s.body, ansatz), len(ansatz))
     return KernelBasis(s.chart, tuple(ansatz), tuple(vectors), flagged)
 
 
@@ -411,7 +411,7 @@ def _supertrace(pi: SPoly):
     if master_check(pi):
         return None
     div, n = divergence(pi), len(pi.chart.base_coords)
-    return tuple(_frac(div.terms.get(pi.chart.power_key(n + j, 1), 0)) for j in range(n))
+    return tuple(div.coefficient(pi.chart.power_key(n + j, 1)) for j in range(n))
 
 
 def change_basis(g: LieAlgebraData, P):

@@ -171,8 +171,8 @@ class CoordinateChange:
         # the round trips give J_F(G(x)) J_G(x) = I, so det J_F(G(x)) and det J_G are
         # units of Q[x], nonzero constants: the image of #x^1...#x^n has one term
         top = self.substitution(prod((source["#" + a.name] for a in sb), start=source.const(1)))
-        c, = top.terms.values()
-        self.jac_det = 1 / _frac(c)
+        c, = top.num.values()
+        self.jac_det = Fraction(top.den, c)
 
 
 def transform_hatted(S: SPoly, change: CoordinateChange) -> SPoly:

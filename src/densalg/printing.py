@@ -43,13 +43,14 @@ def _monomial_factors(chart, key):
 
 
 def poly_to_text(f: SPoly) -> str:
-    if not _on(f).terms:
+    terms = _on(f).terms  # the rational view, built once
+    if not terms:
         return "0"
     chart = f.chart
-    keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k), reverse=True)
+    keys = sorted(terms, key=lambda k: _term_sort_key(chart, k), reverse=True)
     pieces = []
     for key in keys:
-        coeff = f.terms[key]
+        coeff = terms[key]
         factors = _monomial_factors(chart, key)
         mag = abs(coeff)
         if not factors:
@@ -80,15 +81,15 @@ def chart_from_dict(d: dict) -> Chart:
 
 def poly_to_dict(f: SPoly) -> dict:
     """SerializedPoly: rationals as strings so consumers lose nothing."""
-    chart = _on(f).chart
-    keys = sorted(f.terms, key=lambda k: _term_sort_key(chart, k), reverse=True)
+    chart, coeffs = _on(f).chart, f.terms  # the rational view, built once
+    keys = sorted(coeffs, key=lambda k: _term_sort_key(chart, k), reverse=True)
     terms = []
     for key in keys:
         exps = {
             v.name: str(exp) if v.kind == "t" else exp
             for v, exp in zip(chart.variables, chart._exponents(key)) if exp
         }
-        terms.append({"coeff": str(f.terms[key]), "exponents": exps})
+        terms.append({"coeff": str(coeffs[key]), "exponents": exps})
     return {"chart": chart_to_dict(chart), "terms": terms}
 
 
@@ -119,7 +120,7 @@ def poly_from_dict(d: dict, chart: Chart | None = None) -> SPoly:
                 raise DomainError("%s cannot have exponent %s" % (name, _shown(exp)))
             key[v.index] = _num(exp)
         key = chart._to_key(tuple(key))
-        coeff = _num(_frac(coeff))
+        coeff = _frac(coeff)
         if not coeff:
             raise DomainError("a term has coefficient 0")
         if key in terms:

@@ -10,27 +10,37 @@ A monomial key is a tuple with one exponent slot per chart variable, indexed
 by `Variable.index`, with 0 for an absent variable: a product adds the keys
 slot by slot and a derivative updates one slot.  Odd variables are
 implicitly kept in chart declaration order and every reordering sign is
-absorbed into the coefficient at construction time, so equal polynomials have
-equal term maps.  Coefficients are int or Fraction, and an integral one is
-stored as an int (`_num`): an int and a Fraction of equal value compare and
-hash alike, so this changes no equality, only the cost of the arithmetic.
+absorbed into the coefficient at construction time.
+Coefficients are integer numerators over one denominator: `num` maps each key
+to a nonzero int and `den` is a positive int, in normal form,
+gcd(den, *num.values()) = 1 and den = 1 for zero, so equal polynomials have
+equal (den, num) and no kernel loop touches a Fraction.  A product
+multiplies the denominators and a sum rescales each side to their lcm; every
+result is built by `_poly`, which normalises it by one gcd when its den is
+not 1.  `terms` is the rational view, {key: int or Fraction}: `num` itself
+when den is 1, and else a fresh map on every read.  A derivative by t
+multiplies by t's exponent, which may be 1/2, so rows that may be derived by
+t, the tables of partials by every variable alike, hold the numerators times
+`_t_scale`, the lcm of the denominators of t's exponents in the polynomial
+(1 for integral powers), and are ints over den times that scale.
 The t slot holds t's exponent times `_T_UNIT` = lcm(1..16) (`_t_slot`, read
 back by `_t_exp`): an int when the exponent's denominator divides it, as every
 denominator up to 16 does (1/2, -3/2, 5/3), so those keys hash, compare and
 add as ints, and else a Fraction.  Every other slot holds an int, 0 or 1 for
-an odd variable.  Outside the kernel loops (`_mul_into`, `_rows`, `_strip_t`)
-this codec is reached only through three `Chart` methods, which speak plain
-exponents: `power_key` for one variable's power, `_to_key` for a tuple of
-exponents, one per variable, and its inverse `_exponents`.  No other module
-reads or writes a t slot.
+an odd variable.  Outside the kernel loops (`_mul_into`, `_rows`, `_strip_t`,
+`_t_scale`) this codec is reached only through three `Chart` methods, which
+speak plain exponents: `power_key` for one variable's power, `_to_key` for a
+tuple of exponents, one per variable, and its inverse `_exponents`.  No other
+module reads or writes a t slot.
 All values are immutable and all operations are pure.  Products and brackets
 accumulate in place into one term map through `_mul_into`, which repeats the
 rule of `_add_into` inline.  A sum copies its operand with more terms and adds
-the other into the copy through `_add_into`; a difference adds -c for each
-term of the right operand into a copy of the left.  A product by the scalar 1
-returns the polynomial itself, and by -1 its negation.
-`_mul_into` takes `_rows` (key, coefficient, odd-variable bitmask, fractional-t
-flag), and `_partial_rows` gives every partial of those rows in one pass.
+the other into the copy through `_add_into`; a difference adds the negated
+right operand into a copy of the left.  A product by the scalar 1 returns the
+polynomial itself, and by -1 its negation.
+`_mul_into` takes `_rows` (key, int coefficient, odd-variable bitmask,
+fractional-t flag), and `_partial_rows` gives every partial of those rows in
+one pass.
 A `_Substitution` checks its images once and keeps the rows of their powers
 for many polynomials; `SPoly.substitute` prepares one and applies it once,
 its target the source chart unless another is named, and each coordinate
@@ -38,10 +48,11 @@ change keeps one, target named, for every density and tail it transforms.
 An SPoly keeps two convention-free bracket tables, None until `brackets`
 builds them on first use: its `_plan_core`, its side of every bracket with
 a sign cell in place of each sign, and the left `_partial_rows` that
-`_bracket_from` reads.  One build serves every later bracket, under any
-convention, that has the polynomial as an operand.  They cost memory, about
+`_bracket_from` reads, each with the denominator its int rows are over.
+One build serves every later bracket, under any convention, that has the
+polynomial as an operand.  They cost memory, about
 one row per term and variable it holds, for as long as the polynomial lives,
-and stay valid as no code writes to the `terms` of a built SPoly.
+and stay valid as no code writes to the `num` of a built SPoly.
 A hatted polynomial is a sum of unhatted bodies times (t, #t) tails t^a #t^b,
 of weight a - b, on their right: `SPoly.transport` attaches a tail to a body
 and `SPoly.tails` splits a polynomial into its tails.
@@ -58,7 +69,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import comb, lcm, log10, prod
+from math import comb, gcd, lcm, log10, prod
 from operator import add, mul
 
 EVEN = 0
@@ -213,10 +224,9 @@ MAX_POWER_BITS = 1 << 22
 def _checked_product(a, b):
     """a*b for a power not known to fit, or DomainError when the product may
     take more than MAX_POWER_BITS bits, estimated as its term pairs times the
-    sum of the factors' largest coefficient bits (at least 1)."""
-    bits = sum(max((max(abs(c.numerator), c.denominator).bit_length() - 1
-                    for c in p.terms.values()), default=0) for p in (a, b))
-    if len(a.terms) * len(b.terms) * max(bits, 1) > MAX_POWER_BITS:
+    sum of the factors' largest numerator or denominator bits (at least 1)."""
+    bits = sum(max([p.den, *map(abs, p.num.values())]).bit_length() - 1 for p in (a, b))
+    if len(a.num) * len(b.num) * max(bits, 1) > MAX_POWER_BITS:
         raise DomainError("the polynomial power exceeds %d bits" % MAX_POWER_BITS)
     return a * b
 
@@ -378,26 +388,31 @@ class Chart:
 
     # -- polynomial constructors --
     def zero(self):
-        return SPoly(self, {})
+        return _poly(self, {})
 
     def sum(self, polys):
-        """The sum of SPolys over this chart, accumulated in one term map."""
+        """The sum of SPolys over this chart, accumulated in one term map over
+        the lcm of their denominators."""
+        polys = [_on(p, self, "a summand lives on a different chart")
+                 for p in _entries(polys, None, "the summands are a list")]
+        den = lcm(*(p.den for p in polys))
         terms = {}
-        for p in _entries(polys, None, "the summands are a list"):
-            for k, c in _on(p, self, "a summand lives on a different chart").terms.items():
-                _add_into(terms, k, c)
-        return SPoly(self, terms)
+        for p in polys:
+            scale = den // p.den
+            for k, c in p.num.items():
+                _add_into(terms, k, c * scale)
+        return _poly(self, terms, den)
 
     def const(self, c):
-        c = _num(_frac(c))
-        return SPoly(self, {self.zero_key: c} if c else {})
+        c = _frac(c)
+        return _poly(self, {self.zero_key: c.numerator} if c else {}, c.denominator)
 
     def __getitem__(self, name):
-        return SPoly(self, {self.power_key(self.var(name).index, 1): 1})
+        return _poly(self, {self.power_key(self.var(name).index, 1): 1})
 
     def t_power(self, lam):
         # t_var refuses an unhatted chart, and power_key a lam that is no rational
-        return SPoly(self, {self.power_key(self.t_var.index, lam): 1})
+        return _poly(self, {self.power_key(self.t_var.index, lam): 1})
 
     def w_star(self):
         """The weight-0 odd coordinate w = t * #t."""
@@ -437,16 +452,27 @@ class Chart:
 
 
 def _add_into(terms, key, c):
-    """terms[key] += c in place for a nonzero c; a coefficient that cancels
+    """terms[key] += c in place for a nonzero int c; a coefficient that cancels
     leaves the map.  An absent key is stored as it comes, hashed once."""
     size = len(terms)
-    old = terms.setdefault(key, _num(c))
+    old = terms.setdefault(key, c)
     if len(terms) == size:
         new = old + c
         if new:
-            terms[key] = _num(new)
+            terms[key] = new
         else:
             del terms[key]
+
+
+def _combine(f, g, sign):
+    """f + sign * g for a sign of 1 or -1: each side rescaled to the lcm of
+    the denominators, and g's terms added into a copy of f's."""
+    den = lcm(f.den, g.den)
+    a, b = den // f.den, sign * (den // g.den)
+    terms = dict(f.num) if a == 1 else {k: c * a for k, c in f.num.items()}
+    for k, c in g.num.items():
+        _add_into(terms, k, c * b)
+    return _poly(f.chart, terms, den)
 
 
 def _mul_into(result, left, right, negate):
@@ -464,31 +490,41 @@ def _mul_into(result, left, right, negate):
                 key = key[:-2] + (_num(key[-2]), key[-1])
             c = -c1 * c2 if flip != negate else c1 * c2
             size = len(result)
-            old = stored(key, _num(c))
+            old = stored(key, c)
             if len(result) == size:
                 new = old + c
                 if new:
-                    result[key] = _num(new)
+                    result[key] = new
                 else:
                     del result[key]
 
 
-def _rows(chart, terms):
-    """The operands of `_mul_into`: (key, coeff, `_odd_mask` of the key, whether
-    its t slot, the last but one, is a Fraction: a power of t whose denominator
-    does not divide `_T_UNIT`) for every term."""
+def _rows(chart, num, scale=1):
+    """The operands of `_mul_into`: (key, numerator times `scale`, `_odd_mask`
+    of the key, whether its t slot, the last but one, is a Fraction: a power
+    of t whose denominator does not divide `_T_UNIT`) for every term of num."""
     odd, hatted = chart.odd_bits, chart.hatted
     return [
-        (key, c, _odd_mask(odd, key), hatted and type(key[-2]) is Fraction)
-        for key, c in terms.items()
+        (key, c * scale, _odd_mask(odd, key), hatted and type(key[-2]) is Fraction)
+        for key, c in num.items()
     ]
+
+
+def _t_scale(chart, num):
+    """The lcm of the denominators of t's exponents in the keys of num, 1 on
+    an unhatted chart: numerators scaled by it have int derivatives by t."""
+    if not chart.hatted:
+        return 1
+    return lcm(*{_T_UNIT // gcd(s, _T_UNIT) if type(s) is int else (s / _T_UNIT).denominator
+                 for s in {key[-2] for key in num}})
 
 
 def _partial_rows(chart, rows, left):
     """Every partial derivative of the `_rows` of a term map from one pass, as
     {variable index: `_rows` of the derivative}; a variable no term holds has
     no entry.  A derivative's mask is its term's with the variable's bit
-    cleared, and its t slot stays a Fraction or an int."""
+    cleared, and its t slot stays a Fraction or an int.  Rows that hold t
+    must be scaled by their `_t_scale`, so that every derivative is an int."""
     slots = range(len(chart.zero_key))
     t = 2 * chart.n_base if chart.hatted else -1
     tables = {}
@@ -527,42 +563,74 @@ def _strip(key, i, coeff, mask, left):
     if mask >> i & 1:
         crossed = mask & ((1 << i) - 1) if left else mask >> (i + 1)
         return key[:i] + (0,) + key[i + 1:], -coeff if crossed.bit_count() & 1 else coeff
-    return key[:i] + (exp - 1,) + key[i + 1:], coeff if exp == 1 else _num(coeff * exp)
+    return key[:i] + (exp - 1,) + key[i + 1:], coeff if exp == 1 else coeff * exp
 
 
 def _strip_t(key, i, coeff):
     """The derivative of coeff * key by t, at slot i, which it holds, as (key,
-    coeff): one `_T_UNIT` off the slot and the coefficient times t's exponent."""
+    coeff): one `_T_UNIT` off the slot and the coefficient times t's exponent,
+    an int for a coeff scaled by `_t_scale`."""
     s = key[i]
-    c = coeff if s == _T_UNIT else _num(coeff * _t_exp(s))
+    c = coeff if s == _T_UNIT else coeff * s // _T_UNIT
     return key[:i] + (s - _T_UNIT,) + key[i + 1:], c
 
 
-class SPoly:
-    """Sparse supercommutative polynomial over a chart, exact coefficients."""
+def _poly(chart, num, den=1):
+    """The SPoly num / den on chart, for a map of nonzero int numerators and a
+    positive int den, brought to normal form by one gcd: den shares no factor
+    with every numerator, and zero has den 1.  Every kernel result is built
+    here; `SPoly(chart, terms)` reads rational coefficients."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num, den = {k: c // g for k, c in num.items()}, den // g
+    f = object.__new__(SPoly)
+    f.chart, f.num, f.den = chart, num, den
+    f._plan_core = f._left_rows = None
+    return f
 
-    __slots__ = ("chart", "terms", "_plan_core", "_left_rows")  # the last two: bracket tables
+
+class SPoly:
+    """Sparse supercommutative polynomial over a chart: int numerators `num`
+    over one positive denominator `den`, in normal form (see the module)."""
+
+    __slots__ = ("chart", "num", "den", "_plan_core", "_left_rows")  # the last two: bracket tables
 
     def __init__(self, chart, terms):
-        self.chart = chart
-        self.terms = terms
+        """The polynomial with the int or Fraction coefficients of the map
+        `terms`, a zero coefficient left out."""
+        coeffs = {k: c if type(c) is int else _frac(c) for k, c in terms.items() if c}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.chart, self.den = chart, den
+        # the lcm of reduced denominators shares no factor with every numerator
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
         self._plan_core = self._left_rows = None
 
+    @property
+    def terms(self):
+        """The rational view {key: coefficient}, an int where it is integral and
+        else a Fraction: `num` itself when den is 1, else a map built anew on
+        every read and not kept, so read it once per use."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return {k: Fraction(c, den) if c % den else c // den for k, c in self.num.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, SPoly):
-            return self.chart == other.chart and self.terms == other.terms
+            return self.chart == other.chart and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             return self == self.chart.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, self.den, frozenset(self.num.items())))
 
     def _coerce(self, other):
         if isinstance(other, SPoly):
@@ -575,25 +643,19 @@ class SPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        terms = dict(big.terms)
-        for k, c in small.terms.items():
-            _add_into(terms, k, c)
-        return SPoly(self.chart, terms)
+        big, small = (self, other) if len(self.num) >= len(other.num) else (other, self)
+        return _combine(big, small, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SPoly(self.chart, {k: -c for k, c in self.terms.items()})
+        return _poly(self.chart, {k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_into(terms, k, -c)
-        return SPoly(self.chart, terms)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -606,13 +668,15 @@ class SPoly:
                 return self  # values are immutable
             if other == -1:
                 return -self
-            return SPoly(self.chart, {k: _num(v * other) for k, v in self.terms.items()})
+            p = other.numerator
+            return _poly(self.chart, {k: c * p for k, c in self.num.items()},
+                         self.den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         result = {}
-        _mul_into(result, _rows(self.chart, self.terms), _rows(self.chart, other.terms), False)
-        return SPoly(self.chart, result)
+        _mul_into(result, _rows(self.chart, self.num), _rows(self.chart, other.num), False)
+        return _poly(self.chart, result, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -633,14 +697,13 @@ class SPoly:
             return self.chart.const(1)
         # self^n has at most comb(n + t - 1, n) terms, the multisets of n of its t
         # terms, and for integral exponents at most the product over variables of
-        # n * (max - min) + 1, the exponent sums; each term is D^-n times an integer
-        # of at most S^n, with D the common denominator and S = D * sum |c|: when
-        # that fits, no product is checked
-        coeffs = self.terms.values()
-        D = lcm(*(c.denominator for c in coeffs))
-        bits = (int(max(sum(abs(c) for c in coeffs) * D, D)) - 1).bit_length()
+        # n * (max - min) + 1, the exponent sums; each term is den^-n times an
+        # integer of at most S^n, with S the sum of |num|: when that fits, no
+        # product is checked
+        coeffs = self.num.values()
+        bits = (max(sum(map(abs, coeffs)), self.den) - 1).bit_length()
         count = comb(n + len(coeffs) - 1, n)
-        slots = list(zip(*map(self.chart._exponents, self.terms)))
+        slots = list(zip(*map(self.chart._exponents, self.num)))
         if all(e.denominator == 1 for exps in slots for e in exps):
             count = min(count, prod(n * (max(exps) - min(exps)) + 1 for exps in slots))
         fits = count * n * bits <= MAX_POWER_BITS
@@ -666,26 +729,27 @@ class SPoly:
         return self._derive(v, left=False)
 
     # distinct monomials have distinct derivatives by one variable, so each
-    # derivative term is stored as it comes
+    # derivative term is stored as it comes; by t, over den times `_t_scale`
     def _derive(self, v, left):
         chart = self.chart
         if chart.by_name.get(v.name) != v:
             raise UnknownVariableError("%r is not a variable of %r" % (v, chart))
-        i = v.index
+        i, by_t = v.index, v.kind == "t"
         odd = chart.odd_bits if v.parity else ()  # an even variable takes no sign
+        scale = _t_scale(chart, self.num) if by_t else 1
         result = {}
-        for key, coeff in self.terms.items():
+        for key, coeff in self.num.items():
             if key[i]:
-                k, c = (_strip_t(key, i, coeff) if v.kind == "t"
+                k, c = (_strip_t(key, i, coeff * scale) if by_t
                         else _strip(key, i, coeff, _odd_mask(odd, key), left))
                 result[k] = c
-        return SPoly(chart, result)
+        return _poly(chart, result, self.den * scale)
 
     # -- grading --
     def _grade(self, key_grade):
-        if not self.terms:
+        if not self.num:
             return ANY
-        grades = {key_grade(k) for k in self.terms}
+        grades = {key_grade(k) for k in self.num}
         return grades.pop() if len(grades) == 1 else MIXED
 
     def parity(self):
@@ -698,17 +762,17 @@ class SPoly:
         return self._grade(self.chart.key_fiber_degree)
 
     def parity_components(self):
-        """Split into (even part, odd part)."""
+        """Split into (even part, odd part), each in its own normal form."""
         even = {}
         odd = {}
-        for k, c in self.terms.items():
+        for k, c in self.num.items():
             (odd if self.chart.key_parity(k) else even)[k] = c
-        return SPoly(self.chart, even), SPoly(self.chart, odd)
+        return _poly(self.chart, even, self.den), _poly(self.chart, odd, self.den)
 
     def parity_twist(self):
         """Each term times (-1)^parity, in one pass: the even part minus the odd."""
         parity = self.chart.key_parity
-        return SPoly(self.chart, {k: -c if parity(k) else c for k, c in self.terms.items()})
+        return _poly(self.chart, {k: -c if parity(k) else c for k, c in self.num.items()}, self.den)
 
     def substitute(self, images, target=None):
         """Simultaneous substitution.
@@ -739,13 +803,13 @@ class SPoly:
         if target.base_coords != chart.base_coords:
             raise ChartMismatchError("transport needs a chart with the same base coordinates")
         width = len(target.zero_key)
-        if any(any(key[width:]) for key in self.terms):
+        if any(any(key[width:]) for key in self.num):
             raise SubstitutionError("a term with t or #t has no image on an unhatted chart")
         pad = target.zero_key[len(chart.zero_key):]
         if (t or tstar) and not pad:
             raise DomainError("a tail t^%s #t^%s does not pad onto %r" % (_shown(t), tstar, target))
         pad = (_t_slot(t), tstar) if pad else ()
-        return SPoly(target, {key[:width] + pad: c for key, c in self.terms.items()})
+        return _poly(target, {key[:width] + pad: c for key, c in self.num.items()}, self.den)
 
     def tails(self):
         """This hatted polynomial as {(t exponent, #t exponent): body on the
@@ -753,24 +817,26 @@ class SPoly:
         if not self.chart.hatted:
             raise DomainError("only a hatted polynomial has (t, #t) tails")
         parts = {}
-        for key, c in self.terms.items():
+        for key, c in self.num.items():
             parts.setdefault(key[-2:], {})[key[:-2]] = c
         base = self.chart.unhatted_version()
-        return {(_t_exp(t), tstar): SPoly(base, terms) for (t, tstar), terms in parts.items()}
+        return {(_t_exp(t), tstar): _poly(base, num, self.den) for (t, tstar), num in parts.items()}
 
     def coefficient(self, key):
-        return Fraction(self.terms.get(key, 0))
+        return Fraction(self.num.get(key, 0), self.den)
 
     def constant_term(self):
-        return Fraction(self.terms.get(self.chart.zero_key, 0))
+        return self.coefficient(self.chart.zero_key)
 
 
 class _Substitution:
     """A simultaneous substitution into polynomials on `chart`: the images are
     checked once, and the `_rows` of each (slot, exponent) factor, a power of
     an image, c^e t^e for t -> c*t or a kept variable, are built on first use
-    and kept.  Calling it multiplies each term's factors onto its coefficient in
-    slot order, so the odd factors meet in chart order, and stops at a zero.
+    and kept with their denominator.  Calling it multiplies each term's
+    factors onto its numerator in slot order, so the odd factors meet in chart
+    order, and stops at a zero; the terms' images, each over the product of
+    its factors' denominators, are summed over the lcm of those.
     The target chart defaults to the source chart: an image on any other chart
     needs the target named.
     """
@@ -779,7 +845,7 @@ class _Substitution:
         images = _map(images, "the images are a map from variables to polynomials")
         target = chart if target is None else target
         self.chart, self.target, self._keep = chart, target, target == chart
-        self._images, self._powers, self._t_index, self._t_scale = {}, {}, None, None
+        self._images, self._powers, self._t_index, self._t_factor = {}, {}, None, None
         for v, img in images.items():
             if chart.by_name.get(v.name) != v:
                 raise UnknownVariableError("%r is not a variable of the chart" % (v,))
@@ -788,12 +854,12 @@ class _Substitution:
             _on(img, target, "image of %s lives on the wrong chart" % v.name)
             if v.kind == "t":
                 # only c*t with c > 0 keeps rational Laurent powers exact
-                if len(img.terms) != 1:
+                if len(img.num) != 1:
                     raise SubstitutionError("t image must be a positive multiple of t")
-                (key, c), = img.terms.items()
+                (key, c), = img.num.items()
                 if key != target.power_key(target.t_var.index, 1) or c <= 0:
                     raise SubstitutionError("t image must be a positive multiple of t")
-                self._t_index, self._t_scale = v.index, c
+                self._t_index, self._t_factor = v.index, Fraction(c, img.den)
                 continue
             if img.parity() != v.parity:
                 raise SubstitutionError(
@@ -802,42 +868,49 @@ class _Substitution:
             self._images[v.index] = img
 
     def _power(self, idx, key):
-        """The `_rows` that variable idx to its power in `key` becomes, built on
-        first use from the exponent `Chart._exponents` reads and kept under
-        the key's slot value."""
-        rows = self._powers.get((idx, key[idx]))
-        if rows is not None:
-            return rows
+        """(`_rows`, denominator) of variable idx to its power in `key`, built
+        on first use from the exponent `Chart._exponents` reads and kept
+        under the key's slot value."""
+        entry = self._powers.get((idx, key[idx]))
+        if entry is not None:
+            return entry
         exp = self.chart._exponents(key)[idx]
         target, img = self.target, self._images.get(idx)
         if img is not None:
-            terms = (img if exp == 1 else img ** exp).terms
+            power = img if exp == 1 else img ** exp
+            num, den = power.num, power.den
         elif idx == self._t_index:
-            terms = {target.power_key(target.t_var.index, exp):
-                     _num(rational_power(self._t_scale, exp))}
+            c = rational_power(self._t_factor, exp)
+            num, den = {target.power_key(target.t_var.index, exp): c.numerator}, c.denominator
         elif self._keep:
-            terms = {target.power_key(idx, exp): 1}
+            num, den = {target.power_key(idx, exp): 1}, 1
         else:
             raise SubstitutionError(
                 "%s has no image on the target chart" % self.chart.variables[idx].name
             )
-        rows = self._powers[idx, key[idx]] = _rows(target, terms)
-        return rows
+        entry = self._powers[idx, key[idx]] = _rows(target, num), den
+        return entry
 
     def __call__(self, poly):
         _on(poly, self.chart, "the polynomial lives on another chart than the substitution")
         target, power, images = self.target, self._power, self._images
         slots = range(len(self.chart.zero_key))
-        result = {}
-        for key, coeff in poly.terms.items():
-            acc = [(target.zero_key, coeff, 0, False)]
+        done = []  # (`_rows` of a term's image, its denominator)
+        for key, coeff in poly.num.items():
+            acc, den = [(target.zero_key, coeff, 0, False)], poly.den
             for idx in compress(slots, key):
+                rows, d = power(idx, key)
                 part = {}
-                _mul_into(part, acc, power(idx, key), False)
+                _mul_into(part, acc, rows, False)
                 if not part and idx in images:  # a zero from a kept factor goes on to check t
                     break
-                acc = _rows(target, part)
+                acc, den = _rows(target, part), den * d
             else:
-                for k, c, _, _ in acc:
-                    _add_into(result, k, c)
-        return SPoly(target, result)
+                done.append((acc, den))
+        den = lcm(*(d for _, d in done))
+        result = {}
+        for acc, d in done:
+            scale = den // d
+            for k, c, _, _ in acc:
+                _add_into(result, k, c * scale)
+        return _poly(target, result, den)

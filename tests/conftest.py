@@ -120,10 +120,15 @@ def reference_substitute(f, images, target):
     return SPoly(target, {k: c for k, c in total.items() if c})
 
 
-def hatted_poly(rng, chart, n_terms=4):
+HATTED_T_EXPONENTS = (0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2))
+# every denominator a t-derivative must clear: 1/17 takes a Fraction t slot
+MIXED_T_EXPONENTS = (0, 1, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 17))
+
+
+def hatted_poly(rng, chart, n_terms=4, t_exps=HATTED_T_EXPONENTS):
     """A random polynomial on a hatted chart with the values random_poly does
-    not draw: t^(1/2), t^(-1) and fractional coefficients, #t included."""
-    t_exps = (0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2))
+    not draw: t^(1/2), t^(-1) and fractional coefficients, #t included; t's
+    exponent is drawn from `t_exps`."""
     coeffs = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3))
     terms = []
     for _ in range(n_terms):

@@ -26,12 +26,13 @@ from densalg import (
     divergence_wrt,
 )
 from densalg import spoly
+from densalg.brackets import r_ary_bracket, restrict_to_base
 from densalg.classify import darboux_form
 from densalg.dsl import Interpreter, parse
 from densalg.printing import poly_from_dict, poly_to_dict, poly_to_text
-from densalg.spoly import _exact_root, _partial_rows, _rows, _Substitution, rational_power
+from densalg.spoly import _exact_root, _partial_rows, _rows, _Substitution, _t_scale, rational_power
 from conftest import (
-    dense, hatted_poly, product_divergence_wrt, random_poly, reference_bracket,
+    MIXED_T_EXPONENTS, dense, hatted_poly, product_divergence_wrt, random_poly, reference_bracket,
     reference_derivative, reference_divergence, reference_product, reference_substitute,
     sparse, unit,
 )
@@ -68,9 +69,12 @@ def unequal_pairs(rng, chart):
 
 def partials(f, left):
     """Every partial derivative of f from one `_partial_rows` pass, as
-    {variable index: derivative}."""
-    return {i: SPoly(f.chart, {k: c for k, c, _, _ in rows})
-            for i, rows in _partial_rows(f.chart, _rows(f.chart, f.terms), left).items()}
+    {variable index: derivative}: the pass reads f's numerators times
+    `_t_scale`, so each table is over f's den times that scale."""
+    scale = _t_scale(f.chart, f.num)
+    den = f.den * scale
+    return {i: SPoly(f.chart, {k: Fraction(c, den) for k, c, _, _ in rows})
+            for i, rows in _partial_rows(f.chart, _rows(f.chart, f.num, scale), left).items()}
 
 
 class TestBasics:
@@ -755,3 +759,118 @@ class TestTSlot:
         monkeypatch.setattr(spoly, "_checked_product", lambda a, b: checked.append(1) or a * b)
         power = h.sum(h["t"] ** k for k in range(6)) ** 100
         assert not checked and len(power.terms) == 501
+
+
+def assert_normal(f):
+    """f is integer numerators over one positive denominator in normal form:
+    nonzero ints, gcd(den, *num) = 1, and den 1 for zero."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c for c in f.num.values())
+    assert math.gcd(f.den, *f.num.values()) == 1
+    assert f.num or f.den == 1
+    # the rational view is the map of num / den, an int where it is integral
+    assert f.terms == {k: Fraction(c, f.den) for k, c in f.num.items()}
+    assert not [c for c in f.terms.values() if type(c) is Fraction and c.denominator == 1]
+
+
+class TestNormalForm:
+    """Every public operation returns its polynomial in normal form, on hatted
+    inputs whose t exponents are 1/2, 1/17 (a Fraction slot), -1 and -3/2 and
+    on unhatted ones; equality and hash read only the value."""
+
+    def results(self, rng, chart):
+        h = chart.hatted_version()
+        x, xi, t = h.var("x"), h.var("xi"), h.t_var
+        f = hatted_poly(rng, h, 5, MIXED_T_EXPONENTS)
+        g = hatted_poly(rng, h, 5, MIXED_T_EXPONENTS)
+        odd = f.parity_components()[1] or h["xi"]
+        base = random_poly(rng, chart, EVEN) * Fraction(3, 4) + Fraction(1, 6)
+        out = [f, g, f + g, f - g, g - g, -f, f * g, g * f, f * Fraction(2, 3), 2 * f,
+               f / Fraction(4, 3), f / 2, 6 * f / 6, f ** 2, h.const(Fraction(6, 4)),
+               h.t_power(Fraction(1, 17)), h.sum([f, g, -f]), f + Fraction(1, 2), 1 - f,
+               f.parity_twist(), *f.parity_components(), *f.tails().values(),
+               f.substitute({x: 2 * h["y"] + Fraction(1, 3), xi: Fraction(1, 2) * h["eta"]}),
+               hatted_poly(rng, h).substitute({t: Fraction(9, 4) * h["t"]}),  # halves: 3/2
+               antibracket(f, g), antibracket(odd, odd), divergence(f), delta_op(f),
+               divergence_wrt(f, Fraction(5, 2) * h.t_power(Fraction(1, 3))),
+               restrict_to_base(f), r_ary_bracket(f, [h["x"], Fraction(1, 2) * h["y"]]),
+               base, base * base, base.transport(h, Fraction(1, 2), 1),
+               base.transport(h).transport(chart), divergence(base), base - base]
+        for v in h.variables:
+            out += [f.derive_left(v), f.derive_right(v)]
+        return out
+
+    def test_every_result_is_normal(self, rng, chart):
+        for _ in range(40):
+            for r in self.results(rng, chart):
+                assert_normal(r)
+
+    def test_equality_and_hash_read_the_value(self, rng, chart):
+        h = chart.hatted_version()
+        k = h.power_key(h.t_var.index, Fraction(1, 17))
+        pairs = [(SPoly(h, {k: Fraction(2, 4)}), SPoly(h, {k: Fraction(1, 2)})),
+                 (SPoly(h, {k: Fraction(4, 2)}), SPoly(h, {k: 2})),
+                 (h.const(Fraction(1, 2)) + h.const(Fraction(1, 2)), h.const(1))]
+        for _ in range(30):
+            f = hatted_poly(rng, h, 5, MIXED_T_EXPONENTS)
+            g = hatted_poly(rng, h, 3, MIXED_T_EXPONENTS)
+            pairs += [(2 * f / 2, f), (f * 3 / 3, f), (f + g - g, f), (f - f, h.zero()),
+                      (SPoly(h, f.terms), f), (SPoly(h, dict(f.terms)) * 1, f)]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and (a.den, a.num) == (b.den, b.num)
+
+    def test_terms_is_the_rational_map(self, rng, chart):
+        # terms equals the term-by-term Fraction map of the old representation:
+        # the coefficients a polynomial is built from, and the sums, scalar
+        # products and products the dict oracles compute from the inputs' terms
+        h = chart.hatted_version()
+        for _ in range(30):
+            f = hatted_poly(rng, h, 5, MIXED_T_EXPONENTS)
+            g = hatted_poly(rng, h, 5, MIXED_T_EXPONENTS)
+            rational = dict(f.terms)
+            assert SPoly(h, rational).terms == rational
+            assert f.terms is not f.terms or f.den == 1  # a fresh view unless den is 1
+            assert (f + g).terms == combination((1, f), (1, g))
+            assert (f * Fraction(-2, 3)).terms == combination((Fraction(-2, 3), f))
+            assert (f * g).terms == reference_product(h, f, g).terms
+            for key in f.num:
+                assert f.coefficient(key) == rational[key]
+
+
+class TestTScale:
+    """A derivative by t multiplies by t's exponent: every table that may be
+    derived by t is scaled by the lcm of the denominators of t's exponents.
+    The mixed exponents 1/2, 1/17, -1 and -3/2 against the Fraction oracles."""
+
+    def operands(self, rng, chart):
+        h = chart.hatted_version()
+        fs = [hatted_poly(rng, h, 6, MIXED_T_EXPONENTS) for _ in range(25)]
+        t_only = (3 * h.t_power(Fraction(1, 3)) * h["#t"]
+                  + Fraction(1, 2) * h.t_power(Fraction(-3, 2)))
+        return h, fs, t_only
+
+    def test_derivative_by_t(self, rng, chart):
+        h, fs, _ = self.operands(rng, chart)
+        t = h.t_var
+        assert any(_t_scale(h, f.num) > 2 for f in fs)  # 1/17 and 1/2 together
+        for f in fs:
+            for left in (True, False):
+                expected = {}
+                for key, coeff in f.terms.items():
+                    for k, c in reference_derivative(h, key, coeff, t, left).items():
+                        expected[k] = expected.get(k, 0) + c
+                got = f.derive_left(t) if left else f.derive_right(t)
+                assert got == SPoly(h, {k: c for k, c in expected.items() if c})
+
+    def test_bracket_with_a_t_only_partner(self, rng, chart):
+        h, fs, t_only = self.operands(rng, chart)
+        for f in fs:
+            for p, q in ((f, t_only), (t_only, f)):
+                assert antibracket(p, q) == reference_bracket(h, p, q, PINNED)
+
+    def test_delta_and_divergence_wrt(self, rng, chart):
+        h, fs, _ = self.operands(rng, chart)
+        rho = Fraction(2, 5) * h.t_power(Fraction(1, 3))
+        for f in fs:
+            assert delta_op(f) == product_divergence_wrt(f, h.t_power(-2))
+            assert divergence_wrt(f, rho) == product_divergence_wrt(f, rho)
