@@ -40,11 +40,10 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import lcm
 
 from .spoly import ANY, EVEN, ODD, Chart, DomainError, SPoly
 from .spoly import _add_into, _entries, _integer, _mul_into, _odd_mask, _on, _partial_rows, _poly
-from .spoly import _rows, _strip, _strip_t, _t_scale
+from .spoly import _scaled_rows, _strip, _strip_t
 
 
 @dataclass(frozen=True)
@@ -115,13 +114,12 @@ def _plan_core(f):
     use and kept on f: per nonzero right partial of a parity part of f, its
     `_rows`, the partner slot to derive g by and its sign cell
     4 parity(q) + 2 parity(part) + term, term 0 for (d_r f/dq)(d_l g/dq*) and
-    1 for (d_r f/dq*)(d_l g/dq).  It is kept as (core, den): the rows hold
-    f's numerators times its `_t_scale`, so they are ints over f's den times
-    that scale, derivatives by t included."""
+    1 for (d_r f/dq*)(d_l g/dq).  It is kept as (core, den), read off f's
+    `_scaled_rows`, so its rows are ints over den, derivatives by t included."""
     if f._plan_core is None:
-        scale = _t_scale(f.chart, f.num)
-        parts = ([], [])  # f's `_rows` split by parity, read off each mask
-        for row in _rows(f.chart, f.num, scale):
+        rows, den = _scaled_rows(f)
+        parts = ([], [])  # f's rows split by parity, read off each mask
+        for row in rows:
             parts[row[2].bit_count() & 1].append(row)
         core = []
         for rows, fp in zip(parts, (EVEN, ODD)):
@@ -134,7 +132,7 @@ def _plan_core(f):
                     core.append((df[q], qs, cell))
                 if qs in df:
                     core.append((df[qs], q, cell + 1))
-        f._plan_core = core, f.den * scale
+        f._plan_core = core, den
     return f._plan_core
 
 
@@ -142,12 +140,12 @@ def _bracket_from(f, g, conv):
     """The bracket (f, g) under `conv` from f's `_plan_core`, each sign cell
     negated where `conv.negations` says, accumulated in one term map; a
     product one of whose derivatives is zero is skipped.  g's left
-    `_partial_rows` are built on first use and kept on g as (tables, den),
-    scaled like f's core, and the bracket's denominator is the product of the
-    two."""
+    `_partial_rows` are built on first use from its `_scaled_rows` and kept
+    on g as (tables, den), and the bracket's denominator is the product of
+    the two."""
     if g._left_rows is None:
-        scale = _t_scale(g.chart, g.num)
-        g._left_rows = _partial_rows(g.chart, _rows(g.chart, g.num, scale), True), g.den * scale
+        rows, den = _scaled_rows(g)
+        g._left_rows = _partial_rows(g.chart, rows, True), den
     (dg, g_den), (core, f_den), negate = g._left_rows, _plan_core(f), conv.negations
     terms = {}
     for df, slot, cell in core:
@@ -189,27 +187,28 @@ def _div_pairs(f, pairs, conv, mu=0):
     both derivatives from conv.div_side, plus mu t^-1 d_#t f, in one pass:
     each term is stripped of q* and then of q for each pair it holds and,
     for a nonzero mu, stripped of #t and divided by t: the t slot of the key
-    of t^-1, built once per call, is added to its t slot.  The numerators are
-    scaled by the lcm of f's `_t_scale` and mu's denominator, so the sum is
-    ints over f's den times that scale."""
+    of t^-1, built once per call, is added to its t slot.  It reads f's
+    `_scaled_rows`, ints over den, and folds mu in as numerator over
+    denominator: each pair term is multiplied by mu's denominator and each
+    #t term by its numerator, so the sum is ints over den times mu's
+    denominator."""
     left = conv.div_side == "left"
     t = 2 * f.chart.n_base if f.chart.hatted else -1
     t_inverse_slot = f.chart.power_key(t, -1)[t] if mu else None
-    scale = lcm(_t_scale(f.chart, f.num), mu.denominator)
-    mu = mu.numerator * (scale // mu.denominator)
+    rows, den = _scaled_rows(f)
+    mu, mu_den = mu.numerator, mu.denominator
     terms = {}
-    for key, coeff in f.num.items():
-        mask = _odd_mask(f.chart.odd_bits, key)
+    for key, coeff, mask, _ in rows:
         for q, qs, a in pairs:
             if key[q] and key[qs]:
-                k, c = _strip(key, qs, coeff * scale, mask, left)
+                k, c = _strip(key, qs, coeff * mu_den, mask, left)
                 # q* was even if q reads the mask
                 k, c = _strip_t(k, q, c) if q == t else _strip(k, q, c, mask, left)
                 _add_into(terms, k, -c if conv.div_parity and a else c)
         if mu and key[-1]:  # #t holds the last slot and t the one before
             k, c = _strip(key, len(key) - 1, coeff, mask, left)
             _add_into(terms, k[:-2] + (k[-2] + t_inverse_slot, 0), mu * c)
-    return _poly(f.chart, terms, f.den * scale)
+    return _poly(f.chart, terms, den * mu_den)
 
 
 def _hatted_chart(f, name):
@@ -322,10 +321,10 @@ def _div(f, conv, mu=0):
     return _div_pairs(f, f.chart.pair_slots, conv, mu)
 
 
-# (name, fields, [(sample, holds(f, g, h, conv)), ...]): an identity holds when
-# each of its checks holds on every triple of its sample: fixed triples for the
-# anchors, which fix the global signs the identities cannot see, else a chart,
-# whose _SAMPLES random homogeneous triples every check on it reads.  An
+# (name, fields, sample, holds(f, g, h, conv)): an identity holds when its one
+# check holds on every triple of its sample: fixed triples for the anchors,
+# which fix the global signs the identities cannot see, else a chart, whose
+# _SAMPLES random homogeneous triples every check on it reads.  An
 # identity names exactly the fields its verdict reads: the anchor (x, #x) reads
 # only sign cell 0, e1(0, 0), and (xi, #xi) only cell 6, e1(1, 1), both of
 # term_q_qstar, and div(xi * #xi) strips an even #xi and a lone xi, so no side
@@ -335,39 +334,31 @@ def _div(f, conv, mu=0):
 # kernels of the public operators, `_bracket_from` and `_div`, under conv.
 _IDENTITIES = (
     ("anchor (x, #x) = +1", ("term_q_qstar",),
-     [([(_X, _XS, _CHART.const(1))], lambda f, g, h, c: _bracket_from(f, g, c) == h)]),
+     [(_X, _XS, _CHART.const(1))], lambda f, g, h, c: _bracket_from(f, g, c) == h),
     ("anchor (xi, #xi) = -1 (odd base)", ("term_q_qstar",),
-     [([(_XI, _XIS, _CHART.const(-1))], lambda f, g, h, c: _bracket_from(f, g, c) == h)]),
+     [(_XI, _XIS, _CHART.const(-1))], lambda f, g, h, c: _bracket_from(f, g, c) == h),
     ("anchor div(xi * #xi) = -1 (odd base)", ("div_parity",),
-     [([(_XI * _XIS, None, _CHART.const(-1))], lambda f, g, h, c: _div(f, c) == h)]),
-    ("graded symmetry (f,g) = (-1)^(fg) (g,f)", _BRACKET, [
-        (_CHART, lambda f, g, h, c:
-            _bracket_from(f, g, c) == _sign(_grade(f) * _grade(g)) * _bracket_from(g, f, c)),
-    ]),
-    ("Leibniz (fg,h) = (-1)^f f(g,h) + (-1)^(gh) (f,h)g", _BRACKET, [
-        (_CHART, lambda f, g, h, c:
-            _bracket_from(f * g, h, c)
-            == _sign(_grade(f)) * (f * _bracket_from(g, h, c))
-            + _sign(_grade(g) * _grade(h)) * (_bracket_from(f, h, c) * g)),
-    ]),
-    ("odd Jacobi (f,(g,h)) = (-1)^(f+1) ((f,g),h) + (-1)^((f+1)(g+1)) (g,(f,h))", _BRACKET, [
-        (_CHART, lambda f, g, h, c:
-            _bracket_from(f, _bracket_from(g, h, c), c)
-            == _sign(_grade(f) + 1) * _bracket_from(_bracket_from(f, g, c), h, c)
-            + _sign((_grade(f) + 1) * (_grade(g) + 1)) * _bracket_from(g, _bracket_from(f, h, c), c)),
-    ]),
-    ("derivation identity div(f,g) = -(div f, g) - (-1)^f (f, div g)", _BRACKET + _DIV, [
-        (_CHART, lambda f, g, h, c:
-            _div(_bracket_from(f, g, c), c)
-            == -_bracket_from(_div(f, c), g, c)
-            - _sign(_grade(f)) * _bracket_from(f, _div(g, c), c)),
-    ]),
+     [(_XI * _XIS, None, _CHART.const(-1))], lambda f, g, h, c: _div(f, c) == h),
+    ("graded symmetry (f,g) = (-1)^(fg) (g,f)", _BRACKET, _CHART, lambda f, g, h, c:
+        _bracket_from(f, g, c) == _sign(_grade(f) * _grade(g)) * _bracket_from(g, f, c)),
+    ("Leibniz (fg,h) = (-1)^f f(g,h) + (-1)^(gh) (f,h)g", _BRACKET, _CHART, lambda f, g, h, c:
+        _bracket_from(f * g, h, c)
+        == _sign(_grade(f)) * (f * _bracket_from(g, h, c))
+        + _sign(_grade(g) * _grade(h)) * (_bracket_from(f, h, c) * g)),
+    ("odd Jacobi (f,(g,h)) = (-1)^(f+1) ((f,g),h) + (-1)^((f+1)(g+1)) (g,(f,h))", _BRACKET,
+     _CHART, lambda f, g, h, c:
+        _bracket_from(f, _bracket_from(g, h, c), c)
+        == _sign(_grade(f) + 1) * _bracket_from(_bracket_from(f, g, c), h, c)
+        + _sign((_grade(f) + 1) * (_grade(g) + 1)) * _bracket_from(g, _bracket_from(f, h, c), c)),
+    ("derivation identity div(f,g) = -(div f, g) - (-1)^f (f, div g)", _BRACKET + _DIV,
+     _CHART, lambda f, g, h, c:
+        _div(_bracket_from(f, g, c), c)
+        == -_bracket_from(_div(f, c), g, c)
+        - _sign(_grade(f)) * _bracket_from(f, _div(g, c), c)),
     ("generator identity delta(fg) - delta(f)g - (-1)^f f delta(g) = sigma(f)(f,g)",
-     _BRACKET + _DIV + ("generator_sign",), [
-        (_HCHART, lambda f, g, h, c:
-            _div(f * g, c, -2) - _div(f, c, -2) * g - _sign(_grade(f)) * (f * _div(g, c, -2))
-            == _sign(c.generator_sign[0] + c.generator_sign[1] * _grade(f)) * _bracket_from(f, g, c)),
-    ]),
+     _BRACKET + _DIV + ("generator_sign",), _HCHART, lambda f, g, h, c:
+        _div(f * g, c, -2) - _div(f, c, -2) * g - _sign(_grade(f)) * (f * _div(g, c, -2))
+        == _sign(c.generator_sign[0] + c.generator_sign[1] * _grade(f)) * _bracket_from(f, g, c)),
 )
 
 
@@ -386,19 +377,17 @@ class _Suite:
         self.verdicts = {}
 
     def holds(self, k, conv):
-        _, names, checks = _IDENTITIES[k]
+        _, names, sample, holds = _IDENTITIES[k]
         key = (k,) + tuple(getattr(conv, n) for n in names)
         if key not in self.verdicts:
             self.verdicts[key] = all(
-                all(holds(f, g, h, conv) for f, g, h in
-                    (self.samples[sample] if isinstance(sample, Chart) else sample))
-                for sample, holds in checks
-            )
+                holds(f, g, h, conv)
+                for f, g, h in (self.samples[sample] if isinstance(sample, Chart) else sample))
         return self.verdicts[key]
 
     def first_failure(self, conv):
         """Name of the first identity in the table that conv fails, or None."""
-        return next((name for k, (name, _, _) in enumerate(_IDENTITIES)
+        return next((name for k, (name, *_) in enumerate(_IDENTITIES)
                      if not self.holds(k, conv)), None)
 
 
@@ -425,7 +414,7 @@ def pin_convention(seed=2024):
     fixed = set()
     for name, values in _FIELD_VALUES:
         fixed.add(name)
-        ready = [k for k, (_, names, _) in enumerate(_IDENTITIES)
+        ready = [k for k, (_, names, *_) in enumerate(_IDENTITIES)
                  if name in names and fixed.issuperset(names)]
         candidates = [
             conv for partial in candidates for conv in

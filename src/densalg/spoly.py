@@ -15,14 +15,15 @@ Coefficients are integer numerators over one denominator: `num` maps each key
 to a nonzero int and `den` is a positive int, in normal form,
 gcd(den, *num.values()) = 1 and den = 1 for zero, so equal polynomials have
 equal (den, num) and no kernel loop touches a Fraction.  A product
-multiplies the denominators and a sum rescales each side to their lcm; every
-result is built by `_poly`, which normalises it by one gcd when its den is
-not 1.  `terms` is the rational view, {key: int or Fraction}: `num` itself
-when den is 1, and else a fresh map on every read.  A derivative by t
-multiplies by t's exponent, which may be 1/2, so rows that may be derived by
-t, the tables of partials by every variable alike, hold the numerators times
-`_t_scale`, the lcm of the denominators of t's exponents in the polynomial
-(1 for integral powers), and are ints over den times that scale.
+multiplies the denominators and every sum is `_sum`, which rescales each part
+to their lcm; every result is built by `_poly`, which normalises it by one
+gcd when its den is not 1.  `terms` is the rational view, {key: int or
+Fraction}: `num` itself when den is 1, and else a fresh map on every read.
+A derivative by t multiplies by t's exponent, which may be 1/2, so rows that
+may be derived by t, the tables of partials by every variable alike, are
+`_scaled_rows`: the numerators times `_t_scale`, the lcm of the denominators
+of t's exponents in the polynomial (1 for integral powers), ints over den
+times that scale.
 The t slot holds t's exponent times `_T_UNIT` = lcm(1..16) (`_t_slot`, read
 back by `_t_exp`): an int when the exponent's denominator divides it, as every
 denominator up to 16 does (1/2, -3/2, 5/3), so those keys hash, compare and
@@ -34,10 +35,12 @@ tuple of exponents, one per variable, and its inverse `_exponents`.  No other
 module reads or writes a t slot.
 All values are immutable and all operations are pure.  Products and brackets
 accumulate in place into one term map through `_mul_into`, which repeats the
-rule of `_add_into` inline.  A sum copies its operand with more terms and adds
-the other into the copy through `_add_into`; a difference adds the negated
-right operand into a copy of the left.  A product by the scalar 1 returns the
-polynomial itself, and by -1 its negation.
+rule of `_add_into` inline.  `_sum` takes (num, den) parts, copies the first
+and adds the others into the copy through `_add_into`, a part over a negative
+den subtracted: `+` passes its operand with more terms first, `-` the right
+operand over its negated den, and `Chart.sum` and a `_Substitution` every
+summand.  A product by the scalar 1 returns the polynomial itself, and by -1
+its negation.
 `_mul_into` takes `_rows` (key, int coefficient, odd-variable bitmask,
 fractional-t flag), and `_partial_rows` gives every partial of those rows in
 one pass.
@@ -391,17 +394,11 @@ class Chart:
         return _poly(self, {})
 
     def sum(self, polys):
-        """The sum of SPolys over this chart, accumulated in one term map over
-        the lcm of their denominators."""
+        """The sum of SPolys over this chart, accumulated by `_sum` in one
+        term map over the lcm of their denominators."""
         polys = [_on(p, self, "a summand lives on a different chart")
                  for p in _entries(polys, None, "the summands are a list")]
-        den = lcm(*(p.den for p in polys))
-        terms = {}
-        for p in polys:
-            scale = den // p.den
-            for k, c in p.num.items():
-                _add_into(terms, k, c * scale)
-        return _poly(self, terms, den)
+        return _sum(self, [(p.num, p.den) for p in polys])
 
     def const(self, c):
         c = _frac(c)
@@ -464,15 +461,21 @@ def _add_into(terms, key, c):
             del terms[key]
 
 
-def _combine(f, g, sign):
-    """f + sign * g for a sign of 1 or -1: each side rescaled to the lcm of
-    the denominators, and g's terms added into a copy of f's."""
-    den = lcm(f.den, g.den)
-    a, b = den // f.den, sign * (den // g.den)
-    terms = dict(f.num) if a == 1 else {k: c * a for k, c in f.num.items()}
-    for k, c in g.num.items():
-        _add_into(terms, k, c * b)
-    return _poly(f.chart, terms, den)
+def _sum(chart, parts):
+    """The sum on chart of (num, den) parts, a part over a negative den
+    subtracted: each rescaled to the lcm of the denominators, the first
+    copied (never aliased, as a built polynomial keeps bracket tables) and
+    the others added into the copy through `_add_into`."""
+    den = lcm(*[d for _, d in parts])
+    terms = None
+    for num, d in parts:
+        scale = den // d
+        if terms is None:
+            terms = dict(num) if scale == 1 else {k: c * scale for k, c in num.items()}
+        else:
+            for k, c in num.items():
+                _add_into(terms, k, c * scale)
+    return _poly(chart, terms or {}, den)
 
 
 def _mul_into(result, left, right, negate):
@@ -517,6 +520,13 @@ def _t_scale(chart, num):
         return 1
     return lcm(*{_T_UNIT // gcd(s, _T_UNIT) if type(s) is int else (s / _T_UNIT).denominator
                  for s in {key[-2] for key in num}})
+
+
+def _scaled_rows(f):
+    """(`_rows` of f's numerators times its `_t_scale` T, f's den times T):
+    the rows of f that may be derived by t, ints over that denominator."""
+    scale = _t_scale(f.chart, f.num)
+    return _rows(f.chart, f.num, scale), f.den * scale
 
 
 def _partial_rows(chart, rows, left):
@@ -644,7 +654,7 @@ class SPoly:
         if other is None:
             return NotImplemented
         big, small = (self, other) if len(self.num) >= len(other.num) else (other, self)
-        return _combine(big, small, 1)
+        return _sum(self.chart, ((big.num, big.den), (small.num, small.den)))
 
     __radd__ = __add__
 
@@ -655,7 +665,7 @@ class SPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _combine(self, other, -1)
+        return _sum(self.chart, ((self.num, self.den), (other.num, -other.den)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -836,7 +846,7 @@ class _Substitution:
     and kept with their denominator.  Calling it multiplies each term's
     factors onto its numerator in slot order, so the odd factors meet in chart
     order, and stops at a zero; the terms' images, each over the product of
-    its factors' denominators, are summed over the lcm of those.
+    its factors' denominators, are summed by `_sum`.
     The target chart defaults to the source chart: an image on any other chart
     needs the target named.
     """
@@ -895,22 +905,16 @@ class _Substitution:
         _on(poly, self.chart, "the polynomial lives on another chart than the substitution")
         target, power, images = self.target, self._power, self._images
         slots = range(len(self.chart.zero_key))
-        done = []  # (`_rows` of a term's image, its denominator)
+        done = []  # (a term's image, its denominator)
         for key, coeff in poly.num.items():
-            acc, den = [(target.zero_key, coeff, 0, False)], poly.den
+            part, den = {target.zero_key: coeff}, poly.den
             for idx in compress(slots, key):
                 rows, d = power(idx, key)
-                part = {}
+                acc, part = _rows(target, part), {}
                 _mul_into(part, acc, rows, False)
                 if not part and idx in images:  # a zero from a kept factor goes on to check t
                     break
-                acc, den = _rows(target, part), den * d
+                den *= d
             else:
-                done.append((acc, den))
-        den = lcm(*(d for _, d in done))
-        result = {}
-        for acc, d in done:
-            scale = den // d
-            for k, c, _, _ in acc:
-                _add_into(result, k, c * scale)
-        return _poly(target, result, den)
+                done.append((part, den))
+        return _sum(target, done)

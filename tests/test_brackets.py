@@ -118,7 +118,7 @@ class TestConventionPinning:
                 )
         assert len(verdicts) == 4
         assert all(all(v) for v in verdicts.values()), verdicts
-        names = [name for name, _, _ in brackets._IDENTITIES]
+        names = [name for name, *_ in brackets._IDENTITIES]
         assert not any(n.startswith(("anchor div(x * #x)", "nilpotency")) for n in names)
 
     def test_named_fields_suffice(self):
@@ -131,19 +131,18 @@ class TestConventionPinning:
         bases = [PINNED] + [conv for _, conv in brackets._perturbations(PINNED)]
         assert len(bases) == 13
 
-        def verdict(checks, conv):
+        def verdict(sample, holds, conv):
             return all(holds(f, g, h, conv)
-                       for sample, holds in checks
                        for f, g, h in (suite.samples[sample] if isinstance(sample, Chart) else sample))
 
-        for name, names, checks in brackets._IDENTITIES:
+        for name, names, sample, holds in brackets._IDENTITIES:
             others = [(field, values) for field, values in brackets._FIELD_VALUES
                       if field not in names]
             for base in bases:
-                expected = verdict(checks, base)
+                expected = verdict(sample, holds, base)
                 for field, values in others:
                     for value in values:
-                        assert verdict(checks, replace(base, **{field: value})) == expected, (
+                        assert verdict(sample, holds, replace(base, **{field: value})) == expected, (
                             name, base, field, value)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -195,9 +194,8 @@ class TestConventionPinning:
         monkeypatch.setattr(brackets, "_partial_rows", built)
         monkeypatch.setattr(brackets, "_bracket_from", bracketed)
         monkeypatch.setattr(brackets, "_IDENTITIES", tuple(
-            (name, names, [(s, recorded(s, holds) if isinstance(s, Chart) else holds)
-                           for s, holds in checks])
-            for name, names, checks in brackets._IDENTITIES))
+            (name, names, s, recorded(s, holds) if isinstance(s, Chart) else holds)
+            for name, names, s, holds in brackets._IDENTITIES))
         assert pin_convention(2024) == PINNED
         assert len(draws) == 2 * 3 * brackets._SAMPLES == 144
         assert len(tables) <= 316  # fewer when an earlier call built the anchors' tables

@@ -39,8 +39,8 @@ def test_no_assert_statements():
             assert not isinstance(node, ast.Assert), "%s:%d" % (path.name, node.lineno)
 
 
-KERNEL_HELPERS = {"_mul_into", "_rows", "_partial_rows", "_strip", "_strip_t", "_add_into",
-                  "_odd_mask", "_reorder_is_odd", "_plan_core"}
+KERNEL_HELPERS = {"_mul_into", "_rows", "_scaled_rows", "_partial_rows", "_strip", "_strip_t",
+                  "_add_into", "_odd_mask", "_reorder_is_odd", "_plan_core"}
 T_SLOT_CODEC = {"_T_UNIT", "_t_slot", "_t_exp"}
 
 

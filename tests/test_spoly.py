@@ -537,6 +537,17 @@ class TestSubstitution:
         assert prepared(h.zero()) == target.zero()
         with pytest.raises(ChartMismatchError):
             prepared(chart["x"])
+        # term images over the coprime denominators 2, 3 and 5 that cancel in
+        # part (u) and in whole: the sum is in normal form, and zero is over 1
+        u, v = target["u"], target["v"]
+        coprime = {h.var("x"): u / 2, h.var("y"): u / 3 + v / 5, h.var("#xi"): v / 5}
+        prepared = _Substitution(h, coprime, target)
+        x, y, xis = h["x"], h["y"], h["#xi"]
+        for f in (2 * x + 3 * y * xis - 3 * y, 2 * x - 3 * y + 3 * xis):
+            image = prepared(f)
+            assert_normal(image)
+            assert image == reference_substitute(f, coprime, target)
+        assert image.is_zero() and image.den == 1
 
     def test_prepared_errors_match_substitute(self, chart):
         h = chart.hatted_version()
